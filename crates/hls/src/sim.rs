@@ -41,13 +41,27 @@ impl<'p> FpgaSimulator<'p> {
     ///
     /// Fails when the program has no resolvable top function.
     pub fn new(program: &'p Program) -> Result<FpgaSimulator<'p>, ExecError> {
+        FpgaSimulator::new_with_engine(program, ExecEngine::default())
+    }
+
+    /// Creates a simulator for the program's top function on `engine`,
+    /// preparing the program once (unlike `new(..)` followed by
+    /// [`FpgaSimulator::with_engine`], which prepares it twice).
+    ///
+    /// # Errors
+    ///
+    /// Fails when the program has no resolvable top function.
+    pub fn new_with_engine(
+        program: &'p Program,
+        engine: ExecEngine,
+    ) -> Result<FpgaSimulator<'p>, ExecError> {
         let kernel = program
             .top_function_name()
             .ok_or_else(|| ExecError::setup("no top function in design"))?
             .to_string();
         Ok(FpgaSimulator {
             program,
-            prepared: Prepared::new(ExecEngine::default(), program),
+            prepared: Prepared::new(engine, program),
             model: ScheduleModel::default(),
             kernel,
         })
@@ -264,6 +278,20 @@ mod tests {
     fn missing_top_is_a_setup_error() {
         let p = minic::parse("void helper(int x) { }").unwrap();
         assert!(FpgaSimulator::new(&p).is_err());
+    }
+
+    #[test]
+    fn engine_constructor_matches_with_engine() {
+        let p = minic::parse(
+            "int kernel(int x) { int s = 0; for (int i = 0; i < x; i++) { s = s + i; } return s; }",
+        )
+        .unwrap();
+        let args = vec![ArgValue::Int(9)];
+        for engine in [ExecEngine::Bytecode, ExecEngine::TreeWalk] {
+            let direct = FpgaSimulator::new_with_engine(&p, engine).unwrap();
+            let swapped = FpgaSimulator::new(&p).unwrap().with_engine(engine);
+            assert_eq!(direct.run(&args), swapped.run(&args), "{engine}");
+        }
     }
 
     #[test]

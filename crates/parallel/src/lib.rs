@@ -1,21 +1,49 @@
 //! Order-preserving parallel evaluation over borrowed data.
 //!
-//! This is the workspace's one threading primitive: a [`parallel_map`] built
-//! on `std::thread::scope` (std-only, no external dependencies). Work items
-//! are claimed from a shared atomic cursor, so imbalanced items (one slow
-//! candidate compile next to nine fast ones) do not serialize a batch, and
-//! results always come back **in input order** regardless of completion
-//! order. That ordering is what lets the repair-search and fuzzing loops
-//! bill their simulated clocks and merge results deterministically: the
-//! parallel run performs the same merges in the same order as the
-//! sequential run, so `threads` only changes wall-clock time, never output.
+//! This is the workspace's one threading primitive: a [`parallel_map`]
+//! backed by one process-wide pool of persistent helper threads (std-only,
+//! no external dependencies). Work items are claimed from a shared atomic
+//! cursor, so imbalanced items (one slow candidate compile next to nine
+//! fast ones) do not serialize a batch, and results always come back **in
+//! input order** regardless of completion order. That ordering is what lets
+//! the repair-search and fuzzing loops bill their simulated clocks and merge
+//! results deterministically: the parallel run performs the same merges in
+//! the same order as the sequential run, so `threads` only changes
+//! wall-clock time, never output.
 //!
-//! With `threads <= 1` (or a single item) no threads are spawned at all —
+//! # The pool
+//!
+//! A call with `threads = n` is carried out by **the caller plus up to
+//! `n - 1` helpers**. The caller posts `n - 1` tickets for its batch, then
+//! drains items itself; idle helpers pick tickets up and claim items from
+//! the same cursor. Once the cursor runs out the caller withdraws the
+//! tickets no helper took and waits only for helpers already inside the
+//! batch — never for a helper to start. Helpers are spawned lazily, up to
+//! the largest `n - 1` ever requested, park on a condition variable between
+//! batches and never exit, so a batch costs a few lock operations instead
+//! of `n` thread spawns and joins.
+//!
+//! **Nesting.** Because every caller drains its own batch, a `parallel_map`
+//! inside a `parallel_map` item cannot deadlock, even when every helper is
+//! busy: the inner caller simply runs its whole batch alone. The same holds
+//! for concurrent callers on unrelated threads (the job server's workers
+//! all share the one pool).
+//!
+//! **Panics.** A panic in an item is caught on whichever thread ran it,
+//! stops the batch from handing out further items, and is re-raised on the
+//! caller with its original payload once the batch has settled. Helpers
+//! survive it.
+//!
+//! With `threads <= 1` (or a single item) the pool is not touched at all —
 //! the closure runs inline on the caller's thread, byte-identical to a
-//! hand-written sequential loop and free of pool overhead.
+//! hand-written sequential loop.
 
+use std::any::Any;
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Resolve a requested thread count: `0` means "use available parallelism".
 pub fn effective_threads(requested: usize) -> usize {
@@ -28,12 +56,12 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// Map `f` over `items`, evaluating up to `threads` items concurrently,
-/// and return the results in input order.
+/// Map `f` over `items`, evaluating up to `threads` items concurrently
+/// (the calling thread included), and return the results in input order.
 ///
-/// `f` runs once per item; panics in `f` propagate to the caller after the
-/// scope joins. The closure receives `(index, &item)` so callers can key
-/// side tables without re-finding the item.
+/// `f` runs once per item. A panic in `f` stops the batch and is re-raised
+/// here with its original payload. The closure receives `(index, &item)`
+/// so callers can key side tables without re-finding the item.
 pub fn parallel_map<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -46,93 +74,194 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
+    let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     let mut slots: Vec<Option<U>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     let slot_ptr = SlotBox(slots.as_mut_ptr());
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let f = &f;
-            let slot_ptr = &slot_ptr;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let out = f(i, &items[i]);
-                // SAFETY: each index is claimed by exactly one worker (the
-                // atomic fetch_add hands out each value once), every slot
-                // outlives the scope, and distinct indices never alias.
-                unsafe { slot_ptr.0.add(i).write(Some(out)) };
-            });
+    // The cursor only hands out indices; the slot writes reach the caller
+    // through the pool lock each helper takes after draining and the
+    // caller takes before returning (see `Settle`).
+    let drain = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= items.len() {
+            break;
         }
-    });
+        match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
+            // SAFETY: each index is claimed by exactly one thread (the
+            // atomic fetch_add hands out each value once), the slot array
+            // outlives the batch, and distinct indices never alias.
+            Ok(out) => unsafe { slot_ptr.put(i, out) },
+            Err(payload) => {
+                cursor.store(items.len(), Ordering::Relaxed);
+                lock(&panicked).get_or_insert(payload);
+                break;
+            }
+        }
+    };
+    POOL.run(threads - 1, &drain);
 
+    if let Some(payload) = panicked
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        resume_unwind(payload);
+    }
     slots
         .into_iter()
         .map(|s| s.expect("every index claimed exactly once"))
         .collect()
 }
 
-/// Raw pointer wrapper so the slot array can be shared across the scoped
-/// workers. Safe because workers write disjoint indices (see SAFETY above).
+/// Raw pointer wrapper so the slot array can be shared with the helpers.
 struct SlotBox<U>(*mut Option<U>);
 
+// SAFETY: the one field is a pointer into the caller's slot array; threads
+// only move `U` values into disjoint slots through it (see `put`), which
+// needs `U: Send`, and never read through it.
 unsafe impl<U: Send> Sync for SlotBox<U> {}
 
-/// Like [`parallel_map`], but over owned items; results still in order.
-pub fn parallel_map_owned<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send + Sync,
-    U: Send,
-    F: Fn(usize, T) -> U + Sync,
-{
-    let threads = effective_threads(threads).min(items.len());
-    if threads <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| f(i, x))
-            .collect();
+impl<U> SlotBox<U> {
+    /// # Safety
+    /// `i` is in bounds and no other thread writes slot `i`.
+    unsafe fn put(&self, i: usize, out: U) {
+        self.0.add(i).write(Some(out));
     }
-    let mut owned: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let taken = TakeBox(owned.as_mut_ptr());
-    let len = owned.len();
-
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<U>> = Vec::with_capacity(len);
-    slots.resize_with(len, || None);
-    let slot_ptr = SlotBox(slots.as_mut_ptr());
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let f = &f;
-            let slot_ptr = &slot_ptr;
-            let taken = &taken;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= len {
-                    break;
-                }
-                // SAFETY: index claimed exactly once; see parallel_map.
-                let item = unsafe { (*taken.0.add(i)).take() }.expect("item present");
-                let out = f(i, item);
-                unsafe { slot_ptr.0.add(i).write(Some(out)) };
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index claimed exactly once"))
-        .collect()
 }
 
-struct TakeBox<T>(*mut Option<T>);
+/// The process-wide helper pool every [`parallel_map`] call shares.
+static POOL: Pool = Pool {
+    state: Mutex::new(PoolState {
+        tickets: VecDeque::new(),
+        helpers: 0,
+    }),
+    posted: Condvar::new(),
+    left: Condvar::new(),
+};
 
-unsafe impl<T: Send> Sync for TakeBox<T> {}
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Wakes idle helpers when tickets are posted.
+    posted: Condvar,
+    /// Wakes callers when the last helper leaves their batch.
+    left: Condvar,
+}
+
+struct PoolState {
+    /// Open invitations to join a batch, one per wanted helper.
+    tickets: VecDeque<Ticket>,
+    /// Helper threads spawned so far; they never exit.
+    helpers: usize,
+}
+
+/// One batch as seen from the pool: the caller's drain loop plus the count
+/// of helpers inside it. Lives on the caller's stack.
+struct Batch<'a> {
+    drain: &'a (dyn Fn() + Sync),
+    /// Helpers currently running `drain`. Only read and changed under the
+    /// pool lock, which orders it (hence `Relaxed`), so the caller can wait
+    /// for it to reach zero on `Pool::left`.
+    active: AtomicUsize,
+}
+
+/// A lifetime-erased pointer to a caller's [`Batch`]. Sound because the
+/// caller withdraws its unclaimed tickets and waits for `active == 0`
+/// before the batch goes out of scope (see [`Settle`]).
+#[derive(Clone, Copy, PartialEq)]
+struct Ticket(*const Batch<'static>);
+
+// SAFETY: the one field points at a `Batch`, whose fields are `Sync` (a
+// `Sync` closure and an atomic); a helper only dereferences it while the
+// batch's caller waits in `Settle`.
+unsafe impl Send for Ticket {}
+
+/// Locks ignoring poison: no code panics while holding the pool lock or the
+/// first-panic slot, and each update leaves the data valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Pool {
+    /// Runs `drain` on the calling thread, inviting up to `want` helpers to
+    /// run it alongside; returns once no helper is still inside it.
+    fn run(&'static self, want: usize, drain: &(dyn Fn() + Sync)) {
+        let batch = Batch {
+            drain,
+            active: AtomicUsize::new(0),
+        };
+        let ticket = Ticket((&batch as *const Batch<'_>).cast());
+        let posted = {
+            let mut st = lock(&self.state);
+            while st.helpers < want && self.spawn_helper() {
+                st.helpers += 1;
+            }
+            let n = want.min(st.helpers);
+            st.tickets.extend(std::iter::repeat_n(ticket, n));
+            n
+        };
+        for _ in 0..posted {
+            self.posted.notify_one();
+        }
+        let _settle = Settle {
+            pool: self,
+            batch: &batch,
+            ticket,
+        };
+        drain();
+    }
+
+    /// Helpers are detached on purpose: they serve every later batch and
+    /// cannot panic, since `drain` catches item panics.
+    fn spawn_helper(&'static self) -> bool {
+        std::thread::Builder::new()
+            .name("parallel-pool".into())
+            .spawn(move || self.help())
+            .is_ok()
+    }
+
+    /// A helper's life: take a ticket, drain its batch, repeat.
+    fn help(&self) {
+        let mut st = lock(&self.state);
+        loop {
+            let Some(ticket) = st.tickets.pop_front() else {
+                st = self.posted.wait(st).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            // SAFETY: the ticket was still queued, so its caller has not
+            // yet settled; joining under the lock keeps it waiting for us.
+            let batch = unsafe { &*ticket.0 };
+            batch.active.fetch_add(1, Ordering::Relaxed);
+            drop(st);
+            (batch.drain)();
+            st = lock(&self.state);
+            if batch.active.fetch_sub(1, Ordering::Relaxed) == 1 {
+                self.left.notify_all();
+            }
+        }
+    }
+}
+
+/// Settles a batch when the caller's drain returns (or unwinds): withdraws
+/// the tickets no helper took, then waits for the helpers that did.
+struct Settle<'a, 'b> {
+    pool: &'a Pool,
+    batch: &'a Batch<'b>,
+    ticket: Ticket,
+}
+
+impl Drop for Settle<'_, '_> {
+    fn drop(&mut self) {
+        let mut st = lock(&self.pool.state);
+        st.tickets.retain(|t| *t != self.ticket);
+        while self.batch.active.load(Ordering::Relaxed) > 0 {
+            st = self
+                .pool
+                .left
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
 
 /// Runs `f` behind a panic boundary and reports a panic as an `Err` with the
 /// payload's message instead of unwinding into (and poisoning) the caller.
@@ -144,8 +273,6 @@ unsafe impl<T: Send> Sync for TakeBox<T> {}
 /// captured state on `Err` — a half-updated candidate never escapes the
 /// boundary.
 pub fn isolate<U>(f: impl FnOnce() -> U) -> Result<U, String> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
@@ -192,16 +319,6 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn owned_variant_moves_items_through() {
-        let items: Vec<String> = (0..20).map(|i| format!("s{i}")).collect();
-        let expect: Vec<String> = items.iter().map(|s| format!("{s}!")).collect();
-        for threads in [1, 4] {
-            let got = parallel_map_owned(threads, items.clone(), |_, s| format!("{s}!"));
-            assert_eq!(got, expect);
-        }
     }
 
     #[test]

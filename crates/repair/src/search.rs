@@ -80,9 +80,11 @@ pub struct SearchConfig {
     /// benefit-ordered, so a narrow beam reaches multi-pragma combinations
     /// on the hot loops within a bounded compile budget).
     pub perf_beam: usize,
-    /// Worker threads for candidate evaluation and differential testing;
-    /// `0` means "use available parallelism". Any value produces the same
-    /// applied edits, stats, and outcome — only wall-clock time changes.
+    /// Concurrent participants in candidate evaluation and differential
+    /// testing, *including the calling thread* (the rest are helpers from
+    /// the shared `parallel` pool); `0` means "use available parallelism",
+    /// `1` runs inline. Any value produces the same applied edits, stats,
+    /// and outcome — only wall-clock time changes.
     pub threads: usize,
     /// Retry policy for transient toolchain faults. Backoff is billed to
     /// the *resilience* clock ([`ResilienceStats::backoff_min`]), never the

@@ -57,9 +57,11 @@ pub struct FuzzConfig {
     pub max_execs: usize,
     /// Mutants derived from each corpus entry per round.
     pub mutants_per_seed: usize,
-    /// Worker threads for mutant execution; `0` means "use available
-    /// parallelism". Any value produces the same corpus, counters, and
-    /// profile — only wall-clock time changes.
+    /// Concurrent participants in mutant execution, *including the calling
+    /// thread* (the rest are helpers from the shared `parallel` pool); `0`
+    /// means "use available parallelism", `1` runs inline. Any value
+    /// produces the same corpus, counters, and profile — only wall-clock
+    /// time changes.
     pub threads: usize,
     /// Execution engine for mutant runs. Both engines produce identical
     /// corpora, coverage, and profiles; only wall-clock time changes.

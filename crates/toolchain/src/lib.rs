@@ -425,8 +425,8 @@ impl SimBackend {
     }
 
     fn simulator<'p>(&self, p: &'p Program) -> Result<FpgaSimulator<'p>, ToolchainError> {
-        FpgaSimulator::new(p)
-            .map(|s| s.with_model(self.schedule).with_engine(self.engine))
+        FpgaSimulator::new_with_engine(p, self.engine)
+            .map(|s| s.with_model(self.schedule))
             .map_err(|e| ToolchainError::permanent("hls_sim", e.to_string()))
     }
 }

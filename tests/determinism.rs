@@ -775,3 +775,41 @@ fn trace_metrics_agree_with_search_stats() {
     assert_eq!(metrics.counter("edit_applied"), admitted);
     assert!(admitted > 0, "no admitted candidates traced");
 }
+
+/// Sessions nested inside a `parallel_map` share the one helper pool with
+/// their own parallel batches. P3 and P5 run concurrently, each searching
+/// and fuzzing at two threads, and must produce report JSON and JSONL
+/// traces byte-identical to sequential one-thread runs.
+#[test]
+fn nested_sessions_on_the_shared_pool_are_byte_identical() {
+    use heterogen_core::{HeteroGen, JobSpec, PipelineConfig};
+    use heterogen_trace::JsonlSink;
+    use std::sync::Arc;
+
+    let run_with = |id: &str, threads: usize| {
+        let s = benchsuite::subject(id).unwrap();
+        let mut seeds = s.seed_inputs.clone();
+        seeds.extend(s.existing_tests.clone());
+        let mut cfg = PipelineConfig::quick();
+        cfg.fuzz = fuzz_cfg(threads);
+        cfg.search = search_cfg(threads);
+        let sink = Arc::new(JsonlSink::new());
+        let session = HeteroGen::builder().config(cfg).sink(sink.clone()).build();
+        let report = session
+            .run(JobSpec::fuzz(s.parse(), s.kernel, seeds))
+            .unwrap();
+        (
+            serde_json::to_string(&report).expect("serializable report"),
+            sink.contents(),
+        )
+    };
+
+    let ids = ["P3", "P5"];
+    let sequential: Vec<_> = ids.iter().map(|id| run_with(id, 1)).collect();
+    let nested = parallel::parallel_map(2, &ids, |_, id| run_with(id, 2));
+    for ((id, base), got) in ids.iter().zip(&sequential).zip(&nested) {
+        assert!(!base.1.is_empty(), "{id}: empty baseline trace");
+        assert_eq!(base.0, got.0, "{id}: report bytes, nested @ 2 threads");
+        assert_eq!(base.1, got.1, "{id}: trace bytes, nested @ 2 threads");
+    }
+}
