@@ -2,9 +2,10 @@
 //! array executed by [`crate::vm::Vm`].
 //!
 //! The compiler is **conservative**: any construct whose tree-walker
-//! semantics it cannot reproduce exactly (goto, struct methods/ctors,
-//! VLAs, …) aborts compilation of the whole program — [`compile`] returns
-//! `None` and callers fall back to [`crate::interp::Machine`]. Everything
+//! semantics it cannot reproduce exactly (`goto` is the one such construct
+//! real programs use) aborts compilation of the whole program —
+//! [`compile`] returns `None` and callers fall back to
+//! [`crate::interp::Machine`]. Everything
 //! that does compile is *observably identical* to the walker: same values,
 //! same `ExecError` classifications and message strings, same fuel (`ops`)
 //! accounting, same coverage/profile/loop statistics, same allocation
@@ -29,6 +30,17 @@
 //!   non-lvalue assignment, …) compile to `Insn::FailErr` at the exact
 //!   program point — and with the exact message — where the walker would
 //!   discover them.
+//! - **VLAs** (`int line[w]`) are sized when the declaration executes:
+//!   `Insn::AllocVla` reads the extent off the operand stack and keeps the
+//!   length in a hidden slot next to the array's, which bounds checks,
+//!   `&vla` strides and type-naming errors read back.
+//! - **Struct methods** compile to their own [`FnSpec`] per (struct,
+//!   method, bound-argument count); the receiver's base address travels in
+//!   a hidden slot after the parameters, and receiver fields resolve to
+//!   `base + offset` places after block scopes and before globals, exactly
+//!   as the walker's `lookup`. **Struct literals** allocate first, keep
+//!   their arguments on the operand stack, and store fields through
+//!   `Insn::StoreAgg`.
 
 use crate::error::ExecError;
 use crate::value::Value;
@@ -143,6 +155,12 @@ pub(crate) enum Insn {
     },
     /// Push a variable's cell address as a place.
     AddrVar(u32),
+    /// Push a receiver field's place: the base address held in method
+    /// slot `sl` plus the field offset.
+    AddrField {
+        sl: u32,
+        off: usize,
+    },
     /// Pop a place, push the value stored there.
     LoadPlace,
     /// Pop a place, push `Ptr { addr, stride }` (array/aggregate decay,
@@ -155,6 +173,13 @@ pub(crate) enum Insn {
     PlaceIndexArr {
         esize: usize,
         len: u64,
+        prof: u32,
+    },
+    /// [`Insn::PlaceIndexArr`] on a VLA: the length is the one fixed at
+    /// declaration, held in slot `len_sl`.
+    PlaceIndexVla {
+        esize: usize,
+        len_sl: u32,
         prof: u32,
     },
     /// Pop base place and index: load the pointer stored at the base and
@@ -175,10 +200,12 @@ pub(crate) enum Insn {
         op: Option<BinOp>,
         prof: u32,
     },
-    /// Assignment through a place (stack: rhs below place).
+    /// Assignment through a place (stack: rhs below place); `prof` as in
+    /// [`Insn::StoreVar`] (receiver fields assigned by name).
     StoreInd {
         k: StoreK,
         op: Option<BinOp>,
+        prof: u32,
     },
     /// Declaration initializer store (no result pushed).
     StoreInit {
@@ -206,6 +233,32 @@ pub(crate) enum Insn {
         size: usize,
         stream: bool,
     },
+    /// VLA declaration: pop the extent variable's value `v`, allocate
+    /// `max(v, 0).max(1) * esize` cells, bind slot `sl` and record the
+    /// length in slot `sl + 1`.
+    AllocVla {
+        sl: u32,
+        esize: usize,
+    },
+    /// Pop a VLA place, push `&vla` (stride: the declared length times
+    /// `esize`, length from slot `len_sl`).
+    DecayVla {
+        esize: usize,
+        len_sl: u32,
+    },
+    /// Struct literal: allocate this many cells and push them as a place.
+    NewAgg(usize),
+    /// Push a copy of the operand `depth` entries below the top.
+    Pick(u32),
+    /// Pop a value and store it through `k` at `off` cells past the place
+    /// `below` entries under the (post-pop) top.
+    StoreAgg {
+        below: u32,
+        off: usize,
+        k: StoreK,
+    },
+    /// Discard this many operands from the top of the stack.
+    DropN(u32),
     /// `#define` global: allocate one cell holding the constant.
     GDefine {
         sl: u32,
@@ -222,12 +275,23 @@ pub(crate) enum Insn {
     CallFn {
         f: u32,
     },
+    /// Call a compiled struct method: pop the arguments, then the
+    /// receiver place, whose address binds the method's receiver slot.
+    CallMethod {
+        f: u32,
+    },
     /// Return the popped value (it stays on the operand stack).
     Ret,
     /// Return `Unit`.
     RetUnit,
     /// A statically-known runtime error at this program point.
     FailErr(u32),
+    /// A runtime error naming a VLA's type, whose extent is read from
+    /// slot `len_sl` (template index into `vla_errs`).
+    FailVla {
+        msg: u32,
+        len_sl: u32,
+    },
     Malloc,
     FreeP,
     AbsI,
@@ -272,7 +336,7 @@ pub(crate) struct FnSpec {
     pub name: u32,
     /// Entry offset into `code`.
     pub entry: u32,
-    /// Local slot count (parameters first).
+    /// Local slot count (parameters first, then a method's receiver slot).
     pub n_slots: u32,
     pub params: Vec<ParamSpec>,
 }
@@ -293,6 +357,10 @@ pub struct CompiledProgram {
     pub(crate) errors: Vec<ExecError>,
     /// Precompiled coercions.
     pub(crate) cos: Vec<Co>,
+    /// `(message prefix, element type)` templates of errors naming a VLA's
+    /// type: the message is ``{prefix} `{elem}[n]` `` with the length `n`
+    /// fixed at declaration.
+    pub(crate) vla_errs: Vec<(&'static str, Type)>,
     /// Branch-coverage sites (statement/ternary node ids).
     pub(crate) branch_sites: Vec<NodeId>,
     /// Loop-statistics sites.
@@ -335,6 +403,51 @@ struct Unsupported;
 struct CVar {
     sl: u32,
     ty: Type,
+    /// Slot holding a VLA's length fixed at declaration.
+    vla_len: Option<u32>,
+}
+
+impl CVar {
+    fn new(sl: u32, ty: Type) -> CVar {
+        CVar {
+            sl,
+            ty,
+            vla_len: None,
+        }
+    }
+}
+
+/// What a name resolves to (the walker's `lookup` order).
+#[derive(Debug, Clone)]
+enum Name {
+    /// A block-scoped local or a global.
+    Var(CVar),
+    /// A field of the method receiver whose base sits in slot `sl`.
+    Field { sl: u32, off: usize, ty: Type },
+}
+
+impl Name {
+    fn ty(&self) -> &Type {
+        match self {
+            Name::Var(cv) => &cv.ty,
+            Name::Field { ty, .. } => ty,
+        }
+    }
+
+    fn vla_len(&self) -> Option<u32> {
+        match self {
+            Name::Var(cv) => cv.vla_len,
+            Name::Field { .. } => None,
+        }
+    }
+}
+
+/// The receiver of the method body being compiled.
+struct SelfCtx<'p> {
+    /// Struct name as resolved from the receiver's place type.
+    sname: &'p str,
+    /// Slot holding the receiver's base address.
+    sl: u32,
 }
 
 struct LoopCtx {
@@ -352,11 +465,16 @@ struct Compiler<'p> {
     code: Vec<Insn>,
     funcs: Vec<FnSpec>,
     fn_asts: Vec<&'p Function>,
+    /// Per function: `(receiver struct, bound-argument count)` for methods.
+    fn_recv: Vec<Option<(&'p str, usize)>>,
     by_name: HashMap<String, u32>,
+    /// Method variants by `(struct, method, bound-argument count)`.
+    methods: HashMap<(&'p str, &'p str, usize), u32>,
     names: Vec<String>,
     name_ids: HashMap<String, u32>,
     errors: Vec<ExecError>,
     cos: Vec<Co>,
+    vla_errs: Vec<(&'static str, Type)>,
     branch_sites: Vec<NodeId>,
     loop_sites: Vec<NodeId>,
     int_sites: Vec<(u32, u32)>,
@@ -368,6 +486,7 @@ struct Compiler<'p> {
     next_slot: u32,
     n_globals: u32,
     cur_fn: u32,
+    self_ctx: Option<SelfCtx<'p>>,
     loop_stack: Vec<LoopCtx>,
     /// Unit charges accumulated since the last emitted instruction.
     pending: u64,
@@ -381,11 +500,14 @@ impl<'p> Compiler<'p> {
             code: Vec::new(),
             funcs: Vec::new(),
             fn_asts: Vec::new(),
+            fn_recv: Vec::new(),
             by_name: HashMap::new(),
+            methods: HashMap::new(),
             names: Vec::new(),
             name_ids: HashMap::new(),
             errors: Vec::new(),
             cos: Vec::new(),
+            vla_errs: Vec::new(),
             branch_sites: Vec::new(),
             loop_sites: Vec::new(),
             int_sites: Vec::new(),
@@ -397,6 +519,7 @@ impl<'p> Compiler<'p> {
             next_slot: 0,
             n_globals: 0,
             cur_fn: 0,
+            self_ctx: None,
             loop_stack: Vec::new(),
             pending: 0,
         }
@@ -408,16 +531,8 @@ impl<'p> Compiler<'p> {
         for item in &self.p.items {
             if let Item::Function(f) = item {
                 if f.body.is_some() && !self.by_name.contains_key(&f.name) {
-                    let idx = self.funcs.len() as u32;
-                    let name = self.name_id(&f.name);
+                    let idx = self.register_fn(f, None);
                     self.by_name.insert(f.name.clone(), idx);
-                    self.fn_asts.push(f);
-                    self.funcs.push(FnSpec {
-                        name,
-                        entry: 0,
-                        n_slots: 0,
-                        params: Vec::new(),
-                    });
                 }
             }
         }
@@ -425,10 +540,19 @@ impl<'p> Compiler<'p> {
         self.code.push(Insn::Halt);
         let globals_entry = self.code.len() as u32;
         self.compile_globals()?;
-        for i in 0..self.funcs.len() {
+        // Method variants are registered as call sites reach them, so the
+        // list grows while it is walked.
+        let mut i = 0;
+        while i < self.funcs.len() {
             self.compile_function(i)?;
+            i += 1;
         }
         debug_assert_eq!(self.pending, 0);
+        // Compiled programs live in the process-wide cache: drop the
+        // growth slack of the arrays that scale with program size.
+        self.code.shrink_to_fit();
+        self.cos.shrink_to_fit();
+        self.errors.shrink_to_fit();
         Ok(CompiledProgram {
             code: self.code,
             funcs: self.funcs,
@@ -436,6 +560,7 @@ impl<'p> Compiler<'p> {
             names: self.names,
             errors: self.errors,
             cos: self.cos,
+            vla_errs: self.vla_errs,
             branch_sites: self.branch_sites,
             loop_sites: self.loop_sites,
             int_sites: self.int_sites,
@@ -455,6 +580,22 @@ impl<'p> Compiler<'p> {
         self.names.push(s.to_string());
         self.name_ids.insert(s.to_string(), id);
         id
+    }
+
+    /// Queues a function body (a method with its receiver struct and
+    /// bound-argument count) for compilation; returns its index.
+    fn register_fn(&mut self, f: &'p Function, recv: Option<(&'p str, usize)>) -> u32 {
+        let idx = self.funcs.len() as u32;
+        let name = self.name_id(&f.name);
+        self.fn_asts.push(f);
+        self.fn_recv.push(recv);
+        self.funcs.push(FnSpec {
+            name,
+            entry: 0,
+            n_slots: 0,
+            params: Vec::new(),
+        });
+        idx
     }
 
     fn err_id(&mut self, e: ExecError) -> u32 {
@@ -557,13 +698,40 @@ impl<'p> Compiler<'p> {
         s | GLOBAL_BIT
     }
 
-    fn lookup(&self, name: &str) -> Option<&CVar> {
+    /// Mirror of `Machine::lookup`: block scopes, then the receiver's
+    /// fields (one whose offset the walker cannot compute is skipped, as
+    /// there), then globals.
+    fn lookup(&self, name: &str) -> Result<Option<Name>, Unsupported> {
         for scope in self.locals.iter().rev() {
             if let Some(v) = scope.get(name) {
-                return Some(v);
+                return Ok(Some(Name::Var(v.clone())));
             }
         }
-        self.globals.get(name)
+        if let Some(cx) = &self.self_ctx {
+            if let Ok((off, fty)) = self.field_offset(cx.sname, name)? {
+                return Ok(Some(Name::Field {
+                    sl: cx.sl,
+                    off,
+                    ty: self.resolve(&fty),
+                }));
+            }
+        }
+        Ok(self.globals.get(name).cloned().map(Name::Var))
+    }
+
+    /// Pushes a resolved name's cell address as a place (no charge).
+    fn emit_addr(&mut self, n: &Name) {
+        match n {
+            Name::Var(cv) => self.emit(Insn::AddrVar(cv.sl)),
+            Name::Field { sl, off, .. } => self.emit(Insn::AddrField { sl: *sl, off: *off }),
+        }
+    }
+
+    fn declare(&mut self, name: &str, cv: CVar) {
+        self.locals
+            .last_mut()
+            .expect("scope")
+            .insert(name.to_string(), cv);
     }
 
     // ----- type mirrors -----------------------------------------------------
@@ -708,13 +876,13 @@ impl<'p> Compiler<'p> {
 
     /// Mirror of `Machine::static_type`: resolved binding type for a known
     /// identifier, raw inferred type otherwise.
-    fn static_type(&self, e: &Expr) -> Option<Type> {
+    fn static_type(&self, e: &Expr) -> Result<Option<Type>, Unsupported> {
         if let ExprKind::Ident(n) = &e.kind {
-            if let Some(cv) = self.lookup(n) {
-                return Some(cv.ty.clone());
+            if let Some(name) = self.lookup(n)? {
+                return Ok(Some(name.ty().clone()));
             }
         }
-        self.expr_types.get(&e.id).cloned()
+        Ok(self.expr_types.get(&e.id).cloned())
     }
 
     // ----- globals ----------------------------------------------------------
@@ -726,13 +894,8 @@ impl<'p> Compiler<'p> {
                 Item::Define(name, v) => {
                     let sl = self.new_gslot();
                     self.emit(Insn::GDefine { sl, v: *v });
-                    self.globals.insert(
-                        name.clone(),
-                        CVar {
-                            sl,
-                            ty: Type::int(),
-                        },
-                    );
+                    self.globals
+                        .insert(name.clone(), CVar::new(sl, Type::int()));
                 }
                 Item::Global(g) => {
                     let rty = self.resolve(&g.ty);
@@ -743,20 +906,14 @@ impl<'p> Compiler<'p> {
                             // point in the globals segment is dead but the
                             // binding stays visible to later compilation.
                             self.fail(e);
-                            self.globals.insert(g.name.clone(), CVar { sl, ty: rty });
+                            self.globals.insert(g.name.clone(), CVar::new(sl, rty));
                         }
                         Ok(size) => {
                             // The walker checks the *raw* declared type for
                             // stream initialization.
                             let stream = matches!(g.ty, Type::Stream(_));
                             self.emit(Insn::Alloc { sl, size, stream });
-                            self.globals.insert(
-                                g.name.clone(),
-                                CVar {
-                                    sl,
-                                    ty: rty.clone(),
-                                },
-                            );
+                            self.globals.insert(g.name.clone(), CVar::new(sl, rty));
                             if let Some(init) = &g.init {
                                 // Globals match init shapes on the raw type.
                                 self.compile_init(sl, &g.ty, init)?;
@@ -779,12 +936,16 @@ impl<'p> Compiler<'p> {
         if block_has_goto(body) {
             return Err(Unsupported);
         }
+        let recv = self.fn_recv[idx];
         self.cur_fn = self.funcs[idx].name;
         self.next_slot = 0;
         self.locals = vec![HashMap::new()];
         self.loop_stack.clear();
-        let mut specs = Vec::with_capacity(f.params.len());
-        for param in &f.params {
+        // A method variant binds only the parameters its call sites pass
+        // (the walker's `zip`); the rest resolve like any other name.
+        let nbound = recv.map_or(f.params.len(), |(_, n)| n);
+        let mut specs = Vec::with_capacity(nbound);
+        for param in f.params.iter().take(nbound) {
             let pty = self.resolve(&param.ty);
             let bty = match &pty {
                 Type::Array(e, _) => Type::Pointer(e.clone()),
@@ -809,7 +970,7 @@ impl<'p> Compiler<'p> {
             };
             let sl = self.new_slot();
             let pname = self.name_id(&param.name);
-            self.locals[0].insert(param.name.clone(), CVar { sl, ty: bty });
+            self.locals[0].insert(param.name.clone(), CVar::new(sl, bty));
             specs.push(ParamSpec {
                 pname,
                 pty,
@@ -819,11 +980,16 @@ impl<'p> Compiler<'p> {
                 arr,
             });
         }
+        if let Some((sname, _)) = recv {
+            let sl = self.new_slot();
+            self.self_ctx = Some(SelfCtx { sname, sl });
+        }
         let entry = self.here();
         for s in &body.stmts {
             self.compile_stmt(s)?;
         }
         self.emit(Insn::RetUnit);
+        self.self_ctx = None;
         let name = self.funcs[idx].name;
         self.funcs[idx] = FnSpec {
             name,
@@ -1013,9 +1179,8 @@ impl<'p> Compiler<'p> {
 
     fn compile_decl(&mut self, d: &VarDecl) -> Result<(), Unsupported> {
         let ty = self.resolve(&d.ty);
-        // VLA extents need the walker's materialize-at-declaration pass.
         if has_runtime_extent(&ty) {
-            return Err(Unsupported);
+            return self.compile_vla_decl(d, ty);
         }
         let sl = self.new_slot();
         match self.size_of(&ty, 0)? {
@@ -1028,10 +1193,44 @@ impl<'p> Compiler<'p> {
                 }
             }
         }
-        self.locals
-            .last_mut()
-            .expect("scope")
-            .insert(d.name.clone(), CVar { sl, ty });
+        self.declare(&d.name, CVar::new(sl, ty));
+        Ok(())
+    }
+
+    /// Mirror of the walker's `materialize_vla` declaration: the extent is
+    /// the size variable's value when the declaration executes. Only the
+    /// outermost dimension may be a runtime extent.
+    fn compile_vla_decl(&mut self, d: &VarDecl, ty: Type) -> Result<(), Unsupported> {
+        let Type::Array(elem, ArraySize::Runtime(v)) = &ty else {
+            return Err(Unsupported);
+        };
+        if has_runtime_extent(elem) {
+            return Err(Unsupported);
+        }
+        let sl = self.new_slot();
+        let len_sl = self.new_slot();
+        match self.lookup(v)? {
+            None => self.fail(ExecError::setup(format!("VLA size `{v}` not in scope"))),
+            Some(n) => {
+                self.emit_addr(&n);
+                self.emit(Insn::LoadPlace);
+                match self.size_of(elem, 0)? {
+                    Err(e) => self.fail(e),
+                    Ok(esize) => {
+                        self.emit(Insn::AllocVla { sl, esize });
+                        if let Some(init) = &d.init {
+                            self.compile_init(sl, &ty, init)?;
+                        }
+                    }
+                }
+            }
+        }
+        let cv = CVar {
+            sl,
+            ty,
+            vla_len: Some(len_sl),
+        };
+        self.declare(&d.name, cv);
         Ok(())
     }
 
@@ -1154,11 +1353,11 @@ impl<'p> Compiler<'p> {
                     // Inline the walker's `place(Ident)` (entry charge +
                     // lookup) so assignment profiling can key on the name.
                     self.pending += 1;
-                    match self.lookup(name).cloned() {
+                    match self.lookup(name)? {
                         None => {
                             self.fail(ExecError::setup(format!("unknown variable `{name}`")));
                         }
-                        Some(cv) => {
+                        Some(Name::Var(cv)) => {
                             let k = self.storek(&cv.ty)?;
                             let prof = self.int_site(name);
                             self.emit(Insn::StoreVar {
@@ -1168,11 +1367,21 @@ impl<'p> Compiler<'p> {
                                 prof,
                             });
                         }
+                        Some(field) => {
+                            let k = self.storek(field.ty())?;
+                            let prof = self.int_site(name);
+                            self.emit_addr(&field);
+                            self.emit(Insn::StoreInd { k, op: *op, prof });
+                        }
                     }
                 } else {
                     let ty = self.compile_place(lhs)?;
                     let k = self.storek(&ty)?;
-                    self.emit(Insn::StoreInd { k, op: *op });
+                    self.emit(Insn::StoreInd {
+                        k,
+                        op: *op,
+                        prof: u32::MAX,
+                    });
                 }
                 Ok(())
             }
@@ -1219,31 +1428,40 @@ impl<'p> Compiler<'p> {
                 self.fail(ExecError::setup("initializer list outside declaration"));
                 Ok(())
             }
-            ExprKind::StructLit(..) => Err(Unsupported),
+            ExprKind::StructLit(name, args) => self.compile_struct_lit(name, args),
         }
     }
 
     fn compile_ident_rvalue(&mut self, name: &str) -> Result<(), Unsupported> {
-        match self.lookup(name).cloned() {
-            None => {
-                self.fail(ExecError::setup(format!("unknown variable `{name}`")));
-                Ok(())
-            }
-            Some(cv) => {
-                match &cv.ty {
-                    Type::Array(elem, _) => match self.size_of(elem, 0)? {
-                        Ok(stride) => self.emit(Insn::DecayVar { sl: cv.sl, stride }),
-                        Err(e) => self.fail(e),
-                    },
-                    Type::Struct(_) | Type::Union(_) => self.emit(Insn::DecayVar {
-                        sl: cv.sl,
-                        stride: 1,
-                    }),
-                    _ => self.emit(Insn::LoadVar(cv.sl)),
+        let Some(n) = self.lookup(name)? else {
+            self.fail(ExecError::setup(format!("unknown variable `{name}`")));
+            return Ok(());
+        };
+        // Arrays and aggregates decay to a pointer; scalars load.
+        let decay = match n.ty() {
+            Type::Array(elem, _) => match self.size_of(elem, 0)? {
+                Ok(stride) => Some(stride),
+                Err(e) => {
+                    self.fail(e);
+                    return Ok(());
                 }
-                Ok(())
+            },
+            Type::Struct(_) | Type::Union(_) => Some(1),
+            _ => None,
+        };
+        match (&n, decay) {
+            (Name::Var(cv), Some(stride)) => self.emit(Insn::DecayVar { sl: cv.sl, stride }),
+            (Name::Var(cv), None) => self.emit(Insn::LoadVar(cv.sl)),
+            (Name::Field { .. }, Some(stride)) => {
+                self.emit_addr(&n);
+                self.emit(Insn::DecayPlace(stride));
+            }
+            (Name::Field { .. }, None) => {
+                self.emit_addr(&n);
+                self.emit(Insn::LoadPlace);
             }
         }
+        Ok(())
     }
 
     fn compile_unary(&mut self, e: &Expr, op: UnOp, a: &Expr) -> Result<(), Unsupported> {
@@ -1274,10 +1492,17 @@ impl<'p> Compiler<'p> {
                 Ok(())
             }
             UnOp::AddrOf => {
-                let ty = self.compile_place(a)?;
-                match self.size_of(&ty, 0)? {
-                    Ok(stride) => self.emit(Insn::DecayPlace(stride)),
-                    Err(err) => self.fail(err),
+                let (ty, vla) = self.compile_place_vla(a)?;
+                match (vla, &ty) {
+                    // `&vla` strides by the length fixed at declaration.
+                    (Some(len_sl), Type::Array(elem, _)) => match self.size_of(elem, 0)? {
+                        Ok(esize) => self.emit(Insn::DecayVla { esize, len_sl }),
+                        Err(err) => self.fail(err),
+                    },
+                    _ => match self.size_of(&ty, 0)? {
+                        Ok(stride) => self.emit(Insn::DecayPlace(stride)),
+                        Err(err) => self.fail(err),
+                    },
                 }
                 Ok(())
             }
@@ -1307,16 +1532,24 @@ impl<'p> Compiler<'p> {
     /// deterministically, a `FailErr` is emitted and a dummy type returned
     /// (the continuation is unreachable).
     fn compile_place(&mut self, e: &Expr) -> Result<Type, Unsupported> {
+        Ok(self.compile_place_vla(e)?.0)
+    }
+
+    /// [`Self::compile_place`], also returning the length slot when the
+    /// place is a VLA variable (whose walker type carries the extent fixed
+    /// at declaration).
+    fn compile_place_vla(&mut self, e: &Expr) -> Result<(Type, Option<u32>), Unsupported> {
         self.pending += 1;
         match &e.kind {
-            ExprKind::Ident(name) => match self.lookup(name).cloned() {
-                Some(cv) => {
-                    self.emit(Insn::AddrVar(cv.sl));
-                    Ok(cv.ty)
+            ExprKind::Ident(name) => match self.lookup(name)? {
+                Some(n) => {
+                    self.emit_addr(&n);
+                    let vla = n.vla_len();
+                    Ok((n.ty().clone(), vla))
                 }
                 None => {
                     self.fail(ExecError::setup(format!("unknown variable `{name}`")));
-                    Ok(Type::int())
+                    Ok((Type::int(), None))
                 }
             },
             ExprKind::Unary(UnOp::Deref, inner) => {
@@ -1327,43 +1560,51 @@ impl<'p> Compiler<'p> {
                     .get(&e.id)
                     .cloned()
                     .unwrap_or_else(Type::int);
-                Ok(self.resolve(&ty))
+                Ok((self.resolve(&ty), None))
             }
             ExprKind::Index(base, idx) => {
                 self.compile_expr(idx)?;
                 match &base.kind {
                     ExprKind::Ident(_) | ExprKind::Member(..) | ExprKind::Index(..) => {
-                        let bty = self.compile_place(base)?;
+                        let (bty, vla) = self.compile_place_vla(base)?;
                         match &bty {
-                            Type::Array(elem, size) => {
-                                let len = minic::edit::resolve_array_size(self.p, size)
-                                    .unwrap_or(u64::MAX);
-                                match self.size_of(elem, 0)? {
-                                    Err(err) => {
-                                        self.fail(err);
-                                        Ok(Type::int())
-                                    }
-                                    Ok(esize) => {
-                                        let prof = if let ExprKind::Ident(n) = &base.kind {
-                                            let n = n.clone();
-                                            self.idx_site(&n)
-                                        } else {
-                                            u32::MAX
-                                        };
-                                        self.emit(Insn::PlaceIndexArr { esize, len, prof });
-                                        Ok(self.resolve(elem))
-                                    }
+                            Type::Array(elem, size) => match self.size_of(elem, 0)? {
+                                Err(err) => {
+                                    self.fail(err);
+                                    Ok((Type::int(), None))
                                 }
-                            }
+                                Ok(esize) => {
+                                    let prof = if let ExprKind::Ident(n) = &base.kind {
+                                        let n = n.clone();
+                                        self.idx_site(&n)
+                                    } else {
+                                        u32::MAX
+                                    };
+                                    self.emit(match vla {
+                                        Some(len_sl) => Insn::PlaceIndexVla {
+                                            esize,
+                                            len_sl,
+                                            prof,
+                                        },
+                                        None => Insn::PlaceIndexArr {
+                                            esize,
+                                            len: minic::edit::resolve_array_size(self.p, size)
+                                                .unwrap_or(u64::MAX),
+                                            prof,
+                                        },
+                                    });
+                                    Ok((self.resolve(elem), None))
+                                }
+                            },
                             Type::Pointer(elem) => {
                                 self.emit(Insn::PlaceIndexPtr);
-                                Ok(self.resolve(elem))
+                                Ok((self.resolve(elem), None))
                             }
                             other => {
                                 self.fail(ExecError::setup(format!(
                                     "indexing non-array `{other}`"
                                 )));
-                                Ok(Type::int())
+                                Ok((Type::int(), None))
                             }
                         }
                     }
@@ -1375,52 +1616,161 @@ impl<'p> Compiler<'p> {
                             .get(&e.id)
                             .cloned()
                             .unwrap_or_else(Type::int);
-                        Ok(self.resolve(&ty))
+                        Ok((self.resolve(&ty), None))
                     }
                 }
             }
             ExprKind::Member(base, field, arrow) => {
-                let bty = if *arrow {
+                let (bty, vla) = if *arrow {
                     self.compile_expr(base)?;
                     self.emit(Insn::ArrowAddr);
-                    match self.static_type(base) {
-                        Some(Type::Pointer(t)) => self.resolve(&t),
+                    match self.static_type(base)? {
+                        Some(Type::Pointer(t)) => (self.resolve(&t), None),
                         _ => {
                             self.fail(ExecError::setup("`->` base type unknown"));
-                            return Ok(Type::int());
+                            return Ok((Type::int(), None));
                         }
                     }
                 } else {
-                    self.compile_place(base)?
+                    self.compile_place_vla(base)?
                 };
                 match &bty {
                     Type::Struct(name) | Type::Union(name) => {
                         match self.field_offset(name, field)? {
                             Ok((off, fty)) => {
                                 self.emit(Insn::PlaceOffset(off));
-                                Ok(self.resolve(&fty))
+                                Ok((self.resolve(&fty), None))
                             }
                             Err(err) => {
                                 self.fail(err);
-                                Ok(Type::int())
+                                Ok((Type::int(), None))
                             }
                         }
                     }
                     other => {
-                        self.fail(ExecError::setup(format!(
-                            "member access on non-struct `{other}`"
-                        )));
-                        Ok(Type::int())
+                        self.fail_non_struct("member access on non-struct", other, vla);
+                        Ok((Type::int(), None))
                     }
                 }
             }
-            ExprKind::StructLit(..) => Err(Unsupported),
+            ExprKind::StructLit(name, args) => {
+                self.compile_struct_lit(name, args)?;
+                Ok((Type::Struct(name.clone()), None))
+            }
             other => {
                 self.fail(ExecError::setup(format!(
                     "expression is not an lvalue: {other:?}"
                 )));
-                Ok(Type::int())
+                Ok((Type::int(), None))
             }
+        }
+    }
+
+    /// Emits the walker's ``{what} `{ty}` `` error. A VLA's type names the
+    /// length fixed at declaration, so its message is built at run time.
+    fn fail_non_struct(&mut self, what: &'static str, ty: &Type, vla: Option<u32>) {
+        match (vla, ty) {
+            (Some(len_sl), Type::Array(elem, _)) => {
+                self.vla_errs.push((what, (**elem).clone()));
+                let msg = (self.vla_errs.len() - 1) as u32;
+                self.emit(Insn::FailVla { msg, len_sl });
+            }
+            _ => self.fail(ExecError::setup(format!("{what} `{ty}`"))),
+        }
+    }
+
+    /// Mirror of `Machine::construct_struct`: allocates before evaluating
+    /// the arguments and leaves the new aggregate's address on the stack
+    /// (its place and its rvalue are the same `Ptr { addr, stride: 1 }`).
+    /// The arguments stay on the stack while the fields are stored.
+    fn compile_struct_lit(&mut self, name: &str, args: &[Expr]) -> Result<(), Unsupported> {
+        let size = match self.size_of(&Type::Struct(name.to_string()), 0)? {
+            Ok(n) => n,
+            Err(e) => {
+                self.fail(e);
+                return Ok(());
+            }
+        };
+        self.emit(Insn::NewAgg(size));
+        let p = self.p;
+        let Some(def) = p.struct_def(name) else {
+            self.fail(ExecError::setup(format!("unknown struct `{name}`")));
+            return Ok(());
+        };
+        for a in args {
+            self.compile_expr(a)?;
+        }
+        let nargs = args.len() as u32;
+        // Stack depth of argument `i` below the top.
+        let pick = |i: usize| nargs - 1 - i as u32;
+        if let Some(ctor) = &def.ctor {
+            // Later duplicates win, like the walker's environment map.
+            let env: HashMap<&str, usize> = ctor
+                .params
+                .iter()
+                .take(args.len())
+                .enumerate()
+                .map(|(i, prm)| (prm.name.as_str(), i))
+                .collect();
+            for (field, init) in &ctor.inits {
+                let (off, fty) = match self.field_offset(name, field)? {
+                    Ok(x) => x,
+                    Err(e) => {
+                        self.fail(e);
+                        return Ok(());
+                    }
+                };
+                match &init.kind {
+                    ExprKind::Ident(n) if env.contains_key(n.as_str()) => {
+                        self.emit(Insn::Pick(pick(env[n.as_str()])));
+                    }
+                    _ => self.compile_expr(init)?,
+                }
+                let Some(fd) = def.field(field) else {
+                    self.fail(ExecError::setup(format!(
+                        "unknown field `{field}` on `{name}`"
+                    )));
+                    return Ok(());
+                };
+                let k = self.field_storek(fd.by_ref, &fty)?;
+                self.emit(Insn::StoreAgg {
+                    below: nargs,
+                    off,
+                    k,
+                });
+            }
+        } else {
+            // Positional aggregate initialization.
+            for (i, fd) in def.fields.iter().take(args.len()).enumerate() {
+                let (off, fty) = match self.field_offset(name, &fd.name)? {
+                    Ok(x) => x,
+                    Err(e) => {
+                        self.fail(e);
+                        return Ok(());
+                    }
+                };
+                self.emit(Insn::Pick(pick(i)));
+                let k = self.field_storek(fd.by_ref, &fty)?;
+                self.emit(Insn::StoreAgg {
+                    below: nargs,
+                    off,
+                    k,
+                });
+            }
+        }
+        if nargs > 0 {
+            self.emit(Insn::DropN(nargs));
+        }
+        Ok(())
+    }
+
+    /// Struct-literal field store: reference and stream fields (raw type)
+    /// store the value as is, the rest go through `store_typed`.
+    fn field_storek(&mut self, by_ref: bool, fty: &Type) -> Result<StoreK, Unsupported> {
+        if by_ref || matches!(fty, Type::Stream(_)) {
+            Ok(StoreK::Raw)
+        } else {
+            self.storek(fty)
         }
     }
 
@@ -1501,25 +1851,71 @@ impl<'p> Compiler<'p> {
                 });
                 Ok(())
             }
-            _ => match self.by_name.get(name).copied() {
-                None => {
-                    self.fail(ExecError::setup(format!("unknown function `{name}`")));
-                    Ok(())
-                }
-                Some(fi) => {
-                    let nparams = self.fn_asts[fi as usize].params.len();
-                    for a in args.iter().take(nparams) {
-                        self.compile_expr(a)?;
+            _ => {
+                // Inside a method body a bare call dispatches to a method
+                // of the receiver before any free function.
+                if let Some(cx) = &self.self_ctx {
+                    let (p, sl) = (self.p, cx.sl);
+                    if let Some(def) = p.struct_def(cx.sname) {
+                        if let Some(m) = def.method(name) {
+                            self.emit(Insn::AddrVar(sl));
+                            return self.compile_method_call(def, m, args);
+                        }
                     }
-                    if args.len() < nparams {
-                        self.fail(ExecError::setup(format!("arity mismatch calling `{name}`")));
-                    } else {
-                        self.emit(Insn::CallFn { f: fi });
-                    }
-                    Ok(())
                 }
-            },
+                self.compile_free_call(name, args)
+            }
         }
+    }
+
+    fn compile_free_call(&mut self, name: &str, args: &[Expr]) -> Result<(), Unsupported> {
+        match self.by_name.get(name).copied() {
+            None => {
+                self.fail(ExecError::setup(format!("unknown function `{name}`")));
+                Ok(())
+            }
+            Some(fi) => {
+                let nparams = self.fn_asts[fi as usize].params.len();
+                for a in args.iter().take(nparams) {
+                    self.compile_expr(a)?;
+                }
+                if args.len() < nparams {
+                    self.fail(ExecError::setup(format!("arity mismatch calling `{name}`")));
+                } else {
+                    self.emit(Insn::CallFn { f: fi });
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Calls method `m` of `def` on the receiver place already on the
+    /// stack. Every argument is evaluated; those past the method's
+    /// parameters are dropped, like the walker's unchecked `zip`.
+    fn compile_method_call(
+        &mut self,
+        def: &'p StructDef,
+        m: &'p Function,
+        args: &[Expr],
+    ) -> Result<(), Unsupported> {
+        let nbound = args.len().min(m.params.len());
+        for (i, a) in args.iter().enumerate() {
+            self.compile_expr(a)?;
+            if i >= nbound {
+                self.emit(Insn::Pop);
+            }
+        }
+        let key = (def.name.as_str(), m.name.as_str(), nbound);
+        let f = match self.methods.get(&key) {
+            Some(&f) => f,
+            None => {
+                let f = self.register_fn(m, Some((def.name.as_str(), nbound)));
+                self.methods.insert(key, f);
+                f
+            }
+        };
+        self.emit(Insn::CallMethod { f });
+        Ok(())
     }
 
     fn compile_method(
@@ -1528,23 +1924,33 @@ impl<'p> Compiler<'p> {
         method: &str,
         args: &[Expr],
     ) -> Result<(), Unsupported> {
-        if matches!(self.static_type(recv), Some(Type::Stream(_))) {
+        if matches!(self.static_type(recv)?, Some(Type::Stream(_))) {
             self.compile_expr(recv)?;
             self.emit(Insn::StreamFromVal);
             return self.compile_stream_op(method, args);
         }
-        let ty = self.compile_place(recv)?;
+        let (ty, vla) = self.compile_place_vla(recv)?;
         match &ty {
             Type::Stream(_) => {
                 self.emit(Insn::StreamFromPlace);
                 self.compile_stream_op(method, args)
             }
-            // Struct methods need self-field scoping the VM doesn't model.
-            Type::Struct(_) | Type::Union(_) => Err(Unsupported),
+            Type::Struct(sname) | Type::Union(sname) => {
+                let p = self.p;
+                let Some(def) = p.struct_def(sname) else {
+                    self.fail(ExecError::setup(format!("unknown struct `{sname}`")));
+                    return Ok(());
+                };
+                let Some(m) = def.method(method) else {
+                    self.fail(ExecError::setup(format!(
+                        "no method `{method}` on `{sname}`"
+                    )));
+                    return Ok(());
+                };
+                self.compile_method_call(def, m, args)
+            }
             other => {
-                self.fail(ExecError::setup(format!(
-                    "method call on non-struct `{other}`"
-                )));
+                self.fail_non_struct("method call on non-struct", other, vla);
                 Ok(())
             }
         }
@@ -1594,5 +2000,22 @@ fn stmt_has_goto(s: &Stmt) -> bool {
             init.as_deref().is_some_and(stmt_has_goto) || block_has_goto(b)
         }
         _ => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Insn;
+
+    /// The dispatch loop streams `Insn`s; a variant with a fat payload
+    /// would widen every instruction. Side tables indexed by `u32` keep
+    /// it at the size it had before struct methods and VLAs compiled.
+    #[test]
+    fn instruction_size_is_pinned() {
+        assert!(
+            std::mem::size_of::<Insn>() <= 48,
+            "Insn grew to {} bytes",
+            std::mem::size_of::<Insn>()
+        );
     }
 }

@@ -7,9 +7,9 @@
 //! [`Machine`] stays available behind [`ExecEngine::TreeWalk`] as the
 //! reference engine for differential testing.
 //!
-//! Programs outside the bytecode subset (goto, struct methods, VLAs, …)
-//! transparently fall back to the tree-walker — the `None` verdict is
-//! cached too, so the subset check is also paid once per candidate.
+//! Programs outside the bytecode subset (`goto` is the only construct
+//! left) transparently fall back to the tree-walker — the `None` verdict
+//! is cached too, so the subset check is also paid once per candidate.
 
 use crate::bytecode::{compile, CompiledProgram};
 use crate::error::ExecError;

@@ -21,6 +21,7 @@ use crate::memory::Memory;
 use crate::profile::Profile;
 use crate::value::{coerce, ArgValue, Outcome, ScalarOut, Value};
 use minic::ast::NodeId;
+use minic::types::{ArraySize, Type};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -28,7 +29,9 @@ use std::sync::Arc;
 const HALT_PC: u32 = 0;
 
 struct VmFrame {
-    func: u32,
+    /// Interned function name: the walker keys call statistics by name,
+    /// so a method and a free function of the same name share them.
+    name: u32,
     ret_pc: u32,
     prev_base: usize,
 }
@@ -54,11 +57,11 @@ pub struct Vm {
     cov: Vec<[bool; 2]>,
     /// Iteration counts per loop site.
     loops: Vec<u64>,
-    /// Call counts per function.
+    /// Call counts per interned function name.
     calls: Vec<u64>,
-    /// Currently-active call count per function (recursion depth).
+    /// Currently-active call count per function name (recursion depth).
     active: Vec<u64>,
-    /// Maximum observed `active` per function (profiling).
+    /// Maximum observed `active` per function name (profiling).
     depth_max: Vec<u64>,
     /// Observed (min, max) per int-range profile site.
     int_acc: Vec<Option<(i128, i128)>>,
@@ -89,9 +92,9 @@ impl Vm {
             cur_base: 0,
             cov: vec![[false; 2]; prog.branch_sites.len()],
             loops: vec![0; prog.loop_sites.len()],
-            calls: vec![0; prog.funcs.len()],
-            active: vec![0; prog.funcs.len()],
-            depth_max: vec![0; prog.funcs.len()],
+            calls: vec![0; prog.names.len()],
+            active: vec![0; prog.names.len()],
+            depth_max: vec![0; prog.names.len()],
             int_acc: vec![None; prog.int_sites.len()],
             idx_acc: vec![None; prog.idx_sites.len()],
             peak_heap: 0,
@@ -137,8 +140,7 @@ impl Vm {
         let mut map = BTreeMap::new();
         for (i, &n) in self.calls.iter().enumerate() {
             if n > 0 {
-                let name = self.prog.names[self.prog.funcs[i].name as usize].clone();
-                map.insert(name, n);
+                map.insert(self.prog.names[i].clone(), n);
             }
         }
         map
@@ -171,7 +173,7 @@ impl Vm {
         }
         for (i, &d) in self.depth_max.iter().enumerate() {
             if d > 0 {
-                p.record_depth(&self.prog.names[self.prog.funcs[i].name as usize], d);
+                p.record_depth(&self.prog.names[i], d);
             }
         }
         p.peak_heap_cells = self.peak_heap;
@@ -480,19 +482,27 @@ impl Vm {
     /// Enters a function frame; returns its entry pc. Mirrors the walker's
     /// `call_function` prologue, including its bookkeeping order: counters
     /// are bumped *before* parameter binding, so a binding error leaves the
-    /// callee's active count elevated exactly as the walker does.
-    fn enter(&mut self, fi: u32, args: Vec<Value>, ret_pc: u32) -> Result<u32, ExecError> {
+    /// callee's active count elevated exactly as the walker does. A method
+    /// gets its receiver's base address in the slot after its parameters.
+    fn enter(
+        &mut self,
+        fi: u32,
+        args: Vec<Value>,
+        recv: Option<usize>,
+        ret_pc: u32,
+    ) -> Result<u32, ExecError> {
         let prog = Arc::clone(&self.prog);
         let spec = &prog.funcs[fi as usize];
         if self.frames.len() as u64 >= self.config.max_depth {
             return Err(ExecError::trap(Trap::StackOverflow));
         }
         self.charge(5)?;
-        self.calls[fi as usize] += 1;
-        self.active[fi as usize] += 1;
+        let name = spec.name as usize;
+        self.calls[name] += 1;
+        self.active[name] += 1;
         if self.config.profile {
-            let d = self.active[fi as usize];
-            let e = &mut self.depth_max[fi as usize];
+            let d = self.active[name];
+            let e = &mut self.depth_max[name];
             *e = (*e).max(d);
         }
         let base = self.slots.len();
@@ -506,9 +516,12 @@ impl Vm {
             self.mem.store(addr, stored)?;
             self.slots.push(addr);
         }
+        if let Some(base_addr) = recv {
+            self.slots.push(base_addr);
+        }
         self.slots.resize(base + spec.n_slots as usize, usize::MAX);
         self.frames.push(VmFrame {
-            func: fi,
+            name: spec.name,
             ret_pc,
             prev_base: self.cur_base,
         });
@@ -520,7 +533,7 @@ impl Vm {
     /// returns the pc to resume at.
     fn leave(&mut self) -> u32 {
         let fr = self.frames.pop().expect("vm frame underflow");
-        self.active[fr.func as usize] -= 1;
+        self.active[fr.name as usize] -= 1;
         if self.config.profile {
             self.peak_heap = self.peak_heap.max(self.mem.peak_cells());
         }
@@ -539,7 +552,7 @@ impl Vm {
         let frames_len = self.frames.len();
         let base_save = self.cur_base;
         let result = self
-            .enter(fi, args, HALT_PC)
+            .enter(fi, args, None, HALT_PC)
             .and_then(|entry| self.exec_from(entry));
         match result {
             Ok(()) => Ok(self.pop()),
@@ -548,7 +561,7 @@ impl Vm {
                 // per-function active counts and the heap peak as it goes.
                 while self.frames.len() > frames_len {
                     let fr = self.frames.pop().expect("vm frame underflow");
-                    self.active[fr.func as usize] -= 1;
+                    self.active[fr.name as usize] -= 1;
                     if self.config.profile {
                         self.peak_heap = self.peak_heap.max(self.mem.peak_cells());
                     }
@@ -629,6 +642,10 @@ impl Vm {
                     let addr = self.slot_addr(*sl);
                     self.stack.push(Value::Ptr { addr, stride: 1 });
                 }
+                Insn::AddrField { sl, off } => {
+                    let addr = self.slot_addr(*sl) + off;
+                    self.stack.push(Value::Ptr { addr, stride: 1 });
+                }
                 Insn::LoadPlace => {
                     let addr = self.pop_addr();
                     let v = self.mem.load(addr)?.clone();
@@ -655,6 +672,27 @@ impl Vm {
                     let baddr = self.pop_addr();
                     let i = self.pop().as_int();
                     let eff = self.bounded_index(i, *len)?;
+                    if *prof != u32::MAX && self.config.profile {
+                        let acc = &mut self.idx_acc[*prof as usize];
+                        *acc = Some(match *acc {
+                            None => i,
+                            Some(mx) => mx.max(i),
+                        });
+                    }
+                    self.stack.push(Value::Ptr {
+                        addr: baddr + eff * esize,
+                        stride: 1,
+                    });
+                }
+                Insn::PlaceIndexVla {
+                    esize,
+                    len_sl,
+                    prof,
+                } => {
+                    let len = self.slot_addr(*len_sl) as u64;
+                    let baddr = self.pop_addr();
+                    let i = self.pop().as_int();
+                    let eff = self.bounded_index(i, len)?;
                     if *prof != u32::MAX && self.config.profile {
                         let acc = &mut self.idx_acc[*prof as usize];
                         *acc = Some(match *acc {
@@ -731,7 +769,7 @@ impl Vm {
                     let out = self.mem.load(addr)?.clone();
                     self.stack.push(out);
                 }
-                Insn::StoreInd { k, op } => {
+                Insn::StoreInd { k, op, prof } => {
                     let addr = self.pop_addr();
                     let rv = self.pop();
                     let final_v = match op {
@@ -743,6 +781,7 @@ impl Vm {
                         }
                     };
                     self.store_k(addr, *k, final_v)?;
+                    self.record_int_site(*prof, addr)?;
                     let out = self.mem.load(addr)?.clone();
                     self.stack.push(out);
                 }
@@ -798,6 +837,37 @@ impl Vm {
                     }
                     self.set_slot(*sl, addr);
                 }
+                Insn::AllocVla { sl, esize } => {
+                    let n = (self.pop().as_int().max(0) as u64).max(1);
+                    let addr = self.alloc_tracked(n as usize * esize);
+                    self.set_slot(*sl, addr);
+                    self.set_slot(sl + 1, n as usize);
+                }
+                Insn::DecayVla { esize, len_sl } => {
+                    let addr = self.pop_addr();
+                    let stride = self.slot_addr(*len_sl) * esize;
+                    self.stack.push(Value::Ptr { addr, stride });
+                }
+                Insn::NewAgg(size) => {
+                    let addr = self.alloc_tracked(*size);
+                    self.stack.push(Value::Ptr { addr, stride: 1 });
+                }
+                Insn::Pick(depth) => {
+                    let v = self.stack[self.stack.len() - 1 - *depth as usize].clone();
+                    self.stack.push(v);
+                }
+                Insn::StoreAgg { below, off, k } => {
+                    let v = self.pop();
+                    let base = match &self.stack[self.stack.len() - 1 - *below as usize] {
+                        Value::Ptr { addr, .. } => *addr,
+                        other => unreachable!("vm aggregate base was {other:?}"),
+                    };
+                    self.store_k(base + off, *k, v)?;
+                }
+                Insn::DropN(n) => {
+                    let len = self.stack.len() - *n as usize;
+                    self.stack.truncate(len);
+                }
                 Insn::GDefine { sl, v } => {
                     let addr = self.alloc_tracked(1);
                     self.mem.store(addr, Value::int(*v))?;
@@ -841,7 +911,14 @@ impl Vm {
                 Insn::CallFn { f } => {
                     let n = prog.funcs[*f as usize].params.len();
                     let args = self.stack.split_off(self.stack.len() - n);
-                    let entry = self.enter(*f, args, pc as u32)?;
+                    let entry = self.enter(*f, args, None, pc as u32)?;
+                    pc = entry as usize;
+                }
+                Insn::CallMethod { f } => {
+                    let n = prog.funcs[*f as usize].params.len();
+                    let args = self.stack.split_off(self.stack.len() - n);
+                    let recv = self.pop_addr();
+                    let entry = self.enter(*f, args, Some(recv), pc as u32)?;
                     pc = entry as usize;
                 }
                 Insn::Ret => {
@@ -854,6 +931,12 @@ impl Vm {
                     self.stack.push(Value::Unit);
                 }
                 Insn::FailErr(ei) => return Err(prog.errors[*ei as usize].clone()),
+                Insn::FailVla { msg, len_sl } => {
+                    let (what, elem) = &prog.vla_errs[*msg as usize];
+                    let n = self.slot_addr(*len_sl) as u64;
+                    let ty = Type::Array(Box::new(elem.clone()), ArraySize::Const(n));
+                    return Err(ExecError::setup(format!("{what} `{ty}`")));
+                }
                 Insn::Malloc => {
                     let n = self.pop().as_int().max(0) as usize;
                     let addr = self.alloc_tracked(n.max(1));

@@ -26,6 +26,11 @@ fn diff_with(src: &str, kernel: &str, args: &[ArgValue], config: MachineConfig) 
             assert_eq!(m.profile, v.profile(), "profile mismatch for:\n{src}");
             assert_eq!(m.loop_stats, v.loop_stats(), "loop stats for:\n{src}");
             assert_eq!(m.call_counts, v.call_counts(), "call counts for:\n{src}");
+            assert_eq!(
+                m.mem.peak_cells(),
+                v.mem.peak_cells(),
+                "peak heap cells for:\n{src}"
+            );
         }
         (t, b) => panic!(
             "constructor outcome diverged: tree={:?} vm={:?}",
@@ -501,4 +506,473 @@ fn run_function_value_parity() {
         .unwrap();
     assert_eq!(a, b);
     assert_eq!(m.ops(), v.ops());
+}
+
+// ----- VLAs, struct literals and struct methods ---------------------------
+
+/// Engine parity for one configuration on a program that must compile to
+/// bytecode: every observable `diff_with` checks, plus — when all
+/// arguments are scalars — `run_function`'s value or `ExecError` (variant
+/// and message) on fresh machines. Returns the walker's kernel outcome.
+fn parity_with(
+    src: &str,
+    kernel: &str,
+    args: &[ArgValue],
+    config: MachineConfig,
+) -> minic_exec::Outcome {
+    let p = minic::parse(src).expect("parse");
+    assert!(
+        Prepared::new(ExecEngine::Bytecode, &p).uses_bytecode(),
+        "program fell back to the tree-walker:\n{src}"
+    );
+    diff_with(src, kernel, args, config);
+    let scalars: Option<Vec<minic_exec::Value>> = args
+        .iter()
+        .map(|a| match a {
+            ArgValue::Int(v) => Some(minic_exec::Value::int(*v)),
+            _ => None,
+        })
+        .collect();
+    let compiled = Arc::new(minic_exec::compile(&p).expect("subset"));
+    let mut m = Machine::new(&p, config).expect("globals");
+    if let Some(values) = scalars {
+        let mut v = Vm::new(Arc::clone(&compiled), config).expect("globals");
+        let r1 = m.run_function(kernel, values.clone());
+        let r2 = v.run_function(kernel, values);
+        assert_eq!(r1, r2, "run_function value/error mismatch for:\n{src}");
+        assert_eq!(m.ops(), v.ops(), "run_function ops for:\n{src}");
+        assert_eq!(m.mem.peak_cells(), v.mem.peak_cells());
+        m = Machine::new(&p, config).expect("globals");
+    }
+    m.run_kernel(kernel, args)
+}
+
+/// [`parity_with`] under both the CPU and the FPGA configuration; returns
+/// the walker's CPU outcome.
+fn parity(src: &str, kernel: &str, args: &[ArgValue]) -> minic_exec::Outcome {
+    parity_with(src, kernel, args, MachineConfig::fpga());
+    parity_with(src, kernel, args, MachineConfig::cpu())
+}
+
+fn ints(xs: &[i128]) -> Vec<ArgValue> {
+    xs.iter().map(|&x| ArgValue::Int(x)).collect()
+}
+
+fn trap_of(o: &minic_exec::Outcome) -> String {
+    o.trap_reason.clone().unwrap_or_default()
+}
+
+#[test]
+fn vla_extent_from_parameter_and_local() {
+    let from_param = "
+        int kernel(int n, int i) {
+            int a[n];
+            for (int j = 0; j < n; j++) a[j] = j * 3 + 1;
+            return a[i];
+        }
+    ";
+    // In bounds, one past the end, and the zero and negative extents the
+    // walker clamps to one element.
+    for (n, i) in [(4, 2), (4, 3), (4, 4), (0, 0), (0, 1), (-3, 0), (-3, 2)] {
+        parity(from_param, "kernel", &ints(&[n, i]));
+    }
+    let from_local = "
+        int kernel(int x) {
+            int w = x + 2;
+            int line[w];
+            int s = 0;
+            for (int j = 0; j < w; j++) { line[j] = j * x; }
+            for (int j = 0; j < w; j++) { s += line[j]; }
+            return s;
+        }
+    ";
+    for x in [-5, -2, 0, 3, 9] {
+        parity(from_local, "kernel", &ints(&[x]));
+    }
+}
+
+#[test]
+fn vla_out_of_bounds_traps_with_the_declared_length() {
+    // The extent variable changes after the declaration: bounds checks
+    // keep using the length fixed when the declaration ran.
+    let src = "
+        int kernel(int n, int i) {
+            int a[n];
+            n = n + 10;
+            a[i] = 5;
+            return a[i] + n;
+        }
+    ";
+    let o = parity(src, "kernel", &ints(&[5, 7]));
+    assert!(
+        trap_of(&o).contains("out of bounds for length 5"),
+        "expected the declared length in the trap, got {:?}",
+        o.trap_reason
+    );
+    let o = parity(src, "kernel", &ints(&[0, 1]));
+    assert!(trap_of(&o).contains("out of bounds for length 1"));
+    parity(src, "kernel", &ints(&[5, -1]));
+    parity(src, "kernel", &ints(&[5, 4]));
+}
+
+#[test]
+fn vla_redeclared_in_a_loop_is_resized_each_iteration() {
+    let src = "
+        int kernel(int rounds, int probe) {
+            int s = 0;
+            for (int r = 1; r <= rounds; r++) {
+                int buf[r];
+                for (int k = 0; k < r; k++) buf[k] = k + r;
+                s += buf[r - 1];
+                if (probe > 0) s += buf[probe];
+            }
+            return s;
+        }
+    ";
+    for (rounds, probe) in [(0, 0), (1, 0), (6, 0), (6, 3)] {
+        parity(src, "kernel", &ints(&[rounds, probe]));
+    }
+    let o = parity(src, "kernel", &ints(&[6, 3]));
+    assert!(trap_of(&o).contains("index 3 out of bounds for length 1"));
+}
+
+#[test]
+fn vla_passed_to_a_callee() {
+    let src = "
+        void fill(int a[], int n) { for (int i = 0; i < n; i++) a[i] = i * i; }
+        int sum(int *a, int n) { int s = 0; for (int i = 0; i < n; i++) s += a[i]; return s; }
+        int kernel(int n) {
+            int v[n];
+            fill(v, n);
+            return sum(v, n);
+        }
+    ";
+    for n in [-1, 0, 1, 8] {
+        parity(src, "kernel", &ints(&[n]));
+    }
+}
+
+#[test]
+fn vla_sizeof_and_address_of_use_the_declared_length() {
+    // `&v` strides by the whole array, `n * sizeof(elem)` cells, where n
+    // is the length fixed at declaration — also for aggregate elements.
+    let src = "
+        struct P { int a; int b; };
+        int kernel(int n) {
+            int v[n];
+            struct P ps[n];
+            int k = n;
+            n = 100;
+            int *end = (int*)(&v + 1);
+            struct P *pend = (struct P*)(&ps + 1);
+            ps[k - 1].b = sizeof(struct P);
+            return (end - v) * 1000 + (pend - ps) * 10 + ps[k - 1].b + sizeof(int);
+        }
+    ";
+    for n in [-2, 1, 3, 7] {
+        parity(src, "kernel", &ints(&[n]));
+    }
+}
+
+#[test]
+fn vla_extent_resolution_and_errors() {
+    // Extent from a global and from a `#define`-free name out of scope.
+    let global = "
+        int g = 3;
+        int kernel(int i) { int a[g]; a[i] = 4; return a[i] + g; }
+    ";
+    for i in [0, 2, 3] {
+        parity(global, "kernel", &ints(&[i]));
+    }
+    let missing = "int kernel(int x) { int s = x; int a[nosuch]; return s; }";
+    let o = parity(missing, "kernel", &ints(&[1]));
+    assert!(trap_of(&o).contains("VLA size `nosuch` not in scope"));
+    // The extent's variable went out of scope with its block.
+    let closed = "
+        int kernel(int x) {
+            if (x > 0) { int m = x; }
+            int a[m];
+            return 0;
+        }
+    ";
+    let o = parity(closed, "kernel", &ints(&[2]));
+    assert!(trap_of(&o).contains("VLA size `m` not in scope"));
+    // Errors that name a VLA's type name the declared length.
+    let member = "int kernel(int n) { int a[n]; return a.x; }";
+    let o = parity(member, "kernel", &ints(&[4]));
+    assert!(
+        trap_of(&o).contains("member access on non-struct `int[4]`"),
+        "{:?}",
+        o.trap_reason
+    );
+    let method = "int kernel(int n) { int a[n]; return a.size(); }";
+    let o = parity(method, "kernel", &ints(&[-7]));
+    assert!(
+        trap_of(&o).contains("method call on non-struct `int[1]`"),
+        "{:?}",
+        o.trap_reason
+    );
+}
+
+#[test]
+fn struct_literal_positional() {
+    let src = "
+        struct P { int x; char c; int y; };
+        struct H { int *p; int v; };
+        int kernel(int a) {
+            struct P p = P{a, a * 100, 7};
+            struct P q = P{a + 1};
+            int z = P{1, 2, 3, a}.y;
+            // The literal is allocated before its arguments run, so the
+            // address `malloc` returns depends on that order.
+            struct H h = H{(int*)malloc(2), a};
+            int addr = (int)h.p;
+            return p.x + p.c + p.y + q.x + q.y + z + addr * 1000;
+        }
+    ";
+    for a in [-3, 0, 2, 5] {
+        parity(src, "kernel", &ints(&[a]));
+    }
+}
+
+#[test]
+fn struct_literal_with_constructor() {
+    // A member-init naming a constructor parameter takes the argument;
+    // any other init expression is evaluated in the caller's scope.
+    let src = "
+        struct Q {
+            int x;
+            char y;
+            int z;
+            Q(int a, int b) : x(a), y(b), z(k * 2 + a) {}
+        };
+        int kernel(int v) {
+            int k = v + 1;
+            struct Q q = Q{v, v * 50};
+            return q.x * 10000 + q.y * 100 + q.z;
+        }
+    ";
+    for v in [-4, 0, 1, 3] {
+        parity(src, "kernel", &ints(&[v]));
+    }
+    // With fewer arguments than parameters the unbound parameter's name is
+    // looked up in the caller: here it is unknown.
+    let short = "
+        struct Q { int x; int y; Q(int a, int b) : x(a), y(b) {} };
+        int kernel(int v) { struct Q q = Q{v}; return q.x + q.y; }
+    ";
+    let o = parity(short, "kernel", &ints(&[2]));
+    assert!(trap_of(&o).contains("unknown variable `b`"));
+    // ... and here the caller has a variable of that name.
+    let shadow = "
+        struct Q { int x; int y; Q(int a, int b) : x(a), y(b) {} };
+        int kernel(int b) { struct Q q = Q{b * 3}; return q.x + q.y; }
+    ";
+    parity(shadow, "kernel", &ints(&[5]));
+}
+
+#[test]
+fn methods_on_literal_and_named_receivers() {
+    let src = "
+        struct Acc {
+            int total;
+            int scale;
+            void add(int x) { total = total + x * scale; }
+            int get() { return total; }
+            int run(int n) {
+                for (int i = 0; i < n; i++) { add(i); }
+                return get();
+            }
+        };
+        int kernel(int n) {
+            struct Acc a = {0, 2};
+            a.add(n);
+            a.add(3);
+            int lit = Acc{1, 3}.run(n);
+            return a.get() * 1000 + lit;
+        }
+    ";
+    for n in [0, 1, 5, 20] {
+        parity(src, "kernel", &ints(&[n]));
+    }
+}
+
+#[test]
+fn sibling_calls_prefer_receiver_methods_and_share_stats_by_name() {
+    // Inside a method, `step()` is the sibling method; outside, the free
+    // function of the same name. Call counts and depth profiles are keyed
+    // by name in both engines, so the two share one entry.
+    let src = "
+        int step(int x) { return x + 1000; }
+        struct S {
+            int v;
+            int step(int x) { v = v + x; return v; }
+            int twice(int x) { step(x); return step(x) * 2; }
+        };
+        int kernel(int x) {
+            struct S s = S{1};
+            return s.twice(x) + step(x);
+        }
+    ";
+    for x in [0, 4, -9] {
+        parity(src, "kernel", &ints(&[x]));
+    }
+}
+
+#[test]
+fn name_resolution_inside_methods() {
+    // Block scopes shadow fields, fields shadow globals, and a name that
+    // is neither resolves to the global.
+    let src = "
+        int x = 7;
+        int g = 11;
+        struct S {
+            int x;
+            int y;
+            int shadowed(int k) {
+                int a = x;
+                { int x = 100 + k; a = a + x; }
+                return a + y + g;
+            }
+            int field_over_global() { x = x + 1; return x * 10 + g; }
+        };
+        int kernel(int k) {
+            struct S s = S{k, 3};
+            int r = s.shadowed(k) + s.field_over_global();
+            return r * 100 + x;
+        }
+    ";
+    for k in [-2, 0, 9] {
+        parity(src, "kernel", &ints(&[k]));
+    }
+    // Fewer arguments than parameters: the unbound parameter resolves to
+    // the receiver's field of that name; extra arguments are evaluated
+    // and ignored.
+    let arity = "
+        struct S {
+            int b;
+            int f(int a, int b) { return a * 100 + b; }
+        };
+        int kernel(int k) {
+            struct S s = S{k + 1};
+            return s.f(k) * 10000 + s.f(k, 2, k * 3) + s.f(k, 3);
+        }
+    ";
+    for k in [1, 6] {
+        parity(arity, "kernel", &ints(&[k]));
+    }
+    // A VLA inside a method sized by a receiver field.
+    let vla = "
+        struct S {
+            int n;
+            int sum() { int t[n]; for (int i = 0; i < n; i++) t[i] = i; return t[n - 1] + n; }
+        };
+        int kernel(int k) { return S{k}.sum(); }
+    ";
+    for k in [-1, 1, 5] {
+        parity(vla, "kernel", &ints(&[k]));
+    }
+}
+
+#[test]
+fn stream_reference_fields_through_constructor_and_positional() {
+    let with_ctor = "
+        struct Stage {
+            hls::stream<unsigned> &in;
+            hls::stream<unsigned> &out;
+            Stage(hls::stream<unsigned> &i, hls::stream<unsigned> &o) : in(i), out(o) {}
+            unsigned weak(unsigned l, unsigned r) { if (l > r) { return l - r; } return r - l; }
+            void run() {
+                unsigned prev = 0u;
+                while (!in.empty()) {
+                    unsigned v = in.read();
+                    out.write(weak(v, prev));
+                    prev = v;
+                }
+            }
+        };
+        void kernel(hls::stream<unsigned> &pixels, hls::stream<unsigned> &scores) {
+            hls::stream<unsigned> mid;
+            Stage{pixels, mid}.run();
+            Stage{mid, scores}.run();
+        }
+    ";
+    let positional = with_ctor.replace(
+        "Stage(hls::stream<unsigned> &i, hls::stream<unsigned> &o) : in(i), out(o) {}",
+        "",
+    );
+    for src in [with_ctor, positional.as_str()] {
+        for input in [
+            vec![],
+            vec![3, 9, 4, 4, 12],
+            (0..40).map(|i| i * 7 % 23).collect(),
+        ] {
+            parity(
+                src,
+                "kernel",
+                &[ArgValue::IntStream(input), ArgValue::IntStream(vec![])],
+            );
+        }
+    }
+}
+
+#[test]
+fn fuel_exhaustion_inside_methods() {
+    let src = "
+        struct Acc {
+            int total;
+            void add(int x) { total += x * x; }
+            int run(int n) { for (int i = 0; i < n; i++) add(i); return total; }
+        };
+        int kernel(int n) {
+            int k = n;
+            int buf[k];
+            buf[0] = Acc{1}.run(n);
+            return buf[0];
+        }
+    ";
+    // Sweep fuel so the trap lands on every charge site: the literal, the
+    // VLA declaration, the method prologue and the field stores.
+    for fuel in 0..220 {
+        for base in [MachineConfig::cpu(), MachineConfig::fpga()] {
+            parity_with(src, "kernel", &ints(&[6]), MachineConfig { fuel, ..base });
+        }
+    }
+}
+
+#[test]
+fn recursive_method_overflows_the_stack() {
+    let src = "
+        struct R {
+            int d;
+            int down(int n) { d = d + 1; return down(n + 1); }
+        };
+        int kernel(int n) { return R{0}.down(n); }
+    ";
+    // A small depth cap: the walker recurses natively.
+    for base in [MachineConfig::cpu(), MachineConfig::fpga()] {
+        let config = MachineConfig {
+            max_depth: 64,
+            ..base
+        };
+        let o = parity_with(src, "kernel", &ints(&[0]), config);
+        assert!(
+            trap_of(&o).contains("stack overflow"),
+            "{:?}",
+            o.trap_reason
+        );
+    }
+}
+
+#[test]
+fn method_call_errors_match() {
+    let no_method = "
+        struct S { int a; int f() { return a; } };
+        int kernel(int x) { struct S s = S{x}; return s.g(); }
+    ";
+    let o = parity(no_method, "kernel", &ints(&[1]));
+    assert!(trap_of(&o).contains("no method `g` on `S`"));
+    let non_struct = "int kernel(int x) { return x.f(); }";
+    let o = parity(non_struct, "kernel", &ints(&[1]));
+    assert!(trap_of(&o).contains("method call on non-struct"));
 }

@@ -495,6 +495,8 @@ fn chaos_poisoned_candidate_is_isolated_and_the_repair_still_lands() {
 /// reference must produce byte-identical `PipelineReport` JSON *and*
 /// byte-identical JSONL trace streams — at one worker thread and at many.
 /// (`ExecEngine` changes wall-clock time only, exactly like `threads`.)
+/// P4 and P10 declare VLAs and P9 calls methods on struct literals, so
+/// they pin the lowering of those constructs end to end.
 #[test]
 fn engine_choice_is_report_and_trace_byte_identical() {
     use heterogen_core::{HeteroGen, JobSpec, PipelineConfig};
@@ -502,41 +504,43 @@ fn engine_choice_is_report_and_trace_byte_identical() {
     use minic_exec::ExecEngine;
     use std::sync::Arc;
 
-    let s = benchsuite::subject("P3").unwrap();
-    let p = s.parse();
-    let mut seeds = s.seed_inputs.clone();
-    seeds.extend(s.existing_tests.clone());
+    for id in ["P3", "P4", "P9", "P10"] {
+        let s = benchsuite::subject(id).unwrap();
+        let p = s.parse();
+        let mut seeds = s.seed_inputs.clone();
+        seeds.extend(s.existing_tests.clone());
 
-    let run_with = |engine: ExecEngine, threads: usize| {
-        let mut cfg = PipelineConfig::quick();
-        cfg.fuzz = fuzz_cfg(threads);
-        cfg.search = search_cfg(threads);
-        cfg.fuzz.engine = engine;
-        cfg.search.engine = engine;
-        let sink = Arc::new(JsonlSink::new());
-        let session = HeteroGen::builder().config(cfg).sink(sink.clone()).build();
-        let report = session
-            .run(JobSpec::fuzz(p.clone(), s.kernel, seeds.clone()))
-            .unwrap();
-        (
-            serde_json::to_string(&report).expect("serializable report"),
-            sink.contents(),
-        )
-    };
+        let run_with = |engine: ExecEngine, threads: usize| {
+            let mut cfg = PipelineConfig::quick();
+            cfg.fuzz = fuzz_cfg(threads);
+            cfg.search = search_cfg(threads);
+            cfg.fuzz.engine = engine;
+            cfg.search.engine = engine;
+            let sink = Arc::new(JsonlSink::new());
+            let session = HeteroGen::builder().config(cfg).sink(sink.clone()).build();
+            let report = session
+                .run(JobSpec::fuzz(p.clone(), s.kernel, seeds.clone()))
+                .unwrap();
+            (
+                serde_json::to_string(&report).expect("serializable report"),
+                sink.contents(),
+            )
+        };
 
-    let (base_report, base_trace) = run_with(ExecEngine::Bytecode, 1);
-    assert!(!base_trace.is_empty(), "baseline trace is empty");
-    for threads in [1usize, 2, 4] {
-        for engine in [ExecEngine::Bytecode, ExecEngine::TreeWalk] {
-            let (report, trace) = run_with(engine, threads);
-            assert_eq!(
-                base_report, report,
-                "report bytes ({engine} @ {threads} threads)"
-            );
-            assert_eq!(
-                base_trace, trace,
-                "trace bytes ({engine} @ {threads} threads)"
-            );
+        let (base_report, base_trace) = run_with(ExecEngine::Bytecode, 1);
+        assert!(!base_trace.is_empty(), "{id}: baseline trace is empty");
+        for threads in [1usize, 2, 4] {
+            for engine in [ExecEngine::Bytecode, ExecEngine::TreeWalk] {
+                let (report, trace) = run_with(engine, threads);
+                assert_eq!(
+                    base_report, report,
+                    "{id}: report bytes ({engine} @ {threads} threads)"
+                );
+                assert_eq!(
+                    base_trace, trace,
+                    "{id}: trace bytes ({engine} @ {threads} threads)"
+                );
+            }
         }
     }
 }

@@ -35,6 +35,12 @@ fn assert_transpiled(id: &str, r: &PipelineReport) {
         "{id}: final program not synthesizable"
     );
     assert_eq!(r.repair.pass_ratio, 1.0, "{id}: behaviour not preserved");
+    // Repaired programs (P9's with its inserted constructor included) stay
+    // inside the bytecode subset: reference runs never fall back.
+    assert!(
+        minic_exec::Prepared::new(minic_exec::ExecEngine::Bytecode, &r.program).uses_bytecode(),
+        "{id}: final program fell back to the tree-walker"
+    );
 }
 
 #[test]

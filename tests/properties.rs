@@ -196,17 +196,20 @@ proptest! {
 }
 
 /// Fixed-corpus regression: both engines replay every paper subject's
-/// seed and existing test inputs identically, and the candidate-heavy
-/// subjects P3 and P5 must actually compile to bytecode (no fallback —
-/// the BENCH_repair speedup depends on it).
+/// seed and existing test inputs identically, and every subject — the
+/// original and the manual HLS version — compiles to bytecode (no silent
+/// fallback to the tree-walker; `goto` is the only construct that still
+/// falls back, and no subject uses it).
 #[test]
 fn engines_agree_on_paper_subjects_fixed_corpus() {
     for s in benchsuite::subjects() {
         let p = s.parse();
-        if matches!(s.id, "P3" | "P5") {
+        let manual = s.parse_manual();
+        for (version, prog) in [("original", Some(&p)), ("manual", manual.as_ref())] {
+            let Some(prog) = prog else { continue };
             assert!(
-                Prepared::new(ExecEngine::Bytecode, &p).uses_bytecode(),
-                "{} fell back to the tree-walker",
+                Prepared::new(ExecEngine::Bytecode, prog).uses_bytecode(),
+                "{} ({version}) fell back to the tree-walker",
                 s.id
             );
         }
@@ -214,6 +217,9 @@ fn engines_agree_on_paper_subjects_fixed_corpus() {
         corpus.extend(s.existing_tests.clone());
         for case in &corpus {
             assert_engines_agree(&p, s.kernel, case);
+            if let Some(m) = &manual {
+                assert_engines_agree(m, s.kernel, case);
+            }
         }
     }
 }
