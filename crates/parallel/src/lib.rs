@@ -1,6 +1,6 @@
 //! Order-preserving parallel evaluation over borrowed data.
 //!
-//! This is the workspace's one threading primitive: a [`parallel_map`]
+//! This is the workspace's threading layer: [`parallel_map`] and [`join`],
 //! backed by one process-wide pool of persistent helper threads (std-only,
 //! no external dependencies). Work items are claimed from a shared atomic
 //! cursor, so imbalanced items (one slow candidate compile next to nine
@@ -37,6 +37,16 @@
 //! With `threads <= 1` (or a single item) the pool is not touched at all —
 //! the closure runs inline on the caller's thread, byte-identical to a
 //! hand-written sequential loop.
+//!
+//! # Two different tasks
+//!
+//! [`join`] overlaps two unlike closures: the caller runs the first while
+//! one idle helper may take the second, and the caller runs the second
+//! itself if no helper took it by the time the first returns. If a helper
+//! did take it, the caller serves queued tickets (usually the batch the
+//! second closure started) and then polls briefly until that helper is
+//! done. `join` follows the same nesting and panic rules as
+//! [`parallel_map`] and never grows the pool.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -44,6 +54,7 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Resolve a requested thread count: `0` means "use available parallelism".
 pub fn effective_threads(requested: usize) -> usize {
@@ -99,7 +110,7 @@ where
             }
         }
     };
-    POOL.run(threads - 1, &drain);
+    POOL.run(threads - 1, Role::Map, &drain, drain);
 
     if let Some(payload) = panicked
         .into_inner()
@@ -111,6 +122,57 @@ where
         .into_iter()
         .map(|s| s.expect("every index claimed exactly once"))
         .collect()
+}
+
+/// Runs `a` and `b`, possibly at the same time, and returns both results.
+///
+/// The caller runs `a` while `b` is offered to one idle pool helper. If no
+/// helper has claimed `b` by the time `a` returns, the caller withdraws the
+/// offer and runs `b` itself, so `join` never waits for a helper to start
+/// and, like [`parallel_map`], cannot deadlock when nested inside a batch
+/// item or another `join`. If a helper did claim `b`, the caller serves
+/// other queued tickets (typically the batch `b` itself posted) while it
+/// waits for that helper, and polls for up to a millisecond before it
+/// parks, since `b` is meant to be short.
+///
+/// `join` spawns no thread: it only invites helpers that earlier
+/// [`parallel_map`] calls started, so in a process that never ran a
+/// parallel batch it runs `a` and then `b` on the caller. With
+/// `threads <= 1` it does exactly that without touching the pool.
+///
+/// A panic in `b` is re-raised here with its original payload once `a` has
+/// returned; a panic in `a` propagates once no helper is still running `b`.
+pub fn join<A, B, RA, RB>(threads: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    if effective_threads(threads) <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    let task = Mutex::new(Some(b));
+    let done: Mutex<Option<std::thread::Result<RB>>> = Mutex::new(None);
+    // Whoever takes `b` out of `task` first runs it; a helper that arrives
+    // after the caller (or another helper) took it finds `None` and leaves.
+    let claim = || {
+        let claimed = lock(&task).take();
+        if let Some(b) = claimed {
+            let out = catch_unwind(AssertUnwindSafe(b));
+            *lock(&done) = Some(out);
+        }
+    };
+    let ra = POOL.run(1, Role::Join, &claim, a);
+    let rb = match done.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        Some(Ok(rb)) => rb,
+        Some(Err(payload)) => resume_unwind(payload),
+        None => {
+            let b = task.into_inner().unwrap_or_else(PoisonError::into_inner);
+            b.expect("an unfinished `b` is still in its slot")()
+        }
+    };
+    (ra, rb)
 }
 
 /// Raw pointer wrapper so the slot array can be shared with the helpers.
@@ -158,9 +220,10 @@ struct PoolState {
 /// of helpers inside it. Lives on the caller's stack.
 struct Batch<'a> {
     drain: &'a (dyn Fn() + Sync),
-    /// Helpers currently running `drain`. Only read and changed under the
-    /// pool lock, which orders it (hence `Relaxed`), so the caller can wait
-    /// for it to reach zero on `Pool::left`.
+    /// Helpers currently running `drain`. Only changed under the pool lock,
+    /// which orders it (hence `Relaxed`), so the caller can wait for it to
+    /// reach zero on `Pool::left`; a spinning [`join`] caller also polls it
+    /// without the lock, but decides under it.
     active: AtomicUsize,
 }
 
@@ -181,10 +244,29 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// How a caller takes part in the pool besides running its own work.
+#[derive(Clone, Copy, PartialEq)]
+enum Role {
+    /// [`parallel_map`]: grows the pool to the wanted helpers, then waits
+    /// idly for the helpers still inside its batch.
+    Map,
+    /// [`join`]: invites only helpers that exist, and while its helper
+    /// finishes `b` serves other batches' tickets — typically the batch `b`
+    /// itself started — and then polls briefly before it parks.
+    Join,
+}
+
 impl Pool {
-    /// Runs `drain` on the calling thread, inviting up to `want` helpers to
-    /// run it alongside; returns once no helper is still inside it.
-    fn run(&'static self, want: usize, drain: &(dyn Fn() + Sync)) {
+    /// Runs `own` on the calling thread while inviting up to `want` helpers
+    /// to run `drain`; returns `own`'s result once no helper is still inside
+    /// `drain`.
+    fn run<R>(
+        &'static self,
+        want: usize,
+        role: Role,
+        drain: &(dyn Fn() + Sync),
+        own: impl FnOnce() -> R,
+    ) -> R {
         let batch = Batch {
             drain,
             active: AtomicUsize::new(0),
@@ -192,7 +274,7 @@ impl Pool {
         let ticket = Ticket((&batch as *const Batch<'_>).cast());
         let posted = {
             let mut st = lock(&self.state);
-            while st.helpers < want && self.spawn_helper() {
+            while role == Role::Map && st.helpers < want && self.spawn_helper() {
                 st.helpers += 1;
             }
             let n = want.min(st.helpers);
@@ -206,8 +288,9 @@ impl Pool {
             pool: self,
             batch: &batch,
             ticket,
+            role,
         };
-        drain();
+        own()
     }
 
     /// Helpers are detached on purpose: they serve every later batch and
@@ -223,43 +306,88 @@ impl Pool {
     fn help(&self) {
         let mut st = lock(&self.state);
         loop {
-            let Some(ticket) = st.tickets.pop_front() else {
-                st = self.posted.wait(st).unwrap_or_else(PoisonError::into_inner);
-                continue;
+            st = match st.tickets.pop_front() {
+                Some(ticket) => self.serve(st, ticket),
+                None => self.posted.wait(st).unwrap_or_else(PoisonError::into_inner),
             };
-            // SAFETY: the ticket was still queued, so its caller has not
-            // yet settled; joining under the lock keeps it waiting for us.
-            let batch = unsafe { &*ticket.0 };
-            batch.active.fetch_add(1, Ordering::Relaxed);
-            drop(st);
-            (batch.drain)();
-            st = lock(&self.state);
-            if batch.active.fetch_sub(1, Ordering::Relaxed) == 1 {
-                self.left.notify_all();
-            }
         }
+    }
+
+    /// Joins the batch of a ticket just taken from the queue under `st`,
+    /// runs its drain with the lock released, and leaves it again; returns
+    /// the re-acquired lock.
+    fn serve<'p>(
+        &'p self,
+        st: MutexGuard<'p, PoolState>,
+        ticket: Ticket,
+    ) -> MutexGuard<'p, PoolState> {
+        // SAFETY: the ticket was still queued, so its caller has not yet
+        // settled; joining under the lock keeps it waiting for us.
+        let batch = unsafe { &*ticket.0 };
+        batch.active.fetch_add(1, Ordering::Relaxed);
+        drop(st);
+        (batch.drain)();
+        let st = lock(&self.state);
+        if batch.active.fetch_sub(1, Ordering::Relaxed) == 1 {
+            self.left.notify_all();
+        }
+        st
     }
 }
 
-/// Settles a batch when the caller's drain returns (or unwinds): withdraws
-/// the tickets no helper took, then waits for the helpers that did.
+/// Settles a batch when the caller's own work returns (or unwinds):
+/// withdraws the tickets no helper took, then waits for the helpers that
+/// did — serving queued tickets meanwhile if the caller is a [`join`].
 struct Settle<'a, 'b> {
     pool: &'a Pool,
     batch: &'a Batch<'b>,
     ticket: Ticket,
+    role: Role,
 }
+
+/// How long a [`join`] caller keeps polling for its helper to finish `b`
+/// before it parks. `b` usually takes well under this, and parking costs a
+/// wake-up on both sides of every `join`.
+const JOIN_SPIN: Duration = Duration::from_millis(1);
 
 impl Drop for Settle<'_, '_> {
     fn drop(&mut self) {
         let mut st = lock(&self.pool.state);
         st.tickets.retain(|t| *t != self.ticket);
+        let spin_until = (self.role == Role::Join).then(|| Instant::now() + JOIN_SPIN);
         while self.batch.active.load(Ordering::Relaxed) > 0 {
+            if self.role == Role::Join {
+                if let Some(ticket) = st.tickets.pop_front() {
+                    st = self.pool.serve(st, ticket);
+                    continue;
+                }
+                if spin_until.is_some_and(|t| Instant::now() < t) {
+                    drop(st);
+                    self.spin();
+                    st = lock(&self.pool.state);
+                    continue;
+                }
+            }
             st = self
                 .pool
                 .left
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+}
+
+impl Settle<'_, '_> {
+    /// Polls, without the pool lock, for the batch's helpers to leave, for
+    /// a few microseconds; then yields so a helper sharing this CPU can run.
+    fn spin(&self) {
+        for _ in 0..1024 {
+            if self.batch.active.load(Ordering::Relaxed) == 0 {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        std::thread::yield_now();
     }
 }
 

@@ -28,6 +28,25 @@
 //! edits, stats, and RNG trajectory are identical for any thread count.
 //! Performance-phase chains (each accepted edit feeds the next) stay
 //! sequential by construction.
+//!
+//! A fourth mechanism overlaps whole iterations:
+//!
+//! 4. **Test ahead** (one pool helper, via [`parallel::join`]): while the
+//!    caller expands the popped candidate X, a helper differentially tests
+//!    Y, the first fitness minimum of the frontier after X's `swap_remove`,
+//!    whenever Y is error-free. Y is exactly the next pop: popped
+//!    candidates are never pushed back, so every frontier entry is untested
+//!    with fitness `(errors, key(1.0), u64::MAX)`; `min_by_key` takes the
+//!    first minimum; and expansion only appends, so no child can displace
+//!    an error-free Y. At Y's pop the caller bills the clock and
+//!    `stats.simulations`, emits `DiffEvaluated` and persists the verdict
+//!    exactly as a live test does, so the report and trace bytes do not
+//!    change. A panic in the test, or a popped fingerprint that differs
+//!    from Y's (a `debug_assert`), falls back to testing at pop time.
+//!    Nothing is tested ahead at one thread, under an enabled fault
+//!    injector, or when the store already holds Y's verdict. A search
+//!    wastes at most one such test — Y tested ahead of a pop it never
+//!    reached — and persists that verdict too.
 
 use crate::deps;
 use crate::diff::{DiffReport, DifferentialTester};
@@ -48,6 +67,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use testgen::TestCase;
 
@@ -586,13 +606,34 @@ where
     // candidate fingerprint is fixed for the whole search. Only consulted
     // on the fault-free path — with an enabled injector the evaluation's
     // observables depend on the fault plan, so it always runs live.
-    let diff_key = store.as_ref().map(|_| DiffKey {
-        program_fp: 0,
-        reference_fp: minic::fingerprint_program(original),
-        kernel: kernel.to_string(),
-        tests_fp: diff_tests_fingerprint(tester.tests()),
-        backend: backend.info().name,
-    });
+    let diff_key = store
+        .as_ref()
+        .filter(|_| !injector.enabled())
+        .map(|_| DiffKey {
+            program_fp: 0,
+            reference_fp: minic::fingerprint_program(original),
+            kernel: kernel.to_string(),
+            tests_fp: diff_tests_fingerprint(tester.tests()),
+            backend: backend.info().name,
+        });
+    let diff_key_of = |fp: u64| {
+        diff_key.as_ref().map(|template| DiffKey {
+            program_fp: fp,
+            ..template.clone()
+        })
+    };
+    let stored_diff = |fp: u64| store.as_ref()?.get_diff(&diff_key_of(fp)?);
+    let persist_diff = |fp: u64, report: &DiffReport| {
+        if let (Some(k), Some(st)) = (diff_key_of(fp), &store) {
+            st.put_diff(
+                &k,
+                &DiffVerdict {
+                    pass_ratio: report.pass_ratio,
+                    fpga_latency_ms: report.fpga_latency_ms,
+                },
+            );
+        }
+    };
 
     // The middleware stack the whole search evaluates through: memoization
     // over fault injection + retry over (unsinked) tracing over the backend.
@@ -668,7 +709,14 @@ where
     let mut seen: HashSet<u64> = HashSet::new();
     let mut best: Option<Candidate> = None;
 
-    'search: while !clock.expired() {
+    // Testing the next pop ahead of time (see the module docs) needs a
+    // helper to overlap with, and fault-free observables to replay.
+    let test_ahead = parallel::effective_threads(cfg.threads) > 1 && !injector.enabled();
+    // The next pop's fingerprint and its differential report, when it was
+    // tested while the previous candidate expanded.
+    let mut tested_ahead: Option<(u64, DiffReport)> = None;
+
+    while !clock.expired() {
         if let Some(cap) = cfg.max_evals {
             if stats.full_compiles + stats.simulations >= cap {
                 stop = Some(SearchStop::EvalBudgetExhausted);
@@ -686,6 +734,13 @@ where
             break;
         };
         let mut cand = frontier.swap_remove(idx);
+        let ahead = tested_ahead.take().and_then(|(fp, report)| {
+            debug_assert_eq!(
+                fp, cand.fp,
+                "the candidate tested ahead must be the next pop"
+            );
+            (fp == cand.fp).then_some(report)
+        });
 
         // Error-free candidates are differentially tested.
         if cand.diags.is_empty() && cand.pass_ratio.is_none() {
@@ -693,38 +748,24 @@ where
             stats.simulations += 1;
             // A fault-free differential evaluation has exactly two
             // observables — the report's pair of floats and one
-            // `DiffEvaluated` event derived from them — so a store hit
-            // replays it bit-for-bit. The clock cost and simulation count
-            // above are billed either way, keeping the trajectory
-            // hit-independent.
-            let dkey = match (&diff_key, injector.enabled()) {
-                (Some(template), false) => Some(DiffKey {
-                    program_fp: cand.fp,
-                    ..template.clone()
-                }),
-                _ => None,
-            };
-            let hit = match (&dkey, &store) {
-                (Some(k), Some(st)) => st.get_diff(k),
-                _ => None,
-            };
-            let (report, sim_faults) = match hit {
-                Some(v) => {
-                    let report = DiffReport {
-                        pass_ratio: v.pass_ratio,
-                        fpga_latency_ms: v.fpga_latency_ms,
-                    };
-                    if sink.enabled() {
-                        sink.emit(&Event::DiffEvaluated {
-                            tests: tester.test_count() as u64,
-                            pass_ratio: report.pass_ratio,
-                            fpga_latency_ms: report.fpga_latency_ms,
-                        });
+            // `DiffEvaluated` event derived from them — so a store hit (or
+            // a test run ahead of this pop) replays it bit-for-bit. The
+            // clock cost and simulation count above are billed either way,
+            // keeping the trajectory hit-independent.
+            let (report, sim_faults) = if let Some(v) = stored_diff(cand.fp) {
+                let report = DiffReport {
+                    pass_ratio: v.pass_ratio,
+                    fpga_latency_ms: v.fpga_latency_ms,
+                };
+                emit_diff(sink, tester.test_count(), &report);
+                (report, ResilienceStats::default())
+            } else {
+                let (report, sim_faults) = match ahead {
+                    Some(report) => {
+                        emit_diff(sink, tester.test_count(), &report);
+                        (report, ResilienceStats::default())
                     }
-                    (report, ResilienceStats::default())
-                }
-                None => {
-                    let (report, sim_faults) = tester.evaluate_resilient_with(
+                    None => tester.evaluate_resilient_with(
                         backend,
                         &cand.program,
                         sink,
@@ -732,18 +773,10 @@ where
                         &cfg.retry,
                         cand.fp,
                         clock.elapsed_min(),
-                    );
-                    if let (Some(k), Some(st)) = (&dkey, &store) {
-                        st.put_diff(
-                            k,
-                            &DiffVerdict {
-                                pass_ratio: report.pass_ratio,
-                                fpga_latency_ms: report.fpga_latency_ms,
-                            },
-                        );
-                    }
-                    (report, sim_faults)
-                }
+                    ),
+                };
+                persist_diff(cand.fp, &report);
+                (report, sim_faults)
             };
             resilience.absorb(&sim_faults);
             cand.pass_ratio = Some(report.pass_ratio);
@@ -767,299 +800,43 @@ where
             }
         }
 
-        // Enumerate edits for this candidate.
-        let mut edits: Vec<RepairEdit> = if cand.diags.is_empty() {
-            if cand.pass_ratio.unwrap_or(0.0) < 1.0 {
-                // Divergence: explore larger finitization sizes (§6.2).
-                resize_edits(&cand.program)
-            } else {
-                performance_edits(&cand.program)
-            }
-        } else {
-            candidate_edits(&cand.program, &cand.diags, profile)
+        // The next pop, if it is error-free: expanding `cand` only appends
+        // to the frontier, so the first minimum stays first.
+        let next = (test_ahead && !clock.expired())
+            .then(|| frontier.iter().min_by_key(|c| c.fitness()))
+            .flatten()
+            .filter(|y| y.diags.is_empty() && stored_diff(y.fp).is_none())
+            .map(|y| (y.fp, y.program.clone()));
+        let mut expand_cand = || {
+            expand(
+                &cand,
+                &stack,
+                profile,
+                cfg,
+                &costs,
+                &mut clock,
+                &mut stats,
+                &mut resilience,
+                &mut rng,
+                &mut seen,
+                &mut frontier,
+                sink,
+            )
         };
-        let perf_phase = cand.diags.is_empty() && cand.pass_ratio.unwrap_or(0.0) >= 1.0;
-        if cfg.use_dependence {
-            edits.retain(|e| deps::satisfied(e.kind_enum(), &cand.applied));
-            if !perf_phase {
-                if cfg.mined.is_empty() {
-                    edits.sort_by_key(|e| deps::dependence_rank(e.kind_enum()));
-                } else {
-                    // Mined tier: edits a stored pattern predicts next (given
-                    // this candidate's applied-kind suffix) are promoted
-                    // ahead of the static precedence ranking — longer matched
-                    // prefixes and higher support first. The sort is stable
-                    // and the promotion key is a constant for unmatched
-                    // edits, so with no matching pattern the order degrades
-                    // to the static dependence ranking. When at least one
-                    // pattern fires, the beam additionally narrows to the
-                    // predicted edits plus a short static-precedence tail:
-                    // the prediction spends the compile budget, the tail
-                    // keeps a wrong prediction from stranding the candidate.
-                    let mut keyed: Vec<(u64, RepairEdit)> = edits
-                        .drain(..)
-                        .map(|e| {
-                            let promo = match mined_score(&cfg.mined, &cand.applied, e.kind_enum())
-                            {
-                                Some(s) => u64::MAX - s,
-                                None => u64::MAX,
-                            };
-                            (promo, e)
-                        })
-                        .collect();
-                    keyed.sort_by_key(|(promo, e)| (*promo, deps::dependence_rank(e.kind_enum())));
-                    let predicted = keyed.iter().filter(|(p, _)| *p != u64::MAX).count();
-                    edits = keyed.into_iter().map(|(_, e)| e).collect();
-                    if predicted > 0 {
-                        edits.truncate((predicted + MINED_FALLBACK_WIDTH).min(cfg.max_expansions));
-                    }
-                }
-            }
-            // Performance exploration keeps a narrow beam (the edits are
-            // already benefit-ordered) so the compile budget reaches
-            // multi-pragma combinations on the hot loops.
-            edits.truncate(if perf_phase {
-                cfg.perf_beam
-            } else {
-                cfg.max_expansions
-            });
-        } else {
-            // The ablation: no dependence structure — each expansion is a
-            // handful of *random* draws from an unstructured pool (localized
-            // candidates mixed with arbitrary edits), so coordinated
-            // multi-edit chains are only found by luck (paper §6.3: the
-            // naïve probability of selecting ➌ given ➊ is 1/10).
-            edits.extend(random_noise_edits(&cand.program, &mut rng, 24));
-            edits.shuffle(&mut rng);
-            edits.truncate(3);
-        }
-
-        // The repair phase expands siblings (alternative fixes compete);
-        // the performance phase chains edits cumulatively — "each iteration
-        // applies a number of edits to the current program version" — so a
-        // bounded compile budget stacks pragmas on many loops.
-        let chain = perf_phase && cfg.use_dependence;
-        if chain {
-            // Chained expansion is inherently sequential: every accepted
-            // edit becomes the base for the next one.
-            let mut base_prog = cand.program.clone();
-            let mut base_applied = cand.applied.clone();
-            for edit in edits {
-                if clock.expired() {
-                    break;
-                }
-                stats.attempts += 1;
-                let kind = edit.kind();
-                let Some(child_prog) = edit.apply(&base_prog) else {
-                    stats.inapplicable += 1;
-                    emit_candidate(sink, kind, 0, Verdict::Inapplicable, 0.0, &clock);
-                    continue;
-                };
-                let fp = minic::fingerprint_program(&child_prog);
-                if !seen.insert(fp) {
-                    emit_candidate(sink, kind, fp, Verdict::Duplicate, 0.0, &clock);
-                    continue;
-                }
-                let script_edit = edit.script_edit();
-                let child_prog = Arc::new(child_prog);
-                let eval = match parallel::isolate(|| {
-                    stack.evaluate(&child_prog, fp, cfg.use_style_checker)
-                }) {
-                    Err(_panic) => {
-                        bill_crashed(
-                            &child_prog,
-                            fp,
-                            kind,
-                            cfg,
-                            &costs,
-                            &mut clock,
-                            &mut stats,
-                            &mut resilience,
-                            sink,
-                        );
-                        continue;
-                    }
-                    Ok(Err(e)) => {
-                        resilience.permanent_faults += 1;
-                        if sink.enabled() {
-                            sink.emit(&Event::FaultInjected {
-                                site: e.site().to_string(),
-                                fault: "permanent".to_string(),
-                                fingerprint: fp,
-                                attempt: 0,
-                                at_min: clock.elapsed_min(),
-                            });
-                        }
-                        stop = Some(SearchStop::PermanentFault(e.to_string()));
-                        break 'search;
-                    }
-                    Ok(Ok(eval)) => eval,
-                };
-                let Some(child_diags) = merge_admission(
-                    &child_prog,
-                    fp,
-                    kind,
-                    &eval,
-                    &cand.diags,
-                    cfg,
-                    &costs,
-                    &mut clock,
-                    &mut stats,
-                    &mut resilience,
-                    sink,
-                ) else {
-                    continue;
-                };
-                let mut applied = base_applied.clone();
-                applied.push(script_edit);
-                if child_diags.is_empty() {
-                    base_prog = child_prog.clone();
-                    base_applied = applied.clone();
-                }
-                frontier.push(Candidate {
-                    program: child_prog,
-                    fp,
-                    applied,
-                    diags: child_diags,
-                    pass_ratio: None,
-                    latency: None,
+        let flow = match next {
+            None => expand_cand(),
+            Some((fp, program)) => {
+                let (flow, report) = parallel::join(cfg.threads, expand_cand, || {
+                    parallel::isolate(|| tester.evaluate_with(backend, &program, &NullSink))
                 });
+                // A panicking test ahead is simply redone at pop time.
+                tested_ahead = report.ok().map(|r| (fp, r));
+                flow
             }
-        } else {
-            // Sibling expansion: every edit applies to the same base, so
-            // the batch is evaluated speculatively on the worker pool and
-            // merged back in edit order (see the module docs).
-            //
-            // Phase 1 — plan: pure with respect to search state.
-            let mut planned: Vec<Planned> = Vec::with_capacity(edits.len());
-            let mut batch_fresh: HashSet<u64> = HashSet::new();
-            for edit in edits {
-                let kind = edit.kind_enum();
-                match edit.apply(&cand.program) {
-                    None => planned.push(Planned::Inapplicable { kind }),
-                    Some(child) => {
-                        let fp = minic::fingerprint_program(&child);
-                        if seen.contains(&fp) || !batch_fresh.insert(fp) {
-                            planned.push(Planned::Duplicate {
-                                kind,
-                                fingerprint: fp,
-                            });
-                        } else {
-                            planned.push(Planned::Fresh {
-                                program: Arc::new(child),
-                                fingerprint: fp,
-                                edit: edit.script_edit(),
-                            });
-                        }
-                    }
-                }
-            }
-
-            // Phase 2 — evaluate fresh children concurrently, each behind
-            // its own panic boundary so one poisoned candidate cannot take
-            // the batch (or the pool) down with it.
-            type Isolated = Result<Result<EvalResult, ToolchainError>, String>;
-            let evals: Vec<Option<Isolated>> =
-                parallel::parallel_map(cfg.threads, &planned, |_, p| match p {
-                    Planned::Fresh {
-                        program,
-                        fingerprint,
-                        ..
-                    } => Some(parallel::isolate(|| {
-                        stack.evaluate(program, *fingerprint, cfg.use_style_checker)
-                    })),
-                    _ => None,
-                });
-
-            // Phase 3 — merge: replay the sequential accounting in order.
-            // Children evaluated past the expiry point are discarded
-            // (speculation wasted is bounded by one batch).
-            for (plan, eval) in planned.into_iter().zip(evals) {
-                if clock.expired() {
-                    break;
-                }
-                stats.attempts += 1;
-                match plan {
-                    Planned::Inapplicable { kind } => {
-                        stats.inapplicable += 1;
-                        emit_candidate(sink, kind.as_str(), 0, Verdict::Inapplicable, 0.0, &clock);
-                    }
-                    Planned::Duplicate { kind, fingerprint } => {
-                        emit_candidate(
-                            sink,
-                            kind.as_str(),
-                            fingerprint,
-                            Verdict::Duplicate,
-                            0.0,
-                            &clock,
-                        );
-                    }
-                    Planned::Fresh {
-                        program,
-                        fingerprint,
-                        edit,
-                    } => {
-                        seen.insert(fingerprint);
-                        let kind = edit.kind.as_str();
-                        let eval = match eval.expect("fresh children are evaluated in phase 2") {
-                            Err(_panic) => {
-                                bill_crashed(
-                                    &program,
-                                    fingerprint,
-                                    kind,
-                                    cfg,
-                                    &costs,
-                                    &mut clock,
-                                    &mut stats,
-                                    &mut resilience,
-                                    sink,
-                                );
-                                continue;
-                            }
-                            Ok(Err(e)) => {
-                                resilience.permanent_faults += 1;
-                                if sink.enabled() {
-                                    sink.emit(&Event::FaultInjected {
-                                        site: e.site().to_string(),
-                                        fault: "permanent".to_string(),
-                                        fingerprint,
-                                        attempt: 0,
-                                        at_min: clock.elapsed_min(),
-                                    });
-                                }
-                                stop = Some(SearchStop::PermanentFault(e.to_string()));
-                                break 'search;
-                            }
-                            Ok(Ok(eval)) => eval,
-                        };
-                        let Some(child_diags) = merge_admission(
-                            &program,
-                            fingerprint,
-                            kind,
-                            &eval,
-                            &cand.diags,
-                            cfg,
-                            &costs,
-                            &mut clock,
-                            &mut stats,
-                            &mut resilience,
-                            sink,
-                        ) else {
-                            continue;
-                        };
-                        let mut applied = cand.applied.clone();
-                        applied.push(edit);
-                        frontier.push(Candidate {
-                            program,
-                            fp: fingerprint,
-                            applied,
-                            diags: child_diags,
-                            pass_ratio: None,
-                            latency: None,
-                        });
-                    }
-                }
-            }
+        };
+        if let ControlFlow::Break(reason) = flow {
+            stop = Some(reason);
+            break;
         }
 
         if frontier.is_empty() {
@@ -1068,6 +845,11 @@ where
         }
     }
 
+    // A test run ahead of a pop the search never reached still produced a
+    // valid fault-free verdict; persisting it spares a warm rerun the work.
+    if let Some((fp, report)) = tested_ahead {
+        persist_diff(fp, &report);
+    }
     stats.elapsed_min = clock.elapsed_min();
     // Falling out of the `while` condition means the simulated budget ran
     // dry; every other exit recorded its reason at the break site.
@@ -1127,6 +909,337 @@ where
                 resilience,
             })
         }
+    }
+}
+
+/// Expands one popped candidate: enumerates its edits, evaluates the
+/// children (a chained performance walk or a sibling batch, see the module
+/// docs) and pushes every admitted child onto `frontier`. Only appends to
+/// `frontier`, which is what lets the caller test the next pop while this
+/// runs. Breaks with the stop reason when a permanent fault ends the search.
+#[allow(clippy::too_many_arguments)]
+fn expand<T, S>(
+    cand: &Candidate,
+    stack: &T,
+    profile: &Profile,
+    cfg: &SearchConfig,
+    costs: &CompileCostModel,
+    clock: &mut SimClock,
+    stats: &mut SearchStats,
+    resilience: &mut ResilienceStats,
+    rng: &mut SmallRng,
+    seen: &mut HashSet<u64>,
+    frontier: &mut Vec<Candidate>,
+    sink: &S,
+) -> ControlFlow<SearchStop>
+where
+    T: Toolchain + ?Sized,
+    S: TraceSink + ?Sized,
+{
+    // Enumerate edits for this candidate.
+    let mut edits: Vec<RepairEdit> = if cand.diags.is_empty() {
+        if cand.pass_ratio.unwrap_or(0.0) < 1.0 {
+            // Divergence: explore larger finitization sizes (§6.2).
+            resize_edits(&cand.program)
+        } else {
+            performance_edits(&cand.program)
+        }
+    } else {
+        candidate_edits(&cand.program, &cand.diags, profile)
+    };
+    let perf_phase = cand.diags.is_empty() && cand.pass_ratio.unwrap_or(0.0) >= 1.0;
+    if cfg.use_dependence {
+        edits.retain(|e| deps::satisfied(e.kind_enum(), &cand.applied));
+        if !perf_phase {
+            if cfg.mined.is_empty() {
+                edits.sort_by_key(|e| deps::dependence_rank(e.kind_enum()));
+            } else {
+                // Mined tier: edits a stored pattern predicts next (given
+                // this candidate's applied-kind suffix) are promoted
+                // ahead of the static precedence ranking — longer matched
+                // prefixes and higher support first. The sort is stable
+                // and the promotion key is a constant for unmatched
+                // edits, so with no matching pattern the order degrades
+                // to the static dependence ranking. When at least one
+                // pattern fires, the beam additionally narrows to the
+                // predicted edits plus a short static-precedence tail:
+                // the prediction spends the compile budget, the tail
+                // keeps a wrong prediction from stranding the candidate.
+                let mut keyed: Vec<(u64, RepairEdit)> = edits
+                    .drain(..)
+                    .map(|e| {
+                        let promo = match mined_score(&cfg.mined, &cand.applied, e.kind_enum()) {
+                            Some(s) => u64::MAX - s,
+                            None => u64::MAX,
+                        };
+                        (promo, e)
+                    })
+                    .collect();
+                keyed.sort_by_key(|(promo, e)| (*promo, deps::dependence_rank(e.kind_enum())));
+                let predicted = keyed.iter().filter(|(p, _)| *p != u64::MAX).count();
+                edits = keyed.into_iter().map(|(_, e)| e).collect();
+                if predicted > 0 {
+                    edits.truncate((predicted + MINED_FALLBACK_WIDTH).min(cfg.max_expansions));
+                }
+            }
+        }
+        // Performance exploration keeps a narrow beam (the edits are
+        // already benefit-ordered) so the compile budget reaches
+        // multi-pragma combinations on the hot loops.
+        edits.truncate(if perf_phase {
+            cfg.perf_beam
+        } else {
+            cfg.max_expansions
+        });
+    } else {
+        // The ablation: no dependence structure — each expansion is a
+        // handful of *random* draws from an unstructured pool (localized
+        // candidates mixed with arbitrary edits), so coordinated
+        // multi-edit chains are only found by luck (paper §6.3: the
+        // naïve probability of selecting ➌ given ➊ is 1/10).
+        edits.extend(random_noise_edits(&cand.program, rng, 24));
+        edits.shuffle(rng);
+        edits.truncate(3);
+    }
+
+    // The repair phase expands siblings (alternative fixes compete);
+    // the performance phase chains edits cumulatively — "each iteration
+    // applies a number of edits to the current program version" — so a
+    // bounded compile budget stacks pragmas on many loops.
+    let chain = perf_phase && cfg.use_dependence;
+    if chain {
+        // Chained expansion is inherently sequential: every accepted
+        // edit becomes the base for the next one.
+        let mut base_prog = cand.program.clone();
+        let mut base_applied = cand.applied.clone();
+        for edit in edits {
+            if clock.expired() {
+                break;
+            }
+            stats.attempts += 1;
+            let kind = edit.kind();
+            let Some(child_prog) = edit.apply(&base_prog) else {
+                stats.inapplicable += 1;
+                emit_candidate(sink, kind, 0, Verdict::Inapplicable, 0.0, clock);
+                continue;
+            };
+            let fp = minic::fingerprint_program(&child_prog);
+            if !seen.insert(fp) {
+                emit_candidate(sink, kind, fp, Verdict::Duplicate, 0.0, clock);
+                continue;
+            }
+            let script_edit = edit.script_edit();
+            let child_prog = Arc::new(child_prog);
+            let eval = match parallel::isolate(|| {
+                stack.evaluate(&child_prog, fp, cfg.use_style_checker)
+            }) {
+                Err(_panic) => {
+                    bill_crashed(
+                        &child_prog,
+                        fp,
+                        kind,
+                        cfg,
+                        costs,
+                        clock,
+                        stats,
+                        resilience,
+                        sink,
+                    );
+                    continue;
+                }
+                Ok(Err(e)) => {
+                    resilience.permanent_faults += 1;
+                    if sink.enabled() {
+                        sink.emit(&Event::FaultInjected {
+                            site: e.site().to_string(),
+                            fault: "permanent".to_string(),
+                            fingerprint: fp,
+                            attempt: 0,
+                            at_min: clock.elapsed_min(),
+                        });
+                    }
+                    return ControlFlow::Break(SearchStop::PermanentFault(e.to_string()));
+                }
+                Ok(Ok(eval)) => eval,
+            };
+            let Some(child_diags) = merge_admission(
+                &child_prog,
+                fp,
+                kind,
+                &eval,
+                &cand.diags,
+                cfg,
+                costs,
+                clock,
+                stats,
+                resilience,
+                sink,
+            ) else {
+                continue;
+            };
+            let mut applied = base_applied.clone();
+            applied.push(script_edit);
+            if child_diags.is_empty() {
+                base_prog = child_prog.clone();
+                base_applied = applied.clone();
+            }
+            frontier.push(Candidate {
+                program: child_prog,
+                fp,
+                applied,
+                diags: child_diags,
+                pass_ratio: None,
+                latency: None,
+            });
+        }
+    } else {
+        // Sibling expansion: every edit applies to the same base, so
+        // the batch is evaluated speculatively on the worker pool and
+        // merged back in edit order (see the module docs).
+        //
+        // Phase 1 — plan: pure with respect to search state.
+        let mut planned: Vec<Planned> = Vec::with_capacity(edits.len());
+        let mut batch_fresh: HashSet<u64> = HashSet::new();
+        for edit in edits {
+            let kind = edit.kind_enum();
+            match edit.apply(&cand.program) {
+                None => planned.push(Planned::Inapplicable { kind }),
+                Some(child) => {
+                    let fp = minic::fingerprint_program(&child);
+                    if seen.contains(&fp) || !batch_fresh.insert(fp) {
+                        planned.push(Planned::Duplicate {
+                            kind,
+                            fingerprint: fp,
+                        });
+                    } else {
+                        planned.push(Planned::Fresh {
+                            program: Arc::new(child),
+                            fingerprint: fp,
+                            edit: edit.script_edit(),
+                        });
+                    }
+                }
+            }
+        }
+
+        // Phase 2 — evaluate fresh children concurrently, each behind
+        // its own panic boundary so one poisoned candidate cannot take
+        // the batch (or the pool) down with it.
+        type Isolated = Result<Result<EvalResult, ToolchainError>, String>;
+        let evals: Vec<Option<Isolated>> =
+            parallel::parallel_map(cfg.threads, &planned, |_, p| match p {
+                Planned::Fresh {
+                    program,
+                    fingerprint,
+                    ..
+                } => Some(parallel::isolate(|| {
+                    stack.evaluate(program, *fingerprint, cfg.use_style_checker)
+                })),
+                _ => None,
+            });
+
+        // Phase 3 — merge: replay the sequential accounting in order.
+        // Children evaluated past the expiry point are discarded
+        // (speculation wasted is bounded by one batch).
+        for (plan, eval) in planned.into_iter().zip(evals) {
+            if clock.expired() {
+                break;
+            }
+            stats.attempts += 1;
+            match plan {
+                Planned::Inapplicable { kind } => {
+                    stats.inapplicable += 1;
+                    emit_candidate(sink, kind.as_str(), 0, Verdict::Inapplicable, 0.0, clock);
+                }
+                Planned::Duplicate { kind, fingerprint } => {
+                    emit_candidate(
+                        sink,
+                        kind.as_str(),
+                        fingerprint,
+                        Verdict::Duplicate,
+                        0.0,
+                        clock,
+                    );
+                }
+                Planned::Fresh {
+                    program,
+                    fingerprint,
+                    edit,
+                } => {
+                    seen.insert(fingerprint);
+                    let kind = edit.kind.as_str();
+                    let eval = match eval.expect("fresh children are evaluated in phase 2") {
+                        Err(_panic) => {
+                            bill_crashed(
+                                &program,
+                                fingerprint,
+                                kind,
+                                cfg,
+                                costs,
+                                clock,
+                                stats,
+                                resilience,
+                                sink,
+                            );
+                            continue;
+                        }
+                        Ok(Err(e)) => {
+                            resilience.permanent_faults += 1;
+                            if sink.enabled() {
+                                sink.emit(&Event::FaultInjected {
+                                    site: e.site().to_string(),
+                                    fault: "permanent".to_string(),
+                                    fingerprint,
+                                    attempt: 0,
+                                    at_min: clock.elapsed_min(),
+                                });
+                            }
+                            return ControlFlow::Break(SearchStop::PermanentFault(e.to_string()));
+                        }
+                        Ok(Ok(eval)) => eval,
+                    };
+                    let Some(child_diags) = merge_admission(
+                        &program,
+                        fingerprint,
+                        kind,
+                        &eval,
+                        &cand.diags,
+                        cfg,
+                        costs,
+                        clock,
+                        stats,
+                        resilience,
+                        sink,
+                    ) else {
+                        continue;
+                    };
+                    let mut applied = cand.applied.clone();
+                    applied.push(edit);
+                    frontier.push(Candidate {
+                        program,
+                        fp: fingerprint,
+                        applied,
+                        diags: child_diags,
+                        pass_ratio: None,
+                        latency: None,
+                    });
+                }
+            }
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+/// Emits the `DiffEvaluated` event of a differential report obtained
+/// without running the tester on this thread (a store hit or a test run
+/// ahead of its pop).
+fn emit_diff<S: TraceSink + ?Sized>(sink: &S, tests: usize, report: &DiffReport) {
+    if sink.enabled() {
+        sink.emit(&Event::DiffEvaluated {
+            tests: tests as u64,
+            pass_ratio: report.pass_ratio,
+            fpga_latency_ms: report.fpga_latency_ms,
+        });
     }
 }
 
