@@ -22,7 +22,7 @@ use bench::*;
 use heterogen_core::{HeteroGen, JobSpec, PipelineConfig};
 use heterogen_server::{loadgen, Server, ServerConfig};
 use heterogen_store::Store;
-use heterogen_toolchain::{EvalCache, Memoized, Resilient, SimBackend, Toolchain, Traced};
+use heterogen_toolchain::{Persisted, Resilient, SimBackend, Toolchain};
 use heterogen_trace::{JsonlSink, MetricsSink, NullSink, TeeSink, TraceSink};
 use minic_exec::ExecEngine;
 use std::path::{Path, PathBuf};
@@ -482,9 +482,10 @@ fn run_toolchain(opts: &CommonOpts) {
 /// `&dyn TraceSink` null sink, the shape `Session` uses.
 ///
 /// A second guard does the same for the toolchain middleware stack: with
-/// every layer off (fresh cache, `NoFaults`, `NullSink`), one
-/// `Memoized(Resilient(Traced(SimBackend)))` evaluation must cost no more
-/// than the direct style-check + compile + LOC sequence it replaced.
+/// every layer off (no store, `NoFaults`), one evaluation through
+/// `Persisted(Resilient(SimBackend))` — the stack the repair search builds —
+/// must cost no more than the direct style-check + compile + LOC sequence
+/// it replaced.
 ///
 /// A third guard pins the bytecode VM's advantage: on the candidate-heavy
 /// subjects P3 and P5 it must process at least `ENGINE_GUARD_X` (default
@@ -558,10 +559,8 @@ fn run_bench_guard() {
     }
     println!("OK");
 
-    // The abstraction guard: the full middleware stack with every layer
-    // off, against the direct call sequence `evaluate` replaced. Fresh
-    // cache and unique fingerprints per evaluation keep Memoized honest
-    // (every call is a miss, as on the search's first encounter).
+    // The abstraction guard: the search's middleware stack with every layer
+    // off, against the direct call sequence `evaluate` replaced.
     use heterogen_faults::{NoFaults, RetryPolicy};
 
     let retry = RetryPolicy::default();
@@ -580,17 +579,15 @@ fn run_bench_guard() {
         std::hint::black_box(acc);
         t0.elapsed().as_secs_f64() * 1e3
     };
-    let time_stack = |round: u64| -> f64 {
+    let fp = minic::fingerprint_program(&p);
+    let time_stack = || -> f64 {
         let t0 = std::time::Instant::now();
         let mut acc = 0usize;
-        for i in 0..BATCH {
+        let stack = Persisted::new(Resilient::new(&backend, NoFaults, retry), None);
+        for _ in 0..BATCH {
             let prog = std::hint::black_box(&p);
-            let stack = Memoized::sharing(
-                EvalCache::new(),
-                Resilient::new(Traced::new(&backend, NullSink), NoFaults, retry),
-            );
             let e = stack
-                .evaluate(prog, round * BATCH + i, true)
+                .evaluate(prog, fp, true)
                 .expect("a disabled injector cannot fault");
             acc += e.loc + e.diags.as_ref().map_or(0, |d| d.len());
         }
@@ -599,12 +596,12 @@ fn run_bench_guard() {
     };
 
     time_direct();
-    time_stack(u64::MAX / 2);
+    time_stack();
     let mut direct = f64::MAX;
     let mut stacked = f64::MAX;
-    for r in 0..ROUNDS as u64 {
+    for _ in 0..ROUNDS {
         direct = direct.min(time_direct());
-        stacked = stacked.min(time_stack(r));
+        stacked = stacked.min(time_stack());
     }
     let stack_overhead = stacked / direct - 1.0;
     let stack_threshold: f64 = std::env::var("STACK_GUARD_PCT")
@@ -614,7 +611,7 @@ fn run_bench_guard() {
         / 100.0;
     println!("\n== bench-guard: disabled middleware-stack overhead per evaluation ==");
     println!("direct ..... {direct:.2} ms (min of {ROUNDS}, {BATCH} evaluations each)");
-    println!("stack ...... {stacked:.2} ms (Memoized(Resilient(Traced(SimBackend))))");
+    println!("stack ...... {stacked:.2} ms (Persisted(Resilient(SimBackend)))");
     println!(
         "overhead ... {:+.2}% (threshold {:.0}%)",
         stack_overhead * 100.0,

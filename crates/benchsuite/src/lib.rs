@@ -132,6 +132,20 @@ mod tests {
     }
 
     #[test]
+    fn all_ten_subjects_and_manual_versions_parse_within_the_nesting_limit() {
+        let all = subjects();
+        assert_eq!(all.len(), 10);
+        for s in all {
+            let manual = s.manual_source.expect("every subject has a manual version");
+            for src in [s.source, manual] {
+                if let Err(e) = minic::parse(src) {
+                    panic!("{}: {e} ({:?})", s.id, e.kind());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn all_manual_versions_parse_and_are_synthesizable() {
         for s in subjects() {
             if let Some(m) = s.parse_manual() {

@@ -4,20 +4,52 @@ use crate::token::Span;
 use std::error::Error;
 use std::fmt;
 
+/// What kind of [`ParseError`] occurred.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum ParseErrorKind {
+    /// The source is not in the dialect (unexpected token, bad literal, …).
+    Syntax,
+    /// Statements or expressions nest deeper than
+    /// [`MAX_NESTING`](crate::parser::MAX_NESTING); the parser stops before
+    /// its recursion can overflow the stack.
+    RecursionLimitExceeded,
+}
+
 /// A syntax error with location information.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
+    kind: ParseErrorKind,
     message: String,
     span: Span,
 }
 
 impl ParseError {
-    /// Creates a parse error.
+    /// Creates a syntax error.
     pub fn new(message: impl Into<String>, span: Span) -> Self {
         ParseError {
+            kind: ParseErrorKind::Syntax,
             message: message.into(),
             span,
         }
+    }
+
+    /// The error for nesting past [`MAX_NESTING`](crate::parser::MAX_NESTING)
+    /// at `span`.
+    pub fn recursion_limit(span: Span) -> Self {
+        ParseError {
+            kind: ParseErrorKind::RecursionLimitExceeded,
+            message: format!(
+                "nesting exceeds the limit of {} levels",
+                crate::parser::MAX_NESTING
+            ),
+            span,
+        }
+    }
+
+    /// What kind of error this is.
+    pub fn kind(&self) -> ParseErrorKind {
+        self.kind
     }
 
     /// The human-readable message (without location).

@@ -51,7 +51,7 @@ pub use ast::{
     Block, Ctor, DesignConfig, Expr, ExprKind, Field, Function, Item, NodeId, Param, Pragma,
     PragmaKind, Program, Stmt, StmtKind, StructDef, VarDecl,
 };
-pub use error::{ParseError, TypeError};
+pub use error::{ParseError, ParseErrorKind, TypeError};
 pub use fingerprint::{fingerprint_node_ids, fingerprint_program};
 pub use parser::parse;
 pub use printer::print_program;

@@ -25,6 +25,20 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
     Parser::new(tokens).parse_program()
 }
 
+/// How deep statements and expressions may nest before [`parse`] returns a
+/// [`ParseErrorKind::RecursionLimitExceeded`](crate::ParseErrorKind) error
+/// instead of recursing further. One level is a nested statement (a block,
+/// or the body of `if`/`for`/`while`/`do`), a nested unary operand (a
+/// parenthesized, indexed, call-argument or prefix-operator operand), a
+/// right-nested assignment or conditional, a nested initializer list, or a
+/// nested `hls::stream` element type.
+///
+/// A fixed constant, sized for the stack rather than for programs: the
+/// paper's subjects all parse within 12 levels, while a debug build needs
+/// about 26 KiB of stack per nested parenthesis, so 48 levels stay well
+/// inside a default 2 MiB thread stack.
+pub const MAX_NESTING: u32 = 48;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -35,6 +49,8 @@ struct Parser {
     struct_names: HashSet<String>,
     /// Integer macro constants in scope.
     defines: HashMap<String, i128>,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: u32,
 }
 
 impl Parser {
@@ -46,7 +62,23 @@ impl Parser {
             type_names: HashSet::new(),
             struct_names: HashSet::new(),
             defines: HashMap::new(),
+            depth: 0,
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing once the depth would
+    /// pass [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(ParseError::recursion_limit(self.span()));
+        }
+        self.depth += 1;
+        let r = parse(self);
+        self.depth -= 1;
+        r
     }
 
     fn fresh(&mut self) -> NodeId {
@@ -376,7 +408,7 @@ impl Parser {
                         return Err(self.err(format!("unknown hls:: type `{what}`")));
                     }
                     self.expect(TokenKind::Lt)?;
-                    let inner = self.parse_type()?;
+                    let inner = self.nested(Self::parse_type)?;
                     let inner = self.parse_pointer_suffix(inner);
                     self.expect(TokenKind::Gt)?;
                     return Ok(Type::Stream(Box::new(inner)));
@@ -557,6 +589,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::parse_stmt_at_depth)
+    }
+
+    fn parse_stmt_at_depth(&mut self) -> Result<Stmt, ParseError> {
         let span = self.span();
         match self.peek().clone() {
             TokenKind::PragmaLine(text) => {
@@ -795,6 +831,10 @@ impl Parser {
     }
 
     fn parse_initializer(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::parse_initializer_at_depth)
+    }
+
+    fn parse_initializer_at_depth(&mut self) -> Result<Expr, ParseError> {
         if self.peek() == &TokenKind::LBrace {
             let span = self.span();
             self.bump();
@@ -854,7 +894,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let rhs = self.parse_assign()?;
+            let rhs = self.nested(Self::parse_assign)?;
             Ok(self.expr(span, ExprKind::Assign(op, Box::new(lhs), Box::new(rhs))))
         } else {
             Ok(lhs)
@@ -867,7 +907,7 @@ impl Parser {
         if self.eat(&TokenKind::Question) {
             let t = self.parse_expr()?;
             self.expect(TokenKind::Colon)?;
-            let e = self.parse_ternary()?;
+            let e = self.nested(Self::parse_ternary)?;
             Ok(self.expr(
                 span,
                 ExprKind::Ternary(Box::new(cond), Box::new(t), Box::new(e)),
@@ -914,6 +954,10 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::parse_unary_at_depth)
+    }
+
+    fn parse_unary_at_depth(&mut self) -> Result<Expr, ParseError> {
         let span = self.span();
         match self.peek().clone() {
             TokenKind::Minus => {
@@ -1270,6 +1314,82 @@ fn apply_config_pragma(raw: &str, config: &mut DesignConfig) {
 mod tests {
     use super::*;
     use crate::types::Type;
+    use crate::ParseErrorKind;
+
+    /// Parses `src` and expects the nesting limit to stop it. Runs on the
+    /// default-size test thread, so an unguarded recursion would overflow.
+    fn assert_nesting_limit(src: &str) {
+        let err = parse(src).unwrap_err();
+        assert_eq!(err.kind(), ParseErrorKind::RecursionLimitExceeded, "{err}");
+        assert!(err.message().contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn ten_thousand_nested_parentheses_hit_the_nesting_limit() {
+        let n = 10_000;
+        assert_nesting_limit(&format!(
+            "int kernel(int x) {{ return {}x{}; }}",
+            "(".repeat(n),
+            ")".repeat(n)
+        ));
+    }
+
+    #[test]
+    fn ten_thousand_nested_blocks_hit_the_nesting_limit() {
+        let n = 10_000;
+        assert_nesting_limit(&format!(
+            "void kernel() {{ {} {} }}",
+            "{".repeat(n),
+            "}".repeat(n)
+        ));
+    }
+
+    #[test]
+    fn other_deep_nesting_hits_the_limit() {
+        let n = 10_000;
+        for src in [
+            format!("int kernel(int x) {{ return {}x; }}", "-".repeat(n)),
+            format!("int kernel(int x) {{ return {}x; }}", "x = ".repeat(n)),
+            format!("int kernel(int x) {{ return {}x; }}", "x ? x : ".repeat(n)),
+            format!(
+                "int kernel(int x) {{ return {}x{}; }}",
+                "x[".repeat(n),
+                "]".repeat(n)
+            ),
+            format!("void kernel(int x) {{ {} x = 1; }}", "if (x) ".repeat(n)),
+            format!(
+                "void kernel({}int{} s) {{ }}",
+                "hls::stream<".repeat(n),
+                " >".repeat(n)
+            ),
+            format!(
+                "void kernel() {{ int a[1] = {}0{}; }}",
+                "{".repeat(n),
+                "}".repeat(n)
+            ),
+        ] {
+            assert_nesting_limit(&src);
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        // The `return` statement is one level and the innermost operand
+        // another; every parenthesis adds one.
+        let parens = MAX_NESTING as usize - 2;
+        let src = format!(
+            "int kernel(int x) {{ return {}x{}; }}",
+            "(".repeat(parens),
+            ")".repeat(parens)
+        );
+        assert!(parse(&src).is_ok());
+        let src = format!(
+            "int kernel(int x) {{ return {}x{}; }}",
+            "(".repeat(parens + 1),
+            ")".repeat(parens + 1)
+        );
+        assert_nesting_limit(&src);
+    }
 
     #[test]
     fn parses_function_with_loop() {

@@ -18,7 +18,7 @@
 //!    and classify them as inapplicable / duplicate / fresh *without*
 //!    mutating any search state.
 //! 2. **Evaluate** (worker pool): style-check and fully compile the fresh
-//!    children concurrently, memoized by structural fingerprint.
+//!    children concurrently.
 //! 3. **Merge** (caller thread): replay the exact sequential accounting in
 //!    edit order — budget expiry, attempt/reject counters, clock billing,
 //!    dedup insertion, frontier growth.
@@ -55,8 +55,8 @@ use crate::script::{EditKind, EditScript, FixPattern, ScriptEdit};
 use crate::templates::{RepairEdit, ResizeTarget};
 use heterogen_faults::{FaultInjector, NoFaults, ResilienceStats, RetryPolicy};
 use heterogen_toolchain::{
-    diff_tests_fingerprint, DiffKey, DiffVerdict, EvalCache, EvalResult, Memoized, Persisted,
-    Resilient, SimBackend, Toolchain, Traced, VerdictStore,
+    diff_tests_fingerprint, DiffKey, DiffVerdict, EvalResult, Persisted, Resilient, SimBackend,
+    Toolchain, VerdictStore,
 };
 use heterogen_trace::{Event, NullSink, TraceSink, Verdict};
 use hls_sim::{CompileCostModel, HlsDiagnostic, SimClock, ToolchainError};
@@ -362,7 +362,7 @@ pub struct RepairOutcome {
 struct Candidate {
     program: Arc<Program>,
     /// Structural fingerprint — the stable evaluation key fault injection
-    /// and memoization share.
+    /// and the verdict store share.
     fp: u64,
     /// The typed edit script along this search path.
     applied: Vec<ScriptEdit>,
@@ -518,16 +518,14 @@ where
 /// search drives.
 ///
 /// Every style check, full compile, and co-simulation goes through
-/// `backend`, wrapped in the middleware stack
-/// `Memoized(Resilient(Traced(backend)))`: memoization by structural
-/// fingerprint, fault consultation + transient retry, and invocation
-/// tracing. The [`Traced`] layer is instantiated with [`NullSink`] here —
-/// workers must never emit; all events still come from the merge phase's
-/// sequential accounting — so the stack's observable behaviour is
-/// byte-identical to the pre-backend direct-call pipeline when `backend` is
-/// [`SimBackend::default_profile`]. Billing constants come from
-/// [`Toolchain::cost_model`], so a slower backend consumes the simulated
-/// budget faster.
+/// `backend`. Candidate evaluations are wrapped in the middleware stack
+/// `Persisted(Resilient(backend))` — here with no store attached, so only
+/// fault consultation + transient retry are live. The stack emits nothing;
+/// all events come from the merge phase's sequential accounting, so the
+/// observable behaviour is byte-identical to the pre-backend direct-call
+/// pipeline when `backend` is [`SimBackend::default_profile`]. Billing
+/// constants come from [`Toolchain::cost_model`], so a slower backend
+/// consumes the simulated budget faster.
 ///
 /// # Errors
 ///
@@ -555,14 +553,16 @@ where
 }
 
 /// Like [`repair_with_backend`], additionally checking (and populating) a
-/// durable [`VerdictStore`] before the in-memory memo layer.
+/// durable [`VerdictStore`] before the retry layer.
 ///
-/// The stack becomes `Persisted(Memoized(Resilient(Traced(backend))))`.
-/// Because the merge phase bills clock cost and counts compiles
-/// independently of how `evaluate` was satisfied, a warm store changes
-/// wall-clock time only — the search trajectory, stats, report, and trace
-/// bytes are identical to a cold run. With `store` `None` this is exactly
-/// [`repair_with_backend`].
+/// The stack is `Persisted(Resilient(backend))`, and the store's
+/// [`VerdictKey`](heterogen_toolchain::VerdictKey) is its only cache key:
+/// the search's dedup set already drops every repeated fingerprint before
+/// it is evaluated. Because the merge phase bills clock cost and counts
+/// compiles independently of how `evaluate` was satisfied, a warm store
+/// changes wall-clock time only — the search trajectory, stats, report, and
+/// trace bytes are identical to a cold run. With `store` `None` this is
+/// exactly [`repair_with_backend`].
 ///
 /// # Errors
 ///
@@ -635,26 +635,11 @@ where
         }
     };
 
-    // The middleware stack the whole search evaluates through: memoization
-    // over fault injection + retry over (unsinked) tracing over the backend.
-    // The initial compile goes through a second stack sharing the same memo
-    // cache but with the injector disabled — there is no search to degrade
-    // gracefully before the first candidate exists.
-    let cache = EvalCache::new();
-    let stack = Persisted::new(
-        Memoized::sharing(
-            cache.clone(),
-            Resilient::new(Traced::new(backend, NullSink), injector, cfg.retry),
-        ),
-        store.clone(),
-    );
-    let initial = Persisted::new(
-        Memoized::sharing(
-            cache,
-            Resilient::new(Traced::new(backend, NullSink), NoFaults, cfg.retry),
-        ),
-        store.clone(),
-    );
+    // The search evaluates every candidate through `stack`. The initial
+    // compile uses the same stack with the injector disabled — there is no
+    // search to degrade gracefully before the first candidate exists.
+    let stack = eval_stack(backend, injector, cfg.retry, store.clone());
+    let initial = eval_stack(backend, NoFaults, cfg.retry, store.clone());
 
     // Compile the initial version (style checker bypassed: the initial
     // candidate always gets a full diagnosis, as a real flow would).
@@ -910,6 +895,22 @@ where
             })
         }
     }
+}
+
+/// The middleware stack one search evaluates candidates through:
+/// fault consultation + transient retry over `backend`, under the durable
+/// verdict store (a no-op layer when `store` is `None`).
+fn eval_stack<B, I>(
+    backend: &B,
+    injector: I,
+    retry: RetryPolicy,
+    store: Option<Arc<dyn VerdictStore>>,
+) -> Persisted<Resilient<&B, I>>
+where
+    B: Toolchain + ?Sized,
+    I: FaultInjector,
+{
+    Persisted::new(Resilient::new(backend, injector, retry), store)
 }
 
 /// Expands one popped candidate: enumerates its edits, evaluates the
@@ -1791,7 +1792,80 @@ fn random_noise_edits(p: &Program, rng: &mut SmallRng, n: usize) -> Vec<RepairEd
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heterogen_toolchain::VerdictKey;
     use minic_exec::ArgValue;
+    use std::collections::HashMap;
+    use std::sync::Mutex;
+
+    /// In-memory verdict store: every key that reaches it, with its verdict.
+    #[derive(Default)]
+    struct MapStore(Mutex<HashMap<VerdictKey, EvalResult>>);
+
+    impl VerdictStore for MapStore {
+        fn get_verdict(&self, key: &VerdictKey) -> Option<EvalResult> {
+            self.0.lock().unwrap().get(key).cloned()
+        }
+        fn put_verdict(&self, key: &VerdictKey, r: &EvalResult) {
+            self.0.lock().unwrap().insert(key.clone(), r.clone());
+        }
+    }
+
+    #[test]
+    fn labeling_twins_get_their_own_diagnostics() {
+        let src = "
+            void kernel(int out[8], int n) {
+                int buf[n];
+                for (int i = 0; i < 8; i++) { out[i] = i; }
+            }
+        ";
+        // A padding global consumes node ids; dropping it leaves a program
+        // that prints like `p1` but carries shifted NodeIds — a labeling
+        // twin.
+        let p1 = minic::parse(src).unwrap();
+        let mut p2 = minic::parse(&format!("int __pad = 1;\n{src}")).unwrap();
+        p2.items.remove(0);
+        let fp = minic::fingerprint_program(&p1);
+        assert_eq!(
+            fp,
+            minic::fingerprint_program(&p2),
+            "setup: fingerprint twins"
+        );
+        assert_ne!(
+            minic::fingerprint_node_ids(&p1),
+            minic::fingerprint_node_ids(&p2),
+            "setup: labeled differently"
+        );
+
+        let store = Arc::new(MapStore::default());
+        let backend = SimBackend::default_profile();
+        let stack = eval_stack(
+            &backend,
+            NoFaults,
+            RetryPolicy::default(),
+            Some(store.clone() as Arc<dyn VerdictStore>),
+        );
+        let mut sites = Vec::new();
+        for twin in [&p1, &p2] {
+            let diags = stack.evaluate(twin, fp, false).unwrap().diags.unwrap();
+            let own = backend.evaluate(twin, fp, false).unwrap().diags.unwrap();
+            assert_eq!(
+                diags, own,
+                "diagnostics must point at the twin's own NodeIds"
+            );
+            sites.push(diags.iter().map(|d| d.location).collect::<Vec<_>>());
+        }
+        assert!(
+            sites[0].iter().any(Option::is_some),
+            "setup: located diagnostics"
+        );
+        assert_ne!(sites[0], sites[1], "setup: the twins' sites differ");
+        let keys = store.0.lock().unwrap();
+        assert_eq!(
+            keys.len(),
+            2,
+            "each twin reaches the store under its own key"
+        );
+    }
 
     fn quick_cfg() -> SearchConfig {
         SearchConfig {

@@ -13,49 +13,43 @@
 //!   toolchain in a named device profile (and an alternative
 //!   [`SimBackend::embedded_profile`] with different resource finitization
 //!   and cost scaling, proving the seam is real);
-//! * three composable middleware decorators re-expressing the repair
-//!   engine's cross-cutting concerns:
-//!   [`Memoized`] (fingerprint-keyed evaluation cache),
-//!   [`Resilient`] (fault-injection consultation + transient retry), and
-//!   [`Traced`] (invocation events), stacked as
-//!   `Memoized(Resilient(Traced(backend)))`.
+//! * composable middleware decorators, each forwarding what it does not
+//!   change to the layer inside it:
+//!   [`Persisted`] (the durable verdict cache, keyed by [`VerdictKey`]),
+//!   [`Resilient`] (fault-injection consultation + transient retry) and
+//!   [`DrainGate`] (server-drain revocation). The repair search evaluates
+//!   every candidate through `Persisted(Resilient(backend))`.
 //!
 //! # Middleware stack semantics
 //!
 //! The stack order is load-bearing:
 //!
-//! * a **cache hit** in [`Memoized`] returns before the retry layer is
-//!   consulted — a memoized candidate can never fault again;
+//! * a **store hit** in [`Persisted`] returns before the retry layer is
+//!   consulted — a persisted verdict can never fault again;
 //! * [`Resilient`] consults its [`FaultInjector`] *before* delegating
-//!   inward, so a faulted attempt never reaches [`Traced`] or the backend —
-//!   trace events fire once per *logical* invocation, not once per retry;
+//!   inward, so a faulted attempt never reaches the backend, and the
+//!   retries it absorbs surface once, as the result's `transients`;
 //! * a transient fault that outlives the [`RetryPolicy`] surfaces as
 //!   [`ToolchainError::is_exhausted`], which displays byte-identically to
 //!   the permanent fault a hand-rolled retry loop would synthesize.
 //!
 //! Like `NullSink`/`NoFaults` elsewhere in the workspace, the stack is
 //! zero-cost when off: monomorphized over `NoFaults` the injector
-//! consultation compiles away, and over `NullSink` no event is constructed.
+//! consultation compiles away, and with no store attached [`Persisted`]
+//! costs one branch per evaluation.
 //!
-//! Workers in the repair search evaluate through this stack but must not
-//! emit events (the merge-phase emission rule of `heterogen-trace`), so the
-//! search instantiates [`Traced`] with `NullSink` and keeps its own
-//! merge-phase emission; [`Traced`] with a real sink is for single-threaded
-//! backend drivers such as `reproduce toolchain`.
+//! The stack emits no trace events: workers in the repair search evaluate
+//! through it, and events come only from the search's merge phase (the
+//! emission rule of `heterogen-trace`).
 //!
 //! # Examples
 //!
 //! ```
 //! use heterogen_faults::{NoFaults, RetryPolicy};
-//! use heterogen_toolchain::{Memoized, Resilient, SimBackend, Toolchain, Traced};
-//! use heterogen_trace::NullSink;
+//! use heterogen_toolchain::{Persisted, Resilient, SimBackend, Toolchain};
 //!
 //! let backend = SimBackend::default_profile();
-//! let stack = Memoized::new(Resilient::new(
-//!     Traced::new(&backend, NullSink),
-//!     NoFaults,
-//!     RetryPolicy::default(),
-//! ));
+//! let stack = Persisted::new(Resilient::new(&backend, NoFaults, RetryPolicy::default()), None);
 //! let p = minic::parse("void kernel(int x) { int a[x]; }").unwrap();
 //! let fp = minic::fingerprint_program(&p);
 //! let eval = stack.evaluate(&p, fp, false).unwrap();
@@ -63,20 +57,18 @@
 //! ```
 
 use heterogen_faults::{Fault, FaultInjector, FaultSite, RetryPolicy};
-use heterogen_trace::{Event, TraceSink};
 use hls_sim::{check_program, check_style, ErrorCategory, FpgaSimulator, HlsDiagnostic};
 pub use hls_sim::{CompileCostModel, ScheduleModel, SimResult, StyleViolation, ToolchainError};
 use minic::Program;
 use minic_exec::{ArgValue, ExecEngine};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Descriptor of one toolchain backend: identity plus the device-profile
 /// constants that shape its schedules and billing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendInfo {
-    /// Stable backend name (also used in [`Event::ToolchainInvoked`]).
+    /// Stable backend name (part of every [`VerdictKey`] and [`DiffKey`]).
     pub name: String,
     /// Target device / part the backend synthesizes for.
     pub device: String,
@@ -130,7 +122,7 @@ pub struct Simulated {
     pub transients: u32,
 }
 
-/// Memoized result of style-checking and fully compiling one candidate.
+/// Result of style-checking and fully compiling one candidate.
 #[derive(Debug, Clone)]
 pub struct EvalResult {
     /// The cheap style pre-pass found nothing.
@@ -154,8 +146,7 @@ pub struct EvalResult {
 ///
 /// `key` parameters are stable evaluation keys (the candidate's structural
 /// fingerprint, or a fingerprint/test-index mix). Plain backends ignore
-/// them; the middleware layers use them for memoization and reproducible
-/// fault schedules.
+/// them; [`Resilient`] uses them for reproducible fault schedules.
 pub trait Toolchain: Send + Sync {
     /// Identity and device-profile constants.
     fn info(&self) -> BackendInfo;
@@ -195,8 +186,8 @@ pub trait Toolchain: Send + Sync {
     ) -> Result<Simulated, ToolchainError>;
 
     /// The execution engine this backend evaluates candidates with. Part of
-    /// every memoization key: TreeWalk and Bytecode runs sharing a process
-    /// (or a persistent store) must never alias each other's verdicts.
+    /// every [`VerdictKey`]: TreeWalk and Bytecode runs sharing a
+    /// persistent store must never alias each other's verdicts.
     fn engine(&self) -> ExecEngine {
         ExecEngine::default()
     }
@@ -275,63 +266,97 @@ pub trait Toolchain: Send + Sync {
     }
 }
 
+/// Implements the named [`Toolchain`] methods by forwarding them to a
+/// target: `*` forwards through a reference (`(**self)`, for `&T` and
+/// `Arc<T>`), a field name forwards to that field (`self.inner`). Every
+/// middleware layer forwards what it does not override through this one
+/// macro; a method left out of the list falls back to the trait default,
+/// which re-enters the layer's own overrides.
 macro_rules! delegate_toolchain {
-    () => {
-        fn info(&self) -> BackendInfo {
-            (**self).info()
+    (* => $($m:ident),+ $(,)?) => {
+        $(delegate_toolchain!(@fn self, (**self), $m);)+
+    };
+    ($field:ident => $($m:ident),+ $(,)?) => {
+        $(delegate_toolchain!(@fn self, (self.$field), $m);)+
+    };
+    // `self` travels with the target so the receiver and the forwarded
+    // call share one hygiene context.
+    (@fn $s:tt, $to:tt, info) => {
+        fn info(&$s) -> BackendInfo {
+            $to.info()
         }
-        fn cost_model(&self) -> CompileCostModel {
-            (**self).cost_model()
+    };
+    (@fn $s:tt, $to:tt, cost_model) => {
+        fn cost_model(&$s) -> CompileCostModel {
+            $to.cost_model()
         }
-        fn style_check(&self, p: &Program) -> Vec<StyleViolation> {
-            (**self).style_check(p)
+    };
+    (@fn $s:tt, $to:tt, style_check) => {
+        fn style_check(&$s, p: &Program) -> Vec<StyleViolation> {
+            $to.style_check(p)
         }
-        fn compile(&self, p: &Program, key: u64) -> Result<Compiled, ToolchainError> {
-            (**self).compile(p, key)
+    };
+    (@fn $s:tt, $to:tt, compile) => {
+        fn compile(&$s, p: &Program, key: u64) -> Result<Compiled, ToolchainError> {
+            $to.compile(p, key)
         }
-        fn can_simulate(&self, p: &Program) -> bool {
-            (**self).can_simulate(p)
+    };
+    (@fn $s:tt, $to:tt, can_simulate) => {
+        fn can_simulate(&$s, p: &Program) -> bool {
+            $to.can_simulate(p)
         }
+    };
+    (@fn $s:tt, $to:tt, simulate) => {
         fn simulate(
-            &self,
+            &$s,
             p: &Program,
             args: &[ArgValue],
             key: u64,
         ) -> Result<Simulated, ToolchainError> {
-            (**self).simulate(p, args, key)
+            $to.simulate(p, args, key)
         }
+    };
+    (@fn $s:tt, $to:tt, simulate_spiked) => {
         fn simulate_spiked(
-            &self,
+            &$s,
             p: &Program,
             args: &[ArgValue],
             factor: u32,
             attempt: u32,
         ) -> Result<SimResult, ToolchainError> {
-            (**self).simulate_spiked(p, args, factor, attempt)
+            $to.simulate_spiked(p, args, factor, attempt)
         }
-        fn engine(&self) -> ExecEngine {
-            (**self).engine()
+    };
+    (@fn $s:tt, $to:tt, engine) => {
+        fn engine(&$s) -> ExecEngine {
+            $to.engine()
         }
+    };
+    (@fn $s:tt, $to:tt, evaluate) => {
         fn evaluate(
-            &self,
+            &$s,
             p: &Program,
             fingerprint: u64,
             style_gate: bool,
         ) -> Result<EvalResult, ToolchainError> {
-            (**self).evaluate(p, fingerprint, style_gate)
+            $to.evaluate(p, fingerprint, style_gate)
         }
-        fn diagnose(&self, p: &Program) -> Vec<HlsDiagnostic> {
-            (**self).diagnose(p)
+    };
+    (@fn $s:tt, $to:tt, diagnose) => {
+        fn diagnose(&$s, p: &Program) -> Vec<HlsDiagnostic> {
+            $to.diagnose(p)
         }
     };
 }
 
 impl<T: Toolchain + ?Sized> Toolchain for &T {
-    delegate_toolchain!();
+    delegate_toolchain!(* => info, cost_model, style_check, compile, can_simulate, simulate,
+        simulate_spiked, engine, evaluate, diagnose);
 }
 
 impl<T: Toolchain + ?Sized> Toolchain for Arc<T> {
-    delegate_toolchain!();
+    delegate_toolchain!(* => info, cost_model, style_check, compile, can_simulate, simulate,
+        simulate_spiked, engine, evaluate, diagnose);
 }
 
 /// The default backend: the workspace's simulated HLS toolchain (`hls_sim`)
@@ -487,131 +512,6 @@ impl Toolchain for SimBackend {
     }
 }
 
-/// Evaluation cache keyed by `(fingerprint, engine)`, cloneable so several
-/// middleware stacks (e.g. a fault-injected one and a fault-free one for the
-/// initial compile) can share one memo table. The engine joins the key
-/// because two stacks over differently-engined backends may share one cache
-/// in one process — a TreeWalk run must never inherit a Bytecode verdict (or
-/// vice versa), even though today's backends produce identical diagnostics,
-/// or an engine-differential regression would be silently masked. The cache
-/// holds *computation* only — simulated-clock billing is still charged per
-/// sequential-accounting rules by the search's merge phase.
-#[derive(Debug, Clone, Default)]
-pub struct EvalCache(Arc<Mutex<HashMap<(u64, ExecEngine), EvalResult>>>);
-
-impl EvalCache {
-    /// Creates an empty cache.
-    pub fn new() -> EvalCache {
-        EvalCache::default()
-    }
-
-    /// Looks up a fingerprint evaluated under `engine`.
-    pub fn get(&self, fp: u64, engine: ExecEngine) -> Option<EvalResult> {
-        self.0.lock().unwrap().get(&(fp, engine)).cloned()
-    }
-
-    /// Stores one evaluation computed under `engine`.
-    pub fn insert(&self, fp: u64, engine: ExecEngine, r: EvalResult) {
-        self.0.lock().unwrap().insert((fp, engine), r);
-    }
-
-    /// Entries cached.
-    pub fn len(&self) -> usize {
-        self.0.lock().unwrap().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.lock().unwrap().is_empty()
-    }
-}
-
-/// Middleware: memoizes [`Toolchain::evaluate`] by structural fingerprint.
-///
-/// A cache hit returns before any inner layer runs — no fault injection, no
-/// retries, no trace events. Errors are *not* cached, so a faulted
-/// evaluation is retried from scratch if the same fingerprint comes back.
-#[derive(Debug, Clone)]
-pub struct Memoized<T> {
-    cache: EvalCache,
-    inner: T,
-}
-
-impl<T: Toolchain> Memoized<T> {
-    /// Wraps `inner` with a fresh cache.
-    pub fn new(inner: T) -> Memoized<T> {
-        Memoized {
-            cache: EvalCache::new(),
-            inner,
-        }
-    }
-
-    /// Wraps `inner` sharing an existing cache.
-    pub fn sharing(cache: EvalCache, inner: T) -> Memoized<T> {
-        Memoized { cache, inner }
-    }
-
-    /// The underlying cache.
-    pub fn cache(&self) -> &EvalCache {
-        &self.cache
-    }
-}
-
-impl<T: Toolchain> Toolchain for Memoized<T> {
-    fn info(&self) -> BackendInfo {
-        self.inner.info()
-    }
-    fn cost_model(&self) -> CompileCostModel {
-        self.inner.cost_model()
-    }
-    fn style_check(&self, p: &Program) -> Vec<StyleViolation> {
-        self.inner.style_check(p)
-    }
-    fn compile(&self, p: &Program, key: u64) -> Result<Compiled, ToolchainError> {
-        self.inner.compile(p, key)
-    }
-    fn can_simulate(&self, p: &Program) -> bool {
-        self.inner.can_simulate(p)
-    }
-    fn simulate(
-        &self,
-        p: &Program,
-        args: &[ArgValue],
-        key: u64,
-    ) -> Result<Simulated, ToolchainError> {
-        self.inner.simulate(p, args, key)
-    }
-    fn simulate_spiked(
-        &self,
-        p: &Program,
-        args: &[ArgValue],
-        factor: u32,
-        attempt: u32,
-    ) -> Result<SimResult, ToolchainError> {
-        self.inner.simulate_spiked(p, args, factor, attempt)
-    }
-    fn engine(&self) -> ExecEngine {
-        self.inner.engine()
-    }
-    fn evaluate(
-        &self,
-        p: &Program,
-        fingerprint: u64,
-        style_gate: bool,
-    ) -> Result<EvalResult, ToolchainError> {
-        let engine = self.inner.engine();
-        if let Some(hit) = self.cache.get(fingerprint, engine) {
-            return Ok(hit);
-        }
-        let r = self.inner.evaluate(p, fingerprint, style_gate)?;
-        self.cache.insert(fingerprint, engine, r.clone());
-        Ok(r)
-    }
-    fn diagnose(&self, p: &Program) -> Vec<HlsDiagnostic> {
-        self.inner.diagnose(p)
-    }
-}
-
 /// Key identifying one persisted evaluation verdict across processes: the
 /// candidate's structural fingerprint, its node-id labeling fingerprint
 /// (diagnostics carry `NodeId`s, and print-identical programs with
@@ -746,17 +646,18 @@ pub trait VerdictStore: Send + Sync {
     fn put_diff(&self, _key: &DiffKey, _v: &DiffVerdict) {}
 }
 
-/// Middleware: checks a durable [`VerdictStore`] before the in-memory
-/// layers and records every freshly computed verdict, stacked outermost as
-/// `Persisted(Memoized(Resilient(Traced(backend))))`.
+/// Middleware: checks a durable [`VerdictStore`] before the layers inside
+/// it and records every freshly computed verdict, stacked outermost as
+/// `Persisted(Resilient(backend))`. The only evaluation cache in the stack,
+/// keyed by the labeling-aware [`VerdictKey`].
 ///
 /// With no store attached every method delegates straight inward — the
 /// disabled layer costs one branch per evaluation. A store hit returns
-/// before [`Memoized`] (and therefore before any fault injection, retry or
-/// trace event), exactly like an in-memory cache hit; because the search's
-/// merge phase bills simulated-clock cost *independently* of how
-/// `evaluate` was satisfied, a warm store changes wall-clock time only —
-/// never the search trajectory, stats, or trace bytes.
+/// before [`Resilient`] (and therefore before any fault injection or
+/// retry); because the search's merge phase bills simulated-clock cost
+/// *independently* of how `evaluate` was satisfied, a warm store changes
+/// wall-clock time only — never the search trajectory, stats, or trace
+/// bytes. Errors are never recorded, so a faulted evaluation runs afresh.
 #[derive(Clone)]
 pub struct Persisted<T> {
     inner: T,
@@ -788,41 +689,9 @@ impl<T: Toolchain> Persisted<T> {
 }
 
 impl<T: Toolchain> Toolchain for Persisted<T> {
-    fn info(&self) -> BackendInfo {
-        self.inner.info()
-    }
-    fn cost_model(&self) -> CompileCostModel {
-        self.inner.cost_model()
-    }
-    fn style_check(&self, p: &Program) -> Vec<StyleViolation> {
-        self.inner.style_check(p)
-    }
-    fn compile(&self, p: &Program, key: u64) -> Result<Compiled, ToolchainError> {
-        self.inner.compile(p, key)
-    }
-    fn can_simulate(&self, p: &Program) -> bool {
-        self.inner.can_simulate(p)
-    }
-    fn simulate(
-        &self,
-        p: &Program,
-        args: &[ArgValue],
-        key: u64,
-    ) -> Result<Simulated, ToolchainError> {
-        self.inner.simulate(p, args, key)
-    }
-    fn simulate_spiked(
-        &self,
-        p: &Program,
-        args: &[ArgValue],
-        factor: u32,
-        attempt: u32,
-    ) -> Result<SimResult, ToolchainError> {
-        self.inner.simulate_spiked(p, args, factor, attempt)
-    }
-    fn engine(&self) -> ExecEngine {
-        self.inner.engine()
-    }
+    delegate_toolchain!(inner => info, cost_model, style_check, compile, can_simulate, simulate,
+        simulate_spiked, engine, diagnose);
+
     fn evaluate(
         &self,
         p: &Program,
@@ -845,9 +714,6 @@ impl<T: Toolchain> Toolchain for Persisted<T> {
         let r = self.inner.evaluate(p, fingerprint, style_gate)?;
         store.put_verdict(&key, &r);
         Ok(r)
-    }
-    fn diagnose(&self, p: &Program) -> Vec<HlsDiagnostic> {
-        self.inner.diagnose(p)
     }
 }
 
@@ -883,30 +749,8 @@ impl<T: Toolchain, I: FaultInjector> Resilient<T, I> {
 }
 
 impl<T: Toolchain, I: FaultInjector> Toolchain for Resilient<T, I> {
-    fn info(&self) -> BackendInfo {
-        self.inner.info()
-    }
-    fn cost_model(&self) -> CompileCostModel {
-        self.inner.cost_model()
-    }
-    fn style_check(&self, p: &Program) -> Vec<StyleViolation> {
-        self.inner.style_check(p)
-    }
-    fn can_simulate(&self, p: &Program) -> bool {
-        self.inner.can_simulate(p)
-    }
-    fn engine(&self) -> ExecEngine {
-        self.inner.engine()
-    }
-    fn simulate_spiked(
-        &self,
-        p: &Program,
-        args: &[ArgValue],
-        factor: u32,
-        attempt: u32,
-    ) -> Result<SimResult, ToolchainError> {
-        self.inner.simulate_spiked(p, args, factor, attempt)
-    }
+    delegate_toolchain!(inner => info, cost_model, style_check, can_simulate, engine,
+        simulate_spiked);
 
     fn compile(&self, p: &Program, key: u64) -> Result<Compiled, ToolchainError> {
         if !self.injector.enabled() {
@@ -998,80 +842,6 @@ impl<T: Toolchain, I: FaultInjector> Toolchain for Resilient<T, I> {
     }
 }
 
-/// Middleware: emits one [`Event::ToolchainInvoked`] per invocation that
-/// actually reaches the backend.
-///
-/// Placed *inside* [`Resilient`], a faulted attempt never reaches this layer
-/// — events fire exactly once per logical invocation, never per retry — and
-/// inside [`Memoized`], cache hits emit nothing. Gated on
-/// [`TraceSink::enabled`], so the `NullSink` instantiation compiles the
-/// emission away (the repair search's worker stacks rely on this: worker
-/// threads must never emit).
-#[derive(Debug, Clone)]
-pub struct Traced<T, S> {
-    inner: T,
-    sink: S,
-}
-
-impl<T: Toolchain, S: TraceSink> Traced<T, S> {
-    /// Wraps `inner`, reporting invocations on `sink`.
-    pub fn new(inner: T, sink: S) -> Traced<T, S> {
-        Traced { inner, sink }
-    }
-}
-
-impl<T: Toolchain, S: TraceSink> Toolchain for Traced<T, S> {
-    fn info(&self) -> BackendInfo {
-        self.inner.info()
-    }
-    fn cost_model(&self) -> CompileCostModel {
-        self.inner.cost_model()
-    }
-    fn style_check(&self, p: &Program) -> Vec<StyleViolation> {
-        self.inner.style_check(p)
-    }
-    fn can_simulate(&self, p: &Program) -> bool {
-        self.inner.can_simulate(p)
-    }
-    fn engine(&self) -> ExecEngine {
-        self.inner.engine()
-    }
-    fn compile(&self, p: &Program, key: u64) -> Result<Compiled, ToolchainError> {
-        if self.sink.enabled() {
-            self.sink.emit(&Event::ToolchainInvoked {
-                backend: self.inner.info().name,
-                op: "compile".to_string(),
-                fingerprint: key,
-            });
-        }
-        self.inner.compile(p, key)
-    }
-    fn simulate(
-        &self,
-        p: &Program,
-        args: &[ArgValue],
-        key: u64,
-    ) -> Result<Simulated, ToolchainError> {
-        if self.sink.enabled() {
-            self.sink.emit(&Event::ToolchainInvoked {
-                backend: self.inner.info().name,
-                op: "simulate".to_string(),
-                fingerprint: key,
-            });
-        }
-        self.inner.simulate(p, args, key)
-    }
-    fn simulate_spiked(
-        &self,
-        p: &Program,
-        args: &[ArgValue],
-        factor: u32,
-        attempt: u32,
-    ) -> Result<SimResult, ToolchainError> {
-        self.inner.simulate_spiked(p, args, factor, attempt)
-    }
-}
-
 /// A shared revocation flag for [`DrainGate`].
 ///
 /// Cloning yields a handle to the *same* flag: a server hands one clone to
@@ -1105,8 +875,8 @@ impl DrainSignal {
 /// permanent-fault degradation path and returns `Ok(PipelineReport)` with a
 /// `Degradation` record instead of being aborted mid-candidate. Placed
 /// *innermost* in the middleware stack (wrapping the raw backend), so
-/// [`Resilient`] propagates the revocation without retrying and `Memoized`
-/// never caches it.
+/// [`Resilient`] propagates the revocation without retrying and
+/// [`Persisted`] never records it.
 #[derive(Debug, Clone)]
 pub struct DrainGate<T> {
     inner: T,
@@ -1132,21 +902,11 @@ impl<T: Toolchain> DrainGate<T> {
 }
 
 impl<T: Toolchain> Toolchain for DrainGate<T> {
-    fn info(&self) -> BackendInfo {
-        self.inner.info()
-    }
-    fn cost_model(&self) -> CompileCostModel {
-        self.inner.cost_model()
-    }
-    fn style_check(&self, p: &Program) -> Vec<StyleViolation> {
-        self.inner.style_check(p)
-    }
-    fn can_simulate(&self, p: &Program) -> bool {
-        self.inner.can_simulate(p)
-    }
-    fn engine(&self) -> ExecEngine {
-        self.inner.engine()
-    }
+    // `diagnose` forwards ungated: the trait default would reach the
+    // revoked `compile`.
+    delegate_toolchain!(inner => info, cost_model, style_check, can_simulate, engine,
+        diagnose);
+
     fn compile(&self, p: &Program, key: u64) -> Result<Compiled, ToolchainError> {
         self.revoked()?;
         self.inner.compile(p, key)
@@ -1179,9 +939,6 @@ impl<T: Toolchain> Toolchain for DrainGate<T> {
         self.revoked()?;
         self.inner.evaluate(p, fingerprint, style_gate)
     }
-    fn diagnose(&self, p: &Program) -> Vec<HlsDiagnostic> {
-        self.inner.diagnose(p)
-    }
 }
 
 /// A scriptable in-memory backend for middleware tests: configurable
@@ -1193,7 +950,7 @@ pub struct MockToolchain {
     pub diags: Vec<HlsDiagnostic>,
     /// Violations every [`Toolchain::style_check`] reports.
     pub style: Vec<StyleViolation>,
-    /// Engine reported by [`Toolchain::engine`] (keys memoization).
+    /// Engine reported by [`Toolchain::engine`] (part of the [`VerdictKey`]).
     pub engine: ExecEngine,
     compiles: std::sync::atomic::AtomicU32,
     simulates: std::sync::atomic::AtomicU32,
@@ -1285,7 +1042,8 @@ impl Toolchain for MockToolchain {
 mod tests {
     use super::*;
     use heterogen_faults::NoFaults;
-    use heterogen_trace::{JsonlSink, NullSink};
+    use std::collections::HashMap;
+    use std::sync::Mutex;
 
     fn prog() -> Program {
         minic::parse("int kernel(int x) { return x * 2; }").unwrap()
@@ -1318,53 +1076,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cache_hit_skips_the_retry_layer() {
-        let mock = MockToolchain::clean();
-        let injector = CountingNone::default();
-        let stack = Memoized::new(Resilient::new(&mock, &injector, RetryPolicy::default()));
-        let p = prog();
-        let a = stack.evaluate(&p, fp(&p), true).unwrap();
-        let b = stack.evaluate(&p, fp(&p), true).unwrap();
-        assert_eq!(mock.compile_calls(), 1, "second evaluation is a cache hit");
-        assert_eq!(injector.calls(), 1, "cache hit never consults the injector");
-        assert_eq!(a.loc, b.loc);
-        assert!(a.style_clean && b.style_clean);
-    }
-
-    #[test]
-    fn memoized_cache_keys_on_engine_not_just_fingerprint() {
-        // Regression companion to the exec compile-cache NodeId-aliasing
-        // pin: two stacks sharing one process-wide cache but driving
-        // different engines must not serve each other's verdicts.
-        let tree = MockToolchain {
-            engine: ExecEngine::TreeWalk,
-            ..MockToolchain::default()
-        };
-        let vm = MockToolchain {
-            engine: ExecEngine::Bytecode,
-            ..MockToolchain::default()
-        };
-        let cache = EvalCache::new();
-        let tree_stack = Memoized::sharing(cache.clone(), &tree);
-        let vm_stack = Memoized::sharing(cache.clone(), &vm);
-        let p = prog();
-        tree_stack.evaluate(&p, fp(&p), false).unwrap();
-        assert_eq!(cache.len(), 1);
-        vm_stack.evaluate(&p, fp(&p), false).unwrap();
-        assert_eq!(
-            vm.compile_calls(),
-            1,
-            "a bytecode run must not inherit the treewalk verdict"
-        );
-        assert_eq!(cache.len(), 2, "one entry per (fingerprint, engine)");
-        // Within one engine the memo still hits.
-        tree_stack.evaluate(&p, fp(&p), false).unwrap();
-        vm_stack.evaluate(&p, fp(&p), false).unwrap();
-        assert_eq!(tree.compile_calls(), 1);
-        assert_eq!(vm.compile_calls(), 1);
-    }
-
     /// In-memory [`VerdictStore`] double with hit/put counters.
     #[derive(Default)]
     struct MapStore {
@@ -1390,10 +1101,7 @@ mod tests {
         let p = prog();
         {
             // Cold process: miss → compute → record.
-            let cold = Persisted::new(
-                Memoized::new(&mock),
-                Some(store.clone() as Arc<dyn VerdictStore>),
-            );
+            let cold = Persisted::new(&mock, Some(store.clone() as Arc<dyn VerdictStore>));
             cold.evaluate(&p, fp(&p), false).unwrap();
             cold.evaluate(&p, fp(&p), false).unwrap();
         }
@@ -1403,10 +1111,11 @@ mod tests {
             1,
             "second evaluation hit the store we just wrote"
         );
-        // Warm process: fresh in-memory cache, verdict comes from the store
-        // and the backend is never consulted.
+        // Warm process: the verdict comes from the store, so neither the
+        // retry layer's injector nor the backend is consulted.
+        let injector = CountingNone::default();
         let warm = Persisted::new(
-            Memoized::new(&mock),
+            Resilient::new(&mock, &injector, RetryPolicy::default()),
             Some(store.clone() as Arc<dyn VerdictStore>),
         );
         let r = warm.evaluate(&p, fp(&p), false).unwrap();
@@ -1415,10 +1124,16 @@ mod tests {
             1,
             "warm hit never reaches the backend"
         );
+        assert_eq!(
+            injector.calls(),
+            0,
+            "a store hit never consults the injector"
+        );
         assert!(r.diags.is_some());
         // The key includes the style gate: a gated evaluation is distinct.
         warm.evaluate(&p, fp(&p), true).unwrap();
         assert_eq!(mock.compile_calls(), 2);
+        assert_eq!(injector.calls(), 1);
         // Disabled layer is transparent (and consults no store).
         let off = Persisted::new(&mock, None);
         off.evaluate(&p, fp(&p), false).unwrap();
@@ -1454,11 +1169,11 @@ mod tests {
     #[test]
     fn retry_exhaustion_converts_transient_to_permanent_through_the_stack() {
         let mock = MockToolchain::clean();
-        let stack = Memoized::new(Resilient::new(
-            &mock,
-            TransientFor(u32::MAX),
-            RetryPolicy::default(),
-        ));
+        let store: Arc<MapStore> = Arc::new(MapStore::default());
+        let stack = Persisted::new(
+            Resilient::new(&mock, TransientFor(u32::MAX), RetryPolicy::default()),
+            Some(store.clone() as Arc<dyn VerdictStore>),
+        );
         let p = prog();
         let err = stack.evaluate(&p, fp(&p), true).unwrap_err();
         assert!(err.is_exhausted());
@@ -1469,36 +1184,28 @@ mod tests {
         assert!(err
             .to_string()
             .starts_with("permanent toolchain fault at hls_check:"));
-        // Errors are not cached: the same fingerprint faults afresh.
+        // Errors are not recorded: the same fingerprint faults afresh.
+        assert_eq!(store.puts.load(std::sync::atomic::Ordering::SeqCst), 0);
         let err2 = stack.evaluate(&p, fp(&p), true).unwrap_err();
         assert_eq!(err, err2);
     }
 
     #[test]
-    fn trace_fires_once_per_logical_evaluation_not_per_retry() {
+    fn retries_surface_once_as_transients() {
         let mock = MockToolchain::clean();
-        let sink = JsonlSink::new();
-        let stack = Memoized::new(Resilient::new(
-            Traced::new(&mock, &sink),
-            TransientFor(2),
-            RetryPolicy::default(),
-        ));
+        let stack = Persisted::new(
+            Resilient::new(&mock, TransientFor(2), RetryPolicy::default()),
+            None,
+        );
         let p = prog();
         let r = stack.evaluate(&p, fp(&p), true).unwrap();
         assert_eq!(r.transients, 2, "two faulted attempts were absorbed");
-        assert_eq!(mock.compile_calls(), 1);
-        assert_eq!(
-            sink.events(),
-            1,
-            "one toolchain_invoked event despite the retries"
-        );
-        assert!(sink.contents().contains(r#""event":"toolchain_invoked""#));
-        stack.evaluate(&p, fp(&p), true).unwrap();
-        assert_eq!(sink.events(), 1, "cache hits emit nothing");
+        assert_eq!(mock.compile_calls(), 1, "one compile despite the retries");
+        assert_eq!(mock.style_check_calls(), 1);
     }
 
     #[test]
-    fn style_gate_rejects_before_any_compile_or_event() {
+    fn style_gate_rejects_before_any_compile() {
         let mock = MockToolchain {
             style: vec![StyleViolation {
                 message: "pipeline outside loop".to_string(),
@@ -1506,39 +1213,39 @@ mod tests {
             }],
             ..MockToolchain::default()
         };
-        let sink = JsonlSink::new();
-        let stack = Memoized::new(Resilient::new(
-            Traced::new(&mock, &sink),
-            NoFaults,
-            RetryPolicy::default(),
-        ));
+        let injector = CountingNone::default();
+        let stack = Persisted::new(
+            Resilient::new(&mock, &injector, RetryPolicy::default()),
+            None,
+        );
         let p = prog();
         let r = stack.evaluate(&p, fp(&p), true).unwrap();
         assert!(!r.style_clean);
         assert!(r.diags.is_none());
+        assert_eq!(mock.style_check_calls(), 1);
         assert_eq!(mock.compile_calls(), 0);
-        assert_eq!(sink.events(), 0);
+        assert_eq!(injector.calls(), 0, "no compile, so no fault consultation");
         // With the gate off the compile happens and style joins the diags.
-        let stack_off = Memoized::new(&mock);
-        let r = stack_off.evaluate(&p, fp(&p), false).unwrap();
+        let r = stack.evaluate(&p, fp(&p), false).unwrap();
         assert_eq!(r.diags.unwrap().len(), 1);
         assert_eq!(mock.compile_calls(), 1);
+        assert_eq!(injector.calls(), 1);
     }
 
     #[test]
     fn default_stack_matches_the_bare_backend() {
         let backend = SimBackend::default_profile();
-        let stack = Memoized::new(Resilient::new(
-            Traced::new(&backend, NullSink),
-            NoFaults,
-            RetryPolicy::default(),
-        ));
+        let stack = Persisted::new(
+            Resilient::new(&backend, NoFaults, RetryPolicy::default()),
+            None,
+        );
         let p = minic::parse("void kernel(int x) { int a[x]; }").unwrap();
         let through = stack.evaluate(&p, fp(&p), false).unwrap();
         let bare = backend.evaluate(&p, fp(&p), false).unwrap();
         assert_eq!(through.style_clean, bare.style_clean);
         assert_eq!(through.loc, bare.loc);
         assert_eq!(through.diags.unwrap(), bare.diags.unwrap());
+        assert_eq!(stack.diagnose(&p), backend.diagnose(&p));
         assert_eq!(backend.diagnose(&p).len(), hls_sim::check_program(&p).len());
     }
 
@@ -1608,7 +1315,14 @@ mod tests {
 
     #[test]
     fn drain_gate_is_transparent_until_the_signal_flips() {
-        let mock = MockToolchain::clean();
+        let mock = MockToolchain {
+            diags: vec![HlsDiagnostic::new(
+                "XFORM 202-876",
+                "unknown-size array",
+                ErrorCategory::DynamicDataStructures,
+            )],
+            ..MockToolchain::default()
+        };
         let signal = DrainSignal::new();
         let gate = DrainGate::new(&mock, signal.clone());
         let p = prog();
@@ -1622,12 +1336,19 @@ mod tests {
         assert!(!err.is_transient(), "revocation must not be retried");
         assert_eq!(err.site(), "drain");
         assert!(gate.simulate(&p, &[], 2).is_err());
+        // `evaluate` refuses before the style check runs.
+        let style_checks = mock.style_check_calls();
         assert!(gate.evaluate(&p, fp(&p), true).is_err());
+        assert_eq!(mock.style_check_calls(), style_checks);
         // Cloned signals share the flag: a second gate on the same signal is
         // also revoked.
         let other = DrainGate::new(&mock, signal.clone());
         assert!(other.compile(&p, 3).is_err());
-        // Non-fallible queries still answer during drain.
+        // Non-fallible queries still answer during drain, and `diagnose`
+        // forwards ungated (a drained job still reports its initial errors).
         assert!(gate.style_check(&p).is_empty());
+        let compiles = mock.compile_calls();
+        assert_eq!(gate.diagnose(&p), mock.diags);
+        assert_eq!(mock.compile_calls(), compiles + 1);
     }
 }

@@ -127,6 +127,10 @@ impl Serialize for TraceEdit {
 /// `at_min` fields are *simulated minutes on the emitting phase's clock*
 /// (the fuzzer's campaign clock, the repair search's budget clock) — not
 /// wall-clock time, so traces are deterministic and machine-independent.
+///
+/// Every event is emitted by a pipeline phase's merge step (or the session
+/// driving it); the toolchain middleware stack emits none, so a worker
+/// thread never touches a sink.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Event {
@@ -257,18 +261,6 @@ pub enum Event {
         /// Simulated minutes on the search clock.
         at_min: f64,
     },
-    /// A toolchain backend performed one real invocation (a compile or a
-    /// co-simulation that reached the backend — cache hits and faulted
-    /// attempts never get one). Emitted by the `Traced` middleware layer of
-    /// `heterogen-toolchain`, exactly once per logical invocation.
-    ToolchainInvoked {
-        /// Backend name (from its `BackendInfo`).
-        backend: String,
-        /// Operation name (`"compile"`, `"simulate"`).
-        op: String,
-        /// Stable evaluation key of the invocation.
-        fingerprint: u64,
-    },
     /// A pipeline phase finished degraded: it returned a best-effort result
     /// after exhausting a budget or hitting a permanent fault.
     PhaseDegraded {
@@ -298,7 +290,6 @@ impl Event {
             Event::FaultInjected { .. } => "fault_injected",
             Event::RetryScheduled { .. } => "retry_scheduled",
             Event::CandidateCrashed { .. } => "candidate_crashed",
-            Event::ToolchainInvoked { .. } => "toolchain_invoked",
             Event::PhaseDegraded { .. } => "phase_degraded",
         }
     }
@@ -421,15 +412,6 @@ impl Serialize for Event {
                 push("kind", Value::Str(kind.clone()));
                 push("fingerprint", Value::Str(format!("{fingerprint:016x}")));
                 push("at_min", Value::Float(*at_min));
-            }
-            Event::ToolchainInvoked {
-                backend,
-                op,
-                fingerprint,
-            } => {
-                push("backend", Value::Str(backend.clone()));
-                push("op", Value::Str(op.clone()));
-                push("fingerprint", Value::Str(format!("{fingerprint:016x}")));
             }
             Event::PhaseDegraded {
                 phase,
@@ -683,9 +665,6 @@ impl TraceSink for MetricsSink {
                     .entry("retry.delay_min".to_string())
                     .or_default()
                     .record(*delay_min);
-            }
-            Event::ToolchainInvoked { op, .. } => {
-                *m.counters.entry(format!("toolchain.{op}")).or_insert(0) += 1;
             }
             Event::PhaseDegraded { phase, .. } => {
                 *m.counters.entry(format!("degraded.{phase}")).or_insert(0) += 1;
@@ -1009,25 +988,6 @@ mod tests {
         let h = s.histogram("retry.delay_min").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 0.75);
-    }
-
-    #[test]
-    fn toolchain_invocations_render_and_count() {
-        let ev = Event::ToolchainInvoked {
-            backend: "hls_sim/xcvu9p".into(),
-            op: "compile".into(),
-            fingerprint: 0xfeed,
-        };
-        let s = JsonlSink::new();
-        s.emit(&ev);
-        assert_eq!(
-            s.contents().lines().nth(1).unwrap(),
-            r#"{"event":"toolchain_invoked","backend":"hls_sim/xcvu9p","op":"compile","fingerprint":"000000000000feed"}"#
-        );
-        let m = MetricsSink::new();
-        m.emit(&ev);
-        assert_eq!(m.counter("toolchain_invoked"), 1);
-        assert_eq!(m.counter("toolchain.compile"), 1);
     }
 
     #[test]

@@ -104,8 +104,8 @@ pub mod prelude {
         ServerConfigBuilder, ServerStats,
     };
     pub use heterogen_toolchain::{
-        BackendInfo, DrainGate, DrainSignal, EvalCache, EvalResult, Memoized, MockToolchain,
-        Resilient, SimBackend, Toolchain, Traced,
+        BackendInfo, DrainGate, DrainSignal, EvalResult, MockToolchain, Resilient, SimBackend,
+        Toolchain,
     };
     pub use heterogen_trace::{
         Event, JsonlSink, MetricsSink, NullSink, TeeSink, TraceSink, Verdict,
