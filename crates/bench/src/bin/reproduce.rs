@@ -9,20 +9,17 @@
 //! cargo run --release -p bench --bin reproduce -- run P3 --engine treewalk
 //! cargo run --release -p bench --bin reproduce -- run P3 --store /tmp/hg --mined
 //! cargo run --release -p bench --bin reproduce -- mine --store /tmp/hg
-//! cargo run --release -p bench --bin reproduce -- bench-repair --engine bytecode
 //! cargo run --release -p bench --bin reproduce -- trace P3 --json p3.jsonl
 //! cargo run --release -p bench --bin reproduce -- toolchain P3 --backend embedded
-//! cargo run --release -p bench --bin reproduce -- bench-guard
 //! cargo run --release -p bench --bin reproduce -- chaos P3
 //! cargo run --release -p bench --bin reproduce -- serve --threads 4
-//! cargo run --release -p bench --bin reproduce -- loadgen --jobs 400 --clients 8
 //! ```
 
 use bench::*;
 use heterogen_core::{HeteroGen, JobSpec, PipelineConfig};
-use heterogen_server::{loadgen, Server, ServerConfig};
+use heterogen_server::{Server, ServerConfig};
 use heterogen_store::Store;
-use heterogen_toolchain::{Persisted, Resilient, SimBackend, Toolchain};
+use heterogen_toolchain::{SimBackend, Toolchain};
 use heterogen_trace::{JsonlSink, MetricsSink, NullSink, TeeSink, TraceSink};
 use minic_exec::ExecEngine;
 use std::path::{Path, PathBuf};
@@ -102,10 +99,8 @@ impl CommonOpts {
 
     /// A job for `subject` honouring the `--backend` override.
     fn spec_for(&self, s: &benchsuite::Subject) -> JobSpec {
-        let mut seeds = s.seed_inputs.clone();
-        seeds.extend(s.existing_tests.clone());
         let mut b = JobSpec::builder(s.parse(), s.kernel)
-            .seeds(seeds)
+            .seeds(seeds(s))
             .mined(self.wants_mined);
         if let Some(name) = &self.backend {
             b = b.backend(name);
@@ -173,10 +168,6 @@ fn main() {
             run_toolchain(&opts);
             return;
         }
-        "bench-guard" => {
-            run_bench_guard();
-            return;
-        }
         "chaos" => {
             if opts.wants_store {
                 run_chaos_store(&opts);
@@ -197,47 +188,44 @@ fn main() {
             run_serve(&opts);
             return;
         }
-        "loadgen" => {
-            run_loadgen(&opts, &args);
-            return;
-        }
         _ => {}
     }
 
     let mut bundle = ExperimentBundle::default();
+    let threads = opts.threads.unwrap_or(0);
     match what {
         "fig3" => run_fig3(&mut bundle),
         "table1" => run_table1(),
         "table2" => run_table2(),
-        "table3" => run_table3(&mut bundle),
-        "table4" => run_table4(&mut bundle),
-        "table5" => run_table5(&mut bundle),
-        "fig8" => run_fig8(&mut bundle),
+        "table3" => run_table3(&mut bundle, threads),
+        "table4" => run_table4(&mut bundle, threads),
+        "table5" => run_table5(&mut bundle, threads),
+        "fig8" => run_fig8(&mut bundle, threads),
         "fig9" => run_fig9(
             &mut bundle,
+            threads,
             args.get(1)
                 .filter(|a| a.starts_with('P'))
                 .map(String::as_str),
         ),
-        "ablation-seed" => run_ablation_seed(),
-        "ablation-bitwidth" => run_ablation_bitwidth(),
-        "bench-repair" => run_bench_repair(&opts),
+        "ablation-seed" => run_ablation_seed(threads),
+        "ablation-bitwidth" => run_ablation_bitwidth(threads),
         "summary" | "all" => {
             run_fig3(&mut bundle);
             run_table1();
             run_table2();
-            run_table3(&mut bundle);
-            run_table4(&mut bundle);
-            run_table5(&mut bundle);
-            run_fig8(&mut bundle);
-            run_fig9(&mut bundle, None);
-            run_ablation_seed();
-            run_ablation_bitwidth();
-            run_bench_repair(&opts);
+            run_table3(&mut bundle, threads);
+            run_table4(&mut bundle, threads);
+            run_table5(&mut bundle, threads);
+            run_fig8(&mut bundle, threads);
+            run_fig9(&mut bundle, threads, None);
+            run_ablation_seed(threads);
+            run_ablation_bitwidth(threads);
+            run_mined(&mut bundle, threads);
             run_summary(&bundle);
         }
         other => {
-            eprintln!("unknown experiment `{other}`; expected one of: fig3 table1 table2 table3 table4 table5 fig8 fig9 ablation-seed ablation-bitwidth bench-repair run trace toolchain bench-guard chaos serve loadgen store mine summary all");
+            eprintln!("unknown experiment `{other}`; expected one of: fig3 table1 table2 table3 table4 table5 fig8 fig9 ablation-seed ablation-bitwidth run trace toolchain chaos serve store mine summary all");
             std::process::exit(2);
         }
     }
@@ -406,9 +394,6 @@ fn run_toolchain(opts: &CommonOpts) {
     // one store without aliasing.
     let store = opts.open_store();
     let run_with = |backend: SimBackend| {
-        let p = s.parse();
-        let mut seeds = s.seed_inputs.clone();
-        seeds.extend(s.existing_tests.clone());
         let info = backend.info();
         let mut builder = HeteroGen::builder().config(cfg.clone()).backend(backend);
         if let Some(store) = &store {
@@ -416,7 +401,7 @@ fn run_toolchain(opts: &CommonOpts) {
         }
         let report = builder
             .build()
-            .run(JobSpec::fuzz(p, s.kernel, seeds))
+            .run(JobSpec::fuzz(s.parse(), s.kernel, seeds(&s)))
             .unwrap_or_else(|e| panic!("{}: pipeline failed on `{}`: {e}", s.id, info.name));
         (info, report)
     };
@@ -476,301 +461,6 @@ fn run_toolchain(opts: &CommonOpts) {
     );
 }
 
-/// `reproduce -- bench-guard`: asserts the tracing layer is free when
-/// disabled, by timing the untraced repair entry point (monomorphized
-/// `NullSink` — emission compiled out) against the same search through a
-/// `&dyn TraceSink` null sink, the shape `Session` uses.
-///
-/// A second guard does the same for the toolchain middleware stack: with
-/// every layer off (no store, `NoFaults`), one evaluation through
-/// `Persisted(Resilient(SimBackend))` — the stack the repair search builds —
-/// must cost no more than the direct style-check + compile + LOC sequence
-/// it replaced.
-///
-/// A third guard pins the bytecode VM's advantage: on the candidate-heavy
-/// subjects P3 and P5 it must process at least `ENGINE_GUARD_X` (default
-/// 3x) as many candidates per second as the tree-walking reference.
-fn run_bench_guard() {
-    let s = load_subject("P3");
-    let p = s.parse();
-    let fuzz_cfg = testgen::FuzzConfig::builder()
-        .with_idle_stop_min(0.5)
-        .with_max_execs(400)
-        .build();
-    let mut seeds = s.seed_inputs.clone();
-    seeds.extend(s.existing_tests.clone());
-    let fr = testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg).expect("fuzz P3");
-    let broken = heterogen_core::initial_version(&p, &fr.profile);
-    let sc = repair::SearchConfig::builder()
-        .with_budget_min(180.0)
-        .with_max_diff_tests(12)
-        .with_threads(1)
-        .build();
-
-    let dyn_sink: &dyn TraceSink = &NullSink;
-    let time_one = |traced: bool| -> f64 {
-        let t0 = std::time::Instant::now();
-        let out = if traced {
-            repair::repair_traced(
-                &p,
-                broken.clone(),
-                s.kernel,
-                &fr.corpus,
-                &fr.profile,
-                &sc,
-                dyn_sink,
-            )
-        } else {
-            repair::repair(&p, broken.clone(), s.kernel, &fr.corpus, &fr.profile, &sc)
-        }
-        .expect("repair P3");
-        assert!(out.success, "guard run must converge");
-        t0.elapsed().as_secs_f64() * 1e3
-    };
-
-    // Warm-up, then interleaved pairs; compare the minima — the most
-    // noise-resistant wall-clock statistic for a guard.
-    time_one(false);
-    time_one(true);
-    const ROUNDS: usize = 10;
-    let mut untraced = f64::MAX;
-    let mut null_sink = f64::MAX;
-    for _ in 0..ROUNDS {
-        untraced = untraced.min(time_one(false));
-        null_sink = null_sink.min(time_one(true));
-    }
-    let overhead = null_sink / untraced - 1.0;
-    let threshold: f64 = std::env::var("TRACE_GUARD_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0)
-        / 100.0;
-    println!("== bench-guard: NullSink overhead on the P3 repair search ==");
-    println!("untraced ... {untraced:.2} ms (min of {ROUNDS})");
-    println!("null sink .. {null_sink:.2} ms (min of {ROUNDS})");
-    println!(
-        "overhead ... {:+.2}% (threshold {:.0}%)",
-        overhead * 100.0,
-        threshold * 100.0
-    );
-    if overhead > threshold {
-        eprintln!("FAIL: disabled tracing must be free on the hot path");
-        std::process::exit(1);
-    }
-    println!("OK");
-
-    // The abstraction guard: the search's middleware stack with every layer
-    // off, against the direct call sequence `evaluate` replaced.
-    use heterogen_faults::{NoFaults, RetryPolicy};
-
-    let retry = RetryPolicy::default();
-    let backend = SimBackend::default_profile();
-    const BATCH: u64 = 200;
-    let time_direct = || -> f64 {
-        let t0 = std::time::Instant::now();
-        let mut acc = 0usize;
-        for _ in 0..BATCH {
-            let prog = std::hint::black_box(&p);
-            let style = hls_sim::check_style(prog);
-            if style.is_empty() {
-                acc += hls_sim::check_program(prog).len() + minic::loc(prog);
-            }
-        }
-        std::hint::black_box(acc);
-        t0.elapsed().as_secs_f64() * 1e3
-    };
-    let fp = minic::fingerprint_program(&p);
-    let time_stack = || -> f64 {
-        let t0 = std::time::Instant::now();
-        let mut acc = 0usize;
-        let stack = Persisted::new(Resilient::new(&backend, NoFaults, retry), None);
-        for _ in 0..BATCH {
-            let prog = std::hint::black_box(&p);
-            let e = stack
-                .evaluate(prog, fp, true)
-                .expect("a disabled injector cannot fault");
-            acc += e.loc + e.diags.as_ref().map_or(0, |d| d.len());
-        }
-        std::hint::black_box(acc);
-        t0.elapsed().as_secs_f64() * 1e3
-    };
-
-    time_direct();
-    time_stack();
-    let mut direct = f64::MAX;
-    let mut stacked = f64::MAX;
-    for _ in 0..ROUNDS {
-        direct = direct.min(time_direct());
-        stacked = stacked.min(time_stack());
-    }
-    let stack_overhead = stacked / direct - 1.0;
-    let stack_threshold: f64 = std::env::var("STACK_GUARD_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0)
-        / 100.0;
-    println!("\n== bench-guard: disabled middleware-stack overhead per evaluation ==");
-    println!("direct ..... {direct:.2} ms (min of {ROUNDS}, {BATCH} evaluations each)");
-    println!("stack ...... {stacked:.2} ms (Persisted(Resilient(SimBackend)))");
-    println!(
-        "overhead ... {:+.2}% (threshold {:.0}%)",
-        stack_overhead * 100.0,
-        stack_threshold * 100.0
-    );
-    if stack_overhead > stack_threshold {
-        eprintln!("FAIL: the all-layers-off middleware stack must not tax the evaluation path");
-        std::process::exit(1);
-    }
-    println!("OK");
-
-    // The engine guard: the bytecode VM must beat the tree-walker by a wide
-    // margin on the candidate-heavy subjects (interpreter-bound searches,
-    // where lowering once and running many times pays off most).
-    let engine_floor: f64 = std::env::var("ENGINE_GUARD_X")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3.0);
-    println!("\n== bench-guard: bytecode vs treewalk candidates/sec ==");
-    for id in ["P3", "P5"] {
-        let s = load_subject(id);
-        let p = s.parse();
-        let mut seeds = s.seed_inputs.clone();
-        seeds.extend(s.existing_tests.clone());
-        let fr =
-            testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg).unwrap_or_else(|e| panic!("{id}: {e}"));
-        let broken = heterogen_core::initial_version(&p, &fr.profile);
-        let time_engine = |engine: ExecEngine| -> f64 {
-            let ec = sc.clone().to_builder().with_engine(engine).build();
-            let mut best = f64::MAX;
-            for _ in 0..3 {
-                let t0 = std::time::Instant::now();
-                let out =
-                    repair::repair(&p, broken.clone(), s.kernel, &fr.corpus, &fr.profile, &ec)
-                        .unwrap_or_else(|e| panic!("{id}: {e}"));
-                let secs = t0.elapsed().as_secs_f64().max(1e-9);
-                best = best.min(secs / out.stats.attempts.max(1) as f64);
-            }
-            1.0 / best
-        };
-        let tree = time_engine(ExecEngine::TreeWalk);
-        let byte = time_engine(ExecEngine::Bytecode);
-        let speedup = byte / tree.max(f64::MIN_POSITIVE);
-        println!(
-            "{id}: treewalk {tree:.0} cand/s, bytecode {byte:.0} cand/s ({speedup:.2}x, floor {engine_floor:.1}x)"
-        );
-        if speedup < engine_floor {
-            eprintln!("FAIL: bytecode must be at least {engine_floor:.1}x treewalk on {id}");
-            std::process::exit(1);
-        }
-    }
-    println!("OK");
-
-    // The durability guard: a warm persistent store must pay for itself.
-    // The second identical full-pipeline run over the same store directory
-    // (verdict memos + corpus warm start) has to beat the cold run that
-    // populated it by at least WARM_GUARD_X.
-    let warm_floor: f64 = std::env::var("WARM_GUARD_X")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
-    println!("\n== bench-guard: warm-store speedup on the full pipeline ==");
-    for id in ["P3", "P5"] {
-        let s = load_subject(id);
-        let dir =
-            std::env::temp_dir().join(format!("heterogen-guard-warm-{}-{id}", std::process::id()));
-        let time_pipeline = || -> f64 {
-            let store = open_store_at(&dir);
-            let mut seeds = s.seed_inputs.clone();
-            seeds.extend(s.existing_tests.clone());
-            let session = HeteroGen::builder()
-                .config(standard_config())
-                .store(store)
-                .build();
-            let t0 = std::time::Instant::now();
-            session
-                .run(JobSpec::fuzz(s.parse(), s.kernel, seeds))
-                .unwrap_or_else(|e| panic!("{id}: {e}"));
-            t0.elapsed().as_secs_f64() * 1e3
-        };
-        const WARM_ROUNDS: usize = 3;
-        let mut cold = f64::MAX;
-        let mut warm = f64::MAX;
-        for _ in 0..WARM_ROUNDS {
-            let _ = std::fs::remove_dir_all(&dir);
-            cold = cold.min(time_pipeline());
-            warm = warm.min(time_pipeline());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        let speedup = cold / warm.max(1e-9);
-        println!(
-            "{id}: cold {cold:.1} ms, warm {warm:.1} ms ({speedup:.2}x, floor {warm_floor:.1}x)"
-        );
-        if speedup < warm_floor {
-            eprintln!("FAIL: a warm store must be at least {warm_floor:.1}x a cold run on {id}");
-            std::process::exit(1);
-        }
-    }
-    println!("OK");
-
-    // The mining guard: patterns mined from the suite's first half must not
-    // make the second half worse. On the held-out split, attempts until the
-    // first full fix and full HLS compiles may each regress by at most
-    // MINED_GUARD_PCT (default 0% — strict non-regression), and every
-    // subject the baseline fixes must still be fixed with the tier on.
-    let mined_slack: f64 = std::env::var("MINED_GUARD_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0)
-        / 100.0;
-    println!("\n== bench-guard: mined-pattern tier on the held-out split ==");
-    let mb = bench::bench_repair_mined(0);
-    println!(
-        "trained on {} ({} patterns, top support {}), held out {}",
-        mb.train.join(" "),
-        mb.patterns,
-        mb.top_support,
-        mb.holdout.join(" ")
-    );
-    println!(
-        "first-fix attempts {} -> {}, full compiles {} -> {}",
-        mb.baseline_attempts_total,
-        mb.mined_attempts_total,
-        mb.baseline_compiles_total,
-        mb.mined_compiles_total
-    );
-    if mb.patterns == 0 {
-        eprintln!("FAIL: mining the training split must yield at least one pattern");
-        std::process::exit(1);
-    }
-    for r in &mb.rows {
-        if r.baseline_success && !r.mined_success {
-            eprintln!(
-                "FAIL: {}: the mined tier lost a repair the baseline found",
-                r.id
-            );
-            std::process::exit(1);
-        }
-    }
-    let ceil = |b: u64| (b as f64 * (1.0 + mined_slack)).ceil() as u64;
-    if mb.mined_attempts_total > ceil(mb.baseline_attempts_total) {
-        eprintln!(
-            "FAIL: mined tier regressed first-fix attempts on the held-out split ({} > {})",
-            mb.mined_attempts_total,
-            ceil(mb.baseline_attempts_total)
-        );
-        std::process::exit(1);
-    }
-    if mb.mined_compiles_total > ceil(mb.baseline_compiles_total) {
-        eprintln!(
-            "FAIL: mined tier regressed full compiles on the held-out split ({} > {})",
-            mb.mined_compiles_total,
-            ceil(mb.baseline_compiles_total)
-        );
-        std::process::exit(1);
-    }
-    println!("OK");
-}
-
 /// `reproduce -- chaos [subject]`: runs one repair search fault-free, then
 /// again under a deterministic fault plan (transient toolchain failures on
 /// ~a third of the evaluation keys, plus one poisoned candidate that
@@ -787,9 +477,7 @@ fn run_chaos(opts: &CommonOpts) {
         .with_idle_stop_min(0.5)
         .with_max_execs(400)
         .build();
-    let mut seeds = s.seed_inputs.clone();
-    seeds.extend(s.existing_tests.clone());
-    let fr = testgen::fuzz(&p, s.kernel, seeds, &fuzz_cfg).unwrap_or_else(|e| {
+    let fr = testgen::fuzz(&p, s.kernel, seeds(&s), &fuzz_cfg).unwrap_or_else(|e| {
         eprintln!("{id}: fuzzing failed: {e}");
         std::process::exit(1);
     });
@@ -1332,108 +1020,6 @@ fn run_serve(opts: &CommonOpts) {
     }
 }
 
-/// `reproduce -- loadgen [--jobs <n>] [--clients <n>] [--queue <n>]
-/// [--threads <n>] [--json path]`: replays many concurrent seeded synthetic
-/// jobs against a bounded server and writes the measured latency,
-/// throughput, and rejection profile to `BENCH_server.json` (or the
-/// `--json` path).
-fn run_loadgen(opts: &CommonOpts, args: &[String]) {
-    let jobs: usize = flag_value(args, "--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400);
-    let clients: usize = flag_value(args, "--clients")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    let queue: usize = flag_value(args, "--queue")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-
-    // Small seeded subjects so a run is thousands of complete pipeline
-    // executions, not minutes per job; parallelism comes from the worker
-    // pool, so each job's phases stay single-threaded.
-    let mut pipeline = heterogen_core::PipelineConfig::quick();
-    pipeline.fuzz.idle_stop_min = 0.2;
-    pipeline.fuzz.max_execs = 80;
-    pipeline.fuzz.threads = 1;
-    pipeline.search.threads = 1;
-    let programs = [
-        "int kernel(int x) { return x + 1; }",
-        "int kernel(int x) { long double y = x; y = y + 1; return y; }",
-        "int kernel(int a[4]) { int s = 0; for (int i = 0; i < 4; i++) { s += a[i]; } return s; }",
-    ];
-    let parsed: Vec<minic::Program> = programs.iter().map(|s| minic::parse(s).unwrap()).collect();
-
-    let cfg = loadgen::LoadgenConfig::builder()
-        .with_jobs(jobs)
-        .with_clients(clients)
-        .with_server(
-            ServerConfig::builder()
-                .with_workers(opts.threads.unwrap_or(0))
-                .with_queue_capacity(queue)
-                .with_pipeline(pipeline)
-                .build(),
-        )
-        .build();
-    println!("== loadgen: {jobs} jobs, {clients} clients, queue {queue} ==");
-    let report = loadgen::run(&cfg, |i| {
-        let mut b = JobSpec::builder(parsed[i % parsed.len()].clone(), "kernel").seed(i as u64);
-        if let Some(name) = &opts.backend {
-            b = b.backend(name);
-        }
-        b.build()
-    });
-
-    print_table(
-        &["Metric", "Value"],
-        &[
-            vec!["workers".into(), report.workers.to_string()],
-            vec!["accepted".into(), report.accepted.to_string()],
-            vec!["rejections".into(), report.rejections.to_string()],
-            vec!["rejection rate".into(), pct(report.rejection_rate)],
-            vec!["dropped".into(), report.dropped.to_string()],
-            vec![
-                "completed".into(),
-                format!(
-                    "{} (ok {}, degraded {}, failed {})",
-                    report.completed, report.succeeded, report.degraded, report.failed
-                ),
-            ],
-            vec![
-                "throughput".into(),
-                format!(
-                    "{:.1} jobs/s over {:.2} s",
-                    report.throughput_jobs_per_sec, report.wall_s
-                ),
-            ],
-            vec![
-                "latency (ms)".into(),
-                format!(
-                    "p50 {:.1} / p90 {:.1} / p99 {:.1} / max {:.1}",
-                    report.latency_ms.p50,
-                    report.latency_ms.p90,
-                    report.latency_ms.p99,
-                    report.latency_ms.max
-                ),
-            ],
-            vec![
-                "queue wait (ms)".into(),
-                format!(
-                    "p50 {:.1} / p99 {:.1} / max {:.1}",
-                    report.queue_wait_ms.p50, report.queue_wait_ms.p99, report.queue_wait_ms.max
-                ),
-            ],
-        ],
-    );
-    if report.failed > 0 || report.dropped > 0 {
-        eprintln!("FAIL: a load run must complete every admitted job without errors");
-        std::process::exit(1);
-    }
-    let path = opts.json_path.as_deref().unwrap_or("BENCH_server.json");
-    let json = serde_json::to_string_pretty(&report).expect("serializable loadgen report");
-    std::fs::write(path, json).expect("write loadgen report");
-    println!("wrote {path}");
-}
-
 fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
@@ -1488,9 +1074,9 @@ fn run_table2() {
     }
 }
 
-fn run_table3(bundle: &mut ExperimentBundle) {
+fn run_table3(bundle: &mut ExperimentBundle, threads: usize) {
     println!("\n== Table 3: subjects and overall results ==");
-    let rows = table3();
+    let rows = table3(threads);
     print_table(
         &[
             "ID",
@@ -1517,9 +1103,9 @@ fn run_table3(bundle: &mut ExperimentBundle) {
     bundle.table3 = Some(rows);
 }
 
-fn run_table4(bundle: &mut ExperimentBundle) {
+fn run_table4(bundle: &mut ExperimentBundle, threads: usize) {
     println!("\n== Table 4: generated tests ==");
-    let rows = table4();
+    let rows = table4(threads);
     print_table(
         &[
             "ID",
@@ -1558,9 +1144,9 @@ fn run_table4(bundle: &mut ExperimentBundle) {
     bundle.table4 = Some(rows);
 }
 
-fn run_table5(bundle: &mut ExperimentBundle) {
+fn run_table5(bundle: &mut ExperimentBundle, threads: usize) {
     println!("\n== Table 5: manual edits, HeteroRefactor and HeteroGen ==");
-    let rows = table5();
+    let rows = table5(threads);
     let opt_usize = |v: Option<usize>| v.map(|x| x.to_string()).unwrap_or_else(|| "✗".into());
     let opt_ms = |v: Option<f64>| v.map(|x| format!("{:.4}", x)).unwrap_or_else(|| "✗".into());
     print_table(
@@ -1611,9 +1197,9 @@ fn run_table5(bundle: &mut ExperimentBundle) {
     bundle.table5 = Some(rows);
 }
 
-fn run_fig8(bundle: &mut ExperimentBundle) {
+fn run_fig8(bundle: &mut ExperimentBundle, threads: usize) {
     println!("\n== Figure 8 / §6.2: stack-size divergence on P3 ==");
-    let r = fig8();
+    let r = fig8(threads);
     println!(
         "repair with {} pre-existing tests, then evaluated on {} generated tests:",
         r.existing_tests, r.generated_tests
@@ -1630,9 +1216,9 @@ fn run_fig8(bundle: &mut ExperimentBundle) {
     bundle.fig8 = Some(r);
 }
 
-fn run_fig9(bundle: &mut ExperimentBundle, filter: Option<&str>) {
+fn run_fig9(bundle: &mut ExperimentBundle, threads: usize, filter: Option<&str>) {
     println!("\n== Figure 9: repair time and HLS invocations (ablations) ==");
-    let rows = fig9(filter);
+    let rows = fig9(threads, filter);
     let opt_min = |v: Option<f64>| {
         v.map(|x| format!("{:.0}", x))
             .unwrap_or_else(|| "timeout".into())
@@ -1714,9 +1300,9 @@ fn run_summary(bundle: &ExperimentBundle) {
     }
 }
 
-fn run_ablation_seed() {
+fn run_ablation_seed(threads: usize) {
     println!("\n== Ablation: kernel-entry seeds vs random seeds (DESIGN §6) ==");
-    let rows = ablation_seed();
+    let rows = ablation_seed(threads);
     print_table(
         &[
             "ID",
@@ -1740,9 +1326,9 @@ fn run_ablation_seed() {
     );
 }
 
-fn run_ablation_bitwidth() {
+fn run_ablation_bitwidth(threads: usize) {
     println!("\n== Ablation: profile-guided bitwidth finitization (DESIGN §6) ==");
-    let rows = ablation_bitwidth();
+    let rows = ablation_bitwidth(threads);
     print_table(
         &["ID", "Finitized (bits)", "Declared (bits)", "Saved"],
         &rows
@@ -1764,76 +1350,9 @@ fn run_ablation_bitwidth() {
     );
 }
 
-/// `reproduce -- bench-repair [--engine <name>] [--threads <n>]`: the
-/// repair-loop wall-clock table. Without `--engine` both engines run on
-/// every subject, so the committed `BENCH_repair.json` records the
-/// bytecode-vs-treewalk speedup side by side.
-fn run_bench_repair(opts: &CommonOpts) {
-    println!("\n== Repair-loop wall-clock benchmark (BENCH_repair.json) ==");
-    let engines: Vec<ExecEngine> = match opts.engine {
-        Some(e) => vec![e],
-        None => vec![ExecEngine::Bytecode, ExecEngine::TreeWalk],
-    };
-    let bench = bench_repair(opts.threads.unwrap_or(0), &engines);
-    print_table(
-        &[
-            "ID",
-            "Engine",
-            "Wall (ms)",
-            "Attempts",
-            "Compiles",
-            "Cand/s",
-            "Success",
-        ],
-        &bench
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.id.clone(),
-                    r.engine.clone(),
-                    format!("{:.1}", r.wall_ms),
-                    r.attempts.to_string(),
-                    r.full_compiles.to_string(),
-                    format!("{:.0}", r.candidates_per_sec),
-                    tick(r.success),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    for row in &bench.rows {
-        if let Some(tw) = bench
-            .rows
-            .iter()
-            .find(|r| r.id == row.id && r.engine == ExecEngine::TreeWalk.name())
-        {
-            if row.engine == ExecEngine::Bytecode.name() && tw.candidates_per_sec > 0.0 {
-                println!(
-                    "{}: bytecode {:.2}x treewalk",
-                    row.id,
-                    row.candidates_per_sec / tw.candidates_per_sec
-                );
-            }
-        }
-    }
-    println!("\n-- cold vs warm persistent store (full pipeline) --");
-    print_table(
-        &["ID", "Cold (ms)", "Warm (ms)", "Speedup", "Byte-identical"],
-        &bench
-            .warm
-            .iter()
-            .map(|r| {
-                vec![
-                    r.id.clone(),
-                    format!("{:.1}", r.cold_wall_ms),
-                    format!("{:.1}", r.warm_wall_ms),
-                    format!("{:.2}x", r.warm_speedup),
-                    tick(r.byte_identical),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("\n-- mined-pattern tier on the held-out split --");
+fn run_mined(bundle: &mut ExperimentBundle, threads: usize) {
+    println!("\n== Mined-pattern tier on the held-out split ==");
+    let m = mined_holdout(threads);
     let opt_n = |v: Option<u64>| v.map(|n| n.to_string()).unwrap_or_else(|| "-".into());
     print_table(
         &[
@@ -1843,9 +1362,7 @@ fn run_bench_repair(opts: &CommonOpts) {
             "Base compiles",
             "Mined compiles",
         ],
-        &bench
-            .mined
-            .rows
+        &m.rows
             .iter()
             .map(|r| {
                 vec![
@@ -1860,21 +1377,15 @@ fn run_bench_repair(opts: &CommonOpts) {
     );
     println!(
         "trained on {} ({} patterns, top support {}); first-fix attempts {} -> {}, compiles {} -> {}",
-        bench.mined.train.join(" "),
-        bench.mined.patterns,
-        bench.mined.top_support,
-        bench.mined.baseline_attempts_total,
-        bench.mined.mined_attempts_total,
-        bench.mined.baseline_compiles_total,
-        bench.mined.mined_compiles_total
+        m.train.join(" "),
+        m.patterns,
+        m.top_support,
+        m.baseline_attempts_total,
+        m.mined_attempts_total,
+        m.baseline_compiles_total,
+        m.mined_compiles_total
     );
-    println!(
-        "threads: {} (effective {}, hardware {}); total wall: {:.1} ms",
-        bench.threads, bench.effective_threads, bench.available_parallelism, bench.total_wall_ms
-    );
-    let json = serde_json::to_string_pretty(&bench).expect("serializable bench");
-    std::fs::write("BENCH_repair.json", json).expect("write BENCH_repair.json");
-    println!("wrote BENCH_repair.json");
+    bundle.mined = Some(m);
 }
 
 fn tick(b: bool) -> String {

@@ -3,13 +3,24 @@
 //! The ten subjects are independent (each pipeline carries its own seeded
 //! RNG and simulated clock), so the per-subject runners fan out across the
 //! worker pool; `parallel_map` returns rows in subject order, so the tables
-//! read identically regardless of thread count.
+//! read identically regardless of thread count. Every runner takes the
+//! worker thread count (`0` = available parallelism) for both the fan-out
+//! and each subject's fuzzing and repair phases.
 
-use crate::{fpga_latency_ms, run_subject, standard_config};
+use crate::{fpga_latency_ms, fuzz_subject, run_subject, seeds, standard_config};
+use heterogen_core::PipelineConfig;
 use hls_sim::ErrorCategory;
-use minic_exec::{CoverageMap, ExecEngine, Machine, MachineConfig};
+use minic_exec::{CoverageMap, Machine, MachineConfig};
 use repair::{DifferentialTester, SearchConfig};
 use serde::Serialize;
+
+/// [`standard_config`] with `threads` workers for fuzzing and repair.
+fn config(threads: usize) -> PipelineConfig {
+    let mut cfg = standard_config();
+    cfg.fuzz.threads = threads;
+    cfg.search.threads = threads;
+    cfg
+}
 
 // ---------------------------------------------------------------- Figure 3
 
@@ -169,10 +180,10 @@ pub struct Table3Row {
 }
 
 /// Regenerates Table 3 by running the full pipeline on every subject.
-pub fn table3() -> Vec<Table3Row> {
-    let cfg = standard_config();
+pub fn table3(threads: usize) -> Vec<Table3Row> {
+    let cfg = config(threads);
     let subjects = benchsuite::subjects();
-    parallel::parallel_map(0, &subjects, |_, s| {
+    parallel::parallel_map(threads, &subjects, |_, s| {
         let r = run_subject(s, &cfg);
         Table3Row {
             id: s.id.to_string(),
@@ -208,15 +219,11 @@ pub struct Table4Row {
 
 /// Regenerates Table 4: fuzzing statistics per subject, plus the coverage
 /// of the subjects' pre-existing tests measured by replay.
-pub fn table4() -> Vec<Table4Row> {
-    let cfg = standard_config();
+pub fn table4(threads: usize) -> Vec<Table4Row> {
+    let cfg = config(threads);
     let subjects = benchsuite::subjects();
-    parallel::parallel_map(0, &subjects, |_, s| {
-        let p = s.parse();
-        let mut seeds = s.seed_inputs.clone();
-        seeds.extend(s.existing_tests.clone());
-        let fr = testgen::fuzz(&p, s.kernel, seeds, &cfg.fuzz)
-            .unwrap_or_else(|e| panic!("{}: {e}", s.id));
+    parallel::parallel_map(threads, &subjects, |_, s| {
+        let (p, fr, _) = fuzz_subject(s, &cfg.fuzz);
         let existing_coverage = if s.existing_tests.is_empty() {
             None
         } else {
@@ -268,10 +275,10 @@ pub struct Table5Row {
 
 /// Regenerates Table 5: ΔLOC and runtime for Manual / HeteroRefactor /
 /// HeteroGen per subject.
-pub fn table5() -> Vec<Table5Row> {
-    let cfg = standard_config();
+pub fn table5(threads: usize) -> Vec<Table5Row> {
+    let cfg = config(threads);
     let subjects = benchsuite::subjects();
-    parallel::parallel_map(0, &subjects, |_, s| {
+    parallel::parallel_map(threads, &subjects, |_, s| {
         let p = s.parse();
         let hg = run_subject(s, &cfg);
         let orig_src = minic::print_program(&p);
@@ -335,10 +342,10 @@ pub struct Fig8Result {
 /// Regenerates the Figure 8 stack-size case study on P3: repairing with
 /// pre-existing tests only yields a stack sized for shallow recursion that
 /// silently corrupts deeper inputs; generated tests catch it.
-pub fn fig8() -> Fig8Result {
+pub fn fig8(threads: usize) -> Fig8Result {
     let s = benchsuite::subject("P3").expect("P3 exists");
     let p = s.parse();
-    let cfg = standard_config();
+    let cfg = config(threads);
 
     let session = heterogen_core::HeteroGen::builder().config(cfg).build();
     let existing_run = session
@@ -349,10 +356,12 @@ pub fn fig8() -> Fig8Result {
         ))
         .expect("existing-tests run");
 
-    let mut seeds = s.seed_inputs.clone();
-    seeds.extend(s.existing_tests.clone());
     let generated_run = session
-        .run(heterogen_core::JobSpec::fuzz(p.clone(), s.kernel, seeds))
+        .run(heterogen_core::JobSpec::fuzz(
+            p.clone(),
+            s.kernel,
+            seeds(&s),
+        ))
         .expect("generated run");
 
     let d = DifferentialTester::new(&p, s.kernel, &generated_run.tests, 64)
@@ -394,20 +403,15 @@ pub struct Fig9Row {
 
 /// Regenerates Figure 9: repair time with/without dependence-guided
 /// exploration, and HLS-invocation counts with/without the style checker.
-pub fn fig9(subject_filter: Option<&str>) -> Vec<Fig9Row> {
-    let cfg = standard_config();
+pub fn fig9(threads: usize, subject_filter: Option<&str>) -> Vec<Fig9Row> {
+    let cfg = config(threads);
     let subjects = benchsuite::subjects();
     let picked: Vec<_> = subjects
         .iter()
         .filter(|s| subject_filter.map(|f| s.id == f).unwrap_or(true))
         .collect();
-    parallel::parallel_map(0, &picked, |_, s| {
-        let p = s.parse();
-        let mut seeds = s.seed_inputs.clone();
-        seeds.extend(s.existing_tests.clone());
-        let fr = testgen::fuzz(&p, s.kernel, seeds, &cfg.fuzz)
-            .unwrap_or_else(|e| panic!("{}: {e}", s.id));
-        let broken = heterogen_core::initial_version(&p, &fr.profile);
+    parallel::parallel_map(threads, &picked, |_, s| {
+        let (p, fr, broken) = fuzz_subject(s, &cfg.fuzz);
 
         let run = |sc: SearchConfig| {
             repair::repair(&p, broken.clone(), s.kernel, &fr.corpus, &fr.profile, &sc)
@@ -463,15 +467,13 @@ pub struct SeedAblationRow {
 /// subject's valid seed inputs. Valid seeds should reach equal-or-better
 /// coverage at equal-or-lower cost (the paper's "improved fuzzing
 /// efficiency" claim for kernel-entry seeds).
-pub fn ablation_seed() -> Vec<SeedAblationRow> {
-    let cfg = standard_config().fuzz;
+pub fn ablation_seed(threads: usize) -> Vec<SeedAblationRow> {
+    let cfg = config(threads).fuzz;
     let subjects = benchsuite::subjects();
-    parallel::parallel_map(0, &subjects, |_, s| {
+    parallel::parallel_map(threads, &subjects, |_, s| {
         let p = s.parse();
-        let mut seeds = s.seed_inputs.clone();
-        seeds.extend(s.existing_tests.clone());
         let seeded =
-            testgen::fuzz(&p, s.kernel, seeds, &cfg).unwrap_or_else(|e| panic!("{}: {e}", s.id));
+            testgen::fuzz(&p, s.kernel, seeds(s), &cfg).unwrap_or_else(|e| panic!("{}: {e}", s.id));
         let random =
             testgen::fuzz(&p, s.kernel, vec![], &cfg).unwrap_or_else(|e| panic!("{}: {e}", s.id));
         SeedAblationRow {
@@ -499,10 +501,10 @@ pub struct BitwidthAblationRow {
 /// Runs the bitwidth ablation: transpile each subject with and without the
 /// initial-version type estimation, and compare resource estimates (the
 /// paper's §2 motivation: oversized variables waste on-chip resources).
-pub fn ablation_bitwidth() -> Vec<BitwidthAblationRow> {
-    let cfg = standard_config();
+pub fn ablation_bitwidth(threads: usize) -> Vec<BitwidthAblationRow> {
+    let cfg = config(threads);
     let subjects = benchsuite::subjects();
-    parallel::parallel_map(0, &subjects, |_, s| {
+    parallel::parallel_map(threads, &subjects, |_, s| {
         let with = run_subject(s, &cfg);
         let mut cfg_off = cfg.clone();
         cfg_off.bitwidth_finitization = false;
@@ -515,73 +517,12 @@ pub fn ablation_bitwidth() -> Vec<BitwidthAblationRow> {
     })
 }
 
-// ------------------------------------------------- repair-loop wall-clock
-
-/// One `BENCH_repair.json` row: real wall-clock performance of the repair
-/// hot loop on one subject (the simulated-minute numbers live in Figure 9;
-/// this measures the reproduction itself).
-#[derive(Debug, Clone, Serialize)]
-pub struct RepairBenchRow {
-    /// Paper id.
-    pub id: String,
-    /// Execution engine the repair loop ran on (`bytecode` / `treewalk`).
-    pub engine: String,
-    /// Wall-clock milliseconds for the repair search on this subject
-    /// (best of 3 identical runs — the search is deterministic, so rounds
-    /// differ in wall-clock only).
-    pub wall_ms: f64,
-    /// Edit attempts the search made.
-    pub attempts: u64,
-    /// Full HLS compilations the search performed.
-    pub full_compiles: u64,
-    /// Candidate attempts processed per wall-clock second.
-    pub candidates_per_sec: f64,
-    /// Whether the repair succeeded.
-    pub success: bool,
-}
-
-/// One cold-vs-warm persistent-store row: the identical full pipeline run
-/// twice over one store directory. The cold run populates the verdict
-/// memos and the fuzz corpus; the warm run replays them, so the delta is
-/// exactly what durability buys — and `byte_identical` pins that it buys
-/// wall-clock only, never a different report.
-#[derive(Debug, Clone, Serialize)]
-pub struct WarmBenchRow {
-    /// Paper id.
-    pub id: String,
-    /// Wall-clock milliseconds for the run that populated the fresh store.
-    pub cold_wall_ms: f64,
-    /// Wall-clock milliseconds for the second run over the warm store.
-    pub warm_wall_ms: f64,
-    /// `cold_wall_ms / warm_wall_ms`.
-    pub warm_speedup: f64,
-    /// Whether the two reports serialized to identical JSON.
-    pub byte_identical: bool,
-}
-
-/// The `BENCH_repair.json` payload.
-#[derive(Debug, Clone, Serialize)]
-pub struct RepairBench {
-    /// Configured worker threads (0 = auto).
-    pub threads: usize,
-    /// Threads the pool actually resolves to on this machine.
-    pub effective_threads: usize,
-    /// Hardware parallelism reported by the OS.
-    pub available_parallelism: usize,
-    /// Total wall-clock milliseconds across all subjects.
-    pub total_wall_ms: f64,
-    /// Per-subject measurements.
-    pub rows: Vec<RepairBenchRow>,
-    /// Cold-vs-warm persistent-store measurements, one per subject.
-    pub warm: Vec<WarmBenchRow>,
-    /// Mined-pattern-tier measurements on the held-out subject split.
-    pub mined: MinedBench,
-}
+// ------------------------------------------- mined-pattern tier (held out)
 
 /// One held-out subject scored twice: static precedence only, then with the
 /// mined-pattern tier trained on the other half of the suite.
 #[derive(Debug, Clone, Serialize)]
-pub struct MinedBenchRow {
+pub struct MinedRow {
     /// Paper id.
     pub id: String,
     /// Whether the static-precedence search converged.
@@ -598,10 +539,11 @@ pub struct MinedBenchRow {
     pub mined_full_compiles: u64,
 }
 
-/// The train/held-out mined-tier experiment committed in
-/// `BENCH_repair.json` and gated by `MINED_GUARD` in CI.
+/// The train/held-out mined-tier experiment: the `mined` section of
+/// `reproduce all --json`, pinned with the rest of the bundle by the golden
+/// test.
 #[derive(Debug, Clone, Serialize)]
-pub struct MinedBench {
+pub struct MinedHoldout {
     /// Subjects whose winning scripts were mined (the training split).
     pub train: Vec<String>,
     /// Subjects the patterns were evaluated on (never mined from).
@@ -611,7 +553,7 @@ pub struct MinedBench {
     /// Highest support among the mined patterns.
     pub top_support: u64,
     /// Per-held-out-subject measurements.
-    pub rows: Vec<MinedBenchRow>,
+    pub rows: Vec<MinedRow>,
     /// Sum of `baseline_first_fix_attempts` over rows where both runs fixed.
     pub baseline_attempts_total: u64,
     /// Sum of `mined_first_fix_attempts` over the same rows.
@@ -622,127 +564,6 @@ pub struct MinedBench {
     pub mined_compiles_total: u64,
 }
 
-/// Benchmarks the repair-search hot loop per subject with real wall-clock
-/// timing, once per requested engine. Fuzzing runs once per subject
-/// (outside the timed region); the timed region is exactly the
-/// `repair::repair` call that the bytecode VM and the parallel evaluation
-/// engine accelerate. Both engines replay the identical search — same
-/// corpus, same RNG trajectory — so the rows differ only in wall-clock.
-pub fn bench_repair(threads: usize, engines: &[ExecEngine]) -> RepairBench {
-    let mut cfg = standard_config();
-    cfg.search.threads = threads;
-    let subjects = benchsuite::subjects();
-    let rows: Vec<RepairBenchRow> = subjects
-        .iter()
-        .flat_map(|s| {
-            let p = s.parse();
-            let mut seeds = s.seed_inputs.clone();
-            seeds.extend(s.existing_tests.clone());
-            let fr = testgen::fuzz(&p, s.kernel, seeds, &cfg.fuzz)
-                .unwrap_or_else(|e| panic!("{}: {e}", s.id));
-            let broken = heterogen_core::initial_version(&p, &fr.profile);
-            engines
-                .iter()
-                .map(|&engine| {
-                    let sc = cfg.search.clone().to_builder().with_engine(engine).build();
-                    // The search is deterministic, so repeated runs differ in
-                    // wall-clock only: take the least-noisy (minimum) timing,
-                    // as the bench guard does. The first round doubles as the
-                    // warm-up that pays the one-time bytecode lowering.
-                    const ROUNDS: usize = 3;
-                    let mut wall_ms = f64::MAX;
-                    let mut out = None;
-                    for _ in 0..ROUNDS {
-                        let started = std::time::Instant::now();
-                        let r = repair::repair(
-                            &p,
-                            broken.clone(),
-                            s.kernel,
-                            &fr.corpus,
-                            &fr.profile,
-                            &sc,
-                        )
-                        .unwrap_or_else(|e| panic!("{}: {e}", s.id));
-                        wall_ms = wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
-                        out = Some(r);
-                    }
-                    let out = out.expect("at least one round ran");
-                    let secs = (wall_ms / 1e3).max(1e-9);
-                    RepairBenchRow {
-                        id: s.id.to_string(),
-                        engine: engine.name().to_string(),
-                        wall_ms,
-                        attempts: out.stats.attempts,
-                        full_compiles: out.stats.full_compiles,
-                        candidates_per_sec: out.stats.attempts as f64 / secs,
-                        success: out.success,
-                    }
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    RepairBench {
-        threads,
-        effective_threads: parallel::effective_threads(threads),
-        available_parallelism: parallel::effective_threads(0),
-        total_wall_ms: rows.iter().map(|r| r.wall_ms).sum(),
-        rows,
-        warm: bench_repair_warm(threads),
-        mined: bench_repair_mined(threads),
-    }
-}
-
-/// Cold-vs-warm store timing per subject: the full pipeline (fuzzing and
-/// repair) against a fresh store directory, then again against the store
-/// the first run populated. Serialized reports are compared to pin that
-/// the warm start changes wall time and nothing else.
-fn bench_repair_warm(threads: usize) -> Vec<WarmBenchRow> {
-    use heterogen_core::{HeteroGen, JobSpec};
-    use heterogen_store::Store;
-    use std::sync::Arc;
-
-    let mut cfg = standard_config();
-    cfg.fuzz.threads = threads;
-    cfg.search.threads = threads;
-    benchsuite::subjects()
-        .iter()
-        .map(|s| {
-            let dir = std::env::temp_dir().join(format!(
-                "heterogen-bench-warm-{}-{}",
-                std::process::id(),
-                s.id
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let run = || -> (f64, String) {
-                let store = Arc::new(Store::open(&dir).unwrap_or_else(|e| panic!("{}: {e}", s.id)));
-                let mut seeds = s.seed_inputs.clone();
-                seeds.extend(s.existing_tests.clone());
-                let session = HeteroGen::builder()
-                    .config(cfg.clone())
-                    .store(store)
-                    .build();
-                let started = std::time::Instant::now();
-                let report = session
-                    .run(JobSpec::fuzz(s.parse(), s.kernel, seeds))
-                    .unwrap_or_else(|e| panic!("{}: {e}", s.id));
-                let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                let json = serde_json::to_string(&report).expect("serializable report");
-                (wall_ms, json)
-            };
-            let (cold_wall_ms, cold_json) = run();
-            let (warm_wall_ms, warm_json) = run();
-            let _ = std::fs::remove_dir_all(&dir);
-            WarmBenchRow {
-                id: s.id.to_string(),
-                cold_wall_ms,
-                warm_wall_ms,
-                warm_speedup: cold_wall_ms / warm_wall_ms.max(1e-9),
-                byte_identical: cold_json == warm_json,
-            }
-        })
-        .collect()
-}
-
 /// The held-out mined-tier experiment: the suite's first half trains the
 /// pattern miner (each subject's winning [`repair::EditScript`] is
 /// collected), the second half is repaired twice — static precedence only,
@@ -750,25 +571,14 @@ fn bench_repair_warm(threads: usize) -> Vec<WarmBenchRow> {
 /// the first full fix plus the full-compile counts are compared. The
 /// held-out subjects never contribute scripts, so any drop is transfer,
 /// not memorization.
-pub fn bench_repair_mined(threads: usize) -> MinedBench {
-    let mut cfg = standard_config();
-    cfg.search.threads = threads;
+pub fn mined_holdout(threads: usize) -> MinedHoldout {
+    let cfg = config(threads);
     let subjects = benchsuite::subjects();
     let mid = subjects.len() / 2;
     let (train, holdout) = subjects.split_at(mid);
 
-    let fuzz_one = |s: &benchsuite::Subject| {
-        let p = s.parse();
-        let mut seeds = s.seed_inputs.clone();
-        seeds.extend(s.existing_tests.clone());
-        let fr = testgen::fuzz(&p, s.kernel, seeds, &cfg.fuzz)
-            .unwrap_or_else(|e| panic!("{}: {e}", s.id));
-        let broken = heterogen_core::initial_version(&p, &fr.profile);
-        (p, fr, broken)
-    };
-
     let scripts: Vec<repair::EditScript> = parallel::parallel_map(threads, train, |_, s| {
-        let (p, fr, broken) = fuzz_one(s);
+        let (p, fr, broken) = fuzz_subject(s, &cfg.fuzz);
         let out = repair::repair(&p, broken, s.kernel, &fr.corpus, &fr.profile, &cfg.search)
             .unwrap_or_else(|e| panic!("{}: {e}", s.id));
         out.success.then_some(out.script)
@@ -780,8 +590,8 @@ pub fn bench_repair_mined(threads: usize) -> MinedBench {
     let top_support = patterns.first().map(|p| p.support).unwrap_or(0);
 
     let mined_cfg = cfg.search.clone().with_mined_patterns(patterns.clone());
-    let rows: Vec<MinedBenchRow> = parallel::parallel_map(threads, holdout, |_, s| {
-        let (p, fr, broken) = fuzz_one(s);
+    let rows: Vec<MinedRow> = parallel::parallel_map(threads, holdout, |_, s| {
+        let (p, fr, broken) = fuzz_subject(s, &cfg.fuzz);
         let base = repair::repair(
             &p,
             broken.clone(),
@@ -793,7 +603,7 @@ pub fn bench_repair_mined(threads: usize) -> MinedBench {
         .unwrap_or_else(|e| panic!("{}: {e}", s.id));
         let mined = repair::repair(&p, broken, s.kernel, &fr.corpus, &fr.profile, &mined_cfg)
             .unwrap_or_else(|e| panic!("{}: {e}", s.id));
-        MinedBenchRow {
+        MinedRow {
             id: s.id.to_string(),
             baseline_success: base.success,
             mined_success: mined.success,
@@ -809,7 +619,7 @@ pub fn bench_repair_mined(threads: usize) -> MinedBench {
         .filter_map(|r| Some((r.baseline_first_fix_attempts?, r.mined_first_fix_attempts?)));
     let (baseline_attempts_total, mined_attempts_total) =
         fixed_by_both.fold((0, 0), |(b, m), (rb, rm)| (b + rb, m + rm));
-    MinedBench {
+    MinedHoldout {
         train: train.iter().map(|s| s.id.to_string()).collect(),
         holdout: holdout.iter().map(|s| s.id.to_string()).collect(),
         patterns: patterns.len(),

@@ -1,6 +1,7 @@
 //! Experiment runners regenerating every table and figure of the paper's
-//! evaluation (§6). The `reproduce` binary prints them; the Criterion
-//! benches and the workspace integration tests drive the same entry points.
+//! evaluation (§6). The `reproduce` binary prints them, and
+//! `reproduce all --json` is pinned byte for byte by the golden test in
+//! `tests/golden.rs`.
 //!
 //! Absolute numbers come from the simulated toolchain (see DESIGN.md); the
 //! *shapes* — who wins, what fails, where the ablations bite — are the
@@ -8,8 +9,10 @@
 
 use benchsuite::Subject;
 use heterogen_core::{HeteroGen, JobSpec, PipelineConfig, PipelineReport};
+use minic::Program;
 use repair::DifferentialTester;
 use serde::Serialize;
+use testgen::{FuzzConfig, FuzzReport};
 
 pub mod experiments;
 
@@ -25,15 +28,30 @@ pub fn standard_config() -> PipelineConfig {
     cfg
 }
 
-/// Runs the full HeteroGen pipeline on one subject.
-pub fn run_subject(s: &Subject, cfg: &PipelineConfig) -> PipelineReport {
-    let p = s.parse();
+/// A subject's fuzzing seeds: its kernel-entry inputs, then its
+/// pre-existing tests.
+pub fn seeds(s: &Subject) -> Vec<testgen::TestCase> {
     let mut seeds = s.seed_inputs.clone();
     seeds.extend(s.existing_tests.clone());
+    seeds
+}
+
+/// Fuzzes a subject from its [`seeds`] and derives the broken initial
+/// version the repair search starts from: `(original, fuzz report,
+/// initial version)`.
+pub fn fuzz_subject(s: &Subject, cfg: &FuzzConfig) -> (Program, FuzzReport, Program) {
+    let p = s.parse();
+    let fr = testgen::fuzz(&p, s.kernel, seeds(s), cfg).unwrap_or_else(|e| panic!("{}: {e}", s.id));
+    let broken = heterogen_core::initial_version(&p, &fr.profile);
+    (p, fr, broken)
+}
+
+/// Runs the full HeteroGen pipeline on one subject.
+pub fn run_subject(s: &Subject, cfg: &PipelineConfig) -> PipelineReport {
     HeteroGen::builder()
         .config(cfg.clone())
         .build()
-        .run(JobSpec::fuzz(p, s.kernel, seeds))
+        .run(JobSpec::fuzz(s.parse(), s.kernel, seeds(s)))
         .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", s.id))
 }
 
@@ -88,4 +106,6 @@ pub struct ExperimentBundle {
     pub fig8: Option<Fig8Result>,
     /// Figure 9 rows.
     pub fig9: Option<Vec<Fig9Row>>,
+    /// The mined-pattern tier on the held-out half of the suite.
+    pub mined: Option<MinedHoldout>,
 }

@@ -34,7 +34,7 @@
 //!   `Insn::AllocVla` reads the extent off the operand stack and keeps the
 //!   length in a hidden slot next to the array's, which bounds checks,
 //!   `&vla` strides and type-naming errors read back.
-//! - **Struct methods** compile to their own [`FnSpec`] per (struct,
+//! - **Struct methods** compile to their own `FnSpec` per (struct,
 //!   method, bound-argument count); the receiver's base address travels in
 //!   a hidden slot after the parameters, and receiver fields resolve to
 //!   `base + offset` places after block scopes and before globals, exactly

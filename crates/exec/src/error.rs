@@ -28,6 +28,8 @@ pub enum Trap {
     StreamUnderflow,
     /// Division or remainder by zero.
     DivisionByZero,
+    /// The run's allocations would exceed [`crate::memory::MAX_CELLS`].
+    OutOfMemory,
 }
 
 impl fmt::Display for Trap {
@@ -42,6 +44,11 @@ impl fmt::Display for Trap {
             Trap::StackOverflow => write!(f, "call stack overflow"),
             Trap::StreamUnderflow => write!(f, "read from empty stream"),
             Trap::DivisionByZero => write!(f, "division by zero"),
+            Trap::OutOfMemory => write!(
+                f,
+                "memory limit of {} cells exceeded",
+                crate::memory::MAX_CELLS
+            ),
         }
     }
 }
@@ -115,6 +122,7 @@ mod tests {
             Trap::StackOverflow,
             Trap::StreamUnderflow,
             Trap::DivisionByZero,
+            Trap::OutOfMemory,
         ]
     }
 

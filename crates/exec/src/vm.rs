@@ -327,16 +327,16 @@ impl Vm {
             Ok(ef) => ef,
             Err(ei) => return Err(self.prog.errors[ei as usize].clone()),
         };
-        let addr = self.alloc_tracked(len.max(1));
+        let addr = self.alloc_tracked(len.max(1))?;
         Ok((addr, elem_float))
     }
 
     // ----- machine primitives ----------------------------------------------
 
-    fn alloc_tracked(&mut self, n: usize) -> usize {
-        let addr = self.mem.alloc(n.max(1));
+    fn alloc_tracked(&mut self, n: usize) -> Result<usize, ExecError> {
+        let addr = self.mem.alloc(n.max(1))?;
         self.alloc_sizes.insert(addr, n.max(1));
-        addr
+        Ok(addr)
     }
 
     fn new_stream(&mut self) -> usize {
@@ -507,7 +507,7 @@ impl Vm {
         }
         let base = self.slots.len();
         for (ps, arg) in spec.params.iter().zip(args) {
-            let addr = self.alloc_tracked(1);
+            let addr = self.alloc_tracked(1)?;
             let stored = if ps.is_stream {
                 arg
             } else {
@@ -830,7 +830,7 @@ impl Vm {
                     self.stack.push(out);
                 }
                 Insn::Alloc { sl, size, stream } => {
-                    let addr = self.alloc_tracked(*size);
+                    let addr = self.alloc_tracked(*size)?;
                     if *stream {
                         let h = self.new_stream();
                         self.mem.store(addr, Value::StreamRef(h))?;
@@ -839,7 +839,7 @@ impl Vm {
                 }
                 Insn::AllocVla { sl, esize } => {
                     let n = (self.pop().as_int().max(0) as u64).max(1);
-                    let addr = self.alloc_tracked(n as usize * esize);
+                    let addr = self.alloc_tracked((n as usize).saturating_mul(*esize))?;
                     self.set_slot(*sl, addr);
                     self.set_slot(sl + 1, n as usize);
                 }
@@ -849,7 +849,7 @@ impl Vm {
                     self.stack.push(Value::Ptr { addr, stride });
                 }
                 Insn::NewAgg(size) => {
-                    let addr = self.alloc_tracked(*size);
+                    let addr = self.alloc_tracked(*size)?;
                     self.stack.push(Value::Ptr { addr, stride: 1 });
                 }
                 Insn::Pick(depth) => {
@@ -869,7 +869,7 @@ impl Vm {
                     self.stack.truncate(len);
                 }
                 Insn::GDefine { sl, v } => {
-                    let addr = self.alloc_tracked(1);
+                    let addr = self.alloc_tracked(1)?;
                     self.mem.store(addr, Value::int(*v))?;
                     self.set_slot(*sl, addr);
                 }
@@ -939,7 +939,7 @@ impl Vm {
                 }
                 Insn::Malloc => {
                     let n = self.pop().as_int().max(0) as usize;
-                    let addr = self.alloc_tracked(n.max(1));
+                    let addr = self.alloc_tracked(n.max(1))?;
                     self.stack.push(Value::Ptr { addr, stride: 1 });
                 }
                 Insn::FreeP => {

@@ -3,7 +3,7 @@
 //! variants *and messages*, same fuel accounting, same coverage / profile /
 //! loop / call statistics — under both the CPU and FPGA configurations.
 
-use minic_exec::{ArgValue, ExecEngine, Machine, MachineConfig, Prepared, Vm};
+use minic_exec::{ArgValue, ExecEngine, ExecError, Machine, MachineConfig, Prepared, Trap, Vm};
 use std::sync::Arc;
 
 /// Runs `kernel(args)` under both engines with `config` and asserts every
@@ -239,6 +239,71 @@ fn division_by_zero_and_null_deref() {
     diff(div, "kernel", &[ArgValue::Int(5), ArgValue::Int(2)]);
     let null = "int kernel(int x) { int *p = 0; return *p + x; }";
     diff(null, "kernel", &[ArgValue::Int(1)]);
+}
+
+/// The repair candidate that aborted `hgbench --workload repair-bound
+/// --seed 93`: a `resize` edit grew P8's node pool to 2^24 nodes, and
+/// allocating its 2^25 cells while setting up globals asked for a 4 GiB
+/// buffer. Both engines must refuse it with the same trap instead. The
+/// candidate is cut down to its pool, allocator and kernel (P8's list
+/// walks never run: the pool is allocated before the kernel is called),
+/// and its `typedef` is moved above the struct that uses it so it parses.
+const SEED_93_CANDIDATE: &str = "
+        #define LNODE_ARR_SIZE 16777216
+        typedef int LNode_ptr;
+        struct LNode {
+            int val;
+            LNode_ptr next;
+        };
+        LNode LNode_arr[LNODE_ARR_SIZE];
+        int LNode_next = 1;
+        LNode_ptr LNode_malloc() {
+            if (LNode_next >= LNODE_ARR_SIZE) {
+                LNode_next = 1;
+            }
+            LNode_ptr r = LNode_next;
+            LNode_next += 1;
+            return r;
+        }
+        LNode_ptr push_front(LNode_ptr head, int v) {
+            LNode_ptr fresh = LNode_malloc();
+            LNode_arr[fresh].val = v;
+            LNode_arr[fresh].next = head;
+            return fresh;
+        }
+        int kernel(int vals[64], int n) {
+            LNode_ptr head = 0;
+            for (fpga_uint<7> i = 0; i < n; i++) {
+                head = push_front(head, vals[i]);
+            }
+            return LNode_arr[head].val;
+        }
+";
+
+#[test]
+fn oversized_allocations_trap_identically() {
+    let vals = ArgValue::IntArray((-20..44).collect());
+    diff(SEED_93_CANDIDATE, "kernel", &[vals, ArgValue::Int(60)]);
+    let p = minic::parse(SEED_93_CANDIDATE).expect("parse");
+    let oom = ExecError::trap(Trap::OutOfMemory);
+    assert_eq!(
+        Machine::new(&p, MachineConfig::fpga()).err(),
+        Some(oom.clone())
+    );
+
+    // The same cap at run time, through `malloc` and a VLA.
+    let malloc = "int kernel(int n) { int *p = malloc(n); p[0] = 1; return p[0]; }";
+    let vla = "int kernel(int n) { int a[n]; a[0] = 1; return a[0]; }";
+    for src in [malloc, vla] {
+        for n in [16, 1 << 24, i128::MAX] {
+            diff(src, "kernel", &[ArgValue::Int(n)]);
+        }
+        let p = minic::parse(src).expect("parse");
+        let out = Machine::new(&p, MachineConfig::cpu())
+            .expect("no globals")
+            .run_kernel("kernel", &[ArgValue::Int(1 << 24)]);
+        assert_eq!(out.trap_reason, Some(oom.to_string()), "{src}");
+    }
 }
 
 #[test]

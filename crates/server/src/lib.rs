@@ -57,8 +57,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
-pub mod loadgen;
-
 pub use heterogen_core::PipelineReport;
 
 /// Server configuration.

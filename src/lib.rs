@@ -19,10 +19,10 @@
 //! | [`heterorefactor`] | the ICSE'20 baseline (dynamic data structures only) |
 //! | [`benchsuite`] | the ten evaluation subjects P1–P10 |
 //! | [`heterogen_core`] | the end-to-end pipeline |
-//! | [`heterogen_toolchain`] | backend-agnostic toolchain trait + cache/retry/trace middleware |
+//! | [`heterogen_toolchain`] | backend-agnostic toolchain trait + store/retry/drain middleware |
 //! | [`heterogen_trace`] | structured event tracing and metrics |
 //! | [`heterogen_faults`] | deterministic fault injection, retry policies, resilience stats |
-//! | [`heterogen_server`] | in-process job server: fair-share queue, worker pool, drain, loadgen |
+//! | [`heterogen_server`] | in-process job server: fair-share queue, worker pool, drain |
 //!
 //! # Examples
 //!
