@@ -6,7 +6,6 @@
 //! cargo run --release -p bench --bin reproduce -- table3
 //! cargo run --release -p bench --bin reproduce -- fig9 --json out.json
 //! cargo run --release -p bench --bin reproduce -- run P3 --json
-//! cargo run --release -p bench --bin reproduce -- run P3 --engine treewalk
 //! cargo run --release -p bench --bin reproduce -- run P3 --store /tmp/hg --mined
 //! cargo run --release -p bench --bin reproduce -- mine --store /tmp/hg
 //! cargo run --release -p bench --bin reproduce -- trace P3 --json p3.jsonl
@@ -21,21 +20,19 @@ use heterogen_server::{Server, ServerConfig};
 use heterogen_store::Store;
 use heterogen_toolchain::{SimBackend, Toolchain};
 use heterogen_trace::{JsonlSink, MetricsSink, NullSink, TeeSink, TraceSink};
-use minic_exec::ExecEngine;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The flags every subject-driving subcommand shares, parsed once:
 /// `<subject>` (first non-flag positional after the subcommand),
-/// `--backend <name>`, `--threads <n>`, `--engine <name>`, `--store <dir>`,
-/// `--mined`, and `--json [path]`.
+/// `--backend <name>`, `--threads <n>`, `--store <dir>`, `--mined`, and
+/// `--json [path]`.
 #[derive(Debug, Clone, Default)]
 struct CommonOpts {
     subcommand: String,
     subject: Option<String>,
     backend: Option<String>,
     threads: Option<usize>,
-    engine: Option<ExecEngine>,
     store_dir: Option<String>,
     wants_store: bool,
     wants_mined: bool,
@@ -50,12 +47,6 @@ impl CommonOpts {
             subject: args.get(1).filter(|a| !a.starts_with("--")).cloned(),
             backend: flag_value(args, "--backend"),
             threads: flag_value(args, "--threads").and_then(|v| v.parse().ok()),
-            engine: flag_value(args, "--engine").map(|v| {
-                v.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            }),
             store_dir: flag_value(args, "--store"),
             wants_store: args.iter().any(|a| a == "--store"),
             wants_mined: args.iter().any(|a| a == "--mined"),
@@ -75,24 +66,20 @@ impl CommonOpts {
     fn require_subject(&self) -> String {
         self.subject.clone().unwrap_or_else(|| {
             eprintln!(
-                "usage: reproduce -- {} <subject> [--backend <name>] [--threads <n>] [--engine <bytecode|treewalk>] [--json [path]]",
+                "usage: reproduce -- {} <subject> [--backend <name>] [--threads <n>] [--store <dir>] [--mined] [--json [path]]",
                 self.subcommand
             );
             std::process::exit(2);
         })
     }
 
-    /// The standard pipeline configuration with the `--threads` and
-    /// `--engine` overrides applied to both the fuzzing and search phases.
+    /// The standard pipeline configuration with the `--threads` override
+    /// applied to both the fuzzing and search phases.
     fn config(&self) -> PipelineConfig {
         let mut cfg = standard_config();
         if let Some(t) = self.threads {
             cfg.fuzz.threads = t;
             cfg.search.threads = t;
-        }
-        if let Some(e) = self.engine {
-            cfg.fuzz.engine = e;
-            cfg.search.engine = e;
         }
         cfg
     }

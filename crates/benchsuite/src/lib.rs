@@ -138,8 +138,15 @@ mod tests {
         for s in all {
             let manual = s.manual_source.expect("every subject has a manual version");
             for src in [s.source, manual] {
-                if let Err(e) = minic::parse(src) {
-                    panic!("{}: {e} ({:?})", s.id, e.kind());
+                match minic::parse(src) {
+                    Err(e) => panic!("{}: {e} ({:?})", s.id, e.kind()),
+                    // Well under the AST depth bound, not just at it.
+                    Ok(p) => assert!(
+                        minic::ast_depth(&p) * 4 <= minic::MAX_AST_DEPTH,
+                        "{}: AST depth {}",
+                        s.id,
+                        minic::ast_depth(&p)
+                    ),
                 }
             }
         }

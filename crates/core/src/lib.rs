@@ -189,15 +189,6 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Sets the execution engine for *every* phase (fuzzing and repair
-    /// alike). Equivalent to setting [`FuzzConfig::engine`] and
-    /// [`SearchConfig::engine`] individually.
-    pub fn with_engine(mut self, v: ExecEngine) -> Self {
-        self.cfg.fuzz.engine = v;
-        self.cfg.search.engine = v;
-        self
-    }
-
     /// Sets the per-phase work budgets.
     pub fn with_budgets(mut self, v: PhaseBudgets) -> Self {
         self.cfg.budgets = v;
@@ -511,7 +502,7 @@ pub enum TestSource {
 ///
 /// `#[non_exhaustive]`: construct one with [`JobSpec::fuzz`] /
 /// [`JobSpec::with_tests`] or the full [`JobSpec::builder`], so new knobs
-/// (backend, seed, budgets, engine, client) are not semver breaks. All
+/// (backend, seed, budgets, client) are not semver breaks. All
 /// override fields default to "inherit from the session": a bare spec
 /// behaves exactly as the session is configured.
 #[derive(Debug, Clone)]
@@ -531,11 +522,6 @@ pub struct JobSpec {
     pub seed: Option<u64>,
     /// Per-phase budget override; `None` inherits the session's budgets.
     pub budgets: Option<PhaseBudgets>,
-    /// Execution-engine override for every phase; `None` inherits the
-    /// configured engines. Both engines produce identical reports — this
-    /// knob trades wall-clock speed (bytecode) against the reference
-    /// implementation (tree-walk, for differential testing).
-    pub engine: Option<ExecEngine>,
     /// Client identity for the server's fair-share admission. The library
     /// path ignores it.
     pub client: String,
@@ -585,7 +571,6 @@ impl JobSpec {
                 backend: None,
                 seed: None,
                 budgets: None,
-                engine: None,
                 client: ANONYMOUS_CLIENT.to_string(),
                 store_dir: None,
                 mined: false,
@@ -642,12 +627,6 @@ impl JobSpecBuilder {
     /// Overrides the per-phase work budgets.
     pub fn budgets(mut self, budgets: PhaseBudgets) -> Self {
         self.spec.budgets = Some(budgets);
-        self
-    }
-
-    /// Overrides the execution engine for every phase.
-    pub fn engine(mut self, engine: ExecEngine) -> Self {
-        self.spec.engine = Some(engine);
         self
     }
 
@@ -879,15 +858,24 @@ impl Session {
 
     /// Runs the full pipeline on one [`JobSpec`].
     ///
-    /// Spec-level overrides — backend name, RNG seed, budgets, engine —
+    /// Spec-level overrides — backend name, RNG seed, budgets —
     /// take precedence over the session's configuration; a spec with no
     /// overrides behaves exactly as the session is configured.
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError`] when the spec is invalid, the kernel
-    /// cannot be fuzzed, or the reference execution fails outright.
+    /// Returns [`PipelineError`] when the spec is invalid (including a
+    /// program deeper than [`minic::MAX_AST_DEPTH`], which the recursive
+    /// passes could not survive), the kernel cannot be fuzzed, or the
+    /// reference execution fails outright.
     pub fn run(&self, job: JobSpec) -> Result<PipelineReport, PipelineError> {
+        let depth = minic::ast_depth(&job.program);
+        if depth > minic::MAX_AST_DEPTH {
+            return Err(PipelineError::Spec(format!(
+                "program AST depth {depth} exceeds the limit of {} levels",
+                minic::MAX_AST_DEPTH
+            )));
+        }
         let sink = self.sink.as_ref();
         let JobSpec {
             program: original,
@@ -896,7 +884,6 @@ impl Session {
             backend,
             seed,
             budgets,
-            engine,
             client: _,
             store_dir,
             mined,
@@ -925,9 +912,6 @@ impl Session {
         if let Some(seed) = seed {
             fuzz_cfg.rng_seed = seed;
         }
-        if let Some(engine) = engine {
-            fuzz_cfg.engine = engine;
-        }
         let fuzz_cap = budgets.fuzz_execs.filter(|cap| *cap < fuzz_cfg.max_execs);
         if let Some(cap) = fuzz_cap {
             fuzz_cfg.max_execs = cap;
@@ -944,7 +928,7 @@ impl Session {
             }
             TestSource::Existing(tests) => {
                 let mut profile = Profile::new();
-                let prepared = minic_exec::Prepared::new(fuzz_cfg.engine, &original);
+                let prepared = minic_exec::Prepared::new(ExecEngine::Bytecode, &original);
                 for t in &tests {
                     if let Ok(mut m) = prepared.runner(minic_exec::MachineConfig::cpu()) {
                         let _ = m.run_kernel(&kernel, t);
@@ -1002,9 +986,6 @@ impl Session {
         let mut search_cfg = self.config.search.clone();
         if let Some(seed) = seed {
             search_cfg.rng_seed = seed;
-        }
-        if let Some(engine) = engine {
-            search_cfg.engine = engine;
         }
         search_cfg.max_evals = match (search_cfg.max_evals, budgets.repair_evals) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -1519,38 +1500,39 @@ mod tests {
         assert_eq!(spec.backend, None);
         assert_eq!(spec.seed, None);
         assert_eq!(spec.budgets, None);
-        assert_eq!(spec.engine, None);
         assert_eq!(spec.client, ANONYMOUS_CLIENT);
         assert!(!spec.mined);
     }
 
     #[test]
-    fn engine_override_produces_identical_reports() {
-        let p =
-            minic::parse("int kernel(int x) { long double y = x; y = y + 1; return y; }").unwrap();
-        let mut cfg = PipelineConfig::quick();
-        cfg.fuzz.idle_stop_min = 0.3;
-        cfg.fuzz.max_execs = 150;
-        let session = HeteroGen::builder().config(cfg).build();
-        let bytecode = session
-            .run(
-                JobSpec::builder(p.clone(), "kernel")
-                    .engine(ExecEngine::Bytecode)
-                    .build(),
-            )
+    fn a_job_past_the_ast_depth_bound_is_refused() {
+        // Only a hand-built program carries this chain past the parser; on
+        // a 2 MiB debug thread the pipeline's recursive passes would
+        // overflow the stack and abort the process.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut p = minic::parse("int kernel(int x) { return x; }").unwrap();
+                let mut e = minic::Expr::ident("x");
+                for _ in 0..1000 {
+                    e = minic::Expr::synth(minic::ExprKind::Unary(
+                        minic::ast::UnOp::Neg,
+                        Box::new(e),
+                    ));
+                }
+                let body = &mut p.function_mut("kernel").unwrap().body.as_mut().unwrap();
+                body.stmts[0].kind = minic::StmtKind::Return(Some(e));
+                p.renumber_synthesized();
+                let session = HeteroGen::builder().config(PipelineConfig::quick()).build();
+                let err = session.run(JobSpec::fuzz(p, "kernel", vec![])).unwrap_err();
+                assert!(
+                    matches!(&err, PipelineError::Spec(m) if m.contains("AST depth 1002")),
+                    "{err}"
+                );
+            })
+            .unwrap()
+            .join()
             .unwrap();
-        let treewalk = session
-            .run(
-                JobSpec::builder(p, "kernel")
-                    .engine(ExecEngine::TreeWalk)
-                    .build(),
-            )
-            .unwrap();
-        assert_eq!(
-            serde_json::to_string(&bytecode).unwrap(),
-            serde_json::to_string(&treewalk).unwrap(),
-            "the two engines must produce byte-identical reports"
-        );
     }
 
     #[test]

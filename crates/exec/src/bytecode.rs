@@ -1,21 +1,22 @@
 //! Bytecode compiler for minic: lowers a [`Program`] into a flat instruction
 //! array executed by [`crate::vm::Vm`].
 //!
-//! The compiler is **conservative**: any construct whose tree-walker
-//! semantics it cannot reproduce exactly (`goto` is the one such construct
-//! real programs use) aborts compilation of the whole program —
-//! [`compile`] returns `None` and callers fall back to
-//! [`crate::interp::Machine`]. Everything
-//! that does compile is *observably identical* to the walker: same values,
-//! same `ExecError` classifications and message strings, same fuel (`ops`)
-//! accounting, same coverage/profile/loop statistics, same allocation
-//! order.
+//! The compiler is **total**: every program compiles, and the result is
+//! *observably identical* to the tree-walker [`crate::interp::Machine`]:
+//! same values, same `ExecError` classifications and message strings, same
+//! fuel (`ops`) accounting, same coverage/profile/loop statistics, same
+//! allocation order.
 //!
 //! Key ideas:
 //!
 //! - **Symbols are interned** (`names`), variables are resolved to frame
-//!   **slots** at compile time (goto-free minic makes lexical scope equal
-//!   the walker's dynamic scope), and jump targets are absolute indices.
+//!   **slots** at compile time, and jump targets are absolute indices.
+//!   Lexical scope equals the walker's dynamic scope because both engines
+//!   reject a `goto` that would tell them apart (`interp::goto_crossing`).
+//! - **`goto`** is a jump, patched once the body is laid out, to just past
+//!   the first top-level label of its name; like the walker, it leaves any
+//!   enclosing block or loop, and an unknown label fails when the `goto`
+//!   executes.
 //! - **Fuel charges are merged**: the walker charges 1 unit at every
 //!   statement/expression/place entry; consecutive unit charges with no
 //!   intervening side effect collapse into one stepwise `Insn::Charge`
@@ -26,8 +27,10 @@
 //!   (resolved scalar target, pointer stride, or a deterministic error),
 //!   every store site to a `StoreK`, so the VM never consults typedef,
 //!   struct, or define tables.
-//! - **Statically-known runtime errors** (unknown variable/function,
-//!   non-lvalue assignment, …) compile to `Insn::FailErr` at the exact
+//! - **Statically-known runtime errors** (unknown variable/function or
+//!   label, non-lvalue assignment, a builtin called with too few
+//!   arguments, a call of a method prototype, a runtime extent below a
+//!   VLA's outermost dimension, …) compile to `Insn::FailErr` at the exact
 //!   program point — and with the exact message — where the walker would
 //!   discover them.
 //! - **VLAs** (`int line[w]`) are sized when the declaration executes:
@@ -43,6 +46,10 @@
 //!   `Insn::StoreAgg`.
 
 use crate::error::ExecError;
+use crate::interp::{
+    arity_error, crossing_error, field_offset, goto_crossing, has_runtime_extent, nested_vla_error,
+    type_size, unknown_label_error,
+};
 use crate::value::Value;
 use minic::ast::*;
 use minic::typeck;
@@ -51,10 +58,6 @@ use std::collections::HashMap;
 
 /// Slot index; the high bit marks a global slot.
 pub(crate) const GLOBAL_BIT: u32 = 1 << 31;
-
-/// Maximum type-recursion depth before the compiler gives up (self-recursive
-/// struct-by-value would loop in `size_of`).
-const MAX_TYPE_DEPTH: u32 = 64;
 
 /// A precompiled coercion target (mirrors [`crate::value::coerce`]).
 #[derive(Debug, Clone)]
@@ -375,28 +378,12 @@ pub struct CompiledProgram {
     pub(crate) globals_entry: u32,
 }
 
-impl CompiledProgram {
-    /// Number of instructions (diagnostics / tests).
-    pub fn len(&self) -> usize {
-        self.code.len()
-    }
-
-    /// Whether the program compiled to no instructions (never true: the
-    /// code array always holds at least the halt prologue).
-    pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
-    }
+/// Compiles a program to bytecode. Total: every program compiles, and
+/// whatever the walker would reject at run time compiles to a failing
+/// instruction at the same program point.
+pub fn compile(p: &Program) -> CompiledProgram {
+    Compiler::new(p).run()
 }
-
-/// Compiles a program to bytecode, or returns `None` when it uses a
-/// construct outside the supported subset (callers fall back to the
-/// tree-walker).
-pub fn compile(p: &Program) -> Option<CompiledProgram> {
-    Compiler::new(p).run().ok()
-}
-
-/// Marker for "outside the bytecode subset — fall back to the walker".
-struct Unsupported;
 
 /// A compile-time variable binding (resolved type).
 #[derive(Debug, Clone)]
@@ -450,6 +437,7 @@ struct SelfCtx<'p> {
     sl: u32,
 }
 
+#[derive(Default)]
 struct LoopCtx {
     /// Forward patches jumping to the loop end.
     brks: Vec<usize>,
@@ -457,6 +445,10 @@ struct LoopCtx {
     conts: Vec<usize>,
     /// Backward `continue` target when already known (`while`).
     cont_target: Option<u32>,
+    /// A `for` initializer rather than a loop: the walker drops every flow
+    /// but `return` there, so `break`, `continue` and `goto` all land at
+    /// the initializer's end (patched through `brks` and `conts`).
+    init: bool,
 }
 
 struct Compiler<'p> {
@@ -488,6 +480,17 @@ struct Compiler<'p> {
     cur_fn: u32,
     self_ctx: Option<SelfCtx<'p>>,
     loop_stack: Vec<LoopCtx>,
+    /// Body of the function being compiled.
+    body: Option<&'p Block>,
+    /// Index of the top-level statement being compiled.
+    top: usize,
+    /// First top-level index of each label in the body (the walker's
+    /// `goto` targets).
+    labels: HashMap<&'p str, usize>,
+    /// Resume offset after each top-level label, by index.
+    label_pcs: HashMap<usize, u32>,
+    /// `goto` jumps awaiting their label's offset: (patch site, index).
+    gotos: Vec<(usize, usize)>,
     /// Unit charges accumulated since the last emitted instruction.
     pending: u64,
 }
@@ -521,11 +524,16 @@ impl<'p> Compiler<'p> {
             cur_fn: 0,
             self_ctx: None,
             loop_stack: Vec::new(),
+            body: None,
+            top: 0,
+            labels: HashMap::new(),
+            label_pcs: HashMap::new(),
+            gotos: Vec::new(),
             pending: 0,
         }
     }
 
-    fn run(mut self) -> Result<CompiledProgram, Unsupported> {
+    fn run(mut self) -> CompiledProgram {
         // Register function definitions first (calls resolve in any order;
         // the first definition of a name wins, like `Program::function`).
         for item in &self.p.items {
@@ -539,12 +547,12 @@ impl<'p> Compiler<'p> {
         // code[0] is the universal halt used as the outermost return target.
         self.code.push(Insn::Halt);
         let globals_entry = self.code.len() as u32;
-        self.compile_globals()?;
+        self.compile_globals();
         // Method variants are registered as call sites reach them, so the
         // list grows while it is walked.
         let mut i = 0;
         while i < self.funcs.len() {
-            self.compile_function(i)?;
+            self.compile_function(i);
             i += 1;
         }
         debug_assert_eq!(self.pending, 0);
@@ -553,7 +561,7 @@ impl<'p> Compiler<'p> {
         self.code.shrink_to_fit();
         self.cos.shrink_to_fit();
         self.errors.shrink_to_fit();
-        Ok(CompiledProgram {
+        CompiledProgram {
             code: self.code,
             funcs: self.funcs,
             by_name: self.by_name,
@@ -567,7 +575,7 @@ impl<'p> Compiler<'p> {
             idx_sites: self.idx_sites,
             n_globals: self.n_globals,
             globals_entry,
-        })
+        }
     }
 
     // ----- small helpers ----------------------------------------------------
@@ -701,22 +709,22 @@ impl<'p> Compiler<'p> {
     /// Mirror of `Machine::lookup`: block scopes, then the receiver's
     /// fields (one whose offset the walker cannot compute is skipped, as
     /// there), then globals.
-    fn lookup(&self, name: &str) -> Result<Option<Name>, Unsupported> {
+    fn lookup(&self, name: &str) -> Option<Name> {
         for scope in self.locals.iter().rev() {
             if let Some(v) = scope.get(name) {
-                return Ok(Some(Name::Var(v.clone())));
+                return Some(Name::Var(v.clone()));
             }
         }
         if let Some(cx) = &self.self_ctx {
-            if let Ok((off, fty)) = self.field_offset(cx.sname, name)? {
-                return Ok(Some(Name::Field {
+            if let Ok((off, fty)) = field_offset(self.p, cx.sname, name) {
+                return Some(Name::Field {
                     sl: cx.sl,
                     off,
                     ty: self.resolve(&fty),
-                }));
+                });
             }
         }
-        Ok(self.globals.get(name).cloned().map(Name::Var))
+        self.globals.get(name).cloned().map(Name::Var)
     }
 
     /// Pushes a resolved name's cell address as a place (no charge).
@@ -740,129 +748,28 @@ impl<'p> Compiler<'p> {
         t.resolve_named(&|n| self.p.typedef(n).cloned())
     }
 
-    /// Compile-time mirror of `Machine::size_of`: the inner result is what
-    /// the walker would produce at runtime; the outer error bails out of
-    /// bytecode compilation (recursion/overflow the walker would crash on).
-    fn size_of(&self, t: &Type, depth: u32) -> Result<Result<usize, ExecError>, Unsupported> {
-        if depth > MAX_TYPE_DEPTH {
-            return Err(Unsupported);
-        }
-        let t = self.resolve(t);
-        Ok(match &t {
-            Type::Array(inner, size) => match minic::edit::resolve_array_size(self.p, size) {
-                None => Err(ExecError::unknown_size("array with unresolved extent")),
-                Some(n) => match self.size_of(inner, depth + 1)? {
-                    Ok(s) => match (n as usize).checked_mul(s) {
-                        Some(total) => Ok(total),
-                        None => return Err(Unsupported),
-                    },
-                    Err(e) => Err(e),
-                },
-            },
-            Type::Struct(name) => match self.p.struct_def(name) {
-                None => Err(ExecError::unknown_size(format!("struct `{name}`"))),
-                Some(def) => {
-                    let mut sum = 0usize;
-                    let mut out = None;
-                    for f in &def.fields {
-                        let s = if f.by_ref {
-                            1
-                        } else {
-                            match self.size_of(&f.ty, depth + 1)? {
-                                Ok(s) => s,
-                                Err(e) => {
-                                    out = Some(Err(e));
-                                    break;
-                                }
-                            }
-                        };
-                        sum = match sum.checked_add(s) {
-                            Some(v) => v,
-                            None => return Err(Unsupported),
-                        };
-                    }
-                    out.unwrap_or(Ok(sum.max(1)))
-                }
-            },
-            Type::Union(name) => match self.p.struct_def(name) {
-                None => Err(ExecError::unknown_size(format!("union `{name}`"))),
-                Some(def) => {
-                    let mut mx = 1usize;
-                    let mut out = None;
-                    for f in &def.fields {
-                        match self.size_of(&f.ty, depth + 1)? {
-                            Ok(s) => mx = mx.max(s),
-                            Err(e) => {
-                                out = Some(Err(e));
-                                break;
-                            }
-                        }
-                    }
-                    out.unwrap_or(Ok(mx))
-                }
-            },
-            _ => Ok(1),
-        })
-    }
-
-    /// Compile-time mirror of `Machine::field_offset`.
-    fn field_offset(
-        &self,
-        struct_name: &str,
-        field: &str,
-    ) -> Result<Result<(usize, Type), ExecError>, Unsupported> {
-        let Some(def) = self.p.struct_def(struct_name) else {
-            return Ok(Err(ExecError::setup(format!(
-                "unknown struct `{struct_name}`"
-            ))));
-        };
-        if def.is_union {
-            return Ok(match def.field(field) {
-                Some(f) => Ok((0, f.ty.clone())),
-                None => Err(ExecError::setup(format!("no field `{field}`"))),
-            });
-        }
-        let mut off = 0usize;
-        for f in &def.fields {
-            if f.name == field {
-                return Ok(Ok((off, f.ty.clone())));
-            }
-            let s = if f.by_ref {
-                1
-            } else {
-                match self.size_of(&f.ty, 0)? {
-                    Ok(s) => s,
-                    Err(e) => return Ok(Err(e)),
-                }
-            };
-            off = match off.checked_add(s) {
-                Some(v) => v,
-                None => return Err(Unsupported),
-            };
-        }
-        Ok(Err(ExecError::setup(format!(
-            "no field `{field}` on `{struct_name}`"
-        ))))
+    fn size_of(&self, t: &Type) -> Result<usize, ExecError> {
+        type_size(self.p, t, 0)
     }
 
     /// Precompiles `coerce(v, t)` for a target type *as the walker would
     /// pass it* (raw or resolved — `coerce` matches on the type as given).
-    fn co_of(&mut self, t: &Type) -> Result<u32, Unsupported> {
+    fn co_of(&mut self, t: &Type) -> u32 {
         let co = match t {
-            Type::Pointer(inner) => match self.size_of(inner, 0)? {
+            Type::Pointer(inner) => match self.size_of(inner) {
                 Ok(n) => Co::PtrStride(n.max(1)),
                 Err(e) => Co::PtrErr(e),
             },
             other => Co::Ty(other.clone()),
         };
-        Ok(self.co_push(co))
+        self.co_push(co)
     }
 
     /// Precompiles a `store_typed` site (resolves first, like the walker).
-    fn storek(&mut self, ty: &Type) -> Result<StoreK, Unsupported> {
+    fn storek(&mut self, ty: &Type) -> StoreK {
         let ty = self.resolve(ty);
-        Ok(match &ty {
-            Type::Struct(_) | Type::Union(_) => match self.size_of(&ty, 0)? {
+        match &ty {
+            Type::Struct(_) | Type::Union(_) => match self.size_of(&ty) {
                 Ok(n) => StoreK::AggOk(n),
                 Err(e) => {
                     let id = self.err_id(e);
@@ -870,24 +777,24 @@ impl<'p> Compiler<'p> {
                 }
             },
             Type::Stream(_) => StoreK::Raw,
-            _ => StoreK::Co(self.co_of(&ty)?),
-        })
+            _ => StoreK::Co(self.co_of(&ty)),
+        }
     }
 
     /// Mirror of `Machine::static_type`: resolved binding type for a known
     /// identifier, raw inferred type otherwise.
-    fn static_type(&self, e: &Expr) -> Result<Option<Type>, Unsupported> {
+    fn static_type(&self, e: &Expr) -> Option<Type> {
         if let ExprKind::Ident(n) = &e.kind {
-            if let Some(name) = self.lookup(n)? {
-                return Ok(Some(name.ty().clone()));
+            if let Some(name) = self.lookup(n) {
+                return Some(name.ty().clone());
             }
         }
-        Ok(self.expr_types.get(&e.id).cloned())
+        self.expr_types.get(&e.id).cloned()
     }
 
     // ----- globals ----------------------------------------------------------
 
-    fn compile_globals(&mut self) -> Result<(), Unsupported> {
+    fn compile_globals(&mut self) {
         self.cur_fn = self.name_id("<global>");
         for item in &self.p.items {
             match item {
@@ -900,7 +807,7 @@ impl<'p> Compiler<'p> {
                 Item::Global(g) => {
                     let rty = self.resolve(&g.ty);
                     let sl = self.new_gslot();
-                    match self.size_of(&g.ty, 0)? {
+                    match self.size_of(&g.ty) {
                         Err(e) => {
                             // `Machine::new` fails here; code past this
                             // point in the globals segment is dead but the
@@ -916,7 +823,7 @@ impl<'p> Compiler<'p> {
                             self.globals.insert(g.name.clone(), CVar::new(sl, rty));
                             if let Some(init) = &g.init {
                                 // Globals match init shapes on the raw type.
-                                self.compile_init(sl, &g.ty, init)?;
+                                self.compile_init(sl, &g.ty, init);
                             }
                         }
                     }
@@ -925,17 +832,12 @@ impl<'p> Compiler<'p> {
             }
         }
         self.emit(Insn::Halt);
-        Ok(())
     }
 
     // ----- functions --------------------------------------------------------
 
-    fn compile_function(&mut self, idx: usize) -> Result<(), Unsupported> {
+    fn compile_function(&mut self, idx: usize) {
         let f = self.fn_asts[idx];
-        let body = f.body.as_ref().ok_or(Unsupported)?;
-        if block_has_goto(body) {
-            return Err(Unsupported);
-        }
         let recv = self.fn_recv[idx];
         self.cur_fn = self.funcs[idx].name;
         self.next_slot = 0;
@@ -955,10 +857,10 @@ impl<'p> Compiler<'p> {
             let bco = if is_stream {
                 u32::MAX
             } else {
-                self.co_of(&bty)?
+                self.co_of(&bty)
             };
             let kco = if pty.is_integer() || matches!(pty, Type::Bool) {
-                self.co_of(&pty)?
+                self.co_of(&pty)
             } else {
                 u32::MAX
             };
@@ -985,10 +887,12 @@ impl<'p> Compiler<'p> {
             self.self_ctx = Some(SelfCtx { sname, sl });
         }
         let entry = self.here();
-        for s in &body.stmts {
-            self.compile_stmt(s)?;
+        match &f.body {
+            Some(body) => self.compile_body(body),
+            // Only a method can name a prototype: the walker binds its
+            // parameters, then fails.
+            None => self.fail(ExecError::setup(format!("call of prototype `{}`", f.name))),
         }
-        self.emit(Insn::RetUnit);
         self.self_ctx = None;
         let name = self.funcs[idx].name;
         self.funcs[idx] = FnSpec {
@@ -998,57 +902,104 @@ impl<'p> Compiler<'p> {
             params: specs,
         };
         debug_assert!(self.loop_stack.is_empty());
-        Ok(())
+    }
+
+    /// Compiles a function body. Its top-level labels are the `goto`
+    /// targets (the first of a name wins), patched once the body is laid
+    /// out.
+    fn compile_body(&mut self, body: &'p Block) {
+        self.body = Some(body);
+        self.labels.clear();
+        self.label_pcs.clear();
+        for (i, s) in body.stmts.iter().enumerate() {
+            if let StmtKind::Label(l) = &s.kind {
+                self.labels.entry(l.as_str()).or_insert(i);
+            }
+        }
+        for (i, s) in body.stmts.iter().enumerate() {
+            self.top = i;
+            self.compile_stmt(s);
+            if matches!(s.kind, StmtKind::Label(_)) {
+                // Flushes the label's own charge into the fall-through
+                // path: a `goto` resumes after the label, uncharged.
+                let pc = self.here();
+                self.label_pcs.insert(i, pc);
+            }
+        }
+        self.emit(Insn::RetUnit);
+        for (at, t) in std::mem::take(&mut self.gotos) {
+            let pc = self.label_pcs[&t];
+            self.set_target(at, pc);
+        }
+    }
+
+    /// Mirror of the walker's `goto`: a `for` initializer swallows it;
+    /// anywhere else it leaves every enclosing block and loop and resumes
+    /// after its label, failing where the walker does when the label is
+    /// not a top-level one or the jump crosses a declaration.
+    fn compile_goto(&mut self, label: &str) {
+        if let Some(i) = self.loop_stack.iter().rposition(|c| c.init) {
+            let at = self.emit_patch(Insn::Jump(0));
+            self.loop_stack[i].brks.push(at);
+            return;
+        }
+        let body = self.body.expect("goto outside a function body");
+        match self.labels.get(label).copied() {
+            None => self.fail(unknown_label_error(label)),
+            Some(t) => match goto_crossing(self.p, body, self.top, t) {
+                Some(name) => self.fail(crossing_error(label, name)),
+                None => {
+                    let at = self.emit_patch(Insn::Jump(0));
+                    self.gotos.push((at, t));
+                }
+            },
+        }
     }
 
     // ----- statements -------------------------------------------------------
 
-    fn compile_block(&mut self, b: &Block) -> Result<(), Unsupported> {
+    fn compile_block(&mut self, b: &Block) {
         self.locals.push(HashMap::new());
         for s in &b.stmts {
-            self.compile_stmt(s)?;
+            self.compile_stmt(s);
         }
         self.locals.pop();
-        Ok(())
     }
 
-    fn compile_stmt(&mut self, s: &Stmt) -> Result<(), Unsupported> {
+    fn compile_stmt(&mut self, s: &Stmt) {
         self.pending += 1;
         match &s.kind {
             StmtKind::Decl(d) => self.compile_decl(d),
             StmtKind::Expr(e) => {
-                self.compile_expr(e)?;
+                self.compile_expr(e);
                 self.emit(Insn::Pop);
-                Ok(())
             }
             StmtKind::If(c, t, els) => {
-                self.compile_expr(c)?;
+                self.compile_expr(c);
                 let site = self.bsite(s.id);
                 let bf = self.emit_patch(Insn::BranchFalse { site, target: 0 });
-                self.compile_block(t)?;
+                self.compile_block(t);
                 if let Some(e) = els {
                     let j = self.emit_patch(Insn::Jump(0));
                     self.patch_to_here(bf);
-                    self.compile_block(e)?;
+                    self.compile_block(e);
                     self.patch_to_here(j);
                 } else {
                     self.patch_to_here(bf);
                 }
-                Ok(())
             }
             StmtKind::While(c, b) => {
                 let start = self.here();
-                self.compile_expr(c)?;
+                self.compile_expr(c);
                 let site = self.bsite(s.id);
                 let bf = self.emit_patch(Insn::BranchFalse { site, target: 0 });
                 let lsite = self.lsite(s.id);
                 self.emit(Insn::LoopIter { site: lsite });
                 self.loop_stack.push(LoopCtx {
-                    brks: Vec::new(),
-                    conts: Vec::new(),
                     cont_target: Some(start),
+                    ..LoopCtx::default()
                 });
-                self.compile_block(b)?;
+                self.compile_block(b);
                 self.emit(Insn::Jump(start));
                 let ctx = self.loop_stack.pop().expect("loop ctx");
                 let end = self.here();
@@ -1056,25 +1007,20 @@ impl<'p> Compiler<'p> {
                 for at in ctx.brks {
                     self.set_target(at, end);
                 }
-                Ok(())
             }
             StmtKind::DoWhile(b, c) => {
                 let start = self.here();
                 let site = self.bsite(s.id);
                 let lsite = self.lsite(s.id);
                 self.emit(Insn::LoopIter { site: lsite });
-                self.loop_stack.push(LoopCtx {
-                    brks: Vec::new(),
-                    conts: Vec::new(),
-                    cont_target: None,
-                });
-                self.compile_block(b)?;
+                self.loop_stack.push(LoopCtx::default());
+                self.compile_block(b);
                 let ctx = self.loop_stack.pop().expect("loop ctx");
                 let cond_l = self.here();
                 for at in ctx.conts {
                     self.set_target(at, cond_l);
                 }
-                self.compile_expr(c)?;
+                self.compile_expr(c);
                 self.emit(Insn::BranchTrue {
                     site,
                     target: start,
@@ -1083,26 +1029,26 @@ impl<'p> Compiler<'p> {
                 for at in ctx.brks {
                     self.set_target(at, end);
                 }
-                Ok(())
             }
             StmtKind::For(init, cond, step, b) => {
                 self.locals.push(HashMap::new());
                 if let Some(i) = init {
-                    // The walker lets any statement appear here and has
-                    // bespoke flow handling for it; the compiled subset
-                    // keeps the three forms real programs use.
-                    match &i.kind {
-                        StmtKind::Decl(_) | StmtKind::Expr(_) | StmtKind::Empty => {
-                            self.compile_stmt(i)?
-                        }
-                        _ => return Err(Unsupported),
+                    self.loop_stack.push(LoopCtx {
+                        init: true,
+                        ..LoopCtx::default()
+                    });
+                    self.compile_stmt(i);
+                    let ctx = self.loop_stack.pop().expect("init ctx");
+                    let end = self.here();
+                    for at in ctx.brks.into_iter().chain(ctx.conts) {
+                        self.set_target(at, end);
                     }
                 }
                 let start = self.here();
                 let site = self.bsite(s.id);
                 let bf = match cond {
                     Some(c) => {
-                        self.compile_expr(c)?;
+                        self.compile_expr(c);
                         Some(self.emit_patch(Insn::BranchFalse { site, target: 0 }))
                     }
                     None => {
@@ -1112,19 +1058,15 @@ impl<'p> Compiler<'p> {
                 };
                 let lsite = self.lsite(s.id);
                 self.emit(Insn::LoopIter { site: lsite });
-                self.loop_stack.push(LoopCtx {
-                    brks: Vec::new(),
-                    conts: Vec::new(),
-                    cont_target: None,
-                });
-                self.compile_block(b)?;
+                self.loop_stack.push(LoopCtx::default());
+                self.compile_block(b);
                 let ctx = self.loop_stack.pop().expect("loop ctx");
                 let step_l = self.here();
                 for at in ctx.conts {
                     self.set_target(at, step_l);
                 }
                 if let Some(st) = step {
-                    self.compile_expr(st)?;
+                    self.compile_expr(st);
                     self.emit(Insn::Pop);
                 }
                 self.emit(Insn::Jump(start));
@@ -1136,18 +1078,14 @@ impl<'p> Compiler<'p> {
                     self.set_target(at, end);
                 }
                 self.locals.pop();
-                Ok(())
             }
-            StmtKind::Return(v) => {
-                match v {
-                    Some(e) => {
-                        self.compile_expr(e)?;
-                        self.emit(Insn::Ret);
-                    }
-                    None => self.emit(Insn::RetUnit),
+            StmtKind::Return(v) => match v {
+                Some(e) => {
+                    self.compile_expr(e);
+                    self.emit(Insn::Ret);
                 }
-                Ok(())
-            }
+                None => self.emit(Insn::RetUnit),
+            },
             StmtKind::Break => {
                 if self.loop_stack.is_empty() {
                     // Flow::Break escapes the body; the function returns Unit.
@@ -1156,74 +1094,68 @@ impl<'p> Compiler<'p> {
                     let at = self.emit_patch(Insn::Jump(0));
                     self.loop_stack.last_mut().expect("loop ctx").brks.push(at);
                 }
-                Ok(())
             }
-            StmtKind::Continue => {
-                match self.loop_stack.last() {
-                    None => self.emit(Insn::RetUnit),
-                    Some(ctx) => match ctx.cont_target {
-                        Some(t) => self.emit(Insn::Jump(t)),
-                        None => {
-                            let at = self.emit_patch(Insn::Jump(0));
-                            self.loop_stack.last_mut().expect("loop ctx").conts.push(at);
-                        }
-                    },
-                }
-                Ok(())
-            }
+            StmtKind::Continue => match self.loop_stack.last() {
+                None => self.emit(Insn::RetUnit),
+                Some(ctx) => match ctx.cont_target {
+                    Some(t) => self.emit(Insn::Jump(t)),
+                    None => {
+                        let at = self.emit_patch(Insn::Jump(0));
+                        self.loop_stack.last_mut().expect("loop ctx").conts.push(at);
+                    }
+                },
+            },
             StmtKind::Block(b) => self.compile_block(b),
-            StmtKind::Pragma(_) | StmtKind::Label(_) | StmtKind::Empty => Ok(()),
-            StmtKind::Goto(_) => Err(Unsupported),
+            StmtKind::Pragma(_) | StmtKind::Label(_) | StmtKind::Empty => {}
+            StmtKind::Goto(label) => self.compile_goto(label),
         }
     }
 
-    fn compile_decl(&mut self, d: &VarDecl) -> Result<(), Unsupported> {
+    fn compile_decl(&mut self, d: &VarDecl) {
         let ty = self.resolve(&d.ty);
         if has_runtime_extent(&ty) {
             return self.compile_vla_decl(d, ty);
         }
         let sl = self.new_slot();
-        match self.size_of(&ty, 0)? {
+        match self.size_of(&ty) {
             Err(e) => self.fail(e),
             Ok(size) => {
                 let stream = matches!(ty, Type::Stream(_));
                 self.emit(Insn::Alloc { sl, size, stream });
                 if let Some(init) = &d.init {
-                    self.compile_init(sl, &ty, init)?;
+                    self.compile_init(sl, &ty, init);
                 }
             }
         }
         self.declare(&d.name, CVar::new(sl, ty));
-        Ok(())
     }
 
     /// Mirror of the walker's `materialize_vla` declaration: the extent is
     /// the size variable's value when the declaration executes. Only the
     /// outermost dimension may be a runtime extent.
-    fn compile_vla_decl(&mut self, d: &VarDecl, ty: Type) -> Result<(), Unsupported> {
-        let Type::Array(elem, ArraySize::Runtime(v)) = &ty else {
-            return Err(Unsupported);
-        };
-        if has_runtime_extent(elem) {
-            return Err(Unsupported);
-        }
+    fn compile_vla_decl(&mut self, d: &VarDecl, ty: Type) {
         let sl = self.new_slot();
         let len_sl = self.new_slot();
-        match self.lookup(v)? {
-            None => self.fail(ExecError::setup(format!("VLA size `{v}` not in scope"))),
-            Some(n) => {
-                self.emit_addr(&n);
-                self.emit(Insn::LoadPlace);
-                match self.size_of(elem, 0)? {
-                    Err(e) => self.fail(e),
-                    Ok(esize) => {
-                        self.emit(Insn::AllocVla { sl, esize });
-                        if let Some(init) = &d.init {
-                            self.compile_init(sl, &ty, init)?;
+        match &ty {
+            Type::Array(elem, ArraySize::Runtime(v)) if !has_runtime_extent(elem) => {
+                match self.lookup(v) {
+                    None => self.fail(ExecError::setup(format!("VLA size `{v}` not in scope"))),
+                    Some(n) => {
+                        self.emit_addr(&n);
+                        self.emit(Insn::LoadPlace);
+                        match self.size_of(elem) {
+                            Err(e) => self.fail(e),
+                            Ok(esize) => {
+                                self.emit(Insn::AllocVla { sl, esize });
+                                if let Some(init) = &d.init {
+                                    self.compile_init(sl, &ty, init);
+                                }
+                            }
                         }
                     }
                 }
             }
+            _ => self.fail(nested_vla_error(&d.name)),
         }
         let cv = CVar {
             sl,
@@ -1231,30 +1163,26 @@ impl<'p> Compiler<'p> {
             vla_len: Some(len_sl),
         };
         self.declare(&d.name, cv);
-        Ok(())
     }
 
     /// Mirror of `Machine::init_binding`; `ty` is the binding type exactly
     /// as the walker stores it (resolved for locals, raw for globals).
-    fn compile_init(&mut self, sl: u32, ty: &Type, init: &Expr) -> Result<(), Unsupported> {
+    fn compile_init(&mut self, sl: u32, ty: &Type, init: &Expr) {
         match (ty, &init.kind) {
-            (Type::Array(elem, _), ExprKind::InitList(elems)) => {
-                match self.size_of(elem, 0)? {
-                    Err(e) => self.fail(e),
-                    Ok(esize) => {
-                        let co = self.co_of(elem)?;
-                        for (i, e) in elems.iter().enumerate() {
-                            self.compile_expr(e)?;
-                            self.emit(Insn::StoreCell {
-                                sl,
-                                off: i * esize,
-                                co,
-                            });
-                        }
+            (Type::Array(elem, _), ExprKind::InitList(elems)) => match self.size_of(elem) {
+                Err(e) => self.fail(e),
+                Ok(esize) => {
+                    let co = self.co_of(elem);
+                    for (i, e) in elems.iter().enumerate() {
+                        self.compile_expr(e);
+                        self.emit(Insn::StoreCell {
+                            sl,
+                            off: i * esize,
+                            co,
+                        });
                     }
                 }
-                Ok(())
-            }
+            },
             (Type::Struct(name), ExprKind::InitList(elems)) => {
                 match self.p.struct_def(name) {
                     None => {
@@ -1268,7 +1196,7 @@ impl<'p> Compiler<'p> {
                                 break;
                             };
                             let fname = field.name.clone();
-                            match self.field_offset(name, &fname)? {
+                            match field_offset(self.p, name, &fname) {
                                 Err(err) => {
                                     self.fail(err);
                                     break;
@@ -1276,28 +1204,26 @@ impl<'p> Compiler<'p> {
                                 Ok((off, fty)) => {
                                     // The walker coerces to the *raw* field
                                     // type here.
-                                    let co = self.co_of(&fty)?;
-                                    self.compile_expr(e)?;
+                                    let co = self.co_of(&fty);
+                                    self.compile_expr(e);
                                     self.emit(Insn::StoreCell { sl, off, co });
                                 }
                             }
                         }
                     }
                 }
-                Ok(())
             }
             _ => {
-                self.compile_expr(init)?;
-                let k = self.storek(ty)?;
+                self.compile_expr(init);
+                let k = self.storek(ty);
                 self.emit(Insn::StoreInit { sl, k });
-                Ok(())
             }
         }
     }
 
     // ----- expressions ------------------------------------------------------
 
-    fn compile_expr(&mut self, e: &Expr) -> Result<(), Unsupported> {
+    fn compile_expr(&mut self, e: &Expr) {
         self.pending += 1;
         match &e.kind {
             ExprKind::IntLit(v, unsigned) => {
@@ -1306,11 +1232,9 @@ impl<'p> Compiler<'p> {
                     bits: 64,
                     signed: !*unsigned,
                 }));
-                Ok(())
             }
             ExprKind::FloatLit(v, _) => {
                 self.emit(Insn::Const(Value::double(*v)));
-                Ok(())
             }
             ExprKind::CharLit(c) => {
                 self.emit(Insn::Const(Value::Int {
@@ -1318,47 +1242,43 @@ impl<'p> Compiler<'p> {
                     bits: 8,
                     signed: true,
                 }));
-                Ok(())
             }
             ExprKind::StrLit(_) => {
                 self.emit(Insn::Const(Value::null()));
-                Ok(())
             }
             ExprKind::BoolLit(b) => {
                 self.emit(Insn::Const(Value::Bool(*b)));
-                Ok(())
             }
             ExprKind::Ident(name) => self.compile_ident_rvalue(name),
             ExprKind::Unary(op, a) => self.compile_unary(e, *op, a),
             ExprKind::Binary(op, a, b) => {
                 if matches!(op, BinOp::And | BinOp::Or) {
-                    self.compile_expr(a)?;
+                    self.compile_expr(a);
                     let at = self.emit_patch(match op {
                         BinOp::And => Insn::AndShort(0),
                         _ => Insn::OrShort(0),
                     });
-                    self.compile_expr(b)?;
+                    self.compile_expr(b);
                     self.emit(Insn::ToBool);
                     self.patch_to_here(at);
-                    return Ok(());
+                    return;
                 }
-                self.compile_expr(a)?;
-                self.compile_expr(b)?;
+                self.compile_expr(a);
+                self.compile_expr(b);
                 self.emit(Insn::Bin(*op));
-                Ok(())
             }
             ExprKind::Assign(op, lhs, rhs) => {
-                self.compile_expr(rhs)?;
+                self.compile_expr(rhs);
                 if let ExprKind::Ident(name) = &lhs.kind {
                     // Inline the walker's `place(Ident)` (entry charge +
                     // lookup) so assignment profiling can key on the name.
                     self.pending += 1;
-                    match self.lookup(name)? {
+                    match self.lookup(name) {
                         None => {
                             self.fail(ExecError::setup(format!("unknown variable `{name}`")));
                         }
                         Some(Name::Var(cv)) => {
-                            let k = self.storek(&cv.ty)?;
+                            let k = self.storek(&cv.ty);
                             let prof = self.int_site(name);
                             self.emit(Insn::StoreVar {
                                 sl: cv.sl,
@@ -1368,82 +1288,74 @@ impl<'p> Compiler<'p> {
                             });
                         }
                         Some(field) => {
-                            let k = self.storek(field.ty())?;
+                            let k = self.storek(field.ty());
                             let prof = self.int_site(name);
                             self.emit_addr(&field);
                             self.emit(Insn::StoreInd { k, op: *op, prof });
                         }
                     }
                 } else {
-                    let ty = self.compile_place(lhs)?;
-                    let k = self.storek(&ty)?;
+                    let ty = self.compile_place(lhs);
+                    let k = self.storek(&ty);
                     self.emit(Insn::StoreInd {
                         k,
                         op: *op,
                         prof: u32::MAX,
                     });
                 }
-                Ok(())
             }
             ExprKind::Call(name, args) => self.compile_call(name, args),
             ExprKind::MethodCall(recv, method, args) => self.compile_method(recv, method, args),
             ExprKind::Index(..) | ExprKind::Member(..) => {
-                let ty = self.compile_place(e)?;
+                let ty = self.compile_place(e);
                 match &ty {
-                    Type::Array(elem, _) => match self.size_of(elem, 0)? {
+                    Type::Array(elem, _) => match self.size_of(elem) {
                         Ok(stride) => self.emit(Insn::DecayPlace(stride)),
                         Err(err) => self.fail(err),
                     },
                     Type::Struct(_) | Type::Union(_) => self.emit(Insn::DecayPlace(1)),
                     _ => self.emit(Insn::LoadPlace),
                 }
-                Ok(())
             }
             ExprKind::Cast(ty, a) => {
-                self.compile_expr(a)?;
+                self.compile_expr(a);
                 let r = self.resolve(ty);
-                let co = self.co_of(&r)?;
+                let co = self.co_of(&r);
                 self.emit(Insn::CastTo(co));
-                Ok(())
             }
-            ExprKind::SizeOf(ty) => {
-                match self.size_of(ty, 0)? {
-                    Ok(n) => self.emit(Insn::Const(Value::int(n as i128))),
-                    Err(err) => self.fail(err),
-                }
-                Ok(())
-            }
+            ExprKind::SizeOf(ty) => match self.size_of(ty) {
+                Ok(n) => self.emit(Insn::Const(Value::int(n as i128))),
+                Err(err) => self.fail(err),
+            },
             ExprKind::Ternary(c, t, f) => {
-                self.compile_expr(c)?;
+                self.compile_expr(c);
                 let site = self.bsite(e.id);
                 let bf = self.emit_patch(Insn::BranchFalse { site, target: 0 });
-                self.compile_expr(t)?;
+                self.compile_expr(t);
                 let j = self.emit_patch(Insn::Jump(0));
                 self.patch_to_here(bf);
-                self.compile_expr(f)?;
+                self.compile_expr(f);
                 self.patch_to_here(j);
-                Ok(())
             }
             ExprKind::InitList(_) => {
                 self.fail(ExecError::setup("initializer list outside declaration"));
-                Ok(())
             }
             ExprKind::StructLit(name, args) => self.compile_struct_lit(name, args),
         }
     }
 
-    fn compile_ident_rvalue(&mut self, name: &str) -> Result<(), Unsupported> {
-        let Some(n) = self.lookup(name)? else {
+    fn compile_ident_rvalue(&mut self, name: &str) {
+        let Some(n) = self.lookup(name) else {
             self.fail(ExecError::setup(format!("unknown variable `{name}`")));
-            return Ok(());
+            return;
         };
         // Arrays and aggregates decay to a pointer; scalars load.
         let decay = match n.ty() {
-            Type::Array(elem, _) => match self.size_of(elem, 0)? {
+            Type::Array(elem, _) => match self.size_of(elem) {
                 Ok(stride) => Some(stride),
                 Err(e) => {
                     self.fail(e);
-                    return Ok(());
+                    return;
                 }
             },
             Type::Struct(_) | Type::Union(_) => Some(1),
@@ -1461,55 +1373,49 @@ impl<'p> Compiler<'p> {
                 self.emit(Insn::LoadPlace);
             }
         }
-        Ok(())
     }
 
-    fn compile_unary(&mut self, e: &Expr, op: UnOp, a: &Expr) -> Result<(), Unsupported> {
+    fn compile_unary(&mut self, e: &Expr, op: UnOp, a: &Expr) {
         match op {
             UnOp::Neg => {
-                self.compile_expr(a)?;
+                self.compile_expr(a);
                 self.emit(Insn::Neg);
-                Ok(())
             }
             UnOp::Not => {
-                self.compile_expr(a)?;
+                self.compile_expr(a);
                 self.emit(Insn::NotL);
-                Ok(())
             }
             UnOp::BitNot => {
-                self.compile_expr(a)?;
+                self.compile_expr(a);
                 self.emit(Insn::BitNot);
-                Ok(())
             }
             UnOp::Deref => {
                 // Rvalue deref goes through `place(e)`; arrays do *not*
                 // decay here (walker quirk) — only aggregates do.
-                let ty = self.compile_place(e)?;
+                let ty = self.compile_place(e);
                 match &ty {
                     Type::Struct(_) | Type::Union(_) => self.emit(Insn::DecayPlace(1)),
                     _ => self.emit(Insn::LoadPlace),
                 }
-                Ok(())
             }
             UnOp::AddrOf => {
-                let (ty, vla) = self.compile_place_vla(a)?;
+                let (ty, vla) = self.compile_place_vla(a);
                 match (vla, &ty) {
                     // `&vla` strides by the length fixed at declaration.
-                    (Some(len_sl), Type::Array(elem, _)) => match self.size_of(elem, 0)? {
+                    (Some(len_sl), Type::Array(elem, _)) => match self.size_of(elem) {
                         Ok(esize) => self.emit(Insn::DecayVla { esize, len_sl }),
                         Err(err) => self.fail(err),
                     },
-                    _ => match self.size_of(&ty, 0)? {
+                    _ => match self.size_of(&ty) {
                         Ok(stride) => self.emit(Insn::DecayPlace(stride)),
                         Err(err) => self.fail(err),
                     },
                 }
-                Ok(())
             }
             UnOp::Inc(prefix) | UnOp::Dec(prefix) => {
                 let delta: i8 = if matches!(op, UnOp::Inc(_)) { 1 } else { -1 };
-                let ty = self.compile_place(a)?;
-                let k = self.storek(&ty)?;
+                let ty = self.compile_place(a);
+                let k = self.storek(&ty);
                 let prof = if let ExprKind::Ident(name) = &a.kind {
                     let name = name.clone();
                     self.int_site(&name)
@@ -1522,7 +1428,6 @@ impl<'p> Compiler<'p> {
                     k,
                     prof,
                 });
-                Ok(())
             }
         }
     }
@@ -1531,47 +1436,47 @@ impl<'p> Compiler<'p> {
     /// returns the *resolved* place type. When the walker would fail
     /// deterministically, a `FailErr` is emitted and a dummy type returned
     /// (the continuation is unreachable).
-    fn compile_place(&mut self, e: &Expr) -> Result<Type, Unsupported> {
-        Ok(self.compile_place_vla(e)?.0)
+    fn compile_place(&mut self, e: &Expr) -> Type {
+        self.compile_place_vla(e).0
     }
 
     /// [`Self::compile_place`], also returning the length slot when the
     /// place is a VLA variable (whose walker type carries the extent fixed
     /// at declaration).
-    fn compile_place_vla(&mut self, e: &Expr) -> Result<(Type, Option<u32>), Unsupported> {
+    fn compile_place_vla(&mut self, e: &Expr) -> (Type, Option<u32>) {
         self.pending += 1;
         match &e.kind {
-            ExprKind::Ident(name) => match self.lookup(name)? {
+            ExprKind::Ident(name) => match self.lookup(name) {
                 Some(n) => {
                     self.emit_addr(&n);
                     let vla = n.vla_len();
-                    Ok((n.ty().clone(), vla))
+                    (n.ty().clone(), vla)
                 }
                 None => {
                     self.fail(ExecError::setup(format!("unknown variable `{name}`")));
-                    Ok((Type::int(), None))
+                    (Type::int(), None)
                 }
             },
             ExprKind::Unary(UnOp::Deref, inner) => {
-                self.compile_expr(inner)?;
+                self.compile_expr(inner);
                 self.emit(Insn::PlaceDeref);
                 let ty = self
                     .expr_types
                     .get(&e.id)
                     .cloned()
                     .unwrap_or_else(Type::int);
-                Ok((self.resolve(&ty), None))
+                (self.resolve(&ty), None)
             }
             ExprKind::Index(base, idx) => {
-                self.compile_expr(idx)?;
+                self.compile_expr(idx);
                 match &base.kind {
                     ExprKind::Ident(_) | ExprKind::Member(..) | ExprKind::Index(..) => {
-                        let (bty, vla) = self.compile_place_vla(base)?;
+                        let (bty, vla) = self.compile_place_vla(base);
                         match &bty {
-                            Type::Array(elem, size) => match self.size_of(elem, 0)? {
+                            Type::Array(elem, size) => match self.size_of(elem) {
                                 Err(err) => {
                                     self.fail(err);
-                                    Ok((Type::int(), None))
+                                    (Type::int(), None)
                                 }
                                 Ok(esize) => {
                                     let prof = if let ExprKind::Ident(n) = &base.kind {
@@ -1593,75 +1498,75 @@ impl<'p> Compiler<'p> {
                                             prof,
                                         },
                                     });
-                                    Ok((self.resolve(elem), None))
+                                    (self.resolve(elem), None)
                                 }
                             },
                             Type::Pointer(elem) => {
                                 self.emit(Insn::PlaceIndexPtr);
-                                Ok((self.resolve(elem), None))
+                                (self.resolve(elem), None)
                             }
                             other => {
                                 self.fail(ExecError::setup(format!(
                                     "indexing non-array `{other}`"
                                 )));
-                                Ok((Type::int(), None))
+                                (Type::int(), None)
                             }
                         }
                     }
                     _ => {
-                        self.compile_expr(base)?;
+                        self.compile_expr(base);
                         self.emit(Insn::PlaceIndexVal);
                         let ty = self
                             .expr_types
                             .get(&e.id)
                             .cloned()
                             .unwrap_or_else(Type::int);
-                        Ok((self.resolve(&ty), None))
+                        (self.resolve(&ty), None)
                     }
                 }
             }
             ExprKind::Member(base, field, arrow) => {
                 let (bty, vla) = if *arrow {
-                    self.compile_expr(base)?;
+                    self.compile_expr(base);
                     self.emit(Insn::ArrowAddr);
-                    match self.static_type(base)? {
+                    match self.static_type(base) {
                         Some(Type::Pointer(t)) => (self.resolve(&t), None),
                         _ => {
                             self.fail(ExecError::setup("`->` base type unknown"));
-                            return Ok((Type::int(), None));
+                            return (Type::int(), None);
                         }
                     }
                 } else {
-                    self.compile_place_vla(base)?
+                    self.compile_place_vla(base)
                 };
                 match &bty {
                     Type::Struct(name) | Type::Union(name) => {
-                        match self.field_offset(name, field)? {
+                        match field_offset(self.p, name, field) {
                             Ok((off, fty)) => {
                                 self.emit(Insn::PlaceOffset(off));
-                                Ok((self.resolve(&fty), None))
+                                (self.resolve(&fty), None)
                             }
                             Err(err) => {
                                 self.fail(err);
-                                Ok((Type::int(), None))
+                                (Type::int(), None)
                             }
                         }
                     }
                     other => {
                         self.fail_non_struct("member access on non-struct", other, vla);
-                        Ok((Type::int(), None))
+                        (Type::int(), None)
                     }
                 }
             }
             ExprKind::StructLit(name, args) => {
-                self.compile_struct_lit(name, args)?;
-                Ok((Type::Struct(name.clone()), None))
+                self.compile_struct_lit(name, args);
+                (Type::Struct(name.clone()), None)
             }
             other => {
                 self.fail(ExecError::setup(format!(
                     "expression is not an lvalue: {other:?}"
                 )));
-                Ok((Type::int(), None))
+                (Type::int(), None)
             }
         }
     }
@@ -1683,22 +1588,22 @@ impl<'p> Compiler<'p> {
     /// the arguments and leaves the new aggregate's address on the stack
     /// (its place and its rvalue are the same `Ptr { addr, stride: 1 }`).
     /// The arguments stay on the stack while the fields are stored.
-    fn compile_struct_lit(&mut self, name: &str, args: &[Expr]) -> Result<(), Unsupported> {
-        let size = match self.size_of(&Type::Struct(name.to_string()), 0)? {
+    fn compile_struct_lit(&mut self, name: &str, args: &[Expr]) {
+        let size = match self.size_of(&Type::Struct(name.to_string())) {
             Ok(n) => n,
             Err(e) => {
                 self.fail(e);
-                return Ok(());
+                return;
             }
         };
         self.emit(Insn::NewAgg(size));
         let p = self.p;
         let Some(def) = p.struct_def(name) else {
             self.fail(ExecError::setup(format!("unknown struct `{name}`")));
-            return Ok(());
+            return;
         };
         for a in args {
-            self.compile_expr(a)?;
+            self.compile_expr(a);
         }
         let nargs = args.len() as u32;
         // Stack depth of argument `i` below the top.
@@ -1713,26 +1618,26 @@ impl<'p> Compiler<'p> {
                 .map(|(i, prm)| (prm.name.as_str(), i))
                 .collect();
             for (field, init) in &ctor.inits {
-                let (off, fty) = match self.field_offset(name, field)? {
+                let (off, fty) = match field_offset(self.p, name, field) {
                     Ok(x) => x,
                     Err(e) => {
                         self.fail(e);
-                        return Ok(());
+                        return;
                     }
                 };
                 match &init.kind {
                     ExprKind::Ident(n) if env.contains_key(n.as_str()) => {
                         self.emit(Insn::Pick(pick(env[n.as_str()])));
                     }
-                    _ => self.compile_expr(init)?,
+                    _ => self.compile_expr(init),
                 }
                 let Some(fd) = def.field(field) else {
                     self.fail(ExecError::setup(format!(
                         "unknown field `{field}` on `{name}`"
                     )));
-                    return Ok(());
+                    return;
                 };
-                let k = self.field_storek(fd.by_ref, &fty)?;
+                let k = self.field_storek(fd.by_ref, &fty);
                 self.emit(Insn::StoreAgg {
                     below: nargs,
                     off,
@@ -1742,15 +1647,15 @@ impl<'p> Compiler<'p> {
         } else {
             // Positional aggregate initialization.
             for (i, fd) in def.fields.iter().take(args.len()).enumerate() {
-                let (off, fty) = match self.field_offset(name, &fd.name)? {
+                let (off, fty) = match field_offset(self.p, name, &fd.name) {
                     Ok(x) => x,
                     Err(e) => {
                         self.fail(e);
-                        return Ok(());
+                        return;
                     }
                 };
                 self.emit(Insn::Pick(pick(i)));
-                let k = self.field_storek(fd.by_ref, &fty)?;
+                let k = self.field_storek(fd.by_ref, &fty);
                 self.emit(Insn::StoreAgg {
                     below: nargs,
                     off,
@@ -1761,95 +1666,47 @@ impl<'p> Compiler<'p> {
         if nargs > 0 {
             self.emit(Insn::DropN(nargs));
         }
-        Ok(())
     }
 
     /// Struct-literal field store: reference and stream fields (raw type)
     /// store the value as is, the rest go through `store_typed`.
-    fn field_storek(&mut self, by_ref: bool, fty: &Type) -> Result<StoreK, Unsupported> {
+    fn field_storek(&mut self, by_ref: bool, fty: &Type) -> StoreK {
         if by_ref || matches!(fty, Type::Stream(_)) {
-            Ok(StoreK::Raw)
+            StoreK::Raw
         } else {
             self.storek(fty)
         }
     }
 
-    fn compile_call(&mut self, name: &str, args: &[Expr]) -> Result<(), Unsupported> {
-        match name {
-            "malloc" => {
-                let a0 = args.first().ok_or(Unsupported)?;
-                self.compile_expr(a0)?;
-                self.emit(Insn::Malloc);
-                Ok(())
-            }
-            "free" => {
-                let a0 = args.first().ok_or(Unsupported)?;
-                self.compile_expr(a0)?;
-                self.emit(Insn::FreeP);
-                Ok(())
-            }
-            "sqrt" | "fabs" | "exp" | "log" | "sin" | "cos" | "tan" | "floor" | "ceil"
-            | "round" => {
-                let a0 = args.first().ok_or(Unsupported)?;
-                self.compile_expr(a0)?;
-                let op = match name {
-                    "sqrt" => Math1Op::Sqrt,
-                    "fabs" => Math1Op::Fabs,
-                    "exp" => Math1Op::Exp,
-                    "log" => Math1Op::Log,
-                    "sin" => Math1Op::Sin,
-                    "cos" => Math1Op::Cos,
-                    "tan" => Math1Op::Tan,
-                    "floor" => Math1Op::Floor,
-                    "ceil" => Math1Op::Ceil,
-                    _ => Math1Op::Round,
-                };
-                self.emit(Insn::Math1(op));
-                Ok(())
-            }
-            "pow" | "fmin" | "fmax" | "atan2" | "fmod" => {
-                if args.len() < 2 {
-                    return Err(Unsupported);
-                }
-                self.compile_expr(&args[0])?;
-                self.compile_expr(&args[1])?;
-                let op = match name {
-                    "pow" => Math2Op::Pow,
-                    "fmin" => Math2Op::Fmin,
-                    "fmax" => Math2Op::Fmax,
-                    "atan2" => Math2Op::Atan2,
-                    _ => Math2Op::Fmod,
-                };
-                self.emit(Insn::Math2(op));
-                Ok(())
-            }
-            "abs" => {
-                let a0 = args.first().ok_or(Unsupported)?;
-                self.compile_expr(a0)?;
-                self.emit(Insn::AbsI);
-                Ok(())
-            }
+    fn compile_call(&mut self, name: &str, args: &[Expr]) {
+        let (arity, insn) = match name {
+            "malloc" => (1, Insn::Malloc),
+            "free" => (1, Insn::FreeP),
+            "abs" => (1, Insn::AbsI),
+            "sqrt" => (1, Insn::Math1(Math1Op::Sqrt)),
+            "fabs" => (1, Insn::Math1(Math1Op::Fabs)),
+            "exp" => (1, Insn::Math1(Math1Op::Exp)),
+            "log" => (1, Insn::Math1(Math1Op::Log)),
+            "sin" => (1, Insn::Math1(Math1Op::Sin)),
+            "cos" => (1, Insn::Math1(Math1Op::Cos)),
+            "tan" => (1, Insn::Math1(Math1Op::Tan)),
+            "floor" => (1, Insn::Math1(Math1Op::Floor)),
+            "ceil" => (1, Insn::Math1(Math1Op::Ceil)),
+            "round" => (1, Insn::Math1(Math1Op::Round)),
+            "pow" => (2, Insn::Math2(Math2Op::Pow)),
+            "fmin" => (2, Insn::Math2(Math2Op::Fmin)),
+            "fmax" => (2, Insn::Math2(Math2Op::Fmax)),
+            "atan2" => (2, Insn::Math2(Math2Op::Atan2)),
+            "fmod" => (2, Insn::Math2(Math2Op::Fmod)),
+            "memset" => (3, Insn::Memset),
+            "memcpy" => (3, Insn::Memcpy),
             "printf" => {
                 for a in args {
-                    self.compile_expr(a)?;
+                    self.compile_expr(a);
                     self.emit(Insn::Pop);
                 }
                 self.emit(Insn::Const(Value::int(0)));
-                Ok(())
-            }
-            "memset" | "memcpy" => {
-                if args.len() < 3 {
-                    return Err(Unsupported);
-                }
-                self.compile_expr(&args[0])?;
-                self.compile_expr(&args[1])?;
-                self.compile_expr(&args[2])?;
-                self.emit(if name == "memset" {
-                    Insn::Memset
-                } else {
-                    Insn::Memcpy
-                });
-                Ok(())
+                return;
             }
             _ => {
                 // Inside a method body a bare call dispatches to a method
@@ -1863,28 +1720,43 @@ impl<'p> Compiler<'p> {
                         }
                     }
                 }
-                self.compile_free_call(name, args)
+                return self.compile_free_call(name, args);
             }
+        };
+        if self.builtin_args(name, args, arity) {
+            self.emit(insn);
         }
     }
 
-    fn compile_free_call(&mut self, name: &str, args: &[Expr]) -> Result<(), Unsupported> {
+    /// Compiles the first `n` arguments of builtin `name`. When the call
+    /// passes fewer, emits the walker's arity error after the ones it has
+    /// and returns false.
+    fn builtin_args(&mut self, name: &str, args: &[Expr], n: usize) -> bool {
+        for a in args.iter().take(n) {
+            self.compile_expr(a);
+        }
+        if args.len() < n {
+            self.fail(arity_error(name));
+            return false;
+        }
+        true
+    }
+
+    fn compile_free_call(&mut self, name: &str, args: &[Expr]) {
         match self.by_name.get(name).copied() {
             None => {
                 self.fail(ExecError::setup(format!("unknown function `{name}`")));
-                Ok(())
             }
             Some(fi) => {
                 let nparams = self.fn_asts[fi as usize].params.len();
                 for a in args.iter().take(nparams) {
-                    self.compile_expr(a)?;
+                    self.compile_expr(a);
                 }
                 if args.len() < nparams {
                     self.fail(ExecError::setup(format!("arity mismatch calling `{name}`")));
                 } else {
                     self.emit(Insn::CallFn { f: fi });
                 }
-                Ok(())
             }
         }
     }
@@ -1892,15 +1764,10 @@ impl<'p> Compiler<'p> {
     /// Calls method `m` of `def` on the receiver place already on the
     /// stack. Every argument is evaluated; those past the method's
     /// parameters are dropped, like the walker's unchecked `zip`.
-    fn compile_method_call(
-        &mut self,
-        def: &'p StructDef,
-        m: &'p Function,
-        args: &[Expr],
-    ) -> Result<(), Unsupported> {
+    fn compile_method_call(&mut self, def: &'p StructDef, m: &'p Function, args: &[Expr]) {
         let nbound = args.len().min(m.params.len());
         for (i, a) in args.iter().enumerate() {
-            self.compile_expr(a)?;
+            self.compile_expr(a);
             if i >= nbound {
                 self.emit(Insn::Pop);
             }
@@ -1915,21 +1782,15 @@ impl<'p> Compiler<'p> {
             }
         };
         self.emit(Insn::CallMethod { f });
-        Ok(())
     }
 
-    fn compile_method(
-        &mut self,
-        recv: &Expr,
-        method: &str,
-        args: &[Expr],
-    ) -> Result<(), Unsupported> {
-        if matches!(self.static_type(recv)?, Some(Type::Stream(_))) {
-            self.compile_expr(recv)?;
+    fn compile_method(&mut self, recv: &Expr, method: &str, args: &[Expr]) {
+        if matches!(self.static_type(recv), Some(Type::Stream(_))) {
+            self.compile_expr(recv);
             self.emit(Insn::StreamFromVal);
             return self.compile_stream_op(method, args);
         }
-        let (ty, vla) = self.compile_place_vla(recv)?;
+        let (ty, vla) = self.compile_place_vla(recv);
         match &ty {
             Type::Stream(_) => {
                 self.emit(Insn::StreamFromPlace);
@@ -1939,30 +1800,29 @@ impl<'p> Compiler<'p> {
                 let p = self.p;
                 let Some(def) = p.struct_def(sname) else {
                     self.fail(ExecError::setup(format!("unknown struct `{sname}`")));
-                    return Ok(());
+                    return;
                 };
                 let Some(m) = def.method(method) else {
                     self.fail(ExecError::setup(format!(
                         "no method `{method}` on `{sname}`"
                     )));
-                    return Ok(());
+                    return;
                 };
                 self.compile_method_call(def, m, args)
             }
             other => {
                 self.fail_non_struct("method call on non-struct", other, vla);
-                Ok(())
             }
         }
     }
 
-    fn compile_stream_op(&mut self, method: &str, args: &[Expr]) -> Result<(), Unsupported> {
+    fn compile_stream_op(&mut self, method: &str, args: &[Expr]) {
         self.emit(Insn::ChargeN(2));
         match method {
             "write" | "push" => {
-                let a0 = args.first().ok_or(Unsupported)?;
-                self.compile_expr(a0)?;
-                self.emit(Insn::StreamPush);
+                if self.builtin_args(method, args, 1) {
+                    self.emit(Insn::StreamPush);
+                }
             }
             "read" | "pop" => self.emit(Insn::StreamPop),
             "empty" => self.emit(Insn::StreamEmptyQ),
@@ -1972,34 +1832,6 @@ impl<'p> Compiler<'p> {
                 self.fail(ExecError::setup(format!("unknown stream method `{other}`")));
             }
         }
-        Ok(())
-    }
-}
-
-/// Whether a resolved local type still contains a runtime array extent
-/// (only the array spine counts, mirroring `materialize_vla`).
-fn has_runtime_extent(t: &Type) -> bool {
-    match t {
-        Type::Array(_, ArraySize::Runtime(_)) => true,
-        Type::Array(inner, _) => has_runtime_extent(inner),
-        _ => false,
-    }
-}
-
-fn block_has_goto(b: &Block) -> bool {
-    b.stmts.iter().any(stmt_has_goto)
-}
-
-fn stmt_has_goto(s: &Stmt) -> bool {
-    match &s.kind {
-        StmtKind::Goto(_) => true,
-        StmtKind::Block(b) => block_has_goto(b),
-        StmtKind::If(_, t, e) => block_has_goto(t) || e.as_ref().is_some_and(block_has_goto),
-        StmtKind::While(_, b) | StmtKind::DoWhile(b, _) => block_has_goto(b),
-        StmtKind::For(init, _, _, b) => {
-            init.as_deref().is_some_and(stmt_has_goto) || block_has_goto(b)
-        }
-        _ => false,
     }
 }
 

@@ -1,15 +1,12 @@
-//! Engine selection and the compile-once/run-many cache.
+//! The compile-once/run-many cache, and the reference engine switch.
 //!
 //! The repair loop executes every test input against every candidate, so a
 //! candidate's `Program` is lowered to bytecode **once** (keyed by its
 //! structural fingerprint, shared process-wide) and then executed many
-//! times by cheap per-run [`Vm`] instances. The tree-walking
-//! [`Machine`] stays available behind [`ExecEngine::TreeWalk`] as the
-//! reference engine for differential testing.
-//!
-//! Programs outside the bytecode subset (`goto` is the only construct
-//! left) transparently fall back to the tree-walker — the `None` verdict
-//! is cached too, so the subset check is also paid once per candidate.
+//! times by cheap per-run [`Vm`] instances. Every program compiles, so the
+//! VM is the one production engine; the tree-walking [`Machine`] stays
+//! behind [`ExecEngine::TreeWalk`] only as the reference the parity tests
+//! and the benchmark's output oracle check the VM against.
 
 use crate::bytecode::{compile, CompiledProgram};
 use crate::error::ExecError;
@@ -21,59 +18,21 @@ use minic::ast::{NodeId, Program};
 use std::collections::BTreeMap;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
-use std::str::FromStr;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Which interpreter executes candidate programs.
+/// Which interpreter executes a program.
 ///
 /// Both engines are observably identical (values, traps and their message
-/// strings, fuel accounting, coverage, profiles); `Bytecode` is the fast
-/// default, `TreeWalk` the reference implementation kept for differential
-/// testing and as the fallback for programs outside the bytecode subset.
+/// strings, fuel accounting, coverage, profiles). `Bytecode` is the one
+/// the pipeline runs; `TreeWalk` is the reference implementation that
+/// parity tests and the benchmark's output oracle check it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecEngine {
     /// The original AST-walking reference interpreter.
     TreeWalk,
-    /// Compile-once/run-many bytecode VM (falls back per-program to the
-    /// tree-walker when the program is outside the supported subset).
+    /// Compile-once/run-many bytecode VM.
     #[default]
     Bytecode,
-}
-
-impl ExecEngine {
-    /// Stable lowercase name (CLI / JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecEngine::TreeWalk => "treewalk",
-            ExecEngine::Bytecode => "bytecode",
-        }
-    }
-}
-
-impl std::fmt::Display for ExecEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for ExecEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ExecEngine, String> {
-        match s {
-            "treewalk" | "tree-walk" | "tree" => Ok(ExecEngine::TreeWalk),
-            "bytecode" | "vm" => Ok(ExecEngine::Bytecode),
-            other => Err(format!(
-                "unknown engine `{other}` (expected `bytecode` or `treewalk`)"
-            )),
-        }
-    }
-}
-
-impl serde::Serialize for ExecEngine {
-    fn to_json_value(&self) -> serde::Value {
-        serde::Value::Str(self.name().to_string())
-    }
 }
 
 /// Compile-cache key: the structural fingerprint **plus** the node-id
@@ -85,9 +44,8 @@ impl serde::Serialize for ExecEngine {
 /// other AST's ids and silently diverge from the tree-walker.
 type CompileKey = (u64, u64);
 
-/// Process-wide key → compiled-program cache. `None` records a program
-/// outside the bytecode subset so the check is paid once.
-static COMPILE_CACHE: OnceLock<Mutex<SecondChanceCache<CompileKey, Option<Arc<CompiledProgram>>>>> =
+/// Process-wide key → compiled-program cache.
+static COMPILE_CACHE: OnceLock<Mutex<SecondChanceCache<CompileKey, Arc<CompiledProgram>>>> =
     OnceLock::new();
 
 /// Capacity bound for the compile cache (the search working set is far
@@ -165,8 +123,7 @@ impl<K: Eq + Hash + Copy, V: Clone> SecondChanceCache<K, V> {
 }
 
 /// Returns the shared compiled form of `p`, compiling on first sight.
-/// `None` means the program is outside the bytecode subset.
-pub fn compiled_for(p: &Program) -> Option<Arc<CompiledProgram>> {
+pub fn compiled_for(p: &Program) -> Arc<CompiledProgram> {
     let key = (
         minic::fingerprint_program(p),
         minic::fingerprint_node_ids(p),
@@ -176,7 +133,7 @@ pub fn compiled_for(p: &Program) -> Option<Arc<CompiledProgram>> {
         return hit;
     }
     // Compile outside the lock: lowering is the expensive part.
-    let compiled = compile(p).map(Arc::new);
+    let compiled = Arc::new(compile(p));
     cache
         .lock()
         .expect("compile cache poisoned")
@@ -191,6 +148,7 @@ pub fn compiled_for(p: &Program) -> Option<Arc<CompiledProgram>> {
 #[derive(Debug)]
 pub struct Prepared<'p> {
     program: &'p Program,
+    /// `None` for the tree-walk reference.
     compiled: Option<Arc<CompiledProgram>>,
 }
 
@@ -198,15 +156,9 @@ impl<'p> Prepared<'p> {
     pub fn new(engine: ExecEngine, program: &'p Program) -> Prepared<'p> {
         let compiled = match engine {
             ExecEngine::TreeWalk => None,
-            ExecEngine::Bytecode => compiled_for(program),
+            ExecEngine::Bytecode => Some(compiled_for(program)),
         };
         Prepared { program, compiled }
-    }
-
-    /// Whether runs will actually use the bytecode VM (false for the
-    /// tree-walk engine *and* for bytecode-engine programs that fell back).
-    pub fn uses_bytecode(&self) -> bool {
-        self.compiled.is_some()
     }
 
     /// Creates a fresh interpreter (runs global initializers, mirroring

@@ -16,8 +16,8 @@ use crate::profile::Profile;
 use crate::value::{coerce, ArgValue, Outcome, ScalarOut, Value};
 use minic::ast::*;
 use minic::typeck;
-use minic::types::Type;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use minic::types::{ArraySize, Type};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// What happens when a static-array index falls outside the declared extent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,85 +270,26 @@ impl<'p> Machine<'p> {
         t.resolve_named(&|n| self.program.typedef(n).cloned())
     }
 
-    /// Size of a type in cells.
+    /// Size of a type in cells. Sizes saturate at `usize::MAX`, and a type
+    /// nested deeper than 64 levels has no size.
     pub fn size_of(&self, t: &Type) -> Result<usize, ExecError> {
-        let t = self.resolve(t);
-        Ok(match &t {
-            Type::Array(inner, size) => {
-                let n = minic::edit::resolve_array_size(self.program, size)
-                    .ok_or_else(|| ExecError::unknown_size("array with unresolved extent"))?;
-                (n as usize).saturating_mul(self.size_of(inner)?)
-            }
-            Type::Struct(name) => {
-                let def = self
-                    .program
-                    .struct_def(name)
-                    .ok_or_else(|| ExecError::unknown_size(format!("struct `{name}`")))?;
-                let mut sum = 0;
-                for f in &def.fields {
-                    sum += if f.by_ref { 1 } else { self.size_of(&f.ty)? };
-                }
-                sum.max(1)
-            }
-            Type::Union(name) => {
-                let def = self
-                    .program
-                    .struct_def(name)
-                    .ok_or_else(|| ExecError::unknown_size(format!("union `{name}`")))?;
-                let mut mx = 1;
-                for f in &def.fields {
-                    mx = mx.max(self.size_of(&f.ty)?);
-                }
-                mx
-            }
-            Type::Void => 1,
-            _ => 1,
-        })
+        type_size(self.program, t, 0)
     }
 
-    /// Replaces `Runtime(v)` array extents with the current value of `v`.
-    fn materialize_vla(&self, ty: &Type) -> Result<Type, ExecError> {
+    /// Replaces a VLA's outermost `Runtime(v)` extent with the current
+    /// value of `v`.
+    fn materialize_vla(&self, name: &str, ty: &Type) -> Result<Type, ExecError> {
         match ty {
-            Type::Array(inner, minic::types::ArraySize::Runtime(v)) => {
+            Type::Array(elem, ArraySize::Runtime(v)) if !has_runtime_extent(elem) => {
                 let b = self
                     .lookup(v)
                     .ok_or_else(|| ExecError::setup(format!("VLA size `{v}` not in scope")))?;
                 let n = self.mem.load(b.addr)?.as_int().max(0) as u64;
-                Ok(Type::Array(
-                    Box::new(self.materialize_vla(inner)?),
-                    minic::types::ArraySize::Const(n.max(1)),
-                ))
+                Ok(Type::Array(elem.clone(), ArraySize::Const(n.max(1))))
             }
-            Type::Array(inner, size) => Ok(Type::Array(
-                Box::new(self.materialize_vla(inner)?),
-                size.clone(),
-            )),
+            t if has_runtime_extent(t) => Err(nested_vla_error(name)),
             other => Ok(other.clone()),
         }
-    }
-
-    fn field_offset(&self, struct_name: &str, field: &str) -> Result<(usize, Type), ExecError> {
-        let def = self
-            .program
-            .struct_def(struct_name)
-            .ok_or_else(|| ExecError::setup(format!("unknown struct `{struct_name}`")))?;
-        if def.is_union {
-            // All union fields share offset 0.
-            let f = def
-                .field(field)
-                .ok_or_else(|| ExecError::setup(format!("no field `{field}`")))?;
-            return Ok((0, f.ty.clone()));
-        }
-        let mut off = 0;
-        for f in &def.fields {
-            if f.name == field {
-                return Ok((off, f.ty.clone()));
-            }
-            off += if f.by_ref { 1 } else { self.size_of(&f.ty)? };
-        }
-        Err(ExecError::setup(format!(
-            "no field `{field}` on `{struct_name}`"
-        )))
     }
 
     fn charge(&mut self, n: u64) -> Result<(), ExecError> {
@@ -375,7 +316,7 @@ impl<'p> Machine<'p> {
                 }
             }
             if let Some((base, sname)) = &frame.self_struct {
-                if let Ok((off, ty)) = self.field_offset(sname, name) {
+                if let Ok((off, ty)) = field_offset(self.program, sname, name) {
                     return Some(Binding {
                         addr: base + off,
                         ty,
@@ -594,11 +535,10 @@ impl<'p> Machine<'p> {
             frame.scopes[0].insert(param.name.clone(), Binding { addr, ty: bty });
         }
         self.frames.push(frame);
-        let body = f
-            .body
-            .as_ref()
-            .ok_or_else(|| ExecError::setup(format!("call of prototype `{}`", f.name)))?;
-        let result = self.exec_body(body);
+        let result = match &f.body {
+            Some(body) => self.exec_body(body),
+            None => Err(ExecError::setup(format!("call of prototype `{}`", f.name))),
+        };
         self.frames.pop();
         if let Some(d) = self.active_calls.get_mut(&f.name) {
             *d -= 1;
@@ -612,7 +552,8 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Executes a function body with top-level label/goto support.
+    /// Executes a function body with top-level label/goto support: a
+    /// `goto` resumes after the first top-level label of its name.
     fn exec_body(&mut self, body: &Block) -> Result<Flow, ExecError> {
         let mut idx = 0usize;
         loop {
@@ -621,18 +562,15 @@ impl<'p> Machine<'p> {
             }
             match self.exec_stmt(&body.stmts[idx])? {
                 Flow::Goto(label) => {
-                    let target = body
+                    let t = body
                         .stmts
                         .iter()
-                        .position(|s| matches!(&s.kind, StmtKind::Label(l) if *l == label));
-                    match target {
-                        Some(t) => idx = t + 1,
-                        None => {
-                            return Err(ExecError::setup(format!(
-                                "goto to unknown label `{label}`"
-                            )))
-                        }
+                        .position(|s| matches!(&s.kind, StmtKind::Label(l) if *l == label))
+                        .ok_or_else(|| unknown_label_error(&label))?;
+                    if let Some(name) = goto_crossing(self.program, body, idx, t) {
+                        return Err(crossing_error(&label, name));
                     }
+                    idx = t + 1;
                 }
                 Flow::Normal => idx += 1,
                 other => return Ok(other),
@@ -669,7 +607,7 @@ impl<'p> Machine<'p> {
                 let ty = self.resolve(&d.ty);
                 // VLAs: materialize runtime extents from the current value
                 // of the size variable (CPU semantics; HLS rejects these).
-                let ty = self.materialize_vla(&ty)?;
+                let ty = self.materialize_vla(&d.name, &ty)?;
                 let size = self.size_of(&ty)?;
                 let addr = self.alloc_tracked(size)?;
                 if let Type::Stream(_) = &ty {
@@ -811,7 +749,7 @@ impl<'p> Machine<'p> {
                     let Some(field) = def.fields.get(i).cloned() else {
                         break;
                     };
-                    let (off, fty) = self.field_offset(&name, &field.name)?;
+                    let (off, fty) = field_offset(self.program, &name, &field.name)?;
                     let v = self.eval(e)?;
                     let v = {
                         let size_of = sizer(self);
@@ -968,7 +906,7 @@ impl<'p> Machine<'p> {
                 };
                 match &bty {
                     Type::Struct(name) | Type::Union(name) => {
-                        let (off, fty) = self.field_offset(name, field)?;
+                        let (off, fty) = field_offset(self.program, name, field)?;
                         Ok((baddr + off, self.resolve(&fty)))
                     }
                     other => Err(ExecError::setup(format!(
@@ -1035,7 +973,7 @@ impl<'p> Machine<'p> {
                 env.insert(p.name.clone(), v.clone());
             }
             for (field, init) in &ctor.inits {
-                let (off, fty) = self.field_offset(name, field)?;
+                let (off, fty) = field_offset(self.program, name, field)?;
                 // Ctor inits in the subjects are simple parameter references.
                 let v = match &init.kind {
                     ExprKind::Ident(n) if env.contains_key(n) => env[n].clone(),
@@ -1059,7 +997,7 @@ impl<'p> Machine<'p> {
                 let Some(field) = def.fields.get(i) else {
                     break;
                 };
-                let (off, fty) = self.field_offset(name, &field.name)?;
+                let (off, fty) = field_offset(self.program, name, &field.name)?;
                 if field.by_ref || matches!(fty, Type::Stream(_)) {
                     self.mem.store(addr + off, v)?;
                 } else {
@@ -1269,12 +1207,12 @@ impl<'p> Machine<'p> {
         // Builtins first.
         match name {
             "malloc" => {
-                let n = self.eval(&args[0])?.as_int().max(0) as usize;
+                let n = self.eval(builtin_arg(name, args, 0)?)?.as_int().max(0) as usize;
                 let addr = self.alloc_tracked(n.max(1))?;
                 return Ok(Value::Ptr { addr, stride: 1 });
             }
             "free" => {
-                let p = self.eval(&args[0])?;
+                let p = self.eval(builtin_arg(name, args, 0)?)?;
                 if let Value::Ptr { addr, .. } = p {
                     if let Some(n) = self.alloc_sizes.get(&addr).copied() {
                         self.mem.free(n);
@@ -1284,7 +1222,7 @@ impl<'p> Machine<'p> {
             }
             "sqrt" | "fabs" | "exp" | "log" | "sin" | "cos" | "tan" | "floor" | "ceil"
             | "round" => {
-                let x = self.eval(&args[0])?.as_f64();
+                let x = self.eval(builtin_arg(name, args, 0)?)?.as_f64();
                 self.charge(8)?;
                 let v = match name {
                     "sqrt" => x.sqrt(),
@@ -1301,8 +1239,8 @@ impl<'p> Machine<'p> {
                 return Ok(Value::double(v));
             }
             "pow" | "fmin" | "fmax" | "atan2" | "fmod" => {
-                let x = self.eval(&args[0])?.as_f64();
-                let y = self.eval(&args[1])?.as_f64();
+                let x = self.eval(builtin_arg(name, args, 0)?)?.as_f64();
+                let y = self.eval(builtin_arg(name, args, 1)?)?.as_f64();
                 self.charge(10)?;
                 let v = match name {
                     "pow" => x.powf(y),
@@ -1314,7 +1252,7 @@ impl<'p> Machine<'p> {
                 return Ok(Value::double(v));
             }
             "abs" => {
-                let x = self.eval(&args[0])?.as_int();
+                let x = self.eval(builtin_arg(name, args, 0)?)?.as_int();
                 return Ok(Value::int(x.abs()));
             }
             "printf" => {
@@ -1324,9 +1262,9 @@ impl<'p> Machine<'p> {
                 return Ok(Value::int(0));
             }
             "memset" => {
-                let p = self.eval(&args[0])?;
-                let fill = self.eval(&args[1])?;
-                let n = self.eval(&args[2])?.as_int().max(0) as usize;
+                let p = self.eval(builtin_arg(name, args, 0)?)?;
+                let fill = self.eval(builtin_arg(name, args, 1)?)?;
+                let n = self.eval(builtin_arg(name, args, 2)?)?.as_int().max(0) as usize;
                 if let Value::Ptr { addr, .. } = p {
                     for i in 0..n {
                         self.mem.store(addr + i, fill.clone())?;
@@ -1336,9 +1274,9 @@ impl<'p> Machine<'p> {
                 return Ok(Value::Unit);
             }
             "memcpy" => {
-                let dst = self.eval(&args[0])?;
-                let src = self.eval(&args[1])?;
-                let n = self.eval(&args[2])?.as_int().max(0) as usize;
+                let dst = self.eval(builtin_arg(name, args, 0)?)?;
+                let src = self.eval(builtin_arg(name, args, 1)?)?;
+                let n = self.eval(builtin_arg(name, args, 2)?)?.as_int().max(0) as usize;
                 if let (Value::Ptr { addr: d, .. }, Value::Ptr { addr: s, .. }) = (dst, src) {
                     let vals = self.mem.load_run(s, n)?;
                     for (i, v) in vals.into_iter().enumerate() {
@@ -1447,7 +1385,7 @@ impl<'p> Machine<'p> {
         self.charge(2)?;
         match method {
             "write" | "push" => {
-                let v = self.eval(&args[0])?;
+                let v = self.eval(builtin_arg(method, args, 0)?)?;
                 self.streams
                     .get_mut(handle)
                     .ok_or_else(|| ExecError::setup("bad stream handle"))?
@@ -1472,6 +1410,202 @@ impl<'p> Machine<'p> {
             )),
             other => Err(ExecError::setup(format!("unknown stream method `{other}`"))),
         }
+    }
+}
+
+/// Argument `i` of builtin `name`, or the arity error both engines raise
+/// when the call passes fewer.
+fn builtin_arg<'e>(name: &str, args: &'e [Expr], i: usize) -> Result<&'e Expr, ExecError> {
+    args.get(i).ok_or_else(|| arity_error(name))
+}
+
+pub(crate) fn arity_error(name: &str) -> ExecError {
+    ExecError::setup(format!("arity mismatch calling `{name}`"))
+}
+
+pub(crate) fn unknown_label_error(label: &str) -> ExecError {
+    ExecError::setup(format!("goto to unknown label `{label}`"))
+}
+
+pub(crate) fn crossing_error(label: &str, name: &str) -> ExecError {
+    ExecError::setup(format!(
+        "goto `{label}` crosses the declaration of `{name}`"
+    ))
+}
+
+pub(crate) fn nested_vla_error(name: &str) -> ExecError {
+    ExecError::setup(format!(
+        "VLA `{name}` has a runtime extent below its outermost dimension"
+    ))
+}
+
+/// Whether a resolved type still contains a runtime array extent (only the
+/// array spine counts).
+pub(crate) fn has_runtime_extent(t: &Type) -> bool {
+    match t {
+        Type::Array(_, ArraySize::Runtime(_)) => true,
+        Type::Array(inner, _) => has_runtime_extent(inner),
+        _ => false,
+    }
+}
+
+/// Deepest type nesting [`type_size`] follows: array elements and struct
+/// and union fields each add a level, so a struct that contains itself by
+/// value stops here instead of recursing without bound.
+pub(crate) const MAX_TYPE_DEPTH: u32 = 64;
+
+/// Size of a type in cells, shared by both engines. Sizes saturate at
+/// `usize::MAX`, which the allocator then refuses with
+/// [`Trap::OutOfMemory`].
+pub(crate) fn type_size(p: &Program, t: &Type, depth: u32) -> Result<usize, ExecError> {
+    if depth > MAX_TYPE_DEPTH {
+        return Err(ExecError::unknown_size(format!(
+            "`{t}`: type nested deeper than {MAX_TYPE_DEPTH} levels"
+        )));
+    }
+    let t = t.resolve_named(&|n| p.typedef(n).cloned());
+    Ok(match &t {
+        Type::Array(inner, size) => {
+            let n = minic::edit::resolve_array_size(p, size)
+                .ok_or_else(|| ExecError::unknown_size("array with unresolved extent"))?;
+            (n as usize).saturating_mul(type_size(p, inner, depth + 1)?)
+        }
+        Type::Struct(name) => {
+            let def = p
+                .struct_def(name)
+                .ok_or_else(|| ExecError::unknown_size(format!("struct `{name}`")))?;
+            let mut sum = 0usize;
+            for f in &def.fields {
+                let s = if f.by_ref {
+                    1
+                } else {
+                    type_size(p, &f.ty, depth + 1)?
+                };
+                sum = sum.saturating_add(s);
+            }
+            sum.max(1)
+        }
+        Type::Union(name) => {
+            let def = p
+                .struct_def(name)
+                .ok_or_else(|| ExecError::unknown_size(format!("union `{name}`")))?;
+            let mut mx = 1;
+            for f in &def.fields {
+                mx = mx.max(type_size(p, &f.ty, depth + 1)?);
+            }
+            mx
+        }
+        _ => 1,
+    })
+}
+
+/// Offset in cells and declared type of a struct or union field, shared by
+/// both engines.
+pub(crate) fn field_offset(
+    p: &Program,
+    struct_name: &str,
+    field: &str,
+) -> Result<(usize, Type), ExecError> {
+    let def = p
+        .struct_def(struct_name)
+        .ok_or_else(|| ExecError::setup(format!("unknown struct `{struct_name}`")))?;
+    if def.is_union {
+        // All union fields share offset 0.
+        let f = def
+            .field(field)
+            .ok_or_else(|| ExecError::setup(format!("no field `{field}`")))?;
+        return Ok((0, f.ty.clone()));
+    }
+    let mut off = 0usize;
+    for f in &def.fields {
+        if f.name == field {
+            return Ok((off, f.ty.clone()));
+        }
+        let s = if f.by_ref { 1 } else { type_size(p, &f.ty, 0)? };
+        off = off.saturating_add(s);
+    }
+    Err(ExecError::setup(format!(
+        "no field `{field}` on `{struct_name}`"
+    )))
+}
+
+/// The top-level declaration a `goto` from top-level statement `from` to
+/// the label at top-level index `to` would let be observed out of its
+/// lexical order, if any. The walker keeps one dynamic scope for a body's
+/// top-level declarations; the VM resolves names lexically. They agree
+/// unless a forward jump skips a declaration whose name is used after the
+/// label, or a backward jump resumes above a declaration whose name is
+/// used before it is redeclared — C++'s "jump crosses initialization".
+/// Both engines reject exactly those jumps, so neither scoping rule is
+/// ever observable.
+pub(crate) fn goto_crossing<'b>(
+    p: &Program,
+    body: &'b Block,
+    from: usize,
+    to: usize,
+) -> Option<&'b str> {
+    let decl_name = |s: &'b Stmt| match &s.kind {
+        StmtKind::Decl(d) => Some(d.name.as_str()),
+        _ => None,
+    };
+    let stmts = &body.stmts;
+    if to > from {
+        let used_after = names_used(p, &stmts[to + 1..]);
+        return stmts[from + 1..to]
+            .iter()
+            .filter_map(decl_name)
+            .find(|n| used_after.contains(*n));
+    }
+    let mut seen = HashSet::new();
+    for (d, s) in stmts.iter().enumerate().skip(to + 1) {
+        if let Some(n) = decl_name(s) {
+            if seen.insert(n) && names_used(p, &stmts[to + 1..=d]).contains(n) {
+                return Some(n);
+            }
+        }
+    }
+    None
+}
+
+/// Every variable name the statements may look up: identifiers, VLA
+/// extents, and — when a struct literal appears — the identifiers of every
+/// constructor initializer, which run in the caller's scope.
+fn names_used(p: &Program, stmts: &[Stmt]) -> HashSet<String> {
+    let mut out = HashSet::new();
+    let mut literal = false;
+    for s in stmts {
+        minic::visit::walk_stmt_exprs(s, &mut |e| note_ident(e, &mut out, &mut literal));
+        minic::visit::walk_stmt(s, &mut |st| {
+            if let StmtKind::Decl(d) = &st.kind {
+                let mut t = &d.ty;
+                while let Type::Array(inner, size) = t {
+                    if let ArraySize::Runtime(v) = size {
+                        out.insert(v.clone());
+                    }
+                    t = inner;
+                }
+            }
+        });
+    }
+    if literal {
+        for item in &p.items {
+            if let Item::Struct(StructDef { ctor: Some(c), .. }) = item {
+                for (_, e) in &c.inits {
+                    minic::visit::walk_expr(e, &mut |e| note_ident(e, &mut out, &mut literal));
+                }
+            }
+        }
+    }
+    out
+}
+
+fn note_ident(e: &Expr, out: &mut HashSet<String>, literal: &mut bool) {
+    match &e.kind {
+        ExprKind::Ident(n) => {
+            out.insert(n.clone());
+        }
+        ExprKind::StructLit(..) => *literal = true,
+        _ => {}
     }
 }
 

@@ -10,8 +10,7 @@ use std::sync::Arc;
 /// observable matches.
 fn diff_with(src: &str, kernel: &str, args: &[ArgValue], config: MachineConfig) {
     let p = minic::parse(src).expect("parse");
-    let compiled = minic_exec::compile(&p)
-        .unwrap_or_else(|| panic!("program unexpectedly outside the bytecode subset:\n{src}"));
+    let compiled = minic_exec::compile(&p);
     let tm = Machine::new(&p, config);
     let bm = Vm::new(Arc::new(compiled), config);
     match (tm, bm) {
@@ -426,7 +425,7 @@ fn setup_errors_match() {
 fn kernel_argument_mismatches() {
     let src = "int kernel(int a[4]) { return a[0]; }";
     let p = minic::parse(src).expect("parse");
-    let compiled = minic_exec::compile(&p).expect("subset");
+    let compiled = minic_exec::compile(&p);
     let mut m = Machine::new(&p, MachineConfig::cpu()).unwrap();
     let mut v = Vm::new(Arc::new(compiled), MachineConfig::cpu()).unwrap();
     // Wrong arity and wrong argument kind must produce identical outcomes.
@@ -453,29 +452,6 @@ fn global_initializer_trap_parity() {
 }
 
 #[test]
-fn unsupported_constructs_fall_back() {
-    // goto is outside the subset: compile must return None (callers fall
-    // back to the tree-walker), never a wrong program.
-    let src = "
-        int kernel(int x) {
-            int s = 0;
-          again:
-            s += x;
-            if (s < 10) goto again;
-            return s;
-        }
-    ";
-    let p = minic::parse(src).expect("parse");
-    assert!(minic_exec::compile(&p).is_none());
-    // And the Prepared wrapper silently uses the walker for it.
-    let prepared = Prepared::new(ExecEngine::Bytecode, &p);
-    assert!(!prepared.uses_bytecode());
-    let mut r = prepared.runner(MachineConfig::cpu()).unwrap();
-    let o = r.run_kernel("kernel", &[ArgValue::Int(3)]);
-    assert_eq!(o.ret.map(|s| format!("{s:?}")), Some("Int(12)".to_string()));
-}
-
-#[test]
 fn runner_parity_through_engine_api() {
     let src = "
         int kernel(int n) {
@@ -487,8 +463,6 @@ fn runner_parity_through_engine_api() {
     let p = minic::parse(src).expect("parse");
     let fast = Prepared::new(ExecEngine::Bytecode, &p);
     let slow = Prepared::new(ExecEngine::TreeWalk, &p);
-    assert!(fast.uses_bytecode());
-    assert!(!slow.uses_bytecode());
     let mut rf = fast.runner(MachineConfig::cpu()).unwrap();
     let mut rs = slow.runner(MachineConfig::cpu()).unwrap();
     assert_eq!(
@@ -540,7 +514,6 @@ fn fingerprint_equal_programs_with_different_ids_do_not_share_sites() {
     for p in [&p1, &p2] {
         let fast = Prepared::new(ExecEngine::Bytecode, p);
         let slow = Prepared::new(ExecEngine::TreeWalk, p);
-        assert!(fast.uses_bytecode());
         let mut rf = fast.runner(MachineConfig::cpu()).unwrap();
         let mut rs = slow.runner(MachineConfig::cpu()).unwrap();
         assert_eq!(
@@ -560,7 +533,7 @@ fn fingerprint_equal_programs_with_different_ids_do_not_share_sites() {
 fn run_function_value_parity() {
     let src = "int sq(int x) { return x * x; }";
     let p = minic::parse(src).expect("parse");
-    let compiled = minic_exec::compile(&p).expect("subset");
+    let compiled = minic_exec::compile(&p);
     let mut m = Machine::new(&p, MachineConfig::cpu()).unwrap();
     let mut v = Vm::new(Arc::new(compiled), MachineConfig::cpu()).unwrap();
     let a = m
@@ -575,10 +548,10 @@ fn run_function_value_parity() {
 
 // ----- VLAs, struct literals and struct methods ---------------------------
 
-/// Engine parity for one configuration on a program that must compile to
-/// bytecode: every observable `diff_with` checks, plus — when all
-/// arguments are scalars — `run_function`'s value or `ExecError` (variant
-/// and message) on fresh machines. Returns the walker's kernel outcome.
+/// Engine parity for one configuration: every observable `diff_with`
+/// checks, plus — when all arguments are scalars — `run_function`'s value
+/// or `ExecError` (variant and message) on fresh machines. Returns the
+/// walker's kernel outcome.
 fn parity_with(
     src: &str,
     kernel: &str,
@@ -586,10 +559,6 @@ fn parity_with(
     config: MachineConfig,
 ) -> minic_exec::Outcome {
     let p = minic::parse(src).expect("parse");
-    assert!(
-        Prepared::new(ExecEngine::Bytecode, &p).uses_bytecode(),
-        "program fell back to the tree-walker:\n{src}"
-    );
     diff_with(src, kernel, args, config);
     let scalars: Option<Vec<minic_exec::Value>> = args
         .iter()
@@ -598,7 +567,7 @@ fn parity_with(
             _ => None,
         })
         .collect();
-    let compiled = Arc::new(minic_exec::compile(&p).expect("subset"));
+    let compiled = Arc::new(minic_exec::compile(&p));
     let mut m = Machine::new(&p, config).expect("globals");
     if let Some(values) = scalars {
         let mut v = Vm::new(Arc::clone(&compiled), config).expect("globals");
@@ -1040,4 +1009,394 @@ fn method_call_errors_match() {
     let non_struct = "int kernel(int x) { return x.f(); }";
     let o = parity(non_struct, "kernel", &ints(&[1]));
     assert!(trap_of(&o).contains("method call on non-struct"));
+}
+
+// ----- goto ---------------------------------------------------------------
+
+#[test]
+fn goto_jumps_forward_and_backward() {
+    let backward = "
+        int kernel(int x) {
+            int s = 0;
+          again:
+            s += x;
+            if (s < 10) goto again;
+            return s;
+        }
+    ";
+    for x in [1, 3, 11] {
+        let o = parity(backward, "kernel", &ints(&[x]));
+        assert!(!o.trapped, "{:?}", o.trap_reason);
+    }
+    let forward = "
+        int kernel(int x) {
+            int s = 1;
+            if (x > 0) goto done;
+            s = 2;
+            s += x;
+          done:
+            return s * 10;
+        }
+    ";
+    for x in [-4, 0, 5] {
+        parity(forward, "kernel", &ints(&[x]));
+    }
+    // The first top-level label of a name is the target; the second one is
+    // only ever reached by falling through.
+    let duplicate = "
+        int kernel(int x) {
+            int s = 0;
+          step:
+            s += 1;
+            if (s > x) return s;
+          step:
+            s += 100;
+            goto step;
+        }
+    ";
+    for x in [0, 150, 400] {
+        parity(duplicate, "kernel", &ints(&[x]));
+    }
+    // Fuel runs out on every charge site of the jump-built loop, the
+    // label (never charged when jumped to) included.
+    for fuel in 0..60 {
+        for base in [MachineConfig::cpu(), MachineConfig::fpga()] {
+            parity_with(
+                backward,
+                "kernel",
+                &ints(&[2]),
+                MachineConfig { fuel, ..base },
+            );
+        }
+    }
+}
+
+#[test]
+fn goto_leaves_nested_loops_mid_iteration() {
+    let src = "
+        int kernel(int n) {
+            int s = 0;
+            for (int i = 0; i < n; i++) {
+                int j = 0;
+                while (j < n) {
+                    s += i * j + 1;
+                    if (s > 20) goto out;
+                    j++;
+                }
+            }
+            s = -1;
+          out:
+            return s;
+        }
+    ";
+    for n in [0, 2, 4, 9] {
+        parity(src, "kernel", &ints(&[n]));
+    }
+    // Both loops are left mid-iteration: the iterations begun are counted
+    // and neither condition is evaluated again.
+    let p = minic::parse(src).expect("parse");
+    let walker = Prepared::new(ExecEngine::TreeWalk, &p);
+    let mut r = walker.runner(MachineConfig::cpu()).unwrap();
+    let o = r.run_kernel("kernel", &ints(&[9]));
+    assert_eq!(o.ret.map(|s| format!("{s:?}")), Some("Int(24)".to_string()));
+    let mut stats: Vec<u64> = r.loop_stats().into_values().collect();
+    stats.sort_unstable();
+    assert_eq!(stats, vec![2, 14], "outer and inner iterations begun");
+}
+
+#[test]
+fn goto_leaves_a_vla_scope() {
+    let src = "
+        int kernel(int n) {
+            int s = 1;
+          top:
+            {
+                int buf[n];
+                for (int k = 0; k < n; k++) buf[k] = k + s;
+                s += buf[n - 1];
+                if (s < 50) goto top;
+            }
+            return s;
+        }
+    ";
+    for n in [1, 3, 7] {
+        parity(src, "kernel", &ints(&[n]));
+    }
+}
+
+#[test]
+fn goto_inside_an_if_in_a_called_function() {
+    let src = "
+        int clamp(int v, int hi) {
+            if (v > hi) { goto big; }
+            return v;
+          big:
+            return hi;
+        }
+        int kernel(int x) { return clamp(x, 5) * 100 + clamp(x * 2, 7) + clamp(x, 5); }
+    ";
+    for x in [-3, 2, 4, 9] {
+        parity(src, "kernel", &ints(&[x]));
+    }
+}
+
+#[test]
+fn goto_to_an_unknown_label_fails_when_it_runs() {
+    let src = "
+        int kernel(int x) {
+            int s = x;
+            while (s < 100) { s += 7; if (s > 50) goto nowhere; }
+            return s;
+        }
+    ";
+    let o = parity(src, "kernel", &ints(&[3]));
+    assert!(
+        trap_of(&o).contains("goto to unknown label `nowhere`"),
+        "{:?}",
+        o.trap_reason
+    );
+    assert!(!parity(src, "kernel", &ints(&[200])).trapped);
+    // A label inside a nested block is not a target.
+    let nested = "
+        int kernel(int x) {
+            int s = 0;
+            if (x > 0) {
+              inner:
+                s += 1;
+            }
+            if (s < 3 && x > 0) goto inner;
+            return s;
+        }
+    ";
+    let o = parity(nested, "kernel", &ints(&[1]));
+    assert!(
+        trap_of(&o).contains("goto to unknown label `inner`"),
+        "{:?}",
+        o.trap_reason
+    );
+    assert!(!parity(nested, "kernel", &ints(&[0])).trapped);
+}
+
+#[test]
+fn goto_crossing_a_used_declaration_fails_in_both_engines() {
+    // Forward past a declaration used after the label.
+    let forward = "
+        int kernel(int x) {
+            if (x > 0) goto skip;
+            int y = 5;
+          skip:
+            return x + y;
+        }
+    ";
+    let o = parity(forward, "kernel", &ints(&[1]));
+    assert!(
+        trap_of(&o).contains("goto `skip` crosses the declaration of `y`"),
+        "{:?}",
+        o.trap_reason
+    );
+    assert!(!parity(forward, "kernel", &ints(&[-1])).trapped);
+    // Skipping a declaration nobody reads later is fine.
+    let unused = "
+        int kernel(int x) {
+            if (x > 0) goto done;
+            int unused = 3;
+          done:
+            return x;
+        }
+    ";
+    assert!(!parity(unused, "kernel", &ints(&[1])).trapped);
+    // Backward above a declaration whose name is read before it: the
+    // first pass reads the global, a second would read the local.
+    let backward = "
+        int y = 2;
+        int kernel(int x) {
+            int s = x;
+          again:
+            s += y;
+            int y = s + 10;
+            if (s < 30) goto again;
+            return s;
+        }
+    ";
+    let o = parity(backward, "kernel", &ints(&[1]));
+    assert!(
+        trap_of(&o).contains("goto `again` crosses the declaration of `y`"),
+        "{:?}",
+        o.trap_reason
+    );
+    assert!(!parity(backward, "kernel", &ints(&[40])).trapped);
+    // Redeclared before any read: the jump is fine.
+    let redeclared = "
+        int kernel(int x) {
+            int s = x;
+          again:
+            int y = s + 1;
+            s += y;
+            if (s < 30) goto again;
+            return s;
+        }
+    ";
+    assert!(!parity(redeclared, "kernel", &ints(&[1])).trapped);
+}
+
+#[test]
+fn for_initializer_swallows_break_continue_and_goto() {
+    // The parser only puts declarations and expressions in a `for`
+    // initializer; a hand-built AST can put any statement there, and the
+    // walker then drops every flow but `return` out of it.
+    for (flow, x) in [
+        ("break;", 1),
+        ("continue;", 1),
+        ("goto out;", 1),
+        ("goto nowhere;", 1),
+        ("return 77;", 1),
+        ("break;", -1),
+    ] {
+        let src = format!(
+            "
+            int kernel(int x) {{
+                int s = 0;
+                for (s = 1; s < 40; s += 5) {{ x += s; }}
+                {{ s = 3; if (x > 0) {{ while (s < 9) {{ s += 1; if (s == 6) {{ {flow} }} }} }} s += 100; }}
+              out:
+                return s * 1000 + x;
+            }}
+        "
+        );
+        let mut p = minic::parse(&src).expect("parse");
+        let body = &mut p
+            .function_mut("kernel")
+            .unwrap()
+            .body
+            .as_mut()
+            .unwrap()
+            .stmts;
+        let init = body.remove(2);
+        let minic::StmtKind::For(slot, ..) = &mut body[1].kind else {
+            panic!("second statement is the loop")
+        };
+        *slot = Some(Box::new(init));
+        for config in [MachineConfig::cpu(), MachineConfig::fpga()] {
+            let mut m = Machine::new(&p, config).unwrap();
+            let mut v = Vm::new(Arc::new(minic_exec::compile(&p)), config).unwrap();
+            let args = ints(&[x]);
+            assert_eq!(
+                m.run_kernel("kernel", &args),
+                v.run_kernel("kernel", &args),
+                "{flow}"
+            );
+            assert_eq!(m.ops(), v.ops(), "{flow}");
+            assert_eq!(m.coverage, v.coverage(), "{flow}");
+            assert_eq!(m.loop_stats, v.loop_stats(), "{flow}");
+        }
+    }
+}
+
+// ----- totality: degenerate programs fail alike ---------------------------
+
+#[test]
+fn builtins_called_with_too_few_arguments_fail_alike() {
+    for (call, name) in [
+        ("malloc()", "malloc"),
+        ("sqrt()", "sqrt"),
+        ("pow(x)", "pow"),
+        ("abs()", "abs"),
+        ("memcpy(p, p)", "memcpy"),
+        ("memset(p)", "memset"),
+    ] {
+        let src = format!(
+            "int kernel(int x) {{ int *p = (int*)malloc(4); int r = x + 1; r = r + (int)({call}); return r; }}"
+        );
+        let o = parity(&src, "kernel", &ints(&[3]));
+        assert!(
+            trap_of(&o).contains(&format!("arity mismatch calling `{name}`")),
+            "{call}: {:?}",
+            o.trap_reason
+        );
+    }
+    let stream = "
+        void kernel(hls::stream<int> &s, int x) { s.write(x); s.write(); }
+    ";
+    parity(
+        stream,
+        "kernel",
+        &[ArgValue::IntStream(vec![1]), ArgValue::Int(2)],
+    );
+}
+
+#[test]
+fn calling_a_method_prototype_fails_alike() {
+    let src = "
+        struct S {
+            int a;
+            int f(int k);
+            int g(int k) { return a + k; }
+        };
+        int kernel(int x) {
+            struct S s = S{x};
+            int r = s.g(x);
+            return r + s.f(x);
+        }
+    ";
+    let o = parity(src, "kernel", &ints(&[4]));
+    assert!(
+        trap_of(&o).contains("call of prototype `f`"),
+        "{:?}",
+        o.trap_reason
+    );
+    // The failed call leaves no frame behind: a later run on the same
+    // machine sees the same depth limit and profile in both engines.
+    let p = minic::parse(src).expect("parse");
+    for config in [MachineConfig::cpu(), MachineConfig::fpga()] {
+        let mut m = Machine::new(&p, config).unwrap();
+        let mut v = Vm::new(Arc::new(minic_exec::compile(&p)), config).unwrap();
+        for x in [1, 2] {
+            assert_eq!(
+                m.run_kernel("kernel", &ints(&[x])),
+                v.run_kernel("kernel", &ints(&[x]))
+            );
+        }
+        assert_eq!(m.profile, v.profile());
+        assert_eq!(m.call_counts, v.call_counts());
+    }
+}
+
+#[test]
+fn runtime_extent_below_the_outermost_dimension_fails_alike() {
+    for decl in ["int a[n][n];", "int a[2][n];", "int a[n][3][n];"] {
+        let src = format!("int kernel(int n) {{ int s = n; {decl} return s; }}");
+        let o = parity(&src, "kernel", &ints(&[3]));
+        assert!(
+            trap_of(&o).contains("VLA `a` has a runtime extent below its outermost dimension"),
+            "{decl}: {:?}",
+            o.trap_reason
+        );
+    }
+}
+
+#[test]
+fn self_recursive_by_value_struct_has_no_size() {
+    // Without the type depth bound, sizing this struct recurses until the
+    // walker's stack runs out.
+    let src = "
+        struct Node { int v; struct Node next; };
+        int kernel(int x) { int s = x + 1; struct Node n; return s; }
+    ";
+    let o = parity(src, "kernel", &ints(&[1]));
+    assert!(
+        trap_of(&o).contains("nested deeper than 64 levels"),
+        "{:?}",
+        o.trap_reason
+    );
+    // ... also when only `sizeof` asks, or a pointer to it is stepped.
+    let sizeof = "
+        struct Node { int v; struct Node next; };
+        int kernel(int x) { return x + sizeof(struct Node); }
+    ";
+    parity(sizeof, "kernel", &ints(&[1]));
+    let stride = "
+        struct Node { int v; struct Node next; };
+        int kernel(int x) { struct Node *p = (struct Node*)malloc(4); p = p + x; return 0; }
+    ";
+    parity(stride, "kernel", &ints(&[1]));
 }

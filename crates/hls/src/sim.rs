@@ -34,19 +34,18 @@ pub struct FpgaSimulator<'p> {
 }
 
 impl<'p> FpgaSimulator<'p> {
-    /// Creates a simulator for the program's top function, using the default
-    /// execution engine.
+    /// Creates a simulator for the program's top function on the bytecode
+    /// VM.
     ///
     /// # Errors
     ///
     /// Fails when the program has no resolvable top function.
     pub fn new(program: &'p Program) -> Result<FpgaSimulator<'p>, ExecError> {
-        FpgaSimulator::new_with_engine(program, ExecEngine::default())
+        FpgaSimulator::new_with_engine(program, ExecEngine::Bytecode)
     }
 
-    /// Creates a simulator for the program's top function on `engine`,
-    /// preparing the program once (unlike `new(..)` followed by
-    /// [`FpgaSimulator::with_engine`], which prepares it twice).
+    /// Creates a simulator for the program's top function on `engine`;
+    /// [`ExecEngine::TreeWalk`] simulates on the reference interpreter.
     ///
     /// # Errors
     ///
@@ -70,13 +69,6 @@ impl<'p> FpgaSimulator<'p> {
     /// Overrides the schedule model.
     pub fn with_model(mut self, model: ScheduleModel) -> Self {
         self.model = model;
-        self
-    }
-
-    /// Overrides the execution engine (both engines are observably
-    /// identical; `TreeWalk` is the reference for differential testing).
-    pub fn with_engine(mut self, engine: ExecEngine) -> Self {
-        self.prepared = Prepared::new(engine, self.program);
         self
     }
 
@@ -278,20 +270,6 @@ mod tests {
     fn missing_top_is_a_setup_error() {
         let p = minic::parse("void helper(int x) { }").unwrap();
         assert!(FpgaSimulator::new(&p).is_err());
-    }
-
-    #[test]
-    fn engine_constructor_matches_with_engine() {
-        let p = minic::parse(
-            "int kernel(int x) { int s = 0; for (int i = 0; i < x; i++) { s = s + i; } return s; }",
-        )
-        .unwrap();
-        let args = vec![ArgValue::Int(9)];
-        for engine in [ExecEngine::Bytecode, ExecEngine::TreeWalk] {
-            let direct = FpgaSimulator::new_with_engine(&p, engine).unwrap();
-            let swapped = FpgaSimulator::new(&p).unwrap().with_engine(engine);
-            assert_eq!(direct.run(&args), swapped.run(&args), "{engine}");
-        }
     }
 
     #[test]

@@ -11,8 +11,10 @@ pub enum ParseErrorKind {
     /// The source is not in the dialect (unexpected token, bad literal, …).
     Syntax,
     /// Statements or expressions nest deeper than
-    /// [`MAX_NESTING`](crate::parser::MAX_NESTING); the parser stops before
-    /// its recursion can overflow the stack.
+    /// [`MAX_NESTING`](crate::parser::MAX_NESTING), where the parser stops
+    /// before its recursion can overflow the stack, or the parsed program
+    /// is deeper than [`MAX_AST_DEPTH`](crate::MAX_AST_DEPTH), past which
+    /// the passes that recurse over it could.
     RecursionLimitExceeded,
 }
 
@@ -44,6 +46,21 @@ impl ParseError {
                 crate::parser::MAX_NESTING
             ),
             span,
+        }
+    }
+
+    /// The error for a parsed program deeper than
+    /// [`MAX_AST_DEPTH`](crate::MAX_AST_DEPTH) (left-nested binary
+    /// operators parse without recursion, so only the finished AST shows
+    /// their depth).
+    pub fn too_deep(depth: usize) -> Self {
+        ParseError {
+            kind: ParseErrorKind::RecursionLimitExceeded,
+            message: format!(
+                "AST depth {depth} exceeds the limit of {} levels",
+                crate::MAX_AST_DEPTH
+            ),
+            span: Span::default(),
         }
     }
 

@@ -35,6 +35,7 @@
 //! ```
 
 pub mod ast;
+pub mod depth;
 pub mod diff;
 pub mod edit;
 pub mod error;
@@ -51,6 +52,7 @@ pub use ast::{
     Block, Ctor, DesignConfig, Expr, ExprKind, Field, Function, Item, NodeId, Param, Pragma,
     PragmaKind, Program, Stmt, StmtKind, StructDef, VarDecl,
 };
+pub use depth::{ast_depth, MAX_AST_DEPTH};
 pub use error::{ParseError, ParseErrorKind, TypeError};
 pub use fingerprint::{fingerprint_node_ids, fingerprint_program};
 pub use parser::parse;

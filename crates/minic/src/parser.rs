@@ -22,7 +22,12 @@ use std::collections::{HashMap, HashSet};
 /// ```
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let tokens = crate::lexer::lex(src)?;
-    Parser::new(tokens).parse_program()
+    let program = Parser::new(tokens).parse_program()?;
+    let depth = crate::depth::ast_depth(&program);
+    if depth > crate::depth::MAX_AST_DEPTH {
+        return Err(ParseError::too_deep(depth));
+    }
+    Ok(program)
 }
 
 /// How deep statements and expressions may nest before [`parse`] returns a
@@ -1370,6 +1375,30 @@ mod tests {
         ] {
             assert_nesting_limit(&src);
         }
+    }
+
+    #[test]
+    fn a_long_binary_chain_exceeds_the_ast_depth_bound() {
+        // Left-nested operators parse in a loop, so only the finished AST
+        // shows their depth; 500 terms would overflow a 2 MiB debug
+        // thread in the passes after parsing.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let sum = |terms: usize| {
+                    format!("int k(int x) {{ return {}x; }}", "x + ".repeat(terms - 1))
+                };
+                let err = parse(&sum(500)).unwrap_err();
+                assert_eq!(err.kind(), ParseErrorKind::RecursionLimitExceeded, "{err}");
+                assert!(err.message().contains("AST depth 501"), "{err}");
+                // `return` and the innermost operand are one level each.
+                let p = parse(&sum(crate::MAX_AST_DEPTH - 1)).unwrap();
+                assert_eq!(crate::ast_depth(&p), crate::MAX_AST_DEPTH);
+                assert!(parse(&sum(crate::MAX_AST_DEPTH)).is_err());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -66,15 +66,15 @@ impl DifferentialTester {
             tests,
             max_tests,
             threads,
-            ExecEngine::default(),
+            ExecEngine::Bytecode,
         )
     }
 
-    /// Like [`DifferentialTester::with_threads`], selecting the execution
-    /// engine used for the reference runs and for every default-backend
-    /// candidate simulation. The candidate program is compiled once per
-    /// fingerprint (shared process-wide); both engines produce identical
-    /// reports.
+    /// Like [`DifferentialTester::with_threads`], running the reference
+    /// runs and every default-backend candidate simulation on `engine`.
+    /// The pipeline always uses the bytecode VM; passing
+    /// [`ExecEngine::TreeWalk`] checks a result against the reference
+    /// interpreter, which must produce a bit-identical report.
     ///
     /// # Errors
     ///

@@ -62,7 +62,7 @@ use heterogen_trace::{Event, NullSink, TraceSink, Verdict};
 use hls_sim::{CompileCostModel, HlsDiagnostic, SimClock, ToolchainError};
 use minic::ast::PragmaKind;
 use minic::Program;
-use minic_exec::{ExecEngine, Profile};
+use minic_exec::Profile;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -115,10 +115,6 @@ pub struct SearchConfig {
     /// `None` = unbounded. Exhausting the cap stops the search with
     /// [`SearchStop::EvalBudgetExhausted`] and the best candidate so far.
     pub max_evals: Option<u64>,
-    /// Execution engine used for every candidate run (CPU reference and
-    /// FPGA simulation alike). Both engines produce identical verdicts,
-    /// stats, and traces; only wall-clock time changes.
-    pub engine: ExecEngine,
     /// Mined fix patterns tried as a candidate tier *ahead of* the static
     /// precedence graph: edits predicted by a pattern (given the candidate's
     /// applied-kind suffix) sort before the dependence ranking. Empty (the
@@ -140,7 +136,6 @@ impl Default for SearchConfig {
             threads: 0,
             retry: RetryPolicy::default(),
             max_evals: None,
-            engine: ExecEngine::default(),
             mined: Arc::new(Vec::new()),
         }
     }
@@ -249,12 +244,6 @@ impl SearchConfigBuilder {
     /// Sets the cap on toolchain evaluations (`None` = unbounded).
     pub fn with_max_evals(mut self, v: Option<u64>) -> Self {
         self.cfg.max_evals = v;
-        self
-    }
-
-    /// Sets the execution engine for candidate runs.
-    pub fn with_engine(mut self, v: ExecEngine) -> Self {
-        self.cfg.engine = v;
         self
     }
 
@@ -510,7 +499,7 @@ where
         cfg,
         sink,
         injector,
-        &SimBackend::default_profile().with_engine(cfg.engine),
+        &SimBackend::default_profile(),
     )
 }
 
@@ -592,14 +581,8 @@ where
     let mut stop: Option<SearchStop> = None;
     let mut rng = SmallRng::seed_from_u64(cfg.rng_seed);
 
-    let tester = DifferentialTester::with_engine(
-        original,
-        kernel,
-        tests,
-        cfg.max_diff_tests,
-        cfg.threads,
-        cfg.engine,
-    )?;
+    let tester =
+        DifferentialTester::with_threads(original, kernel, tests, cfg.max_diff_tests, cfg.threads)?;
     clock.advance(costs.cpu_tests(tester.test_count()));
 
     // Key template for persisted differential verdicts: everything but the

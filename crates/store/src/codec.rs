@@ -15,11 +15,10 @@ use crate::{CorpusKey, CorpusRecord, FuzzRound, ScriptKey};
 use heterogen_toolchain::{DiffKey, DiffVerdict, EvalResult, VerdictKey};
 use hls_sim::{ErrorCategory, HlsDiagnostic};
 use minic::ast::NodeId;
-use minic_exec::{ArgValue, ExecEngine, Profile, Range};
+use minic_exec::{ArgValue, Profile, Range};
 use repair::{EditScript, FixPattern};
 use serde::Serialize;
 use serde::Value;
-use std::str::FromStr;
 use std::sync::Arc;
 
 /// Per-record schema version, checked on decode on top of the file-level
@@ -373,7 +372,6 @@ pub fn encode_verdict(key: &VerdictKey, val: &EvalResult) -> String {
         ("program_fp", u64v(key.program_fp)),
         ("node_fp", u64v(key.node_fp)),
         ("backend", Value::Str(key.backend.clone())),
-        ("engine", Value::Str(key.engine.name().to_string())),
         ("style_gate", Value::Bool(key.style_gate)),
         ("val", encode_eval(val)),
     ]))
@@ -477,7 +475,6 @@ pub fn decode_entry(text: &str) -> Option<Entry> {
                 program_fp: as_u64(v.get("program_fp")?)?,
                 node_fp: as_u64(v.get("node_fp")?)?,
                 backend: as_str(v.get("backend")?)?.to_string(),
-                engine: ExecEngine::from_str(as_str(v.get("engine")?)?).ok()?,
                 style_gate: as_bool(v.get("style_gate")?)?,
             };
             let val = decode_eval(v.get("val")?)?;
@@ -557,7 +554,6 @@ mod tests {
             program_fp: u64::MAX,
             node_fp: 7,
             backend: "hls_sim".to_string(),
-            engine: ExecEngine::TreeWalk,
             style_gate: true,
         };
         let diag = HlsDiagnostic::new("HG-001", "no \"dynamic\" memory", {

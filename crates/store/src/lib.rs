@@ -4,7 +4,7 @@
 //! holding five kinds of typed entries:
 //!
 //! * **verdict memos** — `(program fingerprint, node-id fingerprint,
-//!   backend, engine, style gate) →` toolchain verdict, served through the
+//!   backend, style gate) →` toolchain verdict, served through the
 //!   [`heterogen_toolchain::VerdictStore`] seam so the repair engine's
 //!   `Persisted` middleware can skip whole compiles across process runs;
 //! * **fuzz corpora** — per-subject campaign results (corpus, profile,
@@ -197,8 +197,8 @@ pub struct ScriptKey {
 /// Key of one persisted fuzz campaign.
 ///
 /// `seeds_fp` fingerprints the seed inputs and `config_fp` the
-/// result-relevant [`FuzzConfig`] knobs — deliberately excluding `threads`
-/// and `engine`, which are documented not to change campaign results.
+/// result-relevant [`FuzzConfig`] knobs — deliberately excluding `threads`,
+/// which is documented not to change campaign results.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CorpusKey {
     /// `minic::fingerprint_program` of the subject.
@@ -253,9 +253,9 @@ pub struct CorpusRecord {
 ///
 /// The config fingerprint covers exactly the knobs that influence campaign
 /// *results* (`rng_seed`, `exec_cost_min`, `idle_stop_min`, `max_execs`,
-/// `mutants_per_seed`); `threads` and `engine` only influence wall-clock
-/// time and are excluded, so a campaign recorded at one thread count warms
-/// a run at any other.
+/// `mutants_per_seed`); `threads` only influences wall-clock time and is
+/// excluded, so a campaign recorded at one thread count warms a run at any
+/// other.
 pub fn fuzz_campaign_key(
     program_fp: u64,
     kernel: &str,
@@ -561,20 +561,12 @@ impl Store {
         let mut bytes = log::file_header();
         let mut verdicts: Vec<_> = st.verdicts.iter().collect();
         verdicts.sort_by(|(a, _), (b, _)| {
-            (
-                a.program_fp,
-                a.node_fp,
-                &a.backend,
-                a.engine.name(),
-                a.style_gate,
-            )
-                .cmp(&(
-                    b.program_fp,
-                    b.node_fp,
-                    &b.backend,
-                    b.engine.name(),
-                    b.style_gate,
-                ))
+            (a.program_fp, a.node_fp, &a.backend, a.style_gate).cmp(&(
+                b.program_fp,
+                b.node_fp,
+                &b.backend,
+                b.style_gate,
+            ))
         });
         for (k, v) in verdicts {
             bytes.extend_from_slice(&log::encode_record(codec::encode_verdict(k, v).as_bytes()));
@@ -697,7 +689,7 @@ impl VerdictStore for Store {
 mod tests {
     use super::*;
     use heterogen_faults::IoFaultPlan;
-    use minic_exec::{ArgValue, ExecEngine};
+    use minic_exec::ArgValue;
 
     fn dir() -> PathBuf {
         PathBuf::from("/store")
@@ -708,7 +700,6 @@ mod tests {
             program_fp: n,
             node_fp: n.wrapping_mul(31),
             backend: "hls_sim".to_string(),
-            engine: ExecEngine::TreeWalk,
             style_gate: false,
         }
     }
@@ -1064,7 +1055,6 @@ mod tests {
         let base = FuzzConfig::default();
         let mut threaded = base;
         threaded.threads = 8;
-        threaded.engine = ExecEngine::Bytecode;
         assert_eq!(
             fuzz_campaign_key(1, "k", &seeds, &base),
             fuzz_campaign_key(1, "k", &seeds, &threaded)

@@ -23,8 +23,9 @@
 pub const MAGIC: [u8; 8] = *b"HGSTORE\0";
 
 /// File-format version. Bump on any layout change; [`replay`] refuses
-/// mismatches with a typed error rather than guessing.
-pub const SCHEMA_VERSION: u32 = 1;
+/// mismatches with a typed error rather than guessing. Version 2 dropped
+/// the execution engine from verdict keys.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Bytes of file header (magic + version).
 pub const FILE_HEADER_LEN: usize = MAGIC.len() + 4;

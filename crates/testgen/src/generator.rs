@@ -63,9 +63,6 @@ pub struct FuzzConfig {
     /// produces the same corpus, counters, and profile — only wall-clock
     /// time changes.
     pub threads: usize,
-    /// Execution engine for mutant runs. Both engines produce identical
-    /// corpora, coverage, and profiles; only wall-clock time changes.
-    pub engine: ExecEngine,
 }
 
 impl Default for FuzzConfig {
@@ -77,7 +74,6 @@ impl Default for FuzzConfig {
             max_execs: 20_000,
             mutants_per_seed: 16,
             threads: 0,
-            engine: ExecEngine::default(),
         }
     }
 }
@@ -146,12 +142,6 @@ impl FuzzConfigBuilder {
     /// Sets the worker-thread count (`0` = available parallelism).
     pub fn with_threads(mut self, v: usize) -> Self {
         self.cfg.threads = v;
-        self
-    }
-
-    /// Sets the execution engine for mutant runs.
-    pub fn with_engine(mut self, v: ExecEngine) -> Self {
-        self.cfg.engine = v;
         self
     }
 
@@ -266,7 +256,7 @@ pub fn fuzz_traced<S: TraceSink + ?Sized>(
     // Worker-side execution: runs a case on a fresh per-run interpreter
     // (the program is lowered once, up front) and returns its raw
     // observations without touching any campaign state.
-    let prepared = Prepared::new(config.engine, p);
+    let prepared = Prepared::new(ExecEngine::Bytecode, p);
     let exec_case = |case: &TestCase| -> Option<RunResult> {
         let mut m = prepared.runner(MachineConfig::cpu()).ok()?;
         let outcome = m.run_kernel(kernel, case);

@@ -185,9 +185,10 @@ pub trait Toolchain: Send + Sync {
         key: u64,
     ) -> Result<Simulated, ToolchainError>;
 
-    /// The execution engine this backend evaluates candidates with. Part of
-    /// every [`VerdictKey`]: TreeWalk and Bytecode runs sharing a
-    /// persistent store must never alias each other's verdicts.
+    /// The execution engine this backend simulates with. Nothing in the
+    /// pipeline reads it any more (verdicts no longer key on it, since the
+    /// engines are observably identical); it stays until the benchmark's
+    /// probe layer, which forwards it, drops it.
     fn engine(&self) -> ExecEngine {
         ExecEngine::default()
     }
@@ -420,17 +421,12 @@ impl SimBackend {
         }
     }
 
-    /// Overrides the execution engine used for co-simulation (both engines
-    /// are observably identical; `TreeWalk` is the reference path kept for
-    /// differential testing).
+    /// Overrides the execution engine used for co-simulation: how
+    /// `DifferentialTester::with_engine` simulates on the reference
+    /// tree-walker. The pipeline always simulates on the bytecode VM.
     pub fn with_engine(mut self, engine: ExecEngine) -> SimBackend {
         self.engine = engine;
         self
-    }
-
-    /// The execution engine this backend simulates with.
-    pub fn engine(&self) -> ExecEngine {
-        self.engine
     }
 
     /// Resolves a backend by CLI name. `"default"` (aliases `"hls_sim"`,
@@ -516,9 +512,9 @@ impl Toolchain for SimBackend {
 /// candidate's structural fingerprint, its node-id labeling fingerprint
 /// (diagnostics carry `NodeId`s, and print-identical programs with
 /// different labelings must not share a verdict — the same contract as the
-/// exec compile cache), the backend profile that produced it, the engine it
-/// ran under, and whether the style gate was on (the gate changes what
-/// [`Toolchain::evaluate`] returns for the same program).
+/// exec compile cache), the backend profile that produced it, and whether
+/// the style gate was on (the gate changes what [`Toolchain::evaluate`]
+/// returns for the same program).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VerdictKey {
     /// `minic::fingerprint_program` of the candidate.
@@ -527,8 +523,6 @@ pub struct VerdictKey {
     pub node_fp: u64,
     /// Backend profile name ([`BackendInfo::name`]).
     pub backend: String,
-    /// Execution engine the verdict was computed under.
-    pub engine: ExecEngine,
     /// Whether the cheap style gate was enabled for this evaluation.
     pub style_gate: bool,
 }
@@ -705,7 +699,6 @@ impl<T: Toolchain> Toolchain for Persisted<T> {
             program_fp: fingerprint,
             node_fp: minic::fingerprint_node_ids(p),
             backend: self.backend.clone(),
-            engine: self.inner.engine(),
             style_gate,
         };
         if let Some(hit) = store.get_verdict(&key) {
@@ -950,8 +943,6 @@ pub struct MockToolchain {
     pub diags: Vec<HlsDiagnostic>,
     /// Violations every [`Toolchain::style_check`] reports.
     pub style: Vec<StyleViolation>,
-    /// Engine reported by [`Toolchain::engine`] (part of the [`VerdictKey`]).
-    pub engine: ExecEngine,
     compiles: std::sync::atomic::AtomicU32,
     simulates: std::sync::atomic::AtomicU32,
     style_checks: std::sync::atomic::AtomicU32,
@@ -1001,10 +992,6 @@ impl Toolchain for MockToolchain {
         self.style_checks
             .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         self.style.clone()
-    }
-
-    fn engine(&self) -> ExecEngine {
-        self.engine
     }
 
     fn compile(&self, _p: &Program, _key: u64) -> Result<Compiled, ToolchainError> {
@@ -1141,29 +1128,25 @@ mod tests {
     }
 
     #[test]
-    fn persisted_key_separates_engines_and_backends() {
+    fn persisted_key_separates_backends() {
         let store: Arc<MapStore> = Arc::new(MapStore::default());
         let p = prog();
-        let tree = MockToolchain {
-            engine: ExecEngine::TreeWalk,
-            ..MockToolchain::default()
-        };
-        let vm = MockToolchain {
-            engine: ExecEngine::Bytecode,
-            ..MockToolchain::default()
-        };
-        Persisted::new(&tree, Some(store.clone() as Arc<dyn VerdictStore>))
-            .evaluate(&p, fp(&p), false)
-            .unwrap();
-        Persisted::new(&vm, Some(store.clone() as Arc<dyn VerdictStore>))
-            .evaluate(&p, fp(&p), false)
-            .unwrap();
-        assert_eq!(vm.compile_calls(), 1, "engines never alias in the store");
+        let mock = MockToolchain::clean();
+        for _ in 0..2 {
+            Persisted::new(&mock, Some(store.clone() as Arc<dyn VerdictStore>))
+                .evaluate(&p, fp(&p), false)
+                .unwrap();
+        }
+        assert_eq!(mock.compile_calls(), 1, "one backend reuses its verdict");
         let embedded = SimBackend::embedded_profile();
         Persisted::new(&embedded, Some(store.clone() as Arc<dyn VerdictStore>))
             .evaluate(&p, fp(&p), false)
             .unwrap();
-        assert_eq!(store.map.lock().unwrap().len(), 3);
+        assert_eq!(
+            store.map.lock().unwrap().len(),
+            2,
+            "backends never alias in the store"
+        );
     }
 
     #[test]

@@ -6,28 +6,16 @@
 //! bit-identical to the sequential (`threads = 1`) baseline. These tests
 //! pin that contract on real benchmark subjects.
 
-use minic_exec::ExecEngine;
 use repair::{DifferentialTester, SearchConfig};
 use testgen::FuzzConfig;
 
 const THREADS: [usize; 3] = [2, 4, 8];
-
-/// The engine the whole suite runs under: `HETEROGEN_ENGINE=treewalk`
-/// replays every thread-invariance test on the reference interpreter (CI
-/// runs the suite once per engine), default is the bytecode VM.
-fn engine_under_test() -> ExecEngine {
-    std::env::var("HETEROGEN_ENGINE")
-        .ok()
-        .map(|v| v.parse().expect("valid HETEROGEN_ENGINE"))
-        .unwrap_or_default()
-}
 
 fn fuzz_cfg(threads: usize) -> FuzzConfig {
     FuzzConfig::builder()
         .with_idle_stop_min(0.5)
         .with_max_execs(400)
         .with_threads(threads)
-        .with_engine(engine_under_test())
         .build()
 }
 
@@ -37,7 +25,6 @@ fn search_cfg(threads: usize) -> SearchConfig {
         .with_max_diff_tests(8)
         .with_explore_performance(true)
         .with_threads(threads)
-        .with_engine(engine_under_test())
         .build()
 }
 
@@ -488,60 +475,6 @@ fn chaos_poisoned_candidate_is_isolated_and_the_repair_still_lands() {
             !fingerprints_with_verdict(&sink.contents(), "crashed").is_empty(),
             "no crashed verdict traced @ {threads} threads"
         );
-    }
-}
-
-/// Engine invariance, end to end: the bytecode VM and the tree-walking
-/// reference must produce byte-identical `PipelineReport` JSON *and*
-/// byte-identical JSONL trace streams — at one worker thread and at many.
-/// (`ExecEngine` changes wall-clock time only, exactly like `threads`.)
-/// P4 and P10 declare VLAs and P9 calls methods on struct literals, so
-/// they pin the lowering of those constructs end to end.
-#[test]
-fn engine_choice_is_report_and_trace_byte_identical() {
-    use heterogen_core::{HeteroGen, JobSpec, PipelineConfig};
-    use heterogen_trace::JsonlSink;
-    use minic_exec::ExecEngine;
-    use std::sync::Arc;
-
-    for id in ["P3", "P4", "P9", "P10"] {
-        let s = benchsuite::subject(id).unwrap();
-        let p = s.parse();
-        let mut seeds = s.seed_inputs.clone();
-        seeds.extend(s.existing_tests.clone());
-
-        let run_with = |engine: ExecEngine, threads: usize| {
-            let mut cfg = PipelineConfig::quick();
-            cfg.fuzz = fuzz_cfg(threads);
-            cfg.search = search_cfg(threads);
-            cfg.fuzz.engine = engine;
-            cfg.search.engine = engine;
-            let sink = Arc::new(JsonlSink::new());
-            let session = HeteroGen::builder().config(cfg).sink(sink.clone()).build();
-            let report = session
-                .run(JobSpec::fuzz(p.clone(), s.kernel, seeds.clone()))
-                .unwrap();
-            (
-                serde_json::to_string(&report).expect("serializable report"),
-                sink.contents(),
-            )
-        };
-
-        let (base_report, base_trace) = run_with(ExecEngine::Bytecode, 1);
-        assert!(!base_trace.is_empty(), "{id}: baseline trace is empty");
-        for threads in [1usize, 2, 4] {
-            for engine in [ExecEngine::Bytecode, ExecEngine::TreeWalk] {
-                let (report, trace) = run_with(engine, threads);
-                assert_eq!(
-                    base_report, report,
-                    "{id}: report bytes ({engine} @ {threads} threads)"
-                );
-                assert_eq!(
-                    base_trace, trace,
-                    "{id}: trace bytes ({engine} @ {threads} threads)"
-                );
-            }
-        }
     }
 }
 

@@ -1,6 +1,11 @@
 //! End-to-end pipeline runs on all ten paper subjects (Table 3 shape).
 
+use common::assert_engines_agree;
 use heterogen_core::{HeteroGen, JobSpec, PipelineConfig, PipelineReport};
+use minic_exec::ExecEngine;
+use repair::DifferentialTester;
+
+mod common;
 
 fn test_config() -> PipelineConfig {
     let mut cfg = PipelineConfig::quick();
@@ -35,11 +40,29 @@ fn assert_transpiled(id: &str, r: &PipelineReport) {
         "{id}: final program not synthesizable"
     );
     assert_eq!(r.repair.pass_ratio, 1.0, "{id}: behaviour not preserved");
-    // Repaired programs (P9's with its inserted constructor included) stay
-    // inside the bytecode subset: reference runs never fall back.
-    assert!(
-        minic_exec::Prepared::new(minic_exec::ExecEngine::Bytecode, &r.program).uses_bytecode(),
-        "{id}: final program fell back to the tree-walker"
+    // The VM the pipeline ran on agrees with the reference tree-walker on
+    // every test, for the original and the repaired program (P9's with its
+    // inserted constructor included)...
+    let s = benchsuite::subject(id).unwrap();
+    let original = s.parse();
+    for p in [&original, &r.program] {
+        for t in &r.tests {
+            assert_engines_agree(p, s.kernel, t);
+        }
+    }
+    // ...and so does the differential verdict the benchmark's output
+    // oracle recomputes on the walker, bit for bit.
+    let verdict = |engine| {
+        DifferentialTester::with_engine(&original, s.kernel, &r.tests, r.tests.len(), 1, engine)
+            .unwrap_or_else(|e| panic!("{id}: {e}"))
+            .evaluate(&r.program)
+    };
+    let (vm, walker) = (verdict(ExecEngine::Bytecode), verdict(ExecEngine::TreeWalk));
+    assert_eq!(vm.pass_ratio.to_bits(), walker.pass_ratio.to_bits(), "{id}");
+    assert_eq!(
+        vm.fpga_latency_ms.to_bits(),
+        walker.fpga_latency_ms.to_bits(),
+        "{id}"
     );
 }
 

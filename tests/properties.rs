@@ -1,10 +1,13 @@
 //! Property-based tests over the core data structures and the two heavy
 //! program transforms.
 
+use common::assert_engines_agree;
 use minic::ast::{BinOp, Expr};
 use minic::types::Type;
-use minic_exec::{ArgValue, ExecEngine, Machine, MachineConfig, Prepared};
+use minic_exec::{ArgValue, Machine, MachineConfig};
 use proptest::prelude::*;
+
+mod common;
 
 // ------------------------------------------------------------ expressions
 
@@ -116,42 +119,11 @@ proptest! {
 
 // ---------------------------------------------------------- engine parity
 
-/// Runs `kernel(args)` under both execution engines and asserts every
-/// observable the pipeline consumes matches: the outcome (return value,
-/// trap flag, `ExecError` variant *and* message), fuel (`ops`), branch
-/// coverage, the value-range/depth/heap profile, and loop/call statistics
-/// — under both the CPU and FPGA configurations.
-fn assert_engines_agree(p: &minic::Program, kernel: &str, args: &[ArgValue]) {
-    let tree = Prepared::new(ExecEngine::TreeWalk, p);
-    let byte = Prepared::new(ExecEngine::Bytecode, p);
-    for config in [MachineConfig::cpu(), MachineConfig::fpga()] {
-        match (tree.runner(config), byte.runner(config)) {
-            (Err(e1), Err(e2)) => assert_eq!(e1, e2, "constructor error mismatch"),
-            (Ok(mut t), Ok(mut b)) => {
-                let o1 = t.run_kernel(kernel, args);
-                let o2 = b.run_kernel(kernel, args);
-                assert_eq!(o1, o2, "outcome mismatch");
-                assert_eq!(t.ops(), b.ops(), "fuel mismatch");
-                assert_eq!(t.coverage(), b.coverage(), "coverage mismatch");
-                assert_eq!(t.profile(), b.profile(), "profile mismatch");
-                assert_eq!(t.loop_stats(), b.loop_stats(), "loop stats mismatch");
-                assert_eq!(t.call_counts(), b.call_counts(), "call counts mismatch");
-            }
-            (t, b) => panic!(
-                "constructor outcome diverged: tree={:?} vm={:?}",
-                t.err(),
-                b.err()
-            ),
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The bytecode VM agrees with the tree-walking reference on generated
-    /// expression kernels (and the generated programs stay inside the
-    /// bytecode subset — no silent fallback).
+    /// expression kernels.
     #[test]
     fn engines_agree_on_generated_expressions(
         e in arb_expr(),
@@ -160,7 +132,6 @@ proptest! {
         c in -100i128..100,
     ) {
         let p = minic::parse(&expr_program(&e)).unwrap();
-        prop_assert!(Prepared::new(ExecEngine::Bytecode, &p).uses_bytecode());
         assert_engines_agree(
             &p,
             "kernel",
@@ -186,7 +157,6 @@ proptest! {
             minic::printer::print_expr(&e2),
         );
         let p = minic::parse(&src).unwrap();
-        prop_assert!(Prepared::new(ExecEngine::Bytecode, &p).uses_bytecode());
         assert_engines_agree(
             &p,
             "kernel",
@@ -195,24 +165,69 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// …and on generated kernels that jump: a top-level label and a
+    /// `goto` back to it, forward past the loop, or to no label at all,
+    /// from inside a loop or not, with a declaration the jump may cross.
+    #[test]
+    fn engines_agree_on_generated_gotos(
+        src in arb_goto_kernel(),
+        a in -100i128..100,
+        b in -100i128..100,
+        c in -8i128..8,
+    ) {
+        let p = minic::parse(&src).unwrap();
+        assert_engines_agree(
+            &p,
+            "kernel",
+            &[ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(c)],
+        );
+    }
+}
+
+/// A kernel with a top-level label `top:` before a loop and `out:` after
+/// it. The `goto` targets `top` (bounded by a trip counter), `out`, or an
+/// unknown label; it sits in the loop body or right after the loop; an
+/// optional declaration above the loop stays in scope, while one below it
+/// is skipped by a forward jump and read after `out:`.
+fn arb_goto_kernel() -> impl Strategy<Value = String> {
+    (
+        arb_expr(),
+        arb_expr(),
+        prop_oneof![
+            Just("if (k < 3) goto top;"),
+            Just("goto out;"),
+            Just("goto nowhere;")
+        ],
+        any::<bool>(),
+        prop_oneof![Just(""), Just("int d = s + k;"), Just("int t = s * 2;")],
+        0i128..6,
+    )
+        .prop_map(|(e1, e2, jump, in_loop, decl, m)| {
+            let (above, below, read) = match decl {
+                "" => ("", "", "0"),
+                d if d.contains(" d ") => (d, "", "d"),
+                d => ("", d, "t"),
+            };
+            let (inner, after) = if in_loop { (jump, "") } else { ("", jump) };
+            format!(
+                "int kernel(int a, int b, int c) {{\n    int s = 0;\n    int k = 0;\n  top:\n    k += 1;\n    {above}\n    for (int i = 0; i < {m}; i++) {{\n        if (({}) < s + i) {{ {inner} }}\n        s += ({}) / (c - i);\n    }}\n    if (s > b) {{ {after} }}\n    {below}\n  out:\n    s += {read};\n    return s;\n}}",
+                minic::printer::print_expr(&e1),
+                minic::printer::print_expr(&e2),
+            )
+        })
+}
+
 /// Fixed-corpus regression: both engines replay every paper subject's
-/// seed and existing test inputs identically, and every subject — the
-/// original and the manual HLS version — compiles to bytecode (no silent
-/// fallback to the tree-walker; `goto` is the only construct that still
-/// falls back, and no subject uses it).
+/// seed and existing test inputs identically, on the original and the
+/// manual HLS version.
 #[test]
 fn engines_agree_on_paper_subjects_fixed_corpus() {
     for s in benchsuite::subjects() {
         let p = s.parse();
         let manual = s.parse_manual();
-        for (version, prog) in [("original", Some(&p)), ("manual", manual.as_ref())] {
-            let Some(prog) = prog else { continue };
-            assert!(
-                Prepared::new(ExecEngine::Bytecode, prog).uses_bytecode(),
-                "{} ({version}) fell back to the tree-walker",
-                s.id
-            );
-        }
         let mut corpus = s.seed_inputs.clone();
         corpus.extend(s.existing_tests.clone());
         for case in &corpus {
