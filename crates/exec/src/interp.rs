@@ -1589,8 +1589,8 @@ fn names_used(p: &Program, stmts: &[Stmt]) -> HashSet<String> {
     }
     if literal {
         for item in &p.items {
-            if let Item::Struct(StructDef { ctor: Some(c), .. }) = item {
-                for (_, e) in &c.inits {
+            if let Item::Struct(s) = item {
+                for (_, e) in s.ctor.iter().flat_map(|c| &c.inits) {
                     minic::visit::walk_expr(e, &mut |e| note_ident(e, &mut out, &mut literal));
                 }
             }

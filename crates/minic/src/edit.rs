@@ -8,6 +8,7 @@
 use crate::ast::*;
 use crate::types::Type;
 use crate::visit;
+use std::sync::Arc;
 
 /// Where a statement insertion is anchored relative to the target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,11 +44,10 @@ pub fn rewrite_decl_type(
     }
     for item in &mut p.items {
         if let Item::Function(f) = item {
-            if let Some(target) = in_function {
-                if f.name != target {
-                    continue;
-                }
+            if in_function.is_some_and(|target| f.name != target) || !declares(f, var) {
+                continue;
             }
+            let f = Arc::make_mut(f);
             for par in &mut f.params {
                 if par.name == var {
                     par.ty = new_ty.clone();
@@ -60,6 +60,15 @@ pub fn rewrite_decl_type(
         }
     }
     changed
+}
+
+/// Whether `f` declares `var` as a parameter or a local.
+fn declares(f: &Function, var: &str) -> bool {
+    let mut found = None;
+    if let Some(b) = &f.body {
+        find_block_decl(b, var, &mut found);
+    }
+    found.is_some() || f.params.iter().any(|par| par.name == var)
 }
 
 fn rewrite_block_decl_type(b: &mut Block, var: &str, new_ty: &Type) -> bool {
@@ -152,7 +161,7 @@ pub fn add_global(p: &mut Program, decl: VarDecl) {
 
 /// Adds a function definition at the end of the program.
 pub fn add_function(p: &mut Program, f: Function) {
-    p.items.push(Item::Function(f));
+    p.items.push(Item::Function(Arc::new(f)));
     p.renumber_synthesized();
 }
 
@@ -176,7 +185,7 @@ pub fn rename_function(p: &mut Program, old: &str, new: &str) -> bool {
     for item in &mut p.items {
         if let Item::Function(f) = item {
             if f.name == old {
-                f.name = new.to_string();
+                Arc::make_mut(f).name = new.to_string();
                 found = true;
             }
         }

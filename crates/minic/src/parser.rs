@@ -5,6 +5,7 @@ use crate::error::ParseError;
 use crate::token::{Keyword, Span, Token, TokenKind};
 use crate::types::{ArraySize, IntWidth, Type};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Parses a complete translation unit.
 ///
@@ -194,7 +195,7 @@ impl Parser {
                     if matches!(self.peek_at(2), TokenKind::LBrace) =>
                 {
                     let def = self.parse_struct_def()?;
-                    items.push(Item::Struct(def));
+                    items.push(Item::Struct(Arc::new(def)));
                 }
                 _ => {
                     let item = self.parse_decl_or_function()?;
@@ -303,7 +304,7 @@ impl Parser {
             let mut f = self.parse_function_rest(ty, name)?;
             f.is_static = is_static;
             self.eat(&TokenKind::Semi);
-            Ok(Item::Function(f))
+            Ok(Item::Function(Arc::new(f)))
         } else {
             let ty = self.parse_array_suffix(ty)?;
             let init = if self.eat(&TokenKind::Eq) {

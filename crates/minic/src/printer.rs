@@ -52,7 +52,9 @@ pub fn print_stmt(s: &Stmt) -> String {
 
 /// Renders one expression.
 pub fn print_expr(e: &Expr) -> String {
-    expr(e)
+    let mut out = String::new();
+    expr(&mut out, e);
+    out
 }
 
 fn indent(out: &mut String, n: usize) {
@@ -102,18 +104,15 @@ fn print_struct(out: &mut String, s: &StructDef) {
     }
     if let Some(ctor) = &s.ctor {
         indent(out, 1);
-        let params = params_str(&ctor.params);
-        let inits = ctor
-            .inits
-            .iter()
-            .map(|(n, e)| format!("{n}({})", expr(e)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        if inits.is_empty() {
-            let _ = writeln!(out, "{}({params}) {{", s.name);
-        } else {
-            let _ = writeln!(out, "{}({params}) : {inits} {{", s.name);
+        let _ = write!(out, "{}({})", s.name, params_str(&ctor.params));
+        for (k, (n, e)) in ctor.inits.iter().enumerate() {
+            out.push_str(if k == 0 { " : " } else { ", " });
+            out.push_str(n);
+            out.push('(');
+            expr(out, e);
+            out.push(')');
         }
+        out.push_str(" {\n");
         for st in &ctor.body.stmts {
             stmt(out, 2, st);
         }
@@ -177,7 +176,8 @@ fn print_var_decl(out: &mut String, level: usize, d: &VarDecl) {
         type_suffix(&d.ty)
     );
     if let Some(init) = &d.init {
-        let _ = write!(out, " = {}", expr(init));
+        out.push_str(" = ");
+        expr(out, init);
     }
     out.push_str(";\n");
 }
@@ -187,11 +187,14 @@ fn stmt(out: &mut String, level: usize, s: &Stmt) {
         StmtKind::Decl(d) => print_var_decl(out, level, d),
         StmtKind::Expr(e) => {
             indent(out, level);
-            let _ = writeln!(out, "{};", expr(e));
+            expr(out, e);
+            out.push_str(";\n");
         }
         StmtKind::If(c, t, e) => {
             indent(out, level);
-            let _ = writeln!(out, "if ({}) {{", expr(c));
+            out.push_str("if (");
+            expr(out, c);
+            out.push_str(") {\n");
             for st in &t.stmts {
                 stmt(out, level + 1, st);
             }
@@ -210,7 +213,9 @@ fn stmt(out: &mut String, level: usize, s: &Stmt) {
         }
         StmtKind::While(c, b) => {
             indent(out, level);
-            let _ = writeln!(out, "while ({}) {{", expr(c));
+            out.push_str("while (");
+            expr(out, c);
+            out.push_str(") {\n");
             for st in &b.stmts {
                 stmt(out, level + 1, st);
             }
@@ -224,21 +229,29 @@ fn stmt(out: &mut String, level: usize, s: &Stmt) {
                 stmt(out, level + 1, st);
             }
             indent(out, level);
-            let _ = writeln!(out, "}} while ({});", expr(c));
+            out.push_str("} while (");
+            expr(out, c);
+            out.push_str(");\n");
         }
         StmtKind::For(init, cond, step, b) => {
             indent(out, level);
-            let init_s = match init {
-                Some(st) => {
-                    let mut tmp = String::new();
-                    stmt(&mut tmp, 0, st);
-                    tmp.trim_end().trim_end_matches(';').to_string() + ";"
-                }
-                None => ";".to_string(),
-            };
-            let cond_s = cond.as_ref().map(expr).unwrap_or_default();
-            let step_s = step.as_ref().map(expr).unwrap_or_default();
-            let _ = writeln!(out, "for ({init_s} {cond_s}; {step_s}) {{");
+            out.push_str("for (");
+            if let Some(st) = init {
+                // The initializer prints as a statement; keep one `;`.
+                let start = out.len();
+                stmt(out, 0, st);
+                let kept = out[start..].trim_end().trim_end_matches(';').len();
+                out.truncate(start + kept);
+            }
+            out.push_str("; ");
+            if let Some(c) = cond {
+                expr(out, c);
+            }
+            out.push_str("; ");
+            if let Some(st) = step {
+                expr(out, st);
+            }
+            out.push_str(") {\n");
             for st in &b.stmts {
                 stmt(out, level + 1, st);
             }
@@ -249,7 +262,9 @@ fn stmt(out: &mut String, level: usize, s: &Stmt) {
             indent(out, level);
             match v {
                 Some(e) => {
-                    let _ = writeln!(out, "return {};", expr(e));
+                    out.push_str("return ");
+                    expr(out, e);
+                    out.push_str(";\n");
                 }
                 None => out.push_str("return;\n"),
             }
@@ -288,82 +303,136 @@ fn stmt(out: &mut String, level: usize, s: &Stmt) {
     }
 }
 
-fn expr(e: &Expr) -> String {
+fn expr(out: &mut String, e: &Expr) {
     match &e.kind {
         ExprKind::IntLit(v, unsigned) => {
+            let _ = write!(out, "{v}");
             if *unsigned {
-                format!("{v}u")
-            } else {
-                format!("{v}")
+                out.push('u');
             }
         }
         ExprKind::FloatLit(v, long_double) => {
-            let mut s = format!("{v}");
+            let start = out.len();
+            let _ = write!(out, "{v}");
+            let s = &out[start..];
             if !s.contains('.') && !s.contains('e') && !s.contains("inf") && !s.contains("NaN") {
-                s.push_str(".0");
+                out.push_str(".0");
             }
             if *long_double {
-                s.push('L');
+                out.push('L');
             }
-            s
         }
         ExprKind::CharLit(c) => match *c as char {
-            '\n' => "'\\n'".to_string(),
-            '\t' => "'\\t'".to_string(),
-            '\'' => "'\\''".to_string(),
-            '\\' => "'\\\\'".to_string(),
-            ch => format!("'{ch}'"),
-        },
-        ExprKind::StrLit(s) => format!("{s:?}"),
-        ExprKind::BoolLit(b) => b.to_string(),
-        ExprKind::Ident(n) => n.clone(),
-        ExprKind::Unary(op, a) => match op {
-            UnOp::Neg => format!("-{}", atom(a)),
-            UnOp::Not => format!("!{}", atom(a)),
-            UnOp::BitNot => format!("~{}", atom(a)),
-            UnOp::Deref => format!("*{}", atom(a)),
-            UnOp::AddrOf => format!("&{}", atom(a)),
-            UnOp::Inc(true) => format!("++{}", atom(a)),
-            UnOp::Inc(false) => format!("{}++", atom(a)),
-            UnOp::Dec(true) => format!("--{}", atom(a)),
-            UnOp::Dec(false) => format!("{}--", atom(a)),
-        },
-        ExprKind::Binary(op, a, b) => {
-            format!("{} {} {}", atom(a), op.as_str(), atom(b))
-        }
-        ExprKind::Assign(op, a, b) => match op {
-            None => format!("{} = {}", expr(a), expr(b)),
-            Some(o) => format!("{} {}= {}", expr(a), o.as_str(), expr(b)),
-        },
-        ExprKind::Call(f, args) => format!("{f}({})", args_str(args)),
-        ExprKind::MethodCall(recv, m, args) => {
-            format!("{}.{m}({})", atom(recv), args_str(args))
-        }
-        ExprKind::Index(a, i) => format!("{}[{}]", atom(a), expr(i)),
-        ExprKind::Member(a, f, arrow) => {
-            if *arrow {
-                format!("{}->{f}", atom(a))
-            } else {
-                format!("{}.{f}", atom(a))
+            '\n' => out.push_str("'\\n'"),
+            '\t' => out.push_str("'\\t'"),
+            '\'' => out.push_str("'\\''"),
+            '\\' => out.push_str("'\\\\'"),
+            ch => {
+                let _ = write!(out, "'{ch}'");
             }
+        },
+        ExprKind::StrLit(s) => {
+            let _ = write!(out, "{s:?}");
         }
-        ExprKind::Cast(ty, a) => format!("({ty}){}", atom(a)),
-        ExprKind::SizeOf(ty) => format!("sizeof({ty})"),
+        ExprKind::BoolLit(b) => out.push_str(if *b { "true" } else { "false" }),
+        ExprKind::Ident(n) => out.push_str(n),
+        ExprKind::Unary(op, a) => {
+            let (prefix, postfix) = match op {
+                UnOp::Neg => ("-", ""),
+                UnOp::Not => ("!", ""),
+                UnOp::BitNot => ("~", ""),
+                UnOp::Deref => ("*", ""),
+                UnOp::AddrOf => ("&", ""),
+                UnOp::Inc(true) => ("++", ""),
+                UnOp::Inc(false) => ("", "++"),
+                UnOp::Dec(true) => ("--", ""),
+                UnOp::Dec(false) => ("", "--"),
+            };
+            out.push_str(prefix);
+            atom(out, a);
+            out.push_str(postfix);
+        }
+        ExprKind::Binary(op, a, b) => {
+            atom(out, a);
+            out.push(' ');
+            out.push_str(op.as_str());
+            out.push(' ');
+            atom(out, b);
+        }
+        ExprKind::Assign(op, a, b) => {
+            expr(out, a);
+            out.push(' ');
+            if let Some(o) = op {
+                out.push_str(o.as_str());
+            }
+            out.push_str("= ");
+            expr(out, b);
+        }
+        ExprKind::Call(f, args) => {
+            out.push_str(f);
+            out.push('(');
+            args_str(out, args);
+            out.push(')');
+        }
+        ExprKind::MethodCall(recv, m, args) => {
+            atom(out, recv);
+            out.push('.');
+            out.push_str(m);
+            out.push('(');
+            args_str(out, args);
+            out.push(')');
+        }
+        ExprKind::Index(a, i) => {
+            atom(out, a);
+            out.push('[');
+            expr(out, i);
+            out.push(']');
+        }
+        ExprKind::Member(a, f, arrow) => {
+            atom(out, a);
+            out.push_str(if *arrow { "->" } else { "." });
+            out.push_str(f);
+        }
+        ExprKind::Cast(ty, a) => {
+            let _ = write!(out, "({ty})");
+            atom(out, a);
+        }
+        ExprKind::SizeOf(ty) => {
+            let _ = write!(out, "sizeof({ty})");
+        }
         ExprKind::Ternary(c, t, e2) => {
-            format!("{} ? {} : {}", atom(c), expr(t), expr(e2))
+            atom(out, c);
+            out.push_str(" ? ");
+            expr(out, t);
+            out.push_str(" : ");
+            expr(out, e2);
         }
-        ExprKind::InitList(elems) => format!("{{{}}}", args_str(elems)),
-        ExprKind::StructLit(name, args) => format!("{name}{{{}}}", args_str(args)),
+        ExprKind::InitList(elems) => {
+            out.push('{');
+            args_str(out, elems);
+            out.push('}');
+        }
+        ExprKind::StructLit(name, args) => {
+            out.push_str(name);
+            out.push('{');
+            args_str(out, args);
+            out.push('}');
+        }
     }
 }
 
-fn args_str(args: &[Expr]) -> String {
-    args.iter().map(expr).collect::<Vec<_>>().join(", ")
+fn args_str(out: &mut String, args: &[Expr]) {
+    for (k, a) in args.iter().enumerate() {
+        if k > 0 {
+            out.push_str(", ");
+        }
+        expr(out, a);
+    }
 }
 
 /// Renders a subexpression, parenthesizing anything non-atomic so that the
 /// output is unambiguous without tracking precedence.
-fn atom(e: &Expr) -> String {
+fn atom(out: &mut String, e: &Expr) {
     match &e.kind {
         ExprKind::IntLit(..)
         | ExprKind::FloatLit(..)
@@ -376,8 +445,12 @@ fn atom(e: &Expr) -> String {
         | ExprKind::Index(..)
         | ExprKind::Member(..)
         | ExprKind::StructLit(..)
-        | ExprKind::SizeOf(..) => expr(e),
-        _ => format!("({})", expr(e)),
+        | ExprKind::SizeOf(..) => expr(out, e),
+        _ => {
+            out.push('(');
+            expr(out, e);
+            out.push(')');
+        }
     }
 }
 

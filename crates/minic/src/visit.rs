@@ -3,9 +3,15 @@
 //! The repair templates are expressed as closures over these walkers rather
 //! than as a heavyweight visitor trait: each template typically needs "every
 //! expression", "every statement (with mutation)", or "every declared type".
+//!
+//! The whole-program mutable walkers ([`visit_exprs_mut`],
+//! [`visit_blocks_mut`], [`visit_types_mut`]) unshare every function and
+//! struct they visit (see [`Item`]); an edit confined to one item walks that
+//! item only, e.g. with [`visit_function_blocks_mut`].
 
 use crate::ast::*;
 use crate::types::Type;
+use std::sync::Arc;
 
 /// Visits every expression in the program (including struct methods,
 /// constructors and global initializers), outermost first.
@@ -50,13 +56,14 @@ pub fn visit_exprs_mut(p: &mut Program, f: &mut dyn FnMut(&mut Expr)) {
     for item in &mut p.items {
         match item {
             Item::Function(func) => {
-                if let Some(b) = &mut func.body {
+                if let Some(b) = &mut Arc::make_mut(func).body {
                     for st in &mut b.stmts {
                         walk_stmt_exprs_mut(st, f);
                     }
                 }
             }
             Item::Struct(s) => {
+                let s = Arc::make_mut(s);
                 for m in &mut s.methods {
                     if let Some(b) = &mut m.body {
                         for st in &mut b.stmts {
@@ -113,16 +120,11 @@ pub fn visit_stmts(p: &Program, f: &mut dyn FnMut(&Stmt)) {
 pub fn visit_blocks_mut(p: &mut Program, f: &mut dyn FnMut(&mut Block)) {
     for item in &mut p.items {
         match item {
-            Item::Function(func) => {
-                if let Some(b) = &mut func.body {
-                    walk_block_mut(b, f);
-                }
-            }
+            Item::Function(func) => visit_function_blocks_mut(Arc::make_mut(func), f),
             Item::Struct(s) => {
+                let s = Arc::make_mut(s);
                 for m in &mut s.methods {
-                    if let Some(b) = &mut m.body {
-                        walk_block_mut(b, f);
-                    }
+                    visit_function_blocks_mut(m, f);
                 }
                 if let Some(ctor) = &mut s.ctor {
                     walk_block_mut(&mut ctor.body, f);
@@ -133,13 +135,22 @@ pub fn visit_blocks_mut(p: &mut Program, f: &mut dyn FnMut(&mut Block)) {
     }
 }
 
+/// Visits every block of one function (its body and nested blocks), with
+/// mutation, in the order [`visit_blocks_mut`] would.
+pub fn visit_function_blocks_mut(func: &mut Function, f: &mut dyn FnMut(&mut Block)) {
+    if let Some(b) = &mut func.body {
+        walk_block_mut(b, f);
+    }
+}
+
 /// Visits every declared type in the program with mutation: globals, locals,
 /// parameters, returns, fields, typedefs and cast targets.
 pub fn visit_types_mut(p: &mut Program, f: &mut dyn FnMut(&mut Type)) {
     for item in &mut p.items {
         match item {
-            Item::Function(func) => visit_function_types_mut(func, f),
+            Item::Function(func) => visit_function_types_mut(Arc::make_mut(func), f),
             Item::Struct(s) => {
+                let s = Arc::make_mut(s);
                 for fld in &mut s.fields {
                     f(&mut fld.ty);
                 }

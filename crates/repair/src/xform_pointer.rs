@@ -10,6 +10,7 @@ use minic::ast::*;
 use minic::typeck;
 use minic::types::Type;
 use minic::visit;
+use std::sync::Arc;
 
 /// Applies the transform for one struct type. Returns `None` when the
 /// program has no `S*` usage to rewrite.
@@ -109,7 +110,7 @@ pub fn pointer_to_index(p: &Program, struct_name: &str, capacity: u64) -> Option
             None,
         )),
         Item::Global(VarDecl::new(next.clone(), Type::int(), Some(Expr::int(1)))),
-        Item::Function(Function {
+        Item::Function(Arc::new(Function {
             id: NodeId::SYNTH,
             name: malloc_name,
             ret: Type::Named(ptr_name.clone()),
@@ -145,8 +146,8 @@ pub fn pointer_to_index(p: &Program, struct_name: &str, capacity: u64) -> Option
                 Stmt::synth(StmtKind::Return(Some(Expr::ident("r")))),
             ])),
             is_static: false,
-        }),
-        Item::Function(Function {
+        })),
+        Item::Function(Arc::new(Function {
             id: NodeId::SYNTH,
             name: free_name,
             ret: Type::Void,
@@ -157,7 +158,7 @@ pub fn pointer_to_index(p: &Program, struct_name: &str, capacity: u64) -> Option
             }],
             body: Some(Block::new(vec![Stmt::synth(StmtKind::Empty)])),
             is_static: false,
-        }),
+        })),
     ];
     for (k, item) in defs.into_iter().enumerate() {
         out.items.insert(insert_at + k, item);
