@@ -625,9 +625,8 @@ where
     let initial = eval_stack(backend, NoFaults, cfg.retry, store.clone());
 
     // Compile the initial version (style checker bypassed: the initial
-    // candidate always gets a full diagnosis, as a real flow would).
-    let cost0 = costs.full_compile(&broken);
-    clock.advance(cost0);
+    // candidate always gets a full diagnosis, as a real flow would). The
+    // compile is billed from the LOC the evaluation measured.
     stats.full_compiles += 1;
     let fp0 = minic::fingerprint_program(&broken);
     // The injector is disabled for the initial compile, so the only way
@@ -638,6 +637,7 @@ where
     let eval0 = match initial.evaluate(&broken, fp0, false) {
         Ok(eval) => eval,
         Err(e) => {
+            clock.advance(costs.full_compile(&broken));
             resilience.permanent_faults += 1;
             stats.elapsed_min = clock.elapsed_min();
             return Ok(RepairOutcome {
@@ -655,6 +655,8 @@ where
             });
         }
     };
+    let cost0 = costs.full_compile_loc(eval0.loc);
+    clock.advance(cost0);
     if sink.enabled() {
         sink.emit(&Event::FullCompile {
             fingerprint: fp0,
