@@ -19,10 +19,13 @@
 //!   executes.
 //! - **Fuel charges are merged**: the walker charges 1 unit at every
 //!   statement/expression/place entry; consecutive unit charges with no
-//!   intervening side effect collapse into one stepwise `Insn::Charge`
-//!   whose trap state (`ops == fuel + 1`) is exactly what the unit-at-a-
-//!   time sequence would produce. Multi-unit charges (calls, streams,
-//!   math builtins) keep walker overshoot semantics via `Insn::ChargeN`.
+//!   intervening side effect collapse into one stepwise charge whose trap
+//!   state (`ops == fuel + 1`) is exactly what the unit-at-a-time sequence
+//!   would produce. The merged charge rides in the `charge` field of the
+//!   next instruction when it has one (`Const`, `LoadVar`, `AddrVar`,
+//!   `StoreVar`, `Alloc`) and is a standalone `Insn::Charge` otherwise and
+//!   at every jump target. Multi-unit charges (calls, streams, math
+//!   builtins) keep walker overshoot semantics via `Insn::ChargeN`.
 //! - **Types are erased**: every coercion site is precompiled to a `Co`
 //!   (resolved scalar target, pointer stride, or a deterministic error),
 //!   every store site to a `StoreK`, so the VM never consults typedef,
@@ -123,7 +126,13 @@ pub(crate) enum Insn {
     Charge(u64),
     /// A single multi-unit charge with walker overshoot semantics.
     ChargeN(u64),
-    Const(Value),
+    /// Push a constant. Like every `charge` field, `charge` holds the unit
+    /// charges folded in by `emit`, applied as an [`Insn::Charge`] would be
+    /// before the instruction takes effect.
+    Const {
+        v: Value,
+        charge: u64,
+    },
     Pop,
     Jump(u32),
     /// Pop condition, record branch coverage, jump when false.
@@ -150,14 +159,20 @@ pub(crate) enum Insn {
     OrShort(u32),
     ToBool,
     /// Push the scalar stored in a variable's cell.
-    LoadVar(u32),
+    LoadVar {
+        sl: u32,
+        charge: u64,
+    },
     /// Push a decay pointer (array/aggregate rvalue) to a variable's cell.
     DecayVar {
         sl: u32,
         stride: usize,
     },
     /// Push a variable's cell address as a place.
-    AddrVar(u32),
+    AddrVar {
+        sl: u32,
+        charge: u64,
+    },
     /// Push a receiver field's place: the base address held in method
     /// slot `sl` plus the field offset.
     AddrField {
@@ -202,6 +217,7 @@ pub(crate) enum Insn {
         k: StoreK,
         op: Option<BinOp>,
         prof: u32,
+        charge: u64,
     },
     /// Assignment through a place (stack: rhs below place); `prof` as in
     /// [`Insn::StoreVar`] (receiver fields assigned by name).
@@ -235,6 +251,7 @@ pub(crate) enum Insn {
         sl: u32,
         size: usize,
         stream: bool,
+        charge: u64,
     },
     /// VLA declaration: pop the extent variable's value `v`, allocate
     /// `max(v, 0).max(1) * esize` cells, bind slot `sl` and record the
@@ -311,6 +328,20 @@ pub(crate) enum Insn {
     StreamEmptyQ,
     StreamFullQ,
     StreamSizeQ,
+}
+
+impl Insn {
+    /// The folded unit-charge field, for the variants that carry one.
+    fn charge_mut(&mut self) -> Option<&mut u64> {
+        match self {
+            Insn::Const { charge, .. }
+            | Insn::LoadVar { charge, .. }
+            | Insn::AddrVar { charge, .. }
+            | Insn::StoreVar { charge, .. }
+            | Insn::Alloc { charge, .. } => Some(charge),
+            _ => None,
+        }
+    }
 }
 
 /// Per-parameter precomputed binding/conversion data.
@@ -655,13 +686,25 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    fn emit(&mut self, i: Insn) {
-        self.flush();
+    /// Appends `i`. Pending unit charges fold into its `charge` field when
+    /// it has one, and otherwise flush as a standalone `Charge` before it.
+    fn emit(&mut self, mut i: Insn) {
+        match i.charge_mut() {
+            Some(charge) => *charge = std::mem::take(&mut self.pending),
+            None => self.flush(),
+        }
         self.code.push(i);
     }
 
+    fn emit_const(&mut self, v: Value) {
+        self.emit(Insn::Const { v, charge: 0 });
+    }
+
     /// Binds a label here (flushing pending charges into the fall-through
-    /// path first, so jumps land after them).
+    /// path first, so jumps land after them). The flush is always a
+    /// standalone `Charge`, never folded into the instruction at the label:
+    /// every jump target is taken here, so no jump skips or pays a charge
+    /// that belongs to the path falling through.
     fn here(&mut self) -> u32 {
         self.flush();
         self.code.len() as u32
@@ -730,7 +773,10 @@ impl<'p> Compiler<'p> {
     /// Pushes a resolved name's cell address as a place (no charge).
     fn emit_addr(&mut self, n: &Name) {
         match n {
-            Name::Var(cv) => self.emit(Insn::AddrVar(cv.sl)),
+            Name::Var(cv) => self.emit(Insn::AddrVar {
+                sl: cv.sl,
+                charge: 0,
+            }),
             Name::Field { sl, off, .. } => self.emit(Insn::AddrField { sl: *sl, off: *off }),
         }
     }
@@ -819,7 +865,12 @@ impl<'p> Compiler<'p> {
                             // The walker checks the *raw* declared type for
                             // stream initialization.
                             let stream = matches!(g.ty, Type::Stream(_));
-                            self.emit(Insn::Alloc { sl, size, stream });
+                            self.emit(Insn::Alloc {
+                                sl,
+                                size,
+                                stream,
+                                charge: 0,
+                            });
                             self.globals.insert(g.name.clone(), CVar::new(sl, rty));
                             if let Some(init) = &g.init {
                                 // Globals match init shapes on the raw type.
@@ -1121,7 +1172,12 @@ impl<'p> Compiler<'p> {
             Err(e) => self.fail(e),
             Ok(size) => {
                 let stream = matches!(ty, Type::Stream(_));
-                self.emit(Insn::Alloc { sl, size, stream });
+                self.emit(Insn::Alloc {
+                    sl,
+                    size,
+                    stream,
+                    charge: 0,
+                });
                 if let Some(init) = &d.init {
                     self.compile_init(sl, &ty, init);
                 }
@@ -1227,27 +1283,27 @@ impl<'p> Compiler<'p> {
         self.pending += 1;
         match &e.kind {
             ExprKind::IntLit(v, unsigned) => {
-                self.emit(Insn::Const(Value::Int {
+                self.emit_const(Value::Int {
                     v: *v,
                     bits: 64,
                     signed: !*unsigned,
-                }));
+                });
             }
             ExprKind::FloatLit(v, _) => {
-                self.emit(Insn::Const(Value::double(*v)));
+                self.emit_const(Value::double(*v));
             }
             ExprKind::CharLit(c) => {
-                self.emit(Insn::Const(Value::Int {
+                self.emit_const(Value::Int {
                     v: *c as i128,
                     bits: 8,
                     signed: true,
-                }));
+                });
             }
             ExprKind::StrLit(_) => {
-                self.emit(Insn::Const(Value::null()));
+                self.emit_const(Value::null());
             }
             ExprKind::BoolLit(b) => {
-                self.emit(Insn::Const(Value::Bool(*b)));
+                self.emit_const(Value::Bool(*b));
             }
             ExprKind::Ident(name) => self.compile_ident_rvalue(name),
             ExprKind::Unary(op, a) => self.compile_unary(e, *op, a),
@@ -1285,6 +1341,7 @@ impl<'p> Compiler<'p> {
                                 k,
                                 op: *op,
                                 prof,
+                                charge: 0,
                             });
                         }
                         Some(field) => {
@@ -1324,7 +1381,7 @@ impl<'p> Compiler<'p> {
                 self.emit(Insn::CastTo(co));
             }
             ExprKind::SizeOf(ty) => match self.size_of(ty) {
-                Ok(n) => self.emit(Insn::Const(Value::int(n as i128))),
+                Ok(n) => self.emit_const(Value::int(n as i128)),
                 Err(err) => self.fail(err),
             },
             ExprKind::Ternary(c, t, f) => {
@@ -1363,7 +1420,10 @@ impl<'p> Compiler<'p> {
         };
         match (&n, decay) {
             (Name::Var(cv), Some(stride)) => self.emit(Insn::DecayVar { sl: cv.sl, stride }),
-            (Name::Var(cv), None) => self.emit(Insn::LoadVar(cv.sl)),
+            (Name::Var(cv), None) => self.emit(Insn::LoadVar {
+                sl: cv.sl,
+                charge: 0,
+            }),
             (Name::Field { .. }, Some(stride)) => {
                 self.emit_addr(&n);
                 self.emit(Insn::DecayPlace(stride));
@@ -1705,7 +1765,7 @@ impl<'p> Compiler<'p> {
                     self.compile_expr(a);
                     self.emit(Insn::Pop);
                 }
-                self.emit(Insn::Const(Value::int(0)));
+                self.emit_const(Value::int(0));
                 return;
             }
             _ => {
@@ -1715,7 +1775,7 @@ impl<'p> Compiler<'p> {
                     let (p, sl) = (self.p, cx.sl);
                     if let Some(def) = p.struct_def(cx.sname) {
                         if let Some(m) = def.method(name) {
-                            self.emit(Insn::AddrVar(sl));
+                            self.emit(Insn::AddrVar { sl, charge: 0 });
                             return self.compile_method_call(def, m, args);
                         }
                     }
@@ -1837,7 +1897,8 @@ impl<'p> Compiler<'p> {
 
 #[cfg(test)]
 mod tests {
-    use super::Insn;
+    use super::{compile, Insn};
+    use std::collections::HashSet;
 
     /// The dispatch loop streams `Insn`s; a variant with a fat payload
     /// would widen every instruction. Side tables indexed by `u32` keep
@@ -1849,5 +1910,59 @@ mod tests {
             "Insn grew to {} bytes",
             std::mem::size_of::<Insn>()
         );
+    }
+
+    /// `emit` folds every pending unit charge into a foldable instruction,
+    /// so a standalone `Charge` followed by one exists only where `here()`
+    /// bound a jump target. Checked over all 30 subject programs: each
+    /// subject's original, its manual HLS version, and the program its
+    /// standard pipeline run repairs to.
+    #[test]
+    fn charges_fold_into_instructions_except_at_jump_targets() {
+        let cfg = bench::standard_config();
+        let mut programs = Vec::new();
+        for s in benchsuite::subjects() {
+            programs.push((format!("{} original", s.id), s.parse()));
+            programs.push((
+                format!("{} manual", s.id),
+                s.parse_manual().expect("manual"),
+            ));
+            programs.push((
+                format!("{} repaired", s.id),
+                bench::run_subject(&s, &cfg).program,
+            ));
+        }
+        assert_eq!(programs.len(), 30);
+        for (title, p) in &programs {
+            let cp = compile(p);
+            let mut targets: HashSet<usize> = cp.funcs.iter().map(|f| f.entry as usize).collect();
+            targets.insert(cp.globals_entry as usize);
+            for insn in &cp.code {
+                if let Insn::Jump(t)
+                | Insn::BranchFalse { target: t, .. }
+                | Insn::BranchTrue { target: t, .. }
+                | Insn::AndShort(t)
+                | Insn::OrShort(t) = insn
+                {
+                    targets.insert(*t as usize);
+                }
+            }
+            for (pc, pair) in cp.code.windows(2).enumerate() {
+                if let [Insn::Charge(_), next] = pair {
+                    let foldable = matches!(
+                        next,
+                        Insn::Const { .. }
+                            | Insn::LoadVar { .. }
+                            | Insn::AddrVar { .. }
+                            | Insn::StoreVar { .. }
+                            | Insn::Alloc { .. }
+                    );
+                    assert!(
+                        !foldable || targets.contains(&(pc + 1)),
+                        "{title}: the Charge at {pc} was not folded into {next:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -114,7 +114,6 @@ pub struct Machine<'p> {
     expr_types: HashMap<NodeId, Type>,
     globals: HashMap<String, Binding>,
     frames: Vec<Frame>,
-    alloc_sizes: BTreeMap<usize, usize>,
     active_calls: HashMap<String, u64>,
     ops: u64,
     capture_fn: Option<String>,
@@ -144,7 +143,6 @@ impl<'p> Machine<'p> {
             expr_types: info.expr_types,
             globals: HashMap::new(),
             frames: Vec::new(),
-            alloc_sizes: BTreeMap::new(),
             active_calls: HashMap::new(),
             ops: 0,
             capture_fn: None,
@@ -172,14 +170,7 @@ impl<'p> Machine<'p> {
                 Value::Bool(b) => ArgValue::Int(*b as i128),
                 Value::Float { v, .. } => ArgValue::Float(*v),
                 Value::Ptr { addr, stride } => {
-                    let (base, size) = self
-                        .alloc_sizes
-                        .range(..=addr)
-                        .next_back()
-                        .map(|(b, s)| (*b, *s))?;
-                    if *addr >= base + size {
-                        return None;
-                    }
+                    let (base, size) = self.mem.block_containing(*addr)?;
                     let elems = (base + size - addr) / (*stride).max(1);
                     let vals = self.mem.load_run(*addr, elems).ok()?;
                     let elem_float = matches!(
@@ -216,7 +207,7 @@ impl<'p> Machine<'p> {
         for item in &self.program.items {
             match item {
                 Item::Define(name, v) => {
-                    let addr = self.alloc_tracked(1)?;
+                    let addr = self.mem.alloc(1)?;
                     self.mem.store(addr, Value::int(*v))?;
                     self.globals.insert(
                         name.clone(),
@@ -228,7 +219,7 @@ impl<'p> Machine<'p> {
                 }
                 Item::Global(g) => {
                     let size = self.size_of(&g.ty)?;
-                    let addr = self.alloc_tracked(size)?;
+                    let addr = self.mem.alloc(size)?;
                     if matches!(g.ty, Type::Stream(_)) {
                         let handle = self.new_stream();
                         self.mem.store(addr, Value::StreamRef(handle))?;
@@ -252,12 +243,6 @@ impl<'p> Machine<'p> {
             }
         }
         Ok(())
-    }
-
-    fn alloc_tracked(&mut self, n: usize) -> Result<usize, ExecError> {
-        let addr = self.mem.alloc(n.max(1))?;
-        self.alloc_sizes.insert(addr, n.max(1));
-        Ok(addr)
     }
 
     /// Creates a fresh stream and returns its handle.
@@ -482,7 +467,7 @@ impl<'p> Machine<'p> {
                 )))
             }
         };
-        let addr = self.alloc_tracked(len.max(1))?;
+        let addr = self.mem.alloc(len)?;
         Ok((addr, elem.is_float()))
     }
 
@@ -523,7 +508,7 @@ impl<'p> Machine<'p> {
                 Type::Array(e, _) => Type::Pointer(e.clone()),
                 other => other.clone(),
             };
-            let addr = self.alloc_tracked(1)?;
+            let addr = self.mem.alloc(1)?;
             let stored = match &bty {
                 Type::Stream(_) => arg,
                 _ => {
@@ -609,7 +594,7 @@ impl<'p> Machine<'p> {
                 // of the size variable (CPU semantics; HLS rejects these).
                 let ty = self.materialize_vla(&d.name, &ty)?;
                 let size = self.size_of(&ty)?;
-                let addr = self.alloc_tracked(size)?;
+                let addr = self.mem.alloc(size)?;
                 if let Type::Stream(_) = &ty {
                     let h = self.new_stream();
                     self.mem.store(addr, Value::StreamRef(h))?;
@@ -956,7 +941,7 @@ impl<'p> Machine<'p> {
 
     fn construct_struct(&mut self, name: &str, args: &[Expr]) -> Result<usize, ExecError> {
         let size = self.size_of(&Type::Struct(name.to_string()))?;
-        let addr = self.alloc_tracked(size)?;
+        let addr = self.mem.alloc(size)?;
         let def = self
             .program
             .struct_def(name)
@@ -1208,13 +1193,13 @@ impl<'p> Machine<'p> {
         match name {
             "malloc" => {
                 let n = self.eval(builtin_arg(name, args, 0)?)?.as_int().max(0) as usize;
-                let addr = self.alloc_tracked(n.max(1))?;
+                let addr = self.mem.alloc(n)?;
                 return Ok(Value::Ptr { addr, stride: 1 });
             }
             "free" => {
                 let p = self.eval(builtin_arg(name, args, 0)?)?;
                 if let Value::Ptr { addr, .. } = p {
-                    if let Some(n) = self.alloc_sizes.get(&addr).copied() {
+                    if let Some(n) = self.mem.block_size(addr) {
                         self.mem.free(n);
                     }
                 }

@@ -4,6 +4,10 @@
 //! Cell address 0 is reserved as the null pointer. `sizeof(T)` in the
 //! interpreter is measured in cells, so `malloc(sizeof(struct Node))`
 //! allocates exactly the flattened field count.
+//!
+//! Every allocation is a block of at least one cell, so the bump allocator
+//! hands out strictly increasing bases: the block table is an append-only
+//! list sorted by base, searched in `O(log n)` and grown in `O(1)`.
 
 use crate::error::{ExecError, Trap};
 use crate::value::Value;
@@ -23,6 +27,8 @@ pub struct Memory {
     /// finitization).
     peak: usize,
     live: usize,
+    /// `(base, cells)` of every allocation, in allocation (= base) order.
+    blocks: Vec<(usize, usize)>,
 }
 
 impl Memory {
@@ -32,25 +38,44 @@ impl Memory {
             cells: vec![Value::Unit],
             peak: 0,
             live: 0,
+            blocks: Vec::new(),
         }
     }
 
-    /// Allocates `n` contiguous cells initialized to zero ints and returns
-    /// the base address.
+    /// Allocates `n` contiguous cells (at least one) initialized to zero
+    /// ints, records the block, and returns its base address.
     ///
     /// # Errors
     ///
     /// [`Trap::OutOfMemory`] when the run would exceed [`MAX_CELLS`].
     pub fn alloc(&mut self, n: usize) -> Result<usize, ExecError> {
+        let n = n.max(1);
         let base = self.cells.len();
         if n > MAX_CELLS - base {
             return Err(ExecError::trap(Trap::OutOfMemory));
         }
         self.cells
             .extend(std::iter::repeat_with(|| Value::int(0)).take(n));
+        self.blocks.push((base, n));
         self.live += n;
         self.peak = self.peak.max(self.live);
         Ok(base)
+    }
+
+    /// Size in cells of the block whose base is `addr`; `None` for any
+    /// other address (interior pointers and null included).
+    pub fn block_size(&self, addr: usize) -> Option<usize> {
+        self.blocks
+            .binary_search_by_key(&addr, |&(base, _)| base)
+            .ok()
+            .map(|i| self.blocks[i].1)
+    }
+
+    /// `(base, cells)` of the block holding `addr`, if any.
+    pub fn block_containing(&self, addr: usize) -> Option<(usize, usize)> {
+        let i = self.blocks.partition_point(|&(base, _)| base <= addr);
+        let (base, n) = *self.blocks.get(i.checked_sub(1)?)?;
+        (addr < base + n).then_some((base, n))
     }
 
     /// Marks `n` cells as freed (storage is not reused; the interpreter only
@@ -140,6 +165,22 @@ mod tests {
         m.free(10);
         m.alloc(5).unwrap();
         assert_eq!(m.peak_cells(), 10);
+    }
+
+    #[test]
+    fn block_table_knows_bases_and_interiors() {
+        let mut m = Memory::new();
+        let a = m.alloc(3).unwrap();
+        let b = m.alloc(0).unwrap();
+        assert_eq!(b, a + 3, "an empty request still takes one cell");
+        assert_eq!(m.block_size(a), Some(3));
+        assert_eq!(m.block_size(b), Some(1));
+        assert_eq!(m.block_size(a + 1), None);
+        assert_eq!(m.block_size(0), None);
+        assert_eq!(m.block_containing(a + 2), Some((a, 3)));
+        assert_eq!(m.block_containing(b), Some((b, 1)));
+        assert_eq!(m.block_containing(b + 1), None);
+        assert_eq!(m.block_containing(0), None);
     }
 
     #[test]

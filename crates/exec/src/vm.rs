@@ -44,7 +44,6 @@ pub struct Vm {
     pub mem: Memory,
     /// Stream table.
     pub streams: Vec<VecDeque<Value>>,
-    alloc_sizes: BTreeMap<usize, usize>,
     ops: u64,
     stack: Vec<Value>,
     /// Local variable slots, frame-stacked; each holds a cell address.
@@ -83,7 +82,6 @@ impl Vm {
             config,
             mem: Memory::new(),
             streams: Vec::new(),
-            alloc_sizes: BTreeMap::new(),
             ops: 0,
             stack: Vec::new(),
             slots: Vec::new(),
@@ -327,17 +325,11 @@ impl Vm {
             Ok(ef) => ef,
             Err(ei) => return Err(self.prog.errors[ei as usize].clone()),
         };
-        let addr = self.alloc_tracked(len.max(1))?;
+        let addr = self.mem.alloc(len)?;
         Ok((addr, elem_float))
     }
 
     // ----- machine primitives ----------------------------------------------
-
-    fn alloc_tracked(&mut self, n: usize) -> Result<usize, ExecError> {
-        let addr = self.mem.alloc(n.max(1))?;
-        self.alloc_sizes.insert(addr, n.max(1));
-        Ok(addr)
-    }
 
     fn new_stream(&mut self) -> usize {
         self.streams.push(VecDeque::new());
@@ -507,7 +499,7 @@ impl Vm {
         }
         let base = self.slots.len();
         for (ps, arg) in spec.params.iter().zip(args) {
-            let addr = self.alloc_tracked(1)?;
+            let addr = self.mem.alloc(1)?;
             let stored = if ps.is_stream {
                 arg
             } else {
@@ -589,7 +581,10 @@ impl Vm {
                 Insn::Halt => return Ok(()),
                 Insn::Charge(n) => self.charge_merged(*n)?,
                 Insn::ChargeN(n) => self.charge(*n)?,
-                Insn::Const(v) => self.stack.push(v.clone()),
+                Insn::Const { v, charge } => {
+                    self.charge_merged(*charge)?;
+                    self.stack.push(v.clone());
+                }
                 Insn::Pop => {
                     self.pop();
                 }
@@ -626,7 +621,8 @@ impl Vm {
                     let v = self.pop().is_truthy();
                     self.stack.push(Value::Bool(v));
                 }
-                Insn::LoadVar(sl) => {
+                Insn::LoadVar { sl, charge } => {
+                    self.charge_merged(*charge)?;
                     let addr = self.slot_addr(*sl);
                     let v = self.mem.load(addr)?.clone();
                     self.stack.push(v);
@@ -638,7 +634,8 @@ impl Vm {
                         stride: *stride,
                     });
                 }
-                Insn::AddrVar(sl) => {
+                Insn::AddrVar { sl, charge } => {
+                    self.charge_merged(*charge)?;
                     let addr = self.slot_addr(*sl);
                     self.stack.push(Value::Ptr { addr, stride: 1 });
                 }
@@ -753,7 +750,14 @@ impl Vm {
                     }
                     self.stack.push(Value::Ptr { addr, stride: 1 });
                 }
-                Insn::StoreVar { sl, k, op, prof } => {
+                Insn::StoreVar {
+                    sl,
+                    k,
+                    op,
+                    prof,
+                    charge,
+                } => {
+                    self.charge_merged(*charge)?;
                     let rv = self.pop();
                     let addr = self.slot_addr(*sl);
                     let final_v = match op {
@@ -829,8 +833,14 @@ impl Vm {
                     };
                     self.stack.push(out);
                 }
-                Insn::Alloc { sl, size, stream } => {
-                    let addr = self.alloc_tracked(*size)?;
+                Insn::Alloc {
+                    sl,
+                    size,
+                    stream,
+                    charge,
+                } => {
+                    self.charge_merged(*charge)?;
+                    let addr = self.mem.alloc(*size)?;
                     if *stream {
                         let h = self.new_stream();
                         self.mem.store(addr, Value::StreamRef(h))?;
@@ -839,7 +849,7 @@ impl Vm {
                 }
                 Insn::AllocVla { sl, esize } => {
                     let n = (self.pop().as_int().max(0) as u64).max(1);
-                    let addr = self.alloc_tracked((n as usize).saturating_mul(*esize))?;
+                    let addr = self.mem.alloc((n as usize).saturating_mul(*esize))?;
                     self.set_slot(*sl, addr);
                     self.set_slot(sl + 1, n as usize);
                 }
@@ -849,7 +859,7 @@ impl Vm {
                     self.stack.push(Value::Ptr { addr, stride });
                 }
                 Insn::NewAgg(size) => {
-                    let addr = self.alloc_tracked(*size)?;
+                    let addr = self.mem.alloc(*size)?;
                     self.stack.push(Value::Ptr { addr, stride: 1 });
                 }
                 Insn::Pick(depth) => {
@@ -869,7 +879,7 @@ impl Vm {
                     self.stack.truncate(len);
                 }
                 Insn::GDefine { sl, v } => {
-                    let addr = self.alloc_tracked(1)?;
+                    let addr = self.mem.alloc(1)?;
                     self.mem.store(addr, Value::int(*v))?;
                     self.set_slot(*sl, addr);
                 }
@@ -939,13 +949,13 @@ impl Vm {
                 }
                 Insn::Malloc => {
                     let n = self.pop().as_int().max(0) as usize;
-                    let addr = self.alloc_tracked(n.max(1))?;
+                    let addr = self.mem.alloc(n)?;
                     self.stack.push(Value::Ptr { addr, stride: 1 });
                 }
                 Insn::FreeP => {
                     let p = self.pop();
                     if let Value::Ptr { addr, .. } = p {
-                        if let Some(n) = self.alloc_sizes.get(&addr).copied() {
+                        if let Some(n) = self.mem.block_size(addr) {
                             self.mem.free(n);
                         }
                     }

@@ -129,6 +129,48 @@ fn pointers_malloc_memcpy() {
     }
 }
 
+/// `free` releases a whole block only when handed its base: a `malloc`
+/// base, or a local's or a parameter's cell (both are blocks too), every
+/// time it is called. Any other address is a no-op. The release shows in
+/// the heap peak of the allocation that follows it.
+#[test]
+fn free_releases_exactly_allocation_bases() {
+    // `pad` keeps the live count above what the double free releases, so
+    // the count never saturates at zero.
+    let src = "
+        int kernel(int mode, int k) {
+            int pad[40];
+            int local = 3;
+            int *p = (int*)malloc(16);
+            int *z = (int*)malloc(0);
+            int *none = 0;
+            if (mode == 1) free(p);
+            if (mode == 2) free(&local);
+            if (mode == 3) free(&k);
+            if (mode == 4) free(p + 1);
+            if (mode == 5) free(none);
+            if (mode == 6) { free(p); free(p); }
+            if (mode == 7) free(z);
+            int *big = (int*)malloc(64);
+            big[0] = local + k;
+            return big[0] + p[0] + z[0] + pad[0];
+        }
+    ";
+    let peak = |mode: i128| {
+        let o = parity(src, "kernel", &ints(&[mode, 4]));
+        assert!(!o.trapped, "mode {mode}: {:?}", o.trap_reason);
+        let p = minic::parse(src).expect("parse");
+        let mut vm = Vm::new(Arc::new(minic_exec::compile(&p)), MachineConfig::cpu()).unwrap();
+        vm.run_kernel("kernel", &ints(&[mode, 4]));
+        vm.profile().peak_heap_cells
+    };
+    let kept = peak(0);
+    let released = [(1, 16), (2, 1), (3, 1), (4, 0), (5, 0), (6, 32), (7, 1)];
+    for (mode, cells) in released {
+        assert_eq!(peak(mode), kept - cells, "free mode {mode}");
+    }
+}
+
 #[test]
 fn structs_members_initializers() {
     let src = "
@@ -228,6 +270,46 @@ fn fuel_exhaustion_in_calls_and_builtins() {
             ..MachineConfig::cpu()
         };
         diff_with(src, "kernel", &[ArgValue::Int(8)], config);
+    }
+}
+
+/// Fuel runs out at every charge site of a kernel whose control flow
+/// jumps: `continue`, `break`, `&&`/`||`, `?:`, `do`/`while`, and a `goto`
+/// to a top-level label. A charge paid on the wrong side of a jump target
+/// moves the trap point and shows here.
+#[test]
+fn fuel_exhaustion_across_jump_targets() {
+    let src = "
+        int kernel(int n) {
+            int s = 0;
+            int k = 0;
+          again:
+            k += 1;
+            for (int i = 0; i < n; i++) {
+                if (i == 2) continue;
+                if (i > 0 && s > 40 || i == 7) break;
+                s += i % 2 == 0 ? i : -1;
+            }
+            int j = 0;
+            do {
+                j++;
+                if (j == 3) continue;
+                s += j;
+            } while (j < n && s != 12);
+            while (j > 0) {
+                j -= 2;
+                if (j == 1) break;
+            }
+            if (k < 2) goto again;
+            return s + j;
+        }
+    ";
+    let full = parity(src, "kernel", &ints(&[6]));
+    assert!(!full.trapped, "{:?}", full.trap_reason);
+    for fuel in 0..=full.ops + 1 {
+        for base in [MachineConfig::cpu(), MachineConfig::fpga()] {
+            parity_with(src, "kernel", &ints(&[6]), MachineConfig { fuel, ..base });
+        }
     }
 }
 

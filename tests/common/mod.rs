@@ -8,9 +8,24 @@ use minic_exec::{ArgValue, ExecEngine, MachineConfig, Prepared};
 /// coverage, the value-range/depth/heap profile, and loop/call statistics
 /// — under both the CPU and FPGA configurations.
 pub fn assert_engines_agree(p: &minic::Program, kernel: &str, args: &[ArgValue]) {
+    assert_engines_agree_with_fuel(p, kernel, args, u64::MAX);
+}
+
+/// [`assert_engines_agree`] with both configurations' fuel capped at
+/// `fuel` abstract operations, so a small budget runs out mid-kernel.
+pub fn assert_engines_agree_with_fuel(
+    p: &minic::Program,
+    kernel: &str,
+    args: &[ArgValue],
+    fuel: u64,
+) {
     let tree = Prepared::new(ExecEngine::TreeWalk, p);
     let byte = Prepared::new(ExecEngine::Bytecode, p);
-    for config in [MachineConfig::cpu(), MachineConfig::fpga()] {
+    for base in [MachineConfig::cpu(), MachineConfig::fpga()] {
+        let config = MachineConfig {
+            fuel: fuel.min(base.fuel),
+            ..base
+        };
         match (tree.runner(config), byte.runner(config)) {
             (Err(e1), Err(e2)) => assert_eq!(e1, e2, "constructor error mismatch"),
             (Ok(mut t), Ok(mut b)) => {

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and the two heavy
 //! program transforms.
 
-use common::assert_engines_agree;
+use common::{assert_engines_agree, assert_engines_agree_with_fuel};
 use minic::ast::{BinOp, Expr};
 use minic::types::Type;
 use minic_exec::{ArgValue, Machine, MachineConfig};
@@ -123,20 +123,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The bytecode VM agrees with the tree-walking reference on generated
-    /// expression kernels.
+    /// expression kernels, with full fuel and with a small random budget
+    /// (as do the generated kernels below), so fuel also runs out mid-run.
     #[test]
     fn engines_agree_on_generated_expressions(
         e in arb_expr(),
         a in -100i128..100,
         b in -100i128..100,
         c in -100i128..100,
+        fuel in 0u64..40,
     ) {
         let p = minic::parse(&expr_program(&e)).unwrap();
-        assert_engines_agree(
-            &p,
-            "kernel",
-            &[ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(c)],
-        );
+        let args = [ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(c)];
+        assert_engines_agree(&p, "kernel", &args);
+        assert_engines_agree_with_fuel(&p, "kernel", &args, fuel);
     }
 
     /// …and on generated loop/branch/division kernels, where traps
@@ -150,6 +150,7 @@ proptest! {
         a in -100i128..100,
         b in -100i128..100,
         c in -8i128..8,
+        fuel in 0u64..400,
     ) {
         let src = format!(
             "int kernel(int a, int b, int c) {{\n    int s = 0;\n    for (int i = 0; i < {n}; i++) {{\n        if (({}) < s) {{ s += ({}) / (c - i); }} else {{ s -= i; }}\n    }}\n    return s;\n}}",
@@ -157,11 +158,9 @@ proptest! {
             minic::printer::print_expr(&e2),
         );
         let p = minic::parse(&src).unwrap();
-        assert_engines_agree(
-            &p,
-            "kernel",
-            &[ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(c)],
-        );
+        let args = [ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(c)];
+        assert_engines_agree(&p, "kernel", &args);
+        assert_engines_agree_with_fuel(&p, "kernel", &args, fuel);
     }
 }
 
@@ -177,13 +176,12 @@ proptest! {
         a in -100i128..100,
         b in -100i128..100,
         c in -8i128..8,
+        fuel in 0u64..400,
     ) {
         let p = minic::parse(&src).unwrap();
-        assert_engines_agree(
-            &p,
-            "kernel",
-            &[ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(c)],
-        );
+        let args = [ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(c)];
+        assert_engines_agree(&p, "kernel", &args);
+        assert_engines_agree_with_fuel(&p, "kernel", &args, fuel);
     }
 }
 
