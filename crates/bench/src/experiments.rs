@@ -10,7 +10,7 @@
 use crate::{fpga_latency_ms, fuzz_subject, run_subject, seeds, standard_config};
 use heterogen_core::PipelineConfig;
 use hls_sim::ErrorCategory;
-use minic_exec::{CoverageMap, Machine, MachineConfig};
+use minic_exec::{compiled_for, CoverageMap, MachineConfig, Vm};
 use repair::{DifferentialTester, SearchConfig};
 use serde::Serialize;
 
@@ -229,9 +229,9 @@ pub fn table4(threads: usize) -> Vec<Table4Row> {
         } else {
             let mut cov = CoverageMap::new();
             for t in &s.existing_tests {
-                if let Ok(mut m) = Machine::new(&p, MachineConfig::cpu()) {
-                    let _ = m.run_kernel(s.kernel, t);
-                    cov.merge(&m.coverage);
+                if let Ok(mut vm) = Vm::new(compiled_for(&p), MachineConfig::cpu()) {
+                    let _ = vm.run_kernel(s.kernel, t);
+                    cov.merge(&vm.coverage());
                 }
             }
             Some(minic_exec::coverage::coverage_ratio(&cov, &p))

@@ -13,7 +13,7 @@ use heterogen_toolchain::{
 };
 use minic::ast::{Function, Item, NodeId, Program, Stmt};
 use minic::visit;
-use minic_exec::{ArgValue, ExecEngine, Profile};
+use minic_exec::{ArgValue, Profile};
 use repair::localize::resize_edits;
 use repair::{candidate_edits, performance_edits, RepairEdit};
 use std::collections::HashMap;
@@ -198,9 +198,6 @@ impl Toolchain for IdAudit {
         key: u64,
     ) -> Result<Simulated, ToolchainError> {
         self.inner.simulate(p, args, key)
-    }
-    fn engine(&self) -> ExecEngine {
-        self.inner.engine()
     }
     fn simulate_spiked(
         &self,

@@ -121,7 +121,7 @@ pub fn subject(id: &str) -> Option<Subject> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minic_exec::{Machine, MachineConfig};
+    use minic_exec::{compiled_for, MachineConfig, Vm};
 
     #[test]
     fn all_subjects_parse() {
@@ -184,7 +184,7 @@ mod tests {
         for s in subjects() {
             let p = s.parse();
             for (k, seed) in s.seed_inputs.iter().enumerate() {
-                let mut m = Machine::new(&p, MachineConfig::cpu()).unwrap();
+                let mut m = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
                 let out = m.run_kernel(s.kernel, seed);
                 assert!(
                     !out.trapped,
@@ -200,7 +200,7 @@ mod tests {
         for s in subjects() {
             let p = s.parse();
             for (k, t) in s.existing_tests.iter().enumerate() {
-                let mut m = Machine::new(&p, MachineConfig::cpu()).unwrap();
+                let mut m = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
                 let out = m.run_kernel(s.kernel, t);
                 assert!(
                     !out.trapped,
@@ -219,9 +219,9 @@ mod tests {
             };
             let orig = s.parse();
             for seed in &s.seed_inputs {
-                let mut m1 = Machine::new(&orig, MachineConfig::cpu()).unwrap();
+                let mut m1 = Vm::new(compiled_for(&orig), MachineConfig::cpu()).unwrap();
                 let a = m1.run_kernel(s.kernel, seed);
-                let mut m2 = Machine::new(&manual, MachineConfig::fpga()).unwrap();
+                let mut m2 = Vm::new(compiled_for(&manual), MachineConfig::fpga()).unwrap();
                 let b = m2.run_kernel(s.kernel, seed);
                 assert!(
                     a.behaviour_eq(&b),

@@ -2,7 +2,7 @@
 //! array executed by [`crate::vm::Vm`].
 //!
 //! The compiler is **total**: every program compiles, and the result is
-//! *observably identical* to the tree-walker [`crate::interp::Machine`]:
+//! *observably identical* to the reference tree-walker (`interp::Machine`):
 //! same values, same `ExecError` classifications and message strings, same
 //! fuel (`ops`) accounting, same coverage/profile/loop statistics, same
 //! allocation order.
@@ -12,7 +12,7 @@
 //! - **Symbols are interned** (`names`), variables are resolved to frame
 //!   **slots** at compile time, and jump targets are absolute indices.
 //!   Lexical scope equals the walker's dynamic scope because both engines
-//!   reject a `goto` that would tell them apart (`interp::goto_crossing`).
+//!   reject a `goto` that would tell them apart (`semantics::goto_crossing`).
 //! - **`goto`** is a jump, patched once the body is laid out, to just past
 //!   the first top-level label of its name; like the walker, it leaves any
 //!   enclosing block or loop, and an unknown label fails when the `goto`
@@ -49,7 +49,7 @@
 //!   `Insn::StoreAgg`.
 
 use crate::error::ExecError;
-use crate::interp::{
+use crate::semantics::{
     arity_error, crossing_error, field_offset, goto_crossing, has_runtime_extent, nested_vla_error,
     type_size, unknown_label_error,
 };
@@ -287,7 +287,7 @@ pub(crate) enum Insn {
     Neg,
     NotL,
     BitNot,
-    /// Pop rhs/lhs, charge 1, apply [`crate::interp::binop_value`].
+    /// Pop rhs/lhs, charge 1, apply [`crate::semantics::binop_value`].
     Bin(BinOp),
     /// Pop, apply coercion `co`, push.
     CastTo(u32),
@@ -375,7 +375,7 @@ pub(crate) struct FnSpec {
     pub params: Vec<ParamSpec>,
 }
 
-/// A program compiled to bytecode. Independent of [`crate::interp::MachineConfig`]:
+/// A program compiled to bytecode. Independent of [`crate::MachineConfig`]:
 /// bounds policy, fuel and profiling are runtime concerns, so one compile
 /// serves both CPU and FPGA configurations.
 #[derive(Debug)]

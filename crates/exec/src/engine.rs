@@ -10,10 +10,10 @@
 
 use crate::bytecode::{compile, CompiledProgram};
 use crate::error::ExecError;
-use crate::interp::{Machine, MachineConfig};
+use crate::interp::Machine;
 use crate::value::{ArgValue, Outcome, Value};
 use crate::vm::Vm;
-use crate::{CoverageMap, Profile};
+use crate::{CoverageMap, MachineConfig, Profile};
 use minic::ast::{NodeId, Program};
 use std::collections::BTreeMap;
 use std::collections::{HashMap, VecDeque};

@@ -1,5 +1,6 @@
-//! Tree-walking interpreter for the minic dialect, with branch coverage,
-//! value-range profiling, loop statistics and a CPU latency model.
+//! Bytecode VM for the minic dialect, with branch coverage, value-range
+//! profiling, loop statistics and a CPU latency model. The tree-walking
+//! [`interp`] is only the reference the parity tests check the VM against.
 //!
 //! This crate is the "CPU side" of HeteroGen's differential testing, and —
 //! configured with wrapping array semantics via [`MachineConfig::fpga`] —
@@ -8,11 +9,11 @@
 //! # Examples
 //!
 //! ```
-//! use minic_exec::{Machine, MachineConfig, Value};
+//! use minic_exec::{compiled_for, MachineConfig, Value, Vm};
 //!
 //! let program = minic::parse("int sq(int x) { return x * x; }")?;
-//! let mut m = Machine::new(&program, MachineConfig::cpu())?;
-//! let v = m.run_function("sq", vec![Value::int(9)])?;
+//! let mut vm = Vm::new(compiled_for(&program), MachineConfig::cpu())?;
+//! let v = vm.run_function("sq", vec![Value::int(9)])?;
 //! assert_eq!(v.as_int(), 81);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -25,6 +26,7 @@ pub mod error;
 pub mod interp;
 pub mod memory;
 pub mod profile;
+pub mod semantics;
 pub mod value;
 pub mod vm;
 
@@ -33,8 +35,9 @@ pub use cost::CpuCostModel;
 pub use coverage::CoverageMap;
 pub use engine::{compiled_for, ExecEngine, Prepared, Runner};
 pub use error::{ExecError, Trap};
-pub use interp::{Machine, MachineConfig, OobPolicy};
+pub use interp::Machine;
 pub use memory::Memory;
 pub use profile::{Profile, Range};
+pub use semantics::{MachineConfig, OobPolicy};
 pub use value::{ArgValue, Outcome, ScalarOut, Value};
 pub use vm::Vm;

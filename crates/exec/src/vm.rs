@@ -1,5 +1,5 @@
 //! The bytecode virtual machine: executes a [`CompiledProgram`] with the
-//! exact observable semantics of the tree-walking [`crate::interp::Machine`].
+//! exact observable semantics of the reference tree-walker (`interp::Machine`).
 //!
 //! "Observable" covers everything the rest of the pipeline reads: values,
 //! `ExecError` variants *and message strings*, the abstract op counter
@@ -16,9 +16,9 @@
 use crate::bytecode::{Co, CompiledProgram, Insn, Math1Op, Math2Op, ParamSpec, StoreK, GLOBAL_BIT};
 use crate::coverage::CoverageMap;
 use crate::error::{ExecError, Trap};
-use crate::interp::{binop_value, MachineConfig, OobPolicy};
 use crate::memory::Memory;
 use crate::profile::Profile;
+use crate::semantics::{binop_value, MachineConfig, OobPolicy};
 use crate::value::{coerce, ArgValue, Outcome, ScalarOut, Value};
 use minic::ast::NodeId;
 use minic::types::{ArraySize, Type};
@@ -36,7 +36,7 @@ struct VmFrame {
     prev_base: usize,
 }
 
-/// Bytecode interpreter state (the VM analogue of [`crate::interp::Machine`]).
+/// Bytecode interpreter state (the VM analogue of the walker's `Machine`).
 pub struct Vm {
     prog: Arc<CompiledProgram>,
     config: MachineConfig,
@@ -67,6 +67,10 @@ pub struct Vm {
     /// Observed max index per index profile site.
     idx_acc: Vec<Option<i128>>,
     peak_heap: usize,
+    /// Interned name of the function whose entry arguments are captured.
+    capture: Option<u32>,
+    /// Entry arguments captured by [`Vm::capture_args_of`], in call order.
+    pub captured: Vec<Vec<ArgValue>>,
 }
 
 impl Vm {
@@ -96,11 +100,54 @@ impl Vm {
             int_acc: vec![None; prog.int_sites.len()],
             idx_acc: vec![None; prog.idx_sites.len()],
             peak_heap: 0,
+            capture: None,
+            captured: Vec::new(),
             prog,
         };
         let entry = vm.prog.globals_entry;
         vm.exec_from(entry)?;
         Ok(vm)
+    }
+
+    /// Starts capturing the arguments of every call to `name` (paper Alg. 1
+    /// `getKernelSeed`: snapshot the kernel's entry state during a host
+    /// run). A name no function carries captures nothing.
+    pub fn capture_args_of(&mut self, name: &str) {
+        self.capture = self
+            .prog
+            .names
+            .iter()
+            .position(|n| n == name)
+            .map(|i| i as u32);
+    }
+
+    /// Renders entry arguments into fuzzable [`ArgValue`]s: scalars
+    /// directly, pointers as the rest of their allocation, streams as their
+    /// queued contents. `None` when an argument has no such form (a unit
+    /// value, or a pointer into no allocation, such as null).
+    fn snapshot_args(&self, params: &[ParamSpec], args: &[Value]) -> Option<Vec<ArgValue>> {
+        let snap = |(ps, v): (&ParamSpec, &Value)| {
+            Some(match v {
+                Value::Int { v, .. } => ArgValue::Int(*v),
+                Value::Bool(b) => ArgValue::Int(*b as i128),
+                Value::Float { v, .. } => ArgValue::Float(*v),
+                Value::Ptr { addr, stride } => {
+                    let (base, size) = self.mem.block_containing(*addr)?;
+                    let elems = (base + size - addr) / (*stride).max(1);
+                    let vals = self.mem.load_run(*addr, elems).ok()?;
+                    if matches!(ps.pty.element(), Some(t) if t.is_float()) {
+                        ArgValue::FloatArray(vals.iter().map(Value::as_f64).collect())
+                    } else {
+                        ArgValue::IntArray(vals.iter().map(Value::as_int).collect())
+                    }
+                }
+                Value::StreamRef(h) => {
+                    ArgValue::IntStream(self.streams.get(*h)?.iter().map(Value::as_int).collect())
+                }
+                Value::Unit => return None,
+            })
+        };
+        params.iter().zip(args).map(snap).collect()
     }
 
     /// Abstract operations executed so far.
@@ -489,6 +536,11 @@ impl Vm {
             return Err(ExecError::trap(Trap::StackOverflow));
         }
         self.charge(5)?;
+        if self.capture == Some(spec.name) {
+            if let Some(snap) = self.snapshot_args(&spec.params, &args) {
+                self.captured.push(snap);
+            }
+        }
         let name = spec.name as usize;
         self.calls[name] += 1;
         self.active[name] += 1;
@@ -552,12 +604,7 @@ impl Vm {
                 // The walker unwinds every open frame on error, updating the
                 // per-function active counts and the heap peak as it goes.
                 while self.frames.len() > frames_len {
-                    let fr = self.frames.pop().expect("vm frame underflow");
-                    self.active[fr.name as usize] -= 1;
-                    if self.config.profile {
-                        self.peak_heap = self.peak_heap.max(self.mem.peak_cells());
-                    }
-                    self.cur_base = fr.prev_base;
+                    self.leave();
                 }
                 self.cur_base = base_save;
                 self.slots.truncate(slots_len);
@@ -1079,6 +1126,108 @@ impl Vm {
         match self.pop() {
             Value::StreamRef(h) => h,
             other => unreachable!("vm stream operand was {other:?}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::compiled_for;
+    use ArgValue::{Float, FloatArray, Int, IntArray, IntStream};
+
+    #[test]
+    fn captured_args_snapshot_arrays_and_streams() {
+        const STREAMS: &str = r#"
+            int kernel(int a[3], hls::stream<unsigned> &s) { return a[0] + s.read(); }
+            int host() {
+                int buf[3];
+                buf[0] = 9; buf[1] = 8; buf[2] = 7;
+                hls::stream<unsigned> st;
+                st.write(100u);
+                return kernel(buf, st);
+            }
+        "#;
+        const FLOATS: &str = r#"
+            float kernel(float *a, int n, float k) { return a[0] * k + n; }
+            float host() {
+                float buf[2];
+                buf[0] = 1.5; buf[1] = 2.5;
+                return kernel(buf, 2, 0.5);
+            }
+        "#;
+        // An interior pointer captures the tail of its block.
+        const INTERIOR: &str = r#"
+            int kernel(int *a) { return a[0]; }
+            int host() {
+                int buf[5];
+                for (int i = 0; i < 5; i++) { buf[i] = i * 10; }
+                return kernel(buf + 2);
+            }
+        "#;
+        // Every call is captured in call order, with its own entry state.
+        const TWICE: &str = r#"
+            int kernel(int a[2], int x) { a[0] = a[0] + x; return a[0]; }
+            int host() {
+                int buf[2];
+                buf[0] = 1; buf[1] = 2;
+                kernel(buf, 5);
+                return kernel(buf, 7);
+            }
+        "#;
+        // A null pointer points into no block: that call is skipped.
+        const NULL: &str = r#"
+            int kernel(int *a) { return a == 0; }
+            int host() {
+                int *p = 0;
+                int one[1];
+                one[0] = 4;
+                return kernel(p) + kernel(one);
+            }
+        "#;
+        const NO_CALL: &str = r#"
+            int kernel(int x) { return x; }
+            int host() { return 3; }
+        "#;
+        let cases: Vec<(&str, &str, &str, Vec<Vec<ArgValue>>)> = vec![
+            (
+                STREAMS,
+                "host",
+                "kernel",
+                vec![vec![IntArray(vec![9, 8, 7]), IntStream(vec![100])]],
+            ),
+            (
+                FLOATS,
+                "host",
+                "kernel",
+                vec![vec![FloatArray(vec![1.5, 2.5]), Int(2), Float(0.5)]],
+            ),
+            (
+                INTERIOR,
+                "host",
+                "kernel",
+                vec![vec![IntArray(vec![20, 30, 40])]],
+            ),
+            (
+                TWICE,
+                "host",
+                "kernel",
+                vec![
+                    vec![IntArray(vec![1, 2]), Int(5)],
+                    vec![IntArray(vec![6, 2]), Int(7)],
+                ],
+            ),
+            (NULL, "host", "kernel", vec![vec![IntArray(vec![4])]]),
+            (NO_CALL, "host", "kernel", vec![]),
+            (NO_CALL, "no_such_host", "kernel", vec![]),
+            (NO_CALL, "host", "no_such_kernel", vec![]),
+        ];
+        for (src, host, kernel, want) in cases {
+            let p = minic::parse(src).unwrap();
+            let mut vm = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
+            vm.capture_args_of(kernel);
+            let _ = vm.run_function(host, vec![]);
+            assert_eq!(vm.captured, want, "{host} -> {kernel} in {src}");
         }
     }
 }

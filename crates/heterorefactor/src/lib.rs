@@ -257,12 +257,19 @@ mod tests {
         let p = minic::parse(src).unwrap();
         let out = refactor(&p);
         assert!(out.success);
-        let mut m1 = minic_exec::Machine::new(&p, minic_exec::MachineConfig::cpu()).unwrap();
+        let mut m1 = minic_exec::Vm::new(
+            minic_exec::compiled_for(&p),
+            minic_exec::MachineConfig::cpu(),
+        )
+        .unwrap();
         let a = m1
             .run_function("kernel", vec![minic_exec::Value::int(3)])
             .unwrap();
-        let mut m2 =
-            minic_exec::Machine::new(&out.program, minic_exec::MachineConfig::fpga()).unwrap();
+        let mut m2 = minic_exec::Vm::new(
+            minic_exec::compiled_for(&out.program),
+            minic_exec::MachineConfig::fpga(),
+        )
+        .unwrap();
         let b = m2
             .run_function("kernel", vec![minic_exec::Value::int(3)])
             .unwrap();

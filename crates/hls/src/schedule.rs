@@ -1,7 +1,7 @@
 //! FPGA latency and resource model.
 //!
 //! The model converts an executed kernel's dynamic statistics (abstract op
-//! count and per-loop iteration counts from [`minic_exec::Machine`]) into
+//! count and per-loop iteration counts from [`minic_exec::Vm`]) into
 //! cycles, applying the standard HLS optimization effects:
 //!
 //! * **pipeline** — a loop body of weight `w` at initiation interval `II`
@@ -196,7 +196,7 @@ fn loop_speedup(
 
 /// Estimates FPGA latency for a kernel run.
 ///
-/// `total_ops` and `loop_iters` come from a [`minic_exec::Machine`] that
+/// `total_ops` and `loop_iters` come from a [`minic_exec::Vm`] that
 /// executed the kernel in FPGA mode; `clock_mhz` from the design config.
 pub fn estimate_latency(
     model: &ScheduleModel,
@@ -339,14 +339,20 @@ pub fn resource_estimate(p: &Program) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minic_exec::{Machine, MachineConfig};
+    use minic_exec::{compiled_for, MachineConfig, Vm};
 
     fn run_and_estimate(src: &str, args: Vec<minic_exec::Value>) -> FpgaEstimate {
         let p = minic::parse(src).unwrap();
-        let mut m = Machine::new(&p, MachineConfig::fpga()).unwrap();
+        let mut m = Vm::new(compiled_for(&p), MachineConfig::fpga()).unwrap();
         let top = p.top_function_name().unwrap().to_string();
         m.run_function(&top, args).unwrap();
-        estimate_latency(&ScheduleModel::default(), &p, m.ops(), &m.loop_stats, 250.0)
+        estimate_latency(
+            &ScheduleModel::default(),
+            &p,
+            m.ops(),
+            &m.loop_stats(),
+            250.0,
+        )
     }
 
     #[test]

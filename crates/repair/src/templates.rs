@@ -1081,11 +1081,19 @@ mod tests {
         let src = minic::print_program(&r);
         assert!(src.contains("fpga_add_8_71("), "{src}");
         // Behaviour preserved.
-        let mut m1 = minic_exec::Machine::new(&p, minic_exec::MachineConfig::cpu()).unwrap();
+        let mut m1 = minic_exec::Vm::new(
+            minic_exec::compiled_for(&p),
+            minic_exec::MachineConfig::cpu(),
+        )
+        .unwrap();
         let a = m1
             .run_function("kernel", vec![minic_exec::Value::int(41)])
             .unwrap();
-        let mut m2 = minic_exec::Machine::new(&r, minic_exec::MachineConfig::cpu()).unwrap();
+        let mut m2 = minic_exec::Vm::new(
+            minic_exec::compiled_for(&r),
+            minic_exec::MachineConfig::cpu(),
+        )
+        .unwrap();
         let b = m2
             .run_function("kernel", vec![minic_exec::Value::int(41)])
             .unwrap();
@@ -1202,9 +1210,17 @@ mod tests {
             minic_exec::ArgValue::IntArray(vec![0; 8]),
             minic_exec::ArgValue::IntArray(vec![0; 8]),
         ];
-        let mut m1 = minic_exec::Machine::new(&p, minic_exec::MachineConfig::cpu()).unwrap();
+        let mut m1 = minic_exec::Vm::new(
+            minic_exec::compiled_for(&p),
+            minic_exec::MachineConfig::cpu(),
+        )
+        .unwrap();
         let a = m1.run_kernel("kernel", &args);
-        let mut m2 = minic_exec::Machine::new(&q, minic_exec::MachineConfig::cpu()).unwrap();
+        let mut m2 = minic_exec::Vm::new(
+            minic_exec::compiled_for(&q),
+            minic_exec::MachineConfig::cpu(),
+        )
+        .unwrap();
         let b = m2.run_kernel("kernel", &args);
         assert!(a.behaviour_eq(&b), "{a:?} vs {b:?}");
     }

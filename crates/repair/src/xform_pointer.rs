@@ -170,7 +170,7 @@ pub fn pointer_to_index(p: &Program, struct_name: &str, capacity: u64) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minic_exec::{Machine, MachineConfig, Value};
+    use minic_exec::{compiled_for, MachineConfig, Value, Vm};
 
     const LIST: &str = r#"
         struct Node { int val; struct Node* next; };
@@ -216,9 +216,9 @@ mod tests {
     fn transformed_program_preserves_behaviour() {
         let p = minic::parse(LIST).unwrap();
         let q = pointer_to_index(&p, "Node", 64).unwrap();
-        let mut m1 = Machine::new(&p, MachineConfig::cpu()).unwrap();
+        let mut m1 = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
         let a = m1.run_function("kernel", vec![Value::int(6)]).unwrap();
-        let mut m2 = Machine::new(&q, MachineConfig::cpu()).unwrap();
+        let mut m2 = Vm::new(compiled_for(&q), MachineConfig::cpu()).unwrap();
         let b = m2.run_function("kernel", vec![Value::int(6)]).unwrap();
         assert_eq!(a.as_int(), b.as_int());
         assert_eq!(a.as_int(), (1..6).map(|i: i128| i * i).sum::<i128>());
@@ -244,9 +244,9 @@ mod tests {
         let p = minic::parse(LIST).unwrap();
         // Capacity 4 but the kernel allocates n nodes.
         let q = pointer_to_index(&p, "Node", 4).unwrap();
-        let mut cpu = Machine::new(&p, MachineConfig::cpu()).unwrap();
+        let mut cpu = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
         let want = cpu.run_function("kernel", vec![Value::int(8)]).unwrap();
-        let mut fpga = Machine::new(&q, MachineConfig::fpga()).unwrap();
+        let mut fpga = Vm::new(compiled_for(&q), MachineConfig::fpga()).unwrap();
         let got = fpga.run_function("kernel", vec![Value::int(8)]).unwrap();
         assert_ne!(
             want.as_int(),

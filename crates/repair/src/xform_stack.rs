@@ -456,7 +456,7 @@ fn rewrite_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minic_exec::{ArgValue, Machine, MachineConfig};
+    use minic_exec::{compiled_for, ArgValue, MachineConfig, Vm};
 
     /// Recursive sum over a global array segment, merge-sort shaped:
     /// work before, between and after the two recursive calls.
@@ -513,9 +513,9 @@ mod tests {
         let q = stack_trans(&p, "msort", 128).unwrap();
         assert!(!minic::edit::is_recursive(&q, "msort"));
         let input: Vec<i128> = (0..32).map(|i| ((i * 37) % 51) as i128 - 20).collect();
-        let mut m1 = Machine::new(&p, MachineConfig::cpu()).unwrap();
+        let mut m1 = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
         let a = m1.run_kernel("kernel", &[ArgValue::IntArray(input.clone())]);
-        let mut m2 = Machine::new(&q, MachineConfig::cpu()).unwrap();
+        let mut m2 = Vm::new(compiled_for(&q), MachineConfig::cpu()).unwrap();
         let b = m2.run_kernel("kernel", &[ArgValue::IntArray(input)]);
         assert!(
             !a.trapped && !b.trapped,
@@ -541,21 +541,11 @@ mod tests {
     fn traverse_transform_preserves_sum() {
         let p = minic::parse(TRAVERSE).unwrap();
         let q = stack_trans(&p, "traverse", 64).unwrap();
-        // Build a small tree: node 1 root, children 2,3; 2's children 4,5.
-        let setup = |m: &mut Machine| {
-            // Globals are zero-initialized; fill via the interpreter by
-            // running a tiny setup through kernel input: instead, poke
-            // values through a helper program would be overkill — just
-            // rely on zeros: tree rooted at 0 is empty. Use val[] defaults.
-            let _ = m;
-        };
-        let mut m1 = Machine::new(&p, MachineConfig::cpu()).unwrap();
-        setup(&mut m1);
+        let mut m1 = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
         let a = m1
             .run_function("kernel", vec![minic_exec::Value::int(0)])
             .unwrap();
-        let mut m2 = Machine::new(&q, MachineConfig::cpu()).unwrap();
-        setup(&mut m2);
+        let mut m2 = Vm::new(compiled_for(&q), MachineConfig::cpu()).unwrap();
         let b = m2
             .run_function("kernel", vec![minic_exec::Value::int(0)])
             .unwrap();
@@ -579,9 +569,9 @@ mod tests {
         // Depth for 32 elements exceeds a 4-frame stack.
         let q = stack_trans(&p, "msort", 4).unwrap();
         let input: Vec<i128> = (0..32).map(|i| (31 - i) as i128).collect();
-        let mut cpu = Machine::new(&p, MachineConfig::cpu()).unwrap();
+        let mut cpu = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
         let want = cpu.run_kernel("kernel", &[ArgValue::IntArray(input.clone())]);
-        let mut fpga = Machine::new(&q, MachineConfig::fpga()).unwrap();
+        let mut fpga = Vm::new(compiled_for(&q), MachineConfig::fpga()).unwrap();
         let got = fpga.run_kernel("kernel", &[ArgValue::IntArray(input)]);
         assert!(!want.trapped);
         assert!(!got.trapped, "{:?}", got.trap_reason);
@@ -617,7 +607,7 @@ mod tests {
         let p = minic::parse(src).unwrap();
         let q = stack_trans(&p, "walk", 32).unwrap();
         assert!(!minic::edit::is_recursive(&q, "walk"));
-        let mut m = Machine::new(&q, MachineConfig::cpu()).unwrap();
+        let mut m = Vm::new(compiled_for(&q), MachineConfig::cpu()).unwrap();
         let v = m
             .run_function("kernel", vec![minic_exec::Value::int(0)])
             .unwrap();

@@ -249,9 +249,17 @@ mod tests {
             minic_exec::ArgValue::IntStream(vec![10, 20]),
             minic_exec::ArgValue::IntStream(vec![]),
         ];
-        let mut m1 = minic_exec::Machine::new(&p, minic_exec::MachineConfig::cpu()).unwrap();
+        let mut m1 = minic_exec::Vm::new(
+            minic_exec::compiled_for(&p),
+            minic_exec::MachineConfig::cpu(),
+        )
+        .unwrap();
         let a = m1.run_kernel("kernel", &args);
-        let mut m2 = minic_exec::Machine::new(&q, minic_exec::MachineConfig::cpu()).unwrap();
+        let mut m2 = minic_exec::Vm::new(
+            minic_exec::compiled_for(&q),
+            minic_exec::MachineConfig::cpu(),
+        )
+        .unwrap();
         let b = m2.run_kernel("kernel", &args);
         assert!(
             !a.trapped && !b.trapped,
@@ -275,9 +283,17 @@ mod tests {
             minic_exec::ArgValue::IntStream(vec![5, 6, 7]),
             minic_exec::ArgValue::IntStream(vec![]),
         ];
-        let mut m1 = minic_exec::Machine::new(&p, minic_exec::MachineConfig::cpu()).unwrap();
+        let mut m1 = minic_exec::Vm::new(
+            minic_exec::compiled_for(&p),
+            minic_exec::MachineConfig::cpu(),
+        )
+        .unwrap();
         let a = m1.run_kernel("kernel", &args);
-        let mut m2 = minic_exec::Machine::new(&q, minic_exec::MachineConfig::cpu()).unwrap();
+        let mut m2 = minic_exec::Vm::new(
+            minic_exec::compiled_for(&q),
+            minic_exec::MachineConfig::cpu(),
+        )
+        .unwrap();
         let b = m2.run_kernel("kernel", &args);
         assert!(!b.trapped, "{:?}", b.trap_reason);
         assert!(a.behaviour_eq(&b));

@@ -21,7 +21,7 @@ use crate::spec::{kernel_specs, ArgSpec};
 use heterogen_trace::{Event, NullSink, TraceSink};
 use minic::Program;
 use minic_exec::{
-    coverage, ArgValue, CoverageMap, ExecEngine, Machine, MachineConfig, Prepared, Profile,
+    compiled_for, coverage, ArgValue, CoverageMap, ExecEngine, MachineConfig, Prepared, Profile, Vm,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -189,12 +189,12 @@ pub fn kernel_seeds_from_host(
     kernel: &str,
     host_args: Vec<minic_exec::Value>,
 ) -> Vec<TestCase> {
-    let Ok(mut m) = Machine::new(p, MachineConfig::cpu()) else {
+    let Ok(mut vm) = Vm::new(compiled_for(p), MachineConfig::cpu()) else {
         return Vec::new();
     };
-    m.capture_args_of(kernel);
-    let _ = m.run_function(host, host_args);
-    m.captured
+    vm.capture_args_of(kernel);
+    let _ = vm.run_function(host, host_args);
+    vm.captured
 }
 
 /// Runs the fuzzing campaign of Algorithm 1.

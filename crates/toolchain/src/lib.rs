@@ -186,9 +186,9 @@ pub trait Toolchain: Send + Sync {
     ) -> Result<Simulated, ToolchainError>;
 
     /// The execution engine this backend simulates with. Nothing in the
-    /// pipeline reads it any more (verdicts no longer key on it, since the
-    /// engines are observably identical); it stays until the benchmark's
-    /// probe layer, which forwards it, drops it.
+    /// pipeline reads it and no middleware forwards it; it stays only
+    /// because the benchmark's probe layer implements it, until ROADMAP
+    /// item 3(c)+(d) removes both.
     fn engine(&self) -> ExecEngine {
         ExecEngine::default()
     }
@@ -328,11 +328,6 @@ macro_rules! delegate_toolchain {
             $to.simulate_spiked(p, args, factor, attempt)
         }
     };
-    (@fn $s:tt, $to:tt, engine) => {
-        fn engine(&$s) -> ExecEngine {
-            $to.engine()
-        }
-    };
     (@fn $s:tt, $to:tt, evaluate) => {
         fn evaluate(
             &$s,
@@ -352,12 +347,12 @@ macro_rules! delegate_toolchain {
 
 impl<T: Toolchain + ?Sized> Toolchain for &T {
     delegate_toolchain!(* => info, cost_model, style_check, compile, can_simulate, simulate,
-        simulate_spiked, engine, evaluate, diagnose);
+        simulate_spiked, evaluate, diagnose);
 }
 
 impl<T: Toolchain + ?Sized> Toolchain for Arc<T> {
     delegate_toolchain!(* => info, cost_model, style_check, compile, can_simulate, simulate,
-        simulate_spiked, engine, evaluate, diagnose);
+        simulate_spiked, evaluate, diagnose);
 }
 
 /// The default backend: the workspace's simulated HLS toolchain (`hls_sim`)
@@ -472,10 +467,6 @@ impl Toolchain for SimBackend {
 
     fn style_check(&self, p: &Program) -> Vec<StyleViolation> {
         check_style(p)
-    }
-
-    fn engine(&self) -> ExecEngine {
-        self.engine
     }
 
     fn compile(&self, p: &Program, _key: u64) -> Result<Compiled, ToolchainError> {
@@ -684,7 +675,7 @@ impl<T: Toolchain> Persisted<T> {
 
 impl<T: Toolchain> Toolchain for Persisted<T> {
     delegate_toolchain!(inner => info, cost_model, style_check, compile, can_simulate, simulate,
-        simulate_spiked, engine, diagnose);
+        simulate_spiked, diagnose);
 
     fn evaluate(
         &self,
@@ -742,7 +733,7 @@ impl<T: Toolchain, I: FaultInjector> Resilient<T, I> {
 }
 
 impl<T: Toolchain, I: FaultInjector> Toolchain for Resilient<T, I> {
-    delegate_toolchain!(inner => info, cost_model, style_check, can_simulate, engine,
+    delegate_toolchain!(inner => info, cost_model, style_check, can_simulate,
         simulate_spiked);
 
     fn compile(&self, p: &Program, key: u64) -> Result<Compiled, ToolchainError> {
@@ -897,7 +888,7 @@ impl<T: Toolchain> DrainGate<T> {
 impl<T: Toolchain> Toolchain for DrainGate<T> {
     // `diagnose` forwards ungated: the trait default would reach the
     // revoked `compile`.
-    delegate_toolchain!(inner => info, cost_model, style_check, can_simulate, engine,
+    delegate_toolchain!(inner => info, cost_model, style_check, can_simulate,
         diagnose);
 
     fn compile(&self, p: &Program, key: u64) -> Result<Compiled, ToolchainError> {

@@ -4,7 +4,7 @@
 use common::{assert_engines_agree, assert_engines_agree_with_fuel};
 use minic::ast::{BinOp, Expr};
 use minic::types::Type;
-use minic_exec::{ArgValue, Machine, MachineConfig};
+use minic_exec::{compiled_for, ArgValue, MachineConfig, Vm};
 use proptest::prelude::*;
 
 mod common;
@@ -68,9 +68,9 @@ proptest! {
         let src = expr_program(&e);
         let p = minic::parse(&src).unwrap();
         let args = vec![ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(c)];
-        let mut m1 = Machine::new(&p, MachineConfig::cpu()).unwrap();
+        let mut m1 = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
         let r1 = m1.run_kernel("kernel", &args);
-        let mut m2 = Machine::new(&p, MachineConfig::cpu()).unwrap();
+        let mut m2 = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
         let r2 = m2.run_kernel("kernel", &args);
         prop_assert!(r1.behaviour_eq(&r2));
     }
@@ -111,8 +111,8 @@ proptest! {
         let p1 = minic::parse(&expr_program(&e)).unwrap();
         let p2 = minic::parse(&minic::print_program(&p1)).unwrap();
         let args = vec![ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(0)];
-        let mut m1 = Machine::new(&p1, MachineConfig::cpu()).unwrap();
-        let mut m2 = Machine::new(&p2, MachineConfig::cpu()).unwrap();
+        let mut m1 = Vm::new(compiled_for(&p1), MachineConfig::cpu()).unwrap();
+        let mut m2 = Vm::new(compiled_for(&p2), MachineConfig::cpu()).unwrap();
         prop_assert!(m1.run_kernel("kernel", &args).behaviour_eq(&m2.run_kernel("kernel", &args)));
     }
 }
@@ -324,9 +324,9 @@ proptest! {
         let p = s.parse();
         let q = repair::xform_stack::stack_trans(&p, "msort", 256).expect("applicable");
         let args = vec![ArgValue::IntArray(input), ArgValue::Int(n)];
-        let mut m1 = Machine::new(&p, MachineConfig::cpu()).unwrap();
+        let mut m1 = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
         let a = m1.run_kernel("kernel", &args);
-        let mut m2 = Machine::new(&q, MachineConfig::cpu()).unwrap();
+        let mut m2 = Vm::new(compiled_for(&q), MachineConfig::cpu()).unwrap();
         let b = m2.run_kernel("kernel", &args);
         prop_assert!(!a.trapped && !b.trapped);
         prop_assert!(a.behaviour_eq(&b));
@@ -343,9 +343,9 @@ proptest! {
         let p = s.parse();
         let q = repair::xform_pointer::pointer_to_index(&p, "LNode", 256).expect("applicable");
         let args = vec![ArgValue::IntArray(input), ArgValue::Int(n)];
-        let mut m1 = Machine::new(&p, MachineConfig::cpu()).unwrap();
+        let mut m1 = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
         let a = m1.run_kernel("kernel", &args);
-        let mut m2 = Machine::new(&q, MachineConfig::cpu()).unwrap();
+        let mut m2 = Vm::new(compiled_for(&q), MachineConfig::cpu()).unwrap();
         let b = m2.run_kernel("kernel", &args);
         prop_assert!(!a.trapped && !b.trapped);
         prop_assert!(a.behaviour_eq(&b));
@@ -386,16 +386,16 @@ proptest! {
         // Profile over the exact input set…
         let mut profile = minic_exec::Profile::new();
         for &x in &xs {
-            let mut m = Machine::new(&p, MachineConfig::cpu()).unwrap();
+            let mut m = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
             let _ = m.run_kernel("kernel", &[ArgValue::Int(x)]);
-            profile.merge(&m.profile);
+            profile.merge(&m.profile());
         }
         let narrowed = heterogen_core::initial_version(&p, &profile);
         // …then replay the same inputs: identical behaviour.
         for &x in &xs {
-            let mut m1 = Machine::new(&p, MachineConfig::cpu()).unwrap();
+            let mut m1 = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
             let a = m1.run_kernel("kernel", &[ArgValue::Int(x)]);
-            let mut m2 = Machine::new(&narrowed, MachineConfig::fpga()).unwrap();
+            let mut m2 = Vm::new(compiled_for(&narrowed), MachineConfig::fpga()).unwrap();
             let b = m2.run_kernel("kernel", &[ArgValue::Int(x)]);
             prop_assert!(a.behaviour_eq(&b), "diverged on x={x}");
         }
@@ -428,7 +428,7 @@ proptest! {
             "int kernel(int x) {{ fpga_uint<{bits}> r = x; return r; }}"
         );
         let p = minic::parse(&src).unwrap();
-        let mut m = Machine::new(&p, MachineConfig::cpu()).unwrap();
+        let mut m = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
         let out = m.run_kernel("kernel", &[ArgValue::Int(v as i128)]);
         prop_assert!(!out.trapped);
         if let Some(minic_exec::ScalarOut::Int(r)) = out.ret {

@@ -17,7 +17,7 @@ use heterogen_toolchain::{
 };
 use heterogen_trace::JsonlSink;
 use minic::Program;
-use minic_exec::{ArgValue, ExecEngine};
+use minic_exec::ArgValue;
 use repair::SearchConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -54,9 +54,6 @@ impl Toolchain for Counting {
     }
     fn style_check(&self, p: &Program) -> Vec<StyleViolation> {
         self.inner.style_check(p)
-    }
-    fn engine(&self) -> ExecEngine {
-        self.inner.engine()
     }
     fn compile(&self, p: &Program, key: u64) -> Result<Compiled, ToolchainError> {
         self.inner.compile(p, key)

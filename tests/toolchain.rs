@@ -1,7 +1,7 @@
 //! Cross-crate toolchain integration: checker ↔ repair ↔ simulator flows
 //! that no single crate can test alone.
 
-use minic_exec::{ArgValue, Machine, MachineConfig};
+use minic_exec::{compiled_for, ArgValue, MachineConfig, Vm};
 
 /// A full manual walk of the paper's pipeline stages on a small subject,
 /// asserting the intermediate artifacts at each stage (Figure 1).
@@ -121,7 +121,7 @@ fn stream_kernels_run_on_both_sides() {
         ArgValue::IntStream(vec![1, 2, 3, 4]),
         ArgValue::IntStream(vec![]),
     ];
-    let mut cpu = Machine::new(&p, MachineConfig::cpu()).unwrap();
+    let mut cpu = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
     let a = cpu.run_kernel("kernel", &args);
     let sim = hls_sim::FpgaSimulator::new(&p).unwrap();
     let b = sim.run(&args);
@@ -146,9 +146,9 @@ fn finitization_reduces_resource_estimate() {
     .unwrap();
     let mut profile = minic_exec::Profile::new();
     for x in [0i128, 10, 49, 120] {
-        let mut m = Machine::new(&p, MachineConfig::cpu()).unwrap();
+        let mut m = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
         let _ = m.run_kernel("kernel", &[ArgValue::Int(x)]);
-        profile.merge(&m.profile);
+        profile.merge(&m.profile());
     }
     let narrowed = heterogen_core::initial_version(&p, &profile);
     assert!(
