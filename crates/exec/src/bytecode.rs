@@ -65,8 +65,11 @@ pub(crate) const GLOBAL_BIT: u32 = 1 << 31;
 /// A precompiled coercion target (mirrors [`crate::value::coerce`]).
 #[derive(Debug, Clone)]
 pub(crate) enum Co {
-    /// Coerce to this (non-pointer) type; `coerce` never consults `size_of`
-    /// for these.
+    /// Integer target (`Type::Int` or `Type::FpgaInt`): wrap the value's
+    /// integer view to `bits`, as `coerce` does for those types.
+    Int { bits: u16, signed: bool },
+    /// Coerce to this other non-pointer type; `coerce` never consults
+    /// `size_of` for these.
     Ty(Type),
     /// Pointer target with precomputed `size_of(inner).max(1)` stride.
     PtrStride(usize),
@@ -210,21 +213,23 @@ pub(crate) enum Insn {
     /// Pop a value, require a non-null pointer (`->`), push as place.
     ArrowAddr,
     /// Assignment to a named variable (pop rhs, optional compound op,
-    /// store via `k`, optional int-range profiling, push the reloaded
-    /// value).
+    /// store via `k`, optional int-range profiling, and when `keep` push
+    /// the reloaded value; a statement-level store keeps nothing).
     StoreVar {
         sl: u32,
         k: StoreK,
         op: Option<BinOp>,
         prof: u32,
+        keep: bool,
         charge: u64,
     },
-    /// Assignment through a place (stack: rhs below place); `prof` as in
-    /// [`Insn::StoreVar`] (receiver fields assigned by name).
+    /// Assignment through a place (stack: rhs below place); `prof` and
+    /// `keep` as in [`Insn::StoreVar`] (receiver fields assigned by name).
     StoreInd {
         k: StoreK,
         op: Option<BinOp>,
         prof: u32,
+        keep: bool,
     },
     /// Declaration initializer store (no result pushed).
     StoreInit {
@@ -238,12 +243,14 @@ pub(crate) enum Insn {
         off: usize,
         co: u32,
     },
-    /// `++`/`--` on a popped place.
+    /// `++`/`--` on a popped place; when `keep`, push the new value
+    /// (prefix) or the old one (postfix).
     IncDec {
         delta: i8,
         prefix: bool,
         k: StoreK,
         prof: u32,
+        keep: bool,
     },
     /// Allocate `size` cells for a declaration (fresh per execution) and
     /// bind the slot; `stream` seeds the cell with a new stream handle.
@@ -287,7 +294,8 @@ pub(crate) enum Insn {
     Neg,
     NotL,
     BitNot,
-    /// Pop rhs/lhs, charge 1, apply [`crate::semantics::binop_value`].
+    /// Pop rhs/lhs, charge 1, apply [`crate::semantics::binop_value`]
+    /// (two `Int`s combine in place through `semantics::int_binop`).
     Bin(BinOp),
     /// Pop, apply coercion `co`, push.
     CastTo(u32),
@@ -802,6 +810,14 @@ impl<'p> Compiler<'p> {
     /// pass it* (raw or resolved — `coerce` matches on the type as given).
     fn co_of(&mut self, t: &Type) -> u32 {
         let co = match t {
+            Type::Int { width, signed } => Co::Int {
+                bits: width.bits(),
+                signed: *signed,
+            },
+            Type::FpgaInt { bits, signed } => Co::Int {
+                bits: *bits,
+                signed: *signed,
+            },
             Type::Pointer(inner) => match self.size_of(inner) {
                 Ok(n) => Co::PtrStride(n.max(1)),
                 Err(e) => Co::PtrErr(e),
@@ -1021,10 +1037,7 @@ impl<'p> Compiler<'p> {
         self.pending += 1;
         match &s.kind {
             StmtKind::Decl(d) => self.compile_decl(d),
-            StmtKind::Expr(e) => {
-                self.compile_expr(e);
-                self.emit(Insn::Pop);
-            }
+            StmtKind::Expr(e) => self.compile_effect(e),
             StmtKind::If(c, t, els) => {
                 self.compile_expr(c);
                 let site = self.bsite(s.id);
@@ -1117,8 +1130,7 @@ impl<'p> Compiler<'p> {
                     self.set_target(at, step_l);
                 }
                 if let Some(st) = step {
-                    self.compile_expr(st);
-                    self.emit(Insn::Pop);
+                    self.compile_effect(st);
                 }
                 self.emit(Insn::Jump(start));
                 let end = self.here();
@@ -1323,44 +1335,7 @@ impl<'p> Compiler<'p> {
                 self.compile_expr(b);
                 self.emit(Insn::Bin(*op));
             }
-            ExprKind::Assign(op, lhs, rhs) => {
-                self.compile_expr(rhs);
-                if let ExprKind::Ident(name) = &lhs.kind {
-                    // Inline the walker's `place(Ident)` (entry charge +
-                    // lookup) so assignment profiling can key on the name.
-                    self.pending += 1;
-                    match self.lookup(name) {
-                        None => {
-                            self.fail(ExecError::setup(format!("unknown variable `{name}`")));
-                        }
-                        Some(Name::Var(cv)) => {
-                            let k = self.storek(&cv.ty);
-                            let prof = self.int_site(name);
-                            self.emit(Insn::StoreVar {
-                                sl: cv.sl,
-                                k,
-                                op: *op,
-                                prof,
-                                charge: 0,
-                            });
-                        }
-                        Some(field) => {
-                            let k = self.storek(field.ty());
-                            let prof = self.int_site(name);
-                            self.emit_addr(&field);
-                            self.emit(Insn::StoreInd { k, op: *op, prof });
-                        }
-                    }
-                } else {
-                    let ty = self.compile_place(lhs);
-                    let k = self.storek(&ty);
-                    self.emit(Insn::StoreInd {
-                        k,
-                        op: *op,
-                        prof: u32::MAX,
-                    });
-                }
-            }
+            ExprKind::Assign(op, lhs, rhs) => self.compile_assign(*op, lhs, rhs, true),
             ExprKind::Call(name, args) => self.compile_call(name, args),
             ExprKind::MethodCall(recv, method, args) => self.compile_method(recv, method, args),
             ExprKind::Index(..) | ExprKind::Member(..) => {
@@ -1472,24 +1447,98 @@ impl<'p> Compiler<'p> {
                     },
                 }
             }
-            UnOp::Inc(prefix) | UnOp::Dec(prefix) => {
-                let delta: i8 = if matches!(op, UnOp::Inc(_)) { 1 } else { -1 };
-                let ty = self.compile_place(a);
-                let k = self.storek(&ty);
-                let prof = if let ExprKind::Ident(name) = &a.kind {
-                    let name = name.clone();
-                    self.int_site(&name)
-                } else {
-                    u32::MAX
-                };
-                self.emit(Insn::IncDec {
-                    delta,
-                    prefix,
-                    k,
-                    prof,
-                });
+            UnOp::Inc(_) | UnOp::Dec(_) => self.compile_incdec(op, a, true),
+        }
+    }
+
+    /// Compiles an expression evaluated for its effect alone (an
+    /// expression statement, a `for` step, a discarded argument): a
+    /// top-level assignment or `++`/`--` stores without pushing its
+    /// value; anything else is evaluated and popped. Only the top node
+    /// changes, so no jump target moves.
+    fn compile_effect(&mut self, e: &Expr) {
+        match &e.kind {
+            ExprKind::Assign(op, lhs, rhs) => {
+                self.pending += 1;
+                self.compile_assign(*op, lhs, rhs, false);
+            }
+            ExprKind::Unary(op @ (UnOp::Inc(_) | UnOp::Dec(_)), a) => {
+                self.pending += 1;
+                self.compile_incdec(*op, a, false);
+            }
+            _ => {
+                self.compile_expr(e);
+                self.emit(Insn::Pop);
             }
         }
+    }
+
+    /// `lhs op= rhs` (plain `=` when `op` is `None`), pushing the stored
+    /// value when `keep`. The expression's entry charge is already pending.
+    fn compile_assign(&mut self, op: Option<BinOp>, lhs: &Expr, rhs: &Expr, keep: bool) {
+        self.compile_expr(rhs);
+        if let ExprKind::Ident(name) = &lhs.kind {
+            // Inline the walker's `place(Ident)` (entry charge + lookup) so
+            // assignment profiling can key on the name.
+            self.pending += 1;
+            match self.lookup(name) {
+                None => {
+                    self.fail(ExecError::setup(format!("unknown variable `{name}`")));
+                }
+                Some(Name::Var(cv)) => {
+                    let k = self.storek(&cv.ty);
+                    let prof = self.int_site(name);
+                    self.emit(Insn::StoreVar {
+                        sl: cv.sl,
+                        k,
+                        op,
+                        prof,
+                        keep,
+                        charge: 0,
+                    });
+                }
+                Some(field) => {
+                    let k = self.storek(field.ty());
+                    let prof = self.int_site(name);
+                    self.emit_addr(&field);
+                    self.emit(Insn::StoreInd { k, op, prof, keep });
+                }
+            }
+        } else {
+            let ty = self.compile_place(lhs);
+            let k = self.storek(&ty);
+            self.emit(Insn::StoreInd {
+                k,
+                op,
+                prof: u32::MAX,
+                keep,
+            });
+        }
+    }
+
+    /// `++`/`--` (`op` is `UnOp::Inc` or `UnOp::Dec`) on the place `a`,
+    /// pushing the expression's value when `keep`. The expression's entry
+    /// charge is already pending.
+    fn compile_incdec(&mut self, op: UnOp, a: &Expr, keep: bool) {
+        let (delta, prefix) = match op {
+            UnOp::Inc(prefix) => (1, prefix),
+            UnOp::Dec(prefix) => (-1, prefix),
+            other => unreachable!("compile_incdec on {other:?}"),
+        };
+        let ty = self.compile_place(a);
+        let k = self.storek(&ty);
+        let prof = if let ExprKind::Ident(name) = &a.kind {
+            self.int_site(name)
+        } else {
+            u32::MAX
+        };
+        self.emit(Insn::IncDec {
+            delta,
+            prefix,
+            k,
+            prof,
+            keep,
+        });
     }
 
     /// Compiles an lvalue: emits code leaving a place on the stack and
@@ -1762,8 +1811,7 @@ impl<'p> Compiler<'p> {
             "memcpy" => (3, Insn::Memcpy),
             "printf" => {
                 for a in args {
-                    self.compile_expr(a);
-                    self.emit(Insn::Pop);
+                    self.compile_effect(a);
                 }
                 self.emit_const(Value::int(0));
                 return;
@@ -1827,9 +1875,10 @@ impl<'p> Compiler<'p> {
     fn compile_method_call(&mut self, def: &'p StructDef, m: &'p Function, args: &[Expr]) {
         let nbound = args.len().min(m.params.len());
         for (i, a) in args.iter().enumerate() {
-            self.compile_expr(a);
-            if i >= nbound {
-                self.emit(Insn::Pop);
+            if i < nbound {
+                self.compile_expr(a);
+            } else {
+                self.compile_effect(a);
             }
         }
         let key = (def.name.as_str(), m.name.as_str(), nbound);
@@ -1897,7 +1946,8 @@ impl<'p> Compiler<'p> {
 
 #[cfg(test)]
 mod tests {
-    use super::{compile, Insn};
+    use super::{compile, Co, Insn};
+    use minic::types::Type;
     use std::collections::HashSet;
 
     /// The dispatch loop streams `Insn`s; a variant with a fat payload
@@ -1914,9 +1964,12 @@ mod tests {
 
     /// `emit` folds every pending unit charge into a foldable instruction,
     /// so a standalone `Charge` followed by one exists only where `here()`
-    /// bound a jump target. Checked over all 30 subject programs: each
-    /// subject's original, its manual HLS version, and the program its
-    /// standard pipeline run repairs to.
+    /// bound a jump target. Every integer coercion compiles to `Co::Int`,
+    /// and a store whose value is discarded pushes nothing, so no keeping
+    /// store falls straight into a `Pop` (except at a jump target, where a
+    /// discarded ternary's arms meet). Checked over all 30 subject
+    /// programs: each subject's original, its manual HLS version, and the
+    /// program its standard pipeline run repairs to.
     #[test]
     fn charges_fold_into_instructions_except_at_jump_targets() {
         let cfg = bench::standard_config();
@@ -1947,7 +2000,22 @@ mod tests {
                     targets.insert(*t as usize);
                 }
             }
+            for co in &cp.cos {
+                assert!(
+                    !matches!(co, Co::Ty(Type::Int { .. } | Type::FpgaInt { .. })),
+                    "{title}: integer coercion {co:?} was not compiled to Co::Int"
+                );
+            }
             for (pc, pair) in cp.code.windows(2).enumerate() {
+                if let [Insn::StoreVar { keep: true, .. }
+                | Insn::StoreInd { keep: true, .. }
+                | Insn::IncDec { keep: true, .. }, Insn::Pop] = pair
+                {
+                    assert!(
+                        targets.contains(&(pc + 1)),
+                        "{title}: the store at {pc} pushes a value the next Pop discards"
+                    );
+                }
                 if let [Insn::Charge(_), next] = pair {
                     let foldable = matches!(
                         next,

@@ -122,28 +122,36 @@ impl Profile {
         *e = (*e).max(idx);
     }
 
-    /// Merges another profile into this one.
+    /// Merges another profile into this one. A key already present is
+    /// updated in place; only a new key is cloned.
     pub fn merge(&mut self, other: &Profile) {
-        for ((f, v), r) in &other.int_ranges {
-            self.int_ranges
-                .entry((f.clone(), v.clone()))
-                .and_modify(|mine| {
+        for (key, r) in &other.int_ranges {
+            match self.int_ranges.get_mut(key) {
+                Some(mine) => {
                     mine.extend(r.min);
                     mine.extend(r.max);
-                })
-                .or_insert(*r);
+                }
+                None => {
+                    self.int_ranges.insert(key.clone(), *r);
+                }
+            }
         }
         for (f, d) in &other.max_depth {
-            let e = self.max_depth.entry(f.clone()).or_insert(0);
-            *e = (*e).max(*d);
+            match self.max_depth.get_mut(f) {
+                Some(mine) => *mine = (*mine).max(*d),
+                None => {
+                    self.max_depth.insert(f.clone(), *d);
+                }
+            }
         }
         self.peak_heap_cells = self.peak_heap_cells.max(other.peak_heap_cells);
-        for ((f, a), i) in &other.max_index {
-            let e = self
-                .max_index
-                .entry((f.clone(), a.clone()))
-                .or_insert(i128::MIN);
-            *e = (*e).max(*i);
+        for (key, i) in &other.max_index {
+            match self.max_index.get_mut(key) {
+                Some(mine) => *mine = (*mine).max(*i),
+                None => {
+                    self.max_index.insert(key.clone(), *i);
+                }
+            }
         }
     }
 

@@ -258,6 +258,9 @@ fn rhs_is_ptr(v: &Value) -> bool {
 /// Binary-operator semantics shared by the tree-walker and the bytecode VM.
 /// The caller is responsible for charging the one fuel unit first.
 pub(crate) fn binop_value(op: BinOp, lhs: Value, rhs: Value) -> Result<Value, ExecError> {
+    if let (Value::Int { v: a, .. }, Value::Int { v: b, .. }) = (&lhs, &rhs) {
+        return int_binop(op, *a, *b);
+    }
     // Pointer arithmetic.
     if let (Value::Ptr { addr, stride }, false) = (&lhs, rhs_is_ptr(&rhs)) {
         if matches!(op, BinOp::Add | BinOp::Sub) {
@@ -273,38 +276,20 @@ pub(crate) fn binop_value(op: BinOp, lhs: Value, rhs: Value) -> Result<Value, Ex
             });
         }
     }
-    if op.is_comparison() {
-        let result = match (&lhs, &rhs) {
-            (Value::Float { .. }, _) | (_, Value::Float { .. }) => {
-                let a = lhs.as_f64();
-                let b = rhs.as_f64();
-                match op {
-                    BinOp::Lt => a < b,
-                    BinOp::Gt => a > b,
-                    BinOp::Le => a <= b,
-                    BinOp::Ge => a >= b,
-                    BinOp::Eq => a == b,
-                    BinOp::Ne => a != b,
-                    _ => unreachable!(),
-                }
-            }
-            _ => {
-                let a = lhs.as_int();
-                let b = rhs.as_int();
-                match op {
-                    BinOp::Lt => a < b,
-                    BinOp::Gt => a > b,
-                    BinOp::Le => a <= b,
-                    BinOp::Ge => a >= b,
-                    BinOp::Eq => a == b,
-                    BinOp::Ne => a != b,
-                    _ => unreachable!(),
-                }
-            }
-        };
-        return Ok(Value::Bool(result));
-    }
     let float_math = matches!(&lhs, Value::Float { .. }) || matches!(&rhs, Value::Float { .. });
+    if float_math && op.is_comparison() {
+        let a = lhs.as_f64();
+        let b = rhs.as_f64();
+        return Ok(Value::Bool(match op {
+            BinOp::Lt => a < b,
+            BinOp::Gt => a > b,
+            BinOp::Le => a <= b,
+            BinOp::Ge => a >= b,
+            BinOp::Eq => a == b,
+            BinOp::Ne => a != b,
+            _ => unreachable!(),
+        }));
+    }
     if float_math && matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div) {
         let a = lhs.as_f64();
         let b = rhs.as_f64();
@@ -317,9 +302,27 @@ pub(crate) fn binop_value(op: BinOp, lhs: Value, rhs: Value) -> Result<Value, Ex
         };
         return Ok(Value::double(v));
     }
-    let a = lhs.as_int();
-    let b = rhs.as_int();
+    int_binop(op, lhs.as_int(), rhs.as_int())
+}
+
+/// Integer-operator semantics on the operands' integer views: comparisons
+/// yield `Bool`, arithmetic wraps at 128 bits and yields a signed 64-bit
+/// `Int` (the holding type's width is applied when the result is stored).
+/// The one definition of integer operator arithmetic: [`binop_value`] and
+/// the VM's in-place fast path both call it.
+///
+/// # Errors
+///
+/// Division or remainder by zero traps.
+#[inline]
+pub(crate) fn int_binop(op: BinOp, a: i128, b: i128) -> Result<Value, ExecError> {
     let v = match op {
+        BinOp::Lt => return Ok(Value::Bool(a < b)),
+        BinOp::Gt => return Ok(Value::Bool(a > b)),
+        BinOp::Le => return Ok(Value::Bool(a <= b)),
+        BinOp::Ge => return Ok(Value::Bool(a >= b)),
+        BinOp::Eq => return Ok(Value::Bool(a == b)),
+        BinOp::Ne => return Ok(Value::Bool(a != b)),
         BinOp::Add => a.wrapping_add(b),
         BinOp::Sub => a.wrapping_sub(b),
         BinOp::Mul => a.wrapping_mul(b),
@@ -340,7 +343,7 @@ pub(crate) fn binop_value(op: BinOp, lhs: Value, rhs: Value) -> Result<Value, Ex
         BinOp::BitXor => a ^ b,
         BinOp::Shl => a.wrapping_shl(b.clamp(0, 127) as u32),
         BinOp::Shr => a.wrapping_shr(b.clamp(0, 127) as u32),
-        _ => unreachable!(),
+        BinOp::And | BinOp::Or => unreachable!("short-circuit operators never reach binop"),
     };
     Ok(Value::Int {
         v,

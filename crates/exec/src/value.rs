@@ -133,23 +133,26 @@ impl fmt::Display for Value {
 
 /// Wraps `v` into a two's-complement integer of the given width, then
 /// sign- or zero-extends back into i128.
+#[inline]
 pub fn wrap_int(v: i128, bits: u16, signed: bool) -> i128 {
-    let bits = bits.clamp(1, 127) as u32;
-    let mask: u128 = if bits >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << bits) - 1
-    };
-    let raw = (v as u128) & mask;
+    // Shift the kept low bits to the top, then back down: an arithmetic
+    // shift sign-extends, a logical one zero-extends.
+    let shift = 128 - bits.clamp(1, 127) as u32;
     if signed {
-        let sign_bit = 1u128 << (bits - 1);
-        if raw & sign_bit != 0 {
-            (raw | !mask) as i128
-        } else {
-            raw as i128
-        }
+        (v << shift) >> shift
     } else {
-        raw as i128
+        (((v << shift) as u128) >> shift) as i128
+    }
+}
+
+/// `value`'s integer view wrapped into an integer of the given width: the
+/// integer arms of [`coerce`], and the VM's precompiled integer stores.
+#[inline]
+pub(crate) fn coerce_int(value: &Value, bits: u16, signed: bool) -> Value {
+    Value::Int {
+        v: wrap_int(value.as_int(), bits, signed),
+        bits,
+        signed,
     }
 }
 
@@ -203,16 +206,8 @@ pub fn coerce(
 ) -> Result<Value, crate::error::ExecError> {
     Ok(match ty {
         Type::Bool => Value::Bool(value.is_truthy()),
-        Type::Int { width, signed } => Value::Int {
-            v: wrap_int(value.as_int(), width.bits(), *signed),
-            bits: width.bits(),
-            signed: *signed,
-        },
-        Type::FpgaInt { bits, signed } => Value::Int {
-            v: wrap_int(value.as_int(), *bits, *signed),
-            bits: *bits,
-            signed: *signed,
-        },
+        Type::Int { width, signed } => coerce_int(&value, width.bits(), *signed),
+        Type::FpgaInt { bits, signed } => coerce_int(&value, *bits, *signed),
         Type::Float => Value::Float {
             v: value.as_f64() as f32 as f64,
             kind: FloatKind::F32,
@@ -398,6 +393,48 @@ mod tests {
         assert_eq!(wrap_int(-1, 8, false), 255);
         assert_eq!(wrap_int(83, 7, false), 83);
         assert_eq!(wrap_int(128, 7, false), 0, "fpga_uint<7> wraps at 128");
+    }
+
+    /// The shift form agrees with masking the low bits and extending the
+    /// sign bit by hand, at every width the clamp admits and beyond it.
+    #[test]
+    fn wrap_int_matches_masking() {
+        fn by_mask(v: i128, bits: u16, signed: bool) -> i128 {
+            let bits = bits.clamp(1, 127) as u32;
+            let mask = (1u128 << bits) - 1;
+            let raw = (v as u128) & mask;
+            if signed && raw & (1u128 << (bits - 1)) != 0 {
+                (raw | !mask) as i128
+            } else {
+                raw as i128
+            }
+        }
+        let values = [
+            0,
+            1,
+            -1,
+            83,
+            128,
+            -129,
+            i32::MAX as i128,
+            i32::MIN as i128,
+            1 << 40,
+            -(1 << 40) - 7,
+            i64::MIN as i128,
+            i128::MAX,
+            i128::MIN,
+        ];
+        for bits in 0..=130u16 {
+            for &v in &values {
+                for signed in [false, true] {
+                    assert_eq!(
+                        wrap_int(v, bits, signed),
+                        by_mask(v, bits, signed),
+                        "wrap_int({v}, {bits}, {signed})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,9 +17,9 @@ use crate::bytecode::{Co, CompiledProgram, Insn, Math1Op, Math2Op, ParamSpec, St
 use crate::coverage::CoverageMap;
 use crate::error::{ExecError, Trap};
 use crate::memory::Memory;
-use crate::profile::Profile;
-use crate::semantics::{binop_value, MachineConfig, OobPolicy};
-use crate::value::{coerce, ArgValue, Outcome, ScalarOut, Value};
+use crate::profile::{Profile, Range};
+use crate::semantics::{binop_value, int_binop, MachineConfig, OobPolicy};
+use crate::value::{coerce, coerce_int, ArgValue, Outcome, ScalarOut, Value};
 use minic::ast::NodeId;
 use minic::types::{ArraySize, Type};
 use std::collections::{BTreeMap, VecDeque};
@@ -197,28 +197,25 @@ impl Vm {
         if !self.config.profile {
             return p;
         }
+        // Sites are unique per (function, name): each key is inserted once.
+        let key = |(f, v): (u32, u32)| {
+            let names = &self.prog.names;
+            (names[f as usize].clone(), names[v as usize].clone())
+        };
         for (i, acc) in self.int_acc.iter().enumerate() {
-            if let Some((mn, mx)) = acc {
-                let (f, v) = self.prog.int_sites[i];
-                let f = &self.prog.names[f as usize];
-                let v = &self.prog.names[v as usize];
-                p.record_int(f, v, *mn);
-                p.record_int(f, v, *mx);
+            if let Some((min, max)) = *acc {
+                p.int_ranges
+                    .insert(key(self.prog.int_sites[i]), Range { min, max });
             }
         }
         for (i, acc) in self.idx_acc.iter().enumerate() {
-            if let Some(mx) = acc {
-                let (f, a) = self.prog.idx_sites[i];
-                p.record_index(
-                    &self.prog.names[f as usize],
-                    &self.prog.names[a as usize],
-                    *mx,
-                );
+            if let Some(mx) = *acc {
+                p.max_index.insert(key(self.prog.idx_sites[i]), mx);
             }
         }
         for (i, &d) in self.depth_max.iter().enumerate() {
             if d > 0 {
-                p.record_depth(&self.prog.names[i], d);
+                p.max_depth.insert(self.prog.names[i].clone(), d);
             }
         }
         p.peak_heap_cells = self.peak_heap;
@@ -433,8 +430,10 @@ impl Vm {
         }
     }
 
+    #[inline]
     fn apply_co(&self, co: u32, v: Value) -> Result<Value, ExecError> {
         match &self.prog.cos[co as usize] {
+            Co::Int { bits, signed } => Ok(coerce_int(&v, *bits, *signed)),
             Co::Ty(t) => coerce(v, t, &|_| Ok(1usize)),
             Co::PtrStride(stride) => Ok(match v {
                 Value::Ptr { addr, .. } => Value::Ptr {
@@ -473,7 +472,12 @@ impl Vm {
                 }
             }
             StoreK::Co(ci) => {
-                let coerced = self.apply_co(ci, v)?;
+                // Integer stores, the hottest kind, wrap here directly
+                // rather than through `apply_co`'s `Result`.
+                let coerced = match &self.prog.cos[ci as usize] {
+                    Co::Int { bits, signed } => coerce_int(&v, *bits, *signed),
+                    _ => self.apply_co(ci, v)?,
+                };
                 self.mem.store(addr, coerced)
             }
         }
@@ -802,6 +806,7 @@ impl Vm {
                     k,
                     op,
                     prof,
+                    keep,
                     charge,
                 } => {
                     self.charge_merged(*charge)?;
@@ -817,10 +822,12 @@ impl Vm {
                     };
                     self.store_k(addr, *k, final_v)?;
                     self.record_int_site(*prof, addr)?;
-                    let out = self.mem.load(addr)?.clone();
-                    self.stack.push(out);
+                    if *keep {
+                        let out = self.mem.load(addr)?.clone();
+                        self.stack.push(out);
+                    }
                 }
-                Insn::StoreInd { k, op, prof } => {
+                Insn::StoreInd { k, op, prof, keep } => {
                     let addr = self.pop_addr();
                     let rv = self.pop();
                     let final_v = match op {
@@ -833,8 +840,10 @@ impl Vm {
                     };
                     self.store_k(addr, *k, final_v)?;
                     self.record_int_site(*prof, addr)?;
-                    let out = self.mem.load(addr)?.clone();
-                    self.stack.push(out);
+                    if *keep {
+                        let out = self.mem.load(addr)?.clone();
+                        self.stack.push(out);
+                    }
                 }
                 Insn::StoreInit { sl, k } => {
                     let v = self.pop();
@@ -852,6 +861,7 @@ impl Vm {
                     prefix,
                     k,
                     prof,
+                    keep,
                 } => {
                     let addr = self.pop_addr();
                     let old = self.mem.load(addr)?.clone();
@@ -873,12 +883,14 @@ impl Vm {
                     };
                     self.store_k(addr, *k, new)?;
                     self.record_int_site(*prof, addr)?;
-                    let out = if *prefix {
-                        self.mem.load(addr)?.clone()
-                    } else {
-                        old
-                    };
-                    self.stack.push(out);
+                    if *keep {
+                        let out = if *prefix {
+                            self.mem.load(addr)?.clone()
+                        } else {
+                            old
+                        };
+                        self.stack.push(out);
+                    }
                 }
                 Insn::Alloc {
                     sl,
@@ -954,11 +966,24 @@ impl Vm {
                     });
                 }
                 Insn::Bin(op) => {
-                    let rhs = self.pop();
-                    let lhs = self.pop();
-                    self.charge(1)?;
-                    let v = binop_value(*op, lhs, rhs)?;
-                    self.stack.push(v);
+                    // Two `Int`s combine in place: the result overwrites
+                    // the left operand's slot.
+                    if let [.., Value::Int { v: a, .. }, Value::Int { v: b, .. }] =
+                        self.stack.as_slice()
+                    {
+                        let (a, b) = (*a, *b);
+                        self.charge(1)?;
+                        let v = int_binop(*op, a, b)?;
+                        let n = self.stack.len();
+                        self.stack.truncate(n - 1);
+                        self.stack[n - 2] = v;
+                    } else {
+                        let rhs = self.pop();
+                        let lhs = self.pop();
+                        self.charge(1)?;
+                        let v = binop_value(*op, lhs, rhs)?;
+                        self.stack.push(v);
+                    }
                 }
                 Insn::CastTo(co) => {
                     let v = self.pop();

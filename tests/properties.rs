@@ -11,35 +11,68 @@ mod common;
 
 // ------------------------------------------------------------ expressions
 
-/// A generator for well-formed expressions over `int` variables a, b, c.
+/// Every binary operator.
+const BIN_OPS: [BinOp; 18] = [
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::Div,
+    BinOp::Rem,
+    BinOp::Lt,
+    BinOp::Gt,
+    BinOp::Le,
+    BinOp::Ge,
+    BinOp::Eq,
+    BinOp::Ne,
+    BinOp::And,
+    BinOp::Or,
+    BinOp::BitAnd,
+    BinOp::BitOr,
+    BinOp::BitXor,
+    BinOp::Shl,
+    BinOp::Shr,
+];
+
+/// Literals past 32 bits and the `int` extremes.
+const WIDE_LEAVES: [i128; 4] = [1 << 40, -(1 << 40), i32::MIN as i128, i32::MAX as i128];
+
+/// The integer types a generated kernel's result local is declared with:
+/// native and HLS widths, signed and unsigned, that `coerce` wraps to.
+const RESULT_TYPES: [&str; 6] = [
+    "int",
+    "unsigned char",
+    "short",
+    "long",
+    "fpga_int<12>",
+    "fpga_uint<7>",
+];
+
+/// A generator for well-formed expressions over `int` variables a, b, c:
+/// every binary operator, over small literals, wide literals and the
+/// variables. Comparisons feed `bool` operands into arithmetic, `/` and
+/// `%` reach zero divisors, and shifts reach every distance.
 fn arb_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         (-1000i128..1000).prop_map(Expr::int),
+        (0..WIDE_LEAVES.len()).prop_map(|i| Expr::int(WIDE_LEAVES[i])),
         prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(Expr::ident),
     ];
     leaf.prop_recursive(3, 24, 2, |inner| {
-        (
-            prop_oneof![
-                Just(BinOp::Add),
-                Just(BinOp::Sub),
-                Just(BinOp::Mul),
-                Just(BinOp::BitAnd),
-                Just(BinOp::BitOr),
-                Just(BinOp::BitXor),
-                Just(BinOp::Lt),
-                Just(BinOp::Eq),
-            ],
-            inner.clone(),
-            inner,
-        )
-            .prop_map(|(op, l, r)| Expr::bin(op, l, r))
+        (0..BIN_OPS.len(), inner.clone(), inner).prop_map(|(op, l, r)| Expr::bin(BIN_OPS[op], l, r))
     })
 }
 
-/// Renders a generated expression into a complete kernel.
-fn expr_program(e: &Expr) -> String {
+/// A result type drawn from [`RESULT_TYPES`].
+fn arb_result_type() -> impl Strategy<Value = &'static str> {
+    (0..RESULT_TYPES.len()).prop_map(|i| RESULT_TYPES[i])
+}
+
+/// Renders a generated expression into a complete kernel whose result
+/// local has type `ty`, initialized from the expression and then updated
+/// by a statement-level compound assignment.
+fn expr_program(e: &Expr, ty: &str) -> String {
     format!(
-        "int kernel(int a, int b, int c) {{ int r = {}; return r; }}",
+        "int kernel(int a, int b, int c) {{ {ty} r = {}; r += a; return r; }}",
         minic::printer::print_expr(e)
     )
 }
@@ -49,8 +82,8 @@ proptest! {
 
     /// Printing and reparsing an expression is a fixpoint.
     #[test]
-    fn printer_parser_round_trip(e in arb_expr()) {
-        let src = expr_program(&e);
+    fn printer_parser_round_trip(e in arb_expr(), ty in arb_result_type()) {
+        let src = expr_program(&e, ty);
         let p1 = minic::parse(&src).expect("generated source parses");
         let printed = minic::print_program(&p1);
         let p2 = minic::parse(&printed).expect("printed source reparses");
@@ -65,7 +98,7 @@ proptest! {
         b in -100i128..100,
         c in -100i128..100,
     ) {
-        let src = expr_program(&e);
+        let src = expr_program(&e, "int");
         let p = minic::parse(&src).unwrap();
         let args = vec![ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(c)];
         let mut m1 = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
@@ -80,7 +113,7 @@ proptest! {
     /// print/reparse round-trip all land on the same 64-bit key.
     #[test]
     fn fingerprint_agrees_with_print_equality(e in arb_expr()) {
-        let src = expr_program(&e);
+        let src = expr_program(&e, "int");
         let p1 = minic::parse(&src).unwrap();
         let p2 = minic::parse(&src).unwrap();
         prop_assert_eq!(minic::fingerprint_program(&p1), minic::fingerprint_program(&p2));
@@ -94,8 +127,8 @@ proptest! {
     /// would surface here as a flake).
     #[test]
     fn fingerprint_separates_print_distinct_programs(e1 in arb_expr(), e2 in arb_expr()) {
-        let p1 = minic::parse(&expr_program(&e1)).unwrap();
-        let p2 = minic::parse(&expr_program(&e2)).unwrap();
+        let p1 = minic::parse(&expr_program(&e1, "int")).unwrap();
+        let p2 = minic::parse(&expr_program(&e2, "int")).unwrap();
         let print_eq = minic::print_program(&p1) == minic::print_program(&p2);
         let fp_eq = minic::fingerprint_program(&p1) == minic::fingerprint_program(&p2);
         prop_assert_eq!(print_eq, fp_eq);
@@ -108,7 +141,7 @@ proptest! {
         a in -50i128..50,
         b in -50i128..50,
     ) {
-        let p1 = minic::parse(&expr_program(&e)).unwrap();
+        let p1 = minic::parse(&expr_program(&e, "int")).unwrap();
         let p2 = minic::parse(&minic::print_program(&p1)).unwrap();
         let args = vec![ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(0)];
         let mut m1 = Vm::new(compiled_for(&p1), MachineConfig::cpu()).unwrap();
@@ -128,12 +161,13 @@ proptest! {
     #[test]
     fn engines_agree_on_generated_expressions(
         e in arb_expr(),
+        ty in arb_result_type(),
         a in -100i128..100,
         b in -100i128..100,
         c in -100i128..100,
         fuel in 0u64..40,
     ) {
-        let p = minic::parse(&expr_program(&e)).unwrap();
+        let p = minic::parse(&expr_program(&e, ty)).unwrap();
         let args = [ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(c)];
         assert_engines_agree(&p, "kernel", &args);
         assert_engines_agree_with_fuel(&p, "kernel", &args, fuel);
