@@ -15,7 +15,8 @@ use crate::memory::Memory;
 use crate::profile::Profile;
 use crate::semantics::{
     arity_error, binop_value, crossing_error, field_offset, goto_crossing, has_runtime_extent,
-    nested_vla_error, type_size, unknown_label_error, MachineConfig, OobPolicy,
+    int_abs, int_neg, int_step, nested_vla_error, type_size, unknown_label_error, MachineConfig,
+    OobPolicy,
 };
 use crate::value::{coerce, ArgValue, Outcome, ScalarOut, Value};
 use minic::ast::*;
@@ -1009,7 +1010,7 @@ impl<'p> Machine<'p> {
                 Ok(match v {
                     Value::Float { v, kind } => Value::Float { v: -v, kind },
                     other => Value::Int {
-                        v: -other.as_int(),
+                        v: int_neg(other.as_int()),
                         bits: 64,
                         signed: true,
                     },
@@ -1053,7 +1054,7 @@ impl<'p> Machine<'p> {
                         stride: *stride,
                     },
                     other => Value::Int {
-                        v: other.as_int() + delta,
+                        v: int_step(other.as_int(), delta),
                         bits: 64,
                         signed: true,
                     },
@@ -1132,7 +1133,7 @@ impl<'p> Machine<'p> {
             }
             "abs" => {
                 let x = self.eval(builtin_arg(name, args, 0)?)?.as_int();
-                return Ok(Value::int(x.abs()));
+                return Ok(Value::int(int_abs(x)));
             }
             "printf" => {
                 for a in args {

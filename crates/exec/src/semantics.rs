@@ -351,3 +351,23 @@ pub(crate) fn int_binop(op: BinOp, a: i128, b: i128) -> Result<Value, ExecError>
         signed: true,
     })
 }
+
+/// Integer negation (`-x`), wrapping at 128 bits like [`int_binop`]: an
+/// unwrapped intermediate such as `a << 127` can sit at `i128::MIN`.
+#[inline]
+pub(crate) fn int_neg(x: i128) -> i128 {
+    x.wrapping_neg()
+}
+
+/// Integer `abs(x)`, wrapping at 128 bits like [`int_binop`].
+#[inline]
+pub(crate) fn int_abs(x: i128) -> i128 {
+    x.wrapping_abs()
+}
+
+/// Integer `++`/`--` (`x + delta`), wrapping at 128 bits like
+/// [`int_binop`].
+#[inline]
+pub(crate) fn int_step(x: i128, delta: i128) -> i128 {
+    x.wrapping_add(delta)
+}

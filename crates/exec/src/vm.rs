@@ -18,7 +18,9 @@ use crate::coverage::CoverageMap;
 use crate::error::{ExecError, Trap};
 use crate::memory::Memory;
 use crate::profile::{Profile, Range};
-use crate::semantics::{binop_value, int_binop, MachineConfig, OobPolicy};
+use crate::semantics::{
+    binop_value, int_abs, int_binop, int_neg, int_step, MachineConfig, OobPolicy,
+};
 use crate::value::{coerce, coerce_int, ArgValue, Outcome, ScalarOut, Value};
 use minic::ast::NodeId;
 use minic::types::{ArraySize, Type};
@@ -876,7 +878,7 @@ impl Vm {
                             stride: *stride,
                         },
                         other => Value::Int {
-                            v: other.as_int() + delta,
+                            v: int_step(other.as_int(), delta),
                             bits: 64,
                             signed: true,
                         },
@@ -947,7 +949,7 @@ impl Vm {
                     self.stack.push(match v {
                         Value::Float { v, kind } => Value::Float { v: -v, kind },
                         other => Value::Int {
-                            v: -other.as_int(),
+                            v: int_neg(other.as_int()),
                             bits: 64,
                             signed: true,
                         },
@@ -1035,7 +1037,7 @@ impl Vm {
                 }
                 Insn::AbsI => {
                     let x = self.pop().as_int();
-                    self.stack.push(Value::int(x.abs()));
+                    self.stack.push(Value::int(int_abs(x)));
                 }
                 Insn::Math1(op) => {
                     let x = self.pop().as_f64();

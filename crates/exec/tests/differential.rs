@@ -459,6 +459,25 @@ fn compound_assign_and_incdec() {
     }
 }
 
+/// Unary integer arithmetic on an unwrapped intermediate at `i128::MIN`
+/// (`a << 127` with `a = 1`) wraps in both engines. Debug builds check
+/// arithmetic overflow, so an unchecked `-x`, `abs(x)` or `x + 1` there
+/// would panic instead of wrapping.
+#[test]
+fn unary_integer_arithmetic_wraps_at_i128_min() {
+    let srcs = [
+        "int kernel(int a) { long r = -(a << 127); return 0; }",
+        "int kernel(int a) { long r = -(a << 127); return r == 0; }",
+        "int kernel(int a) { long r = abs(a << 127); return r == 0; }",
+        "int kernel(int a) { fpga_int<128> r = a << 127; r--; --r; return r < 0; }",
+    ];
+    for src in srcs {
+        for a in [1, 2, -1] {
+            diff(src, "kernel", &[ArgValue::Int(a)]);
+        }
+    }
+}
+
 #[test]
 fn break_continue_nested() {
     let src = "

@@ -33,6 +33,6 @@ pub mod style;
 pub use check::{check_program, check_program_resilient, is_synthesizable};
 pub use cost::{CompileCostModel, SimClock};
 pub use errors::{ErrorCategory, HlsDiagnostic, ToolchainError};
-pub use schedule::{resource_estimate, FpgaEstimate, ScheduleModel};
+pub use schedule::{resource_estimate, FpgaEstimate, ScheduleModel, SchedulePlan};
 pub use sim::{FpgaSimulator, SimResult};
 pub use style::{check_style, conforms, StyleViolation};

@@ -194,92 +194,141 @@ fn loop_speedup(
     s.clamp(1.0, model.max_speedup)
 }
 
-/// Estimates FPGA latency for a kernel run.
+/// The static half of the latency model for one program under one
+/// [`ScheduleModel`]: every loop whose pragmas speed it up, with its body
+/// weight and combined speedup, and the top function's dataflow overlap.
 ///
-/// `total_ops` and `loop_iters` come from a [`minic_exec::Vm`] that
-/// executed the kernel in FPGA mode; `clock_mhz` from the design config.
-pub fn estimate_latency(
-    model: &ScheduleModel,
-    program: &Program,
-    total_ops: u64,
-    loop_iters: &BTreeMap<NodeId, u64>,
-    clock_mhz: f64,
-) -> FpgaEstimate {
-    let mut effective = total_ops as f64;
-    let mut fill = 0.0;
-    // Functions and struct methods alike host schedulable loops.
-    let mut units: Vec<&Function> = program.functions().collect();
-    for item in &program.items {
-        if let Item::Struct(sd) = item {
-            units.extend(sd.methods.iter().filter(|m| m.body.is_some()));
+/// Building the plan walks the whole program (loop collection, partition
+/// factors, body weights with call inlining); [`SchedulePlan::estimate`]
+/// then turns one run's dynamic statistics into cycles with a single pass
+/// over the recorded loops. A simulator builds the plan once per program
+/// and estimates every test against it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SchedulePlan {
+    model: ScheduleModel,
+    /// Loops with speedup > 1, in fold order (functions, then struct
+    /// methods; each unit's loops in [`collect_loops`] order).
+    loops: Vec<PlannedLoop>,
+    /// Divisor applied to the effective ops when the top function is a
+    /// dataflow region of at least two tasks.
+    overlap: Option<f64>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PlannedLoop {
+    id: NodeId,
+    /// Body weight plus the per-iteration loop-control ops.
+    weight: f64,
+    speedup: f64,
+    pipelined: bool,
+}
+
+impl SchedulePlan {
+    /// Performs the static schedule analysis of `program` under `model`.
+    pub fn new(model: &ScheduleModel, program: &Program) -> SchedulePlan {
+        let mut loops = Vec::new();
+        // Functions and struct methods alike host schedulable loops.
+        let mut units: Vec<&Function> = program.functions().collect();
+        for item in &program.items {
+            if let Item::Struct(sd) = item {
+                units.extend(sd.methods.iter().filter(|m| m.body.is_some()));
+            }
+        }
+        for f in units {
+            let parts = partition_factors(f);
+            for l in collect_loops(program, f) {
+                let Some(body) = find_loop_body(f, l.id) else {
+                    continue;
+                };
+                let w = body_weight(program, body) + model.loop_control_ops;
+                let s = loop_speedup(model, w, &l.pragmas, &l.arrays_accessed, &parts);
+                if s > 1.0 {
+                    loops.push(PlannedLoop {
+                        id: l.id,
+                        weight: w,
+                        speedup: s,
+                        pipelined: l
+                            .pragmas
+                            .iter()
+                            .any(|p| matches!(p, PragmaKind::Pipeline { .. })),
+                    });
+                }
+            }
+        }
+        SchedulePlan {
+            model: *model,
+            loops,
+            overlap: dataflow_overlap(program),
         }
     }
-    for f in units {
-        let parts = partition_factors(f);
-        for l in collect_loops(program, f) {
+
+    /// Estimates FPGA latency for one kernel run.
+    ///
+    /// `total_ops` and `loop_iters` come from a [`minic_exec::Vm`] that
+    /// executed the kernel in FPGA mode; `clock_mhz` from the design config.
+    pub fn estimate(
+        &self,
+        total_ops: u64,
+        loop_iters: &BTreeMap<NodeId, u64>,
+        clock_mhz: f64,
+    ) -> FpgaEstimate {
+        let mut effective = total_ops as f64;
+        let mut fill = 0.0;
+        for l in &self.loops {
             let iters = *loop_iters.get(&l.id).unwrap_or(&0);
             if iters == 0 {
                 continue;
             }
-            let w = match find_loop_body(f, l.id) {
-                Some(b) => body_weight(program, b),
-                None => continue,
-            };
-            let w = w + model.loop_control_ops;
-            let s = loop_speedup(model, w, &l.pragmas, &l.arrays_accessed, &parts);
-            if s > 1.0 {
-                let loop_ops = iters as f64 * w;
-                let capped = loop_ops.min(effective);
-                effective -= capped * (1.0 - 1.0 / s);
-                if l.pragmas
-                    .iter()
-                    .any(|p| matches!(p, PragmaKind::Pipeline { .. }))
-                {
-                    fill += model.pipeline_fill;
-                }
+            let loop_ops = iters as f64 * l.weight;
+            let capped = loop_ops.min(effective);
+            effective -= capped * (1.0 - 1.0 / l.speedup);
+            if l.pipelined {
+                fill += self.model.pipeline_fill;
             }
         }
+        if let Some(overlap) = self.overlap {
+            effective /= overlap;
+        }
+        // Amdahl floor: control, interface and memory traffic bound the
+        // whole-kernel speedup regardless of how parallel the loops are.
+        effective = effective.max(total_ops as f64 * 0.05);
+        let cycles = effective * self.model.cycles_per_op + fill;
+        FpgaEstimate {
+            cycles,
+            latency_ms: cycles / (clock_mhz * 1e3),
+            effective_ops: effective,
+        }
     }
-    // Dataflow overlap at the top function.
-    if let Some(top) = program
+}
+
+/// Dataflow overlap at the top function: a `dataflow` region of `n >= 2`
+/// call tasks overlaps them toward the slowest one.
+fn dataflow_overlap(program: &Program) -> Option<f64> {
+    let top = program
         .top_function_name()
-        .and_then(|n| program.function(n))
-    {
-        if let Some(body) = &top.body {
-            let has_dataflow = body
-                .stmts
-                .iter()
-                .any(|s| matches!(&s.kind, StmtKind::Pragma(p) if p.kind == PragmaKind::Dataflow));
-            if has_dataflow {
-                let tasks = body
-                    .stmts
-                    .iter()
-                    .filter(|s| {
-                        matches!(
-                            &s.kind,
-                            StmtKind::Expr(e) if matches!(
-                                e.kind,
-                                ExprKind::Call(..) | ExprKind::MethodCall(..)
-                            )
-                        )
-                    })
-                    .count();
-                if tasks >= 2 {
-                    let overlap = (1.0 + 0.6 * (tasks as f64 - 1.0)).min(3.0);
-                    effective /= overlap;
-                }
-            }
-        }
+        .and_then(|n| program.function(n))?;
+    let body = top.body.as_ref()?;
+    let has_dataflow = body
+        .stmts
+        .iter()
+        .any(|s| matches!(&s.kind, StmtKind::Pragma(p) if p.kind == PragmaKind::Dataflow));
+    if !has_dataflow {
+        return None;
     }
-    // Amdahl floor: control, interface and memory traffic bound the whole-
-    // kernel speedup regardless of how parallel the loops are.
-    effective = effective.max(total_ops as f64 * 0.05);
-    let cycles = effective * model.cycles_per_op + fill;
-    FpgaEstimate {
-        cycles,
-        latency_ms: cycles / (clock_mhz * 1e3),
-        effective_ops: effective,
-    }
+    let tasks = body
+        .stmts
+        .iter()
+        .filter(|s| {
+            matches!(
+                &s.kind,
+                StmtKind::Expr(e) if matches!(
+                    e.kind,
+                    ExprKind::Call(..) | ExprKind::MethodCall(..)
+                )
+            )
+        })
+        .count();
+    (tasks >= 2).then(|| (1.0 + 0.6 * (tasks as f64 - 1.0)).min(3.0))
 }
 
 fn find_loop_body(f: &Function, id: NodeId) -> Option<&Block> {
@@ -346,13 +395,7 @@ mod tests {
         let mut m = Vm::new(compiled_for(&p), MachineConfig::fpga()).unwrap();
         let top = p.top_function_name().unwrap().to_string();
         m.run_function(&top, args).unwrap();
-        estimate_latency(
-            &ScheduleModel::default(),
-            &p,
-            m.ops(),
-            &m.loop_stats(),
-            250.0,
-        )
+        SchedulePlan::new(&ScheduleModel::default(), &p).estimate(m.ops(), &m.loop_stats(), 250.0)
     }
 
     #[test]
@@ -438,9 +481,9 @@ mod tests {
     #[test]
     fn latency_uses_clock() {
         let p = minic::parse("void kernel(int a[4]) { a[0] = 1; }").unwrap();
-        let model = ScheduleModel::default();
-        let slow = estimate_latency(&model, &p, 1000, &BTreeMap::new(), 100.0);
-        let fast = estimate_latency(&model, &p, 1000, &BTreeMap::new(), 400.0);
+        let plan = SchedulePlan::new(&ScheduleModel::default(), &p);
+        let slow = plan.estimate(1000, &BTreeMap::new(), 100.0);
+        let fast = plan.estimate(1000, &BTreeMap::new(), 400.0);
         assert!((slow.latency_ms / fast.latency_ms - 4.0).abs() < 1e-9);
     }
 }

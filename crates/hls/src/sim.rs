@@ -6,7 +6,7 @@
 //! side this is the engine of HeteroGen's differential testing.
 
 use crate::errors::ToolchainError;
-use crate::schedule::{estimate_latency, FpgaEstimate, ScheduleModel};
+use crate::schedule::{FpgaEstimate, ScheduleModel, SchedulePlan};
 use heterogen_faults::{Fault, FaultInjector, FaultSite};
 use minic::Program;
 use minic_exec::{ArgValue, ExecEngine, ExecError, MachineConfig, Outcome, Prepared, Trap};
@@ -22,54 +22,53 @@ pub struct SimResult {
 
 /// FPGA simulator for one program.
 ///
-/// Construction performs the one-time bytecode lowering (shared through the
-/// process-wide compile cache), so each simulated test only pays for a cheap
-/// per-run interpreter.
+/// Construction does all per-program work once: it fetches (or performs)
+/// the bytecode lowering through the process-wide compile cache, resolves
+/// the top function, and builds the [`SchedulePlan`] — the static half of
+/// the latency model. Each simulated test then only pays for a fresh
+/// per-run interpreter, the run itself, and one pass over the plan's
+/// loops.
 #[derive(Debug)]
 pub struct FpgaSimulator<'p> {
-    program: &'p Program,
     prepared: Prepared<'p>,
-    model: ScheduleModel,
+    plan: SchedulePlan,
+    clock_mhz: f64,
     kernel: String,
 }
 
 impl<'p> FpgaSimulator<'p> {
     /// Creates a simulator for the program's top function on the bytecode
-    /// VM.
+    /// VM under the default schedule model.
     ///
     /// # Errors
     ///
     /// Fails when the program has no resolvable top function.
     pub fn new(program: &'p Program) -> Result<FpgaSimulator<'p>, ExecError> {
-        FpgaSimulator::new_with_engine(program, ExecEngine::Bytecode)
+        FpgaSimulator::configured(program, ExecEngine::Bytecode, &ScheduleModel::default())
     }
 
-    /// Creates a simulator for the program's top function on `engine`;
-    /// [`ExecEngine::TreeWalk`] simulates on the reference interpreter.
+    /// Creates a simulator for the program's top function on `engine`
+    /// ([`ExecEngine::TreeWalk`] simulates on the reference interpreter),
+    /// estimating latency under `model`.
     ///
     /// # Errors
     ///
     /// Fails when the program has no resolvable top function.
-    pub fn new_with_engine(
+    pub fn configured(
         program: &'p Program,
         engine: ExecEngine,
+        model: &ScheduleModel,
     ) -> Result<FpgaSimulator<'p>, ExecError> {
         let kernel = program
             .top_function_name()
             .ok_or_else(|| ExecError::setup("no top function in design"))?
             .to_string();
         Ok(FpgaSimulator {
-            program,
             prepared: Prepared::new(engine, program),
-            model: ScheduleModel::default(),
+            plan: SchedulePlan::new(model, program),
+            clock_mhz: program.config.clock_mhz,
             kernel,
         })
-    }
-
-    /// Overrides the schedule model.
-    pub fn with_model(mut self, model: ScheduleModel) -> Self {
-        self.model = model;
-        self
     }
 
     /// The kernel (top function) name being simulated.
@@ -178,13 +177,9 @@ impl<'p> FpgaSimulator<'p> {
             }
         };
         let outcome = runner.run_kernel(&self.kernel, args);
-        let estimate = estimate_latency(
-            &self.model,
-            self.program,
-            runner.ops(),
-            &runner.loop_stats(),
-            self.program.config.clock_mhz,
-        );
+        let estimate = self
+            .plan
+            .estimate(runner.ops(), &runner.loop_stats(), self.clock_mhz);
         SimResult { outcome, estimate }
     }
 

@@ -53,15 +53,23 @@ use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Resolve a requested thread count: `0` means "use available parallelism".
+///
+/// The available parallelism is resolved once per process and cached:
+/// `std::thread::available_parallelism` re-reads the cgroup files on Linux
+/// on every call (tens of microseconds), and every batch resolves its
+/// count. Explicit counts pass through unchanged.
 pub fn effective_threads(requested: usize) -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     if requested == 0 {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
+        *AVAILABLE.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     } else {
         requested
     }
@@ -459,6 +467,9 @@ mod tests {
     #[test]
     fn effective_threads_resolves_zero() {
         assert!(effective_threads(0) >= 1);
+        let available = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(effective_threads(0), available);
+        assert_eq!(effective_threads(0), available, "the cached value");
         assert_eq!(effective_threads(3), 3);
     }
 

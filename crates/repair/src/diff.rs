@@ -162,10 +162,11 @@ impl DifferentialTester {
     }
 
     /// Like [`DifferentialTester::evaluate_traced`], simulating on an
-    /// arbitrary [`Toolchain`] backend. A backend that cannot simulate the
-    /// candidate at all (or fails a test's invocation) scores that test as
-    /// failing, exactly as the default backend does for an unsimulatable
-    /// design.
+    /// arbitrary [`Toolchain`] backend. The candidate is prepared once
+    /// through [`Toolchain::co_simulator`] and every test runs against that
+    /// preparation. A backend that cannot simulate the candidate at all (or
+    /// fails a test's invocation) scores that test as failing, exactly as
+    /// the default backend does for an unsimulatable design.
     pub fn evaluate_with<B, S>(&self, backend: &B, candidate: &Program, sink: &S) -> DiffReport
     where
         B: Toolchain + ?Sized,
@@ -368,15 +369,20 @@ impl DifferentialTester {
                 fpga_latency_ms: f64::INFINITY,
             };
         }
-        let runs: Vec<(bool, f64)> = parallel::parallel_map(self.threads, &self.tests, |i, t| {
-            match backend.simulate(candidate, t, i as u64) {
-                Ok(sim) => (
-                    self.reference[i].behaviour_eq(&sim.result.outcome),
-                    sim.result.estimate.latency_ms,
-                ),
-                Err(_) => (false, 0.0),
-            }
-        });
+        // Prepared once per candidate; a candidate that cannot be prepared
+        // fails every test, as a per-test failure would.
+        let runs: Vec<(bool, f64)> = match backend.co_simulator(candidate) {
+            Ok(cosim) => parallel::parallel_map(self.threads, &self.tests, |i, t| {
+                match cosim.run(t, i as u64) {
+                    Ok(sim) => (
+                        self.reference[i].behaviour_eq(&sim.result.outcome),
+                        sim.result.estimate.latency_ms,
+                    ),
+                    Err(_) => (false, 0.0),
+                }
+            }),
+            Err(_) => vec![(false, 0.0); self.tests.len()],
+        };
         let mut passed = 0usize;
         let mut latency = 0.0;
         for (ok, ms) in runs {

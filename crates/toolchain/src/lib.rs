@@ -8,7 +8,8 @@
 //! * [`Toolchain`] — the five-signal trait every backend implements
 //!   ([`Toolchain::style_check`], [`Toolchain::compile`],
 //!   [`Toolchain::simulate`], [`Toolchain::cost_model`], plus a
-//!   [`BackendInfo`] descriptor);
+//!   [`BackendInfo`] descriptor), with [`Toolchain::co_simulator`]
+//!   preparing one candidate for many co-simulated tests;
 //! * [`SimBackend`] — the default backend, wrapping the `hls_sim` simulated
 //!   toolchain in a named device profile (and an alternative
 //!   [`SimBackend::embedded_profile`] with different resource finitization
@@ -185,6 +186,24 @@ pub trait Toolchain: Send + Sync {
         key: u64,
     ) -> Result<Simulated, ToolchainError>;
 
+    /// Prepares `p` for co-simulating many test inputs, paying the
+    /// per-program setup once. Each [`CoSim::run`] is equivalent to one
+    /// [`Toolchain::simulate`] call with the same arguments.
+    ///
+    /// The default returns an adapter that calls [`Toolchain::simulate`]
+    /// for every test, so a layer that overrides only `simulate` still
+    /// sees each test.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the program cannot be prepared for simulation at all.
+    fn co_simulator<'a>(&'a self, p: &'a Program) -> Result<Box<dyn CoSim + 'a>, ToolchainError> {
+        Ok(Box::new(PerTest {
+            toolchain: self,
+            program: p,
+        }))
+    }
+
     /// The execution engine this backend simulates with. Nothing in the
     /// pipeline reads it and no middleware forwards it; it stays only
     /// because the benchmark's probe layer implements it, until ROADMAP
@@ -267,6 +286,40 @@ pub trait Toolchain: Send + Sync {
     }
 }
 
+/// One program prepared for co-simulation by [`Toolchain::co_simulator`]:
+/// runs test inputs against the preparation, from any number of threads.
+pub trait CoSim: Sync {
+    /// Co-simulates one test input; `key` is as for
+    /// [`Toolchain::simulate`].
+    ///
+    /// # Errors
+    ///
+    /// Fails when the simulation infrastructure fails.
+    fn run(&self, args: &[ArgValue], key: u64) -> Result<Simulated, ToolchainError>;
+}
+
+/// The default [`Toolchain::co_simulator`]: no preparation, one
+/// [`Toolchain::simulate`] call per test.
+struct PerTest<'a, T: ?Sized> {
+    toolchain: &'a T,
+    program: &'a Program,
+}
+
+impl<T: Toolchain + ?Sized> CoSim for PerTest<'_, T> {
+    fn run(&self, args: &[ArgValue], key: u64) -> Result<Simulated, ToolchainError> {
+        self.toolchain.simulate(self.program, args, key)
+    }
+}
+
+impl CoSim for FpgaSimulator<'_> {
+    fn run(&self, args: &[ArgValue], _key: u64) -> Result<Simulated, ToolchainError> {
+        Ok(Simulated {
+            result: FpgaSimulator::run(self, args),
+            transients: 0,
+        })
+    }
+}
+
 /// Implements the named [`Toolchain`] methods by forwarding them to a
 /// target: `*` forwards through a reference (`(**self)`, for `&T` and
 /// `Arc<T>`), a field name forwards to that field (`self.inner`). Every
@@ -317,6 +370,14 @@ macro_rules! delegate_toolchain {
             $to.simulate(p, args, key)
         }
     };
+    (@fn $s:tt, $to:tt, co_simulator) => {
+        fn co_simulator<'a>(
+            &'a $s,
+            p: &'a Program,
+        ) -> Result<Box<dyn CoSim + 'a>, ToolchainError> {
+            $to.co_simulator(p)
+        }
+    };
     (@fn $s:tt, $to:tt, simulate_spiked) => {
         fn simulate_spiked(
             &$s,
@@ -347,12 +408,12 @@ macro_rules! delegate_toolchain {
 
 impl<T: Toolchain + ?Sized> Toolchain for &T {
     delegate_toolchain!(* => info, cost_model, style_check, compile, can_simulate, simulate,
-        simulate_spiked, evaluate, diagnose);
+        co_simulator, simulate_spiked, evaluate, diagnose);
 }
 
 impl<T: Toolchain + ?Sized> Toolchain for Arc<T> {
     delegate_toolchain!(* => info, cost_model, style_check, compile, can_simulate, simulate,
-        simulate_spiked, evaluate, diagnose);
+        co_simulator, simulate_spiked, evaluate, diagnose);
 }
 
 /// The default backend: the workspace's simulated HLS toolchain (`hls_sim`)
@@ -441,8 +502,7 @@ impl SimBackend {
     }
 
     fn simulator<'p>(&self, p: &'p Program) -> Result<FpgaSimulator<'p>, ToolchainError> {
-        FpgaSimulator::new_with_engine(p, self.engine)
-            .map(|s| s.with_model(self.schedule))
+        FpgaSimulator::configured(p, self.engine, &self.schedule)
             .map_err(|e| ToolchainError::permanent("hls_sim", e.to_string()))
     }
 }
@@ -480,12 +540,13 @@ impl Toolchain for SimBackend {
         &self,
         p: &Program,
         args: &[ArgValue],
-        _key: u64,
+        key: u64,
     ) -> Result<Simulated, ToolchainError> {
-        Ok(Simulated {
-            result: self.simulator(p)?.run(args),
-            transients: 0,
-        })
+        self.co_simulator(p)?.run(args, key)
+    }
+
+    fn co_simulator<'a>(&'a self, p: &'a Program) -> Result<Box<dyn CoSim + 'a>, ToolchainError> {
+        Ok(Box::new(self.simulator(p)?))
     }
 
     fn simulate_spiked(
@@ -675,7 +736,7 @@ impl<T: Toolchain> Persisted<T> {
 
 impl<T: Toolchain> Toolchain for Persisted<T> {
     delegate_toolchain!(inner => info, cost_model, style_check, compile, can_simulate, simulate,
-        simulate_spiked, diagnose);
+        co_simulator, simulate_spiked, diagnose);
 
     fn evaluate(
         &self,
@@ -714,6 +775,10 @@ impl<T: Toolchain> Toolchain for Persisted<T> {
 ///
 /// With a disabled injector ([`heterogen_faults::NoFaults`]) every method
 /// delegates straight to the inner layer.
+///
+/// `Resilient` does not forward [`Toolchain::co_simulator`]: the trait
+/// default's adapter sends every test through [`Resilient`]'s own
+/// `simulate`, so each test keeps its own fault decision and retries.
 #[derive(Debug, Clone)]
 pub struct Resilient<T, I> {
     inner: T,
@@ -849,6 +914,18 @@ impl DrainSignal {
     pub fn is_draining(&self) -> bool {
         self.0.load(std::sync::atomic::Ordering::SeqCst)
     }
+
+    /// The permanent `drain` error once the signal has drained.
+    fn revoked(&self) -> Result<(), ToolchainError> {
+        if self.is_draining() {
+            Err(ToolchainError::permanent(
+                "drain",
+                "server drain revoked the evaluation budget",
+            ))
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// Middleware: revokes the toolchain when a [`DrainSignal`] flips.
@@ -857,10 +934,11 @@ impl DrainSignal {
 /// each fallible invocation returns a *permanent* [`ToolchainError`] at
 /// site `"drain"` — so a repair search in flight hits its existing
 /// permanent-fault degradation path and returns `Ok(PipelineReport)` with a
-/// `Degradation` record instead of being aborted mid-candidate. Placed
-/// *innermost* in the middleware stack (wrapping the raw backend), so
-/// [`Resilient`] propagates the revocation without retrying and
-/// [`Persisted`] never records it.
+/// `Degradation` record instead of being aborted mid-candidate. A prepared
+/// [`Toolchain::co_simulator`] is revoked too: it checks the signal before
+/// every run. Placed *innermost* in the middleware stack (wrapping the raw
+/// backend), so [`Resilient`] propagates the revocation without retrying
+/// and [`Persisted`] never records it.
 #[derive(Debug, Clone)]
 pub struct DrainGate<T> {
     inner: T,
@@ -872,16 +950,19 @@ impl<T: Toolchain> DrainGate<T> {
     pub fn new(inner: T, signal: DrainSignal) -> DrainGate<T> {
         DrainGate { inner, signal }
     }
+}
 
-    fn revoked(&self) -> Result<(), ToolchainError> {
-        if self.signal.is_draining() {
-            Err(ToolchainError::permanent(
-                "drain",
-                "server drain revoked the evaluation budget",
-            ))
-        } else {
-            Ok(())
-        }
+/// A [`DrainGate`]'s prepared co-simulation: every run checks the signal
+/// first, so a drain revokes preparations already handed out.
+struct GatedCoSim<'a> {
+    inner: Box<dyn CoSim + 'a>,
+    signal: &'a DrainSignal,
+}
+
+impl CoSim for GatedCoSim<'_> {
+    fn run(&self, args: &[ArgValue], key: u64) -> Result<Simulated, ToolchainError> {
+        self.signal.revoked()?;
+        self.inner.run(args, key)
     }
 }
 
@@ -892,7 +973,7 @@ impl<T: Toolchain> Toolchain for DrainGate<T> {
         diagnose);
 
     fn compile(&self, p: &Program, key: u64) -> Result<Compiled, ToolchainError> {
-        self.revoked()?;
+        self.signal.revoked()?;
         self.inner.compile(p, key)
     }
     fn simulate(
@@ -901,8 +982,15 @@ impl<T: Toolchain> Toolchain for DrainGate<T> {
         args: &[ArgValue],
         key: u64,
     ) -> Result<Simulated, ToolchainError> {
-        self.revoked()?;
+        self.signal.revoked()?;
         self.inner.simulate(p, args, key)
+    }
+    fn co_simulator<'a>(&'a self, p: &'a Program) -> Result<Box<dyn CoSim + 'a>, ToolchainError> {
+        self.signal.revoked()?;
+        Ok(Box::new(GatedCoSim {
+            inner: self.inner.co_simulator(p)?,
+            signal: &self.signal,
+        }))
     }
     fn simulate_spiked(
         &self,
@@ -911,7 +999,7 @@ impl<T: Toolchain> Toolchain for DrainGate<T> {
         factor: u32,
         attempt: u32,
     ) -> Result<SimResult, ToolchainError> {
-        self.revoked()?;
+        self.signal.revoked()?;
         self.inner.simulate_spiked(p, args, factor, attempt)
     }
     fn evaluate(
@@ -920,7 +1008,7 @@ impl<T: Toolchain> Toolchain for DrainGate<T> {
         fingerprint: u64,
         style_gate: bool,
     ) -> Result<EvalResult, ToolchainError> {
-        self.revoked()?;
+        self.signal.revoked()?;
         self.inner.evaluate(p, fingerprint, style_gate)
     }
 }
@@ -1302,6 +1390,8 @@ mod tests {
         let p = prog();
         assert!(gate.compile(&p, 1).is_ok());
         assert!(gate.evaluate(&p, fp(&p), true).is_ok());
+        let cosim = gate.co_simulator(&p).unwrap();
+        assert!(cosim.run(&[], 1).is_ok());
         assert!(!signal.is_draining());
 
         signal.drain();
@@ -1310,6 +1400,14 @@ mod tests {
         assert!(!err.is_transient(), "revocation must not be retried");
         assert_eq!(err.site(), "drain");
         assert!(gate.simulate(&p, &[], 2).is_err());
+        // A co-simulation prepared before the drain is revoked on its next
+        // run, without reaching the backend; a new one is refused outright.
+        let simulates = mock.simulate_calls();
+        let err = cosim.run(&[], 2).unwrap_err();
+        assert!(!err.is_transient(), "revocation must not be retried");
+        assert_eq!(err.site(), "drain");
+        assert_eq!(mock.simulate_calls(), simulates);
+        assert_eq!(gate.co_simulator(&p).err().unwrap().site(), "drain");
         // `evaluate` refuses before the style check runs.
         let style_checks = mock.style_check_calls();
         assert!(gate.evaluate(&p, fp(&p), true).is_err());
