@@ -5,8 +5,7 @@
 //! repair loop only reaches it after the cheap [`style`](crate::style) pass,
 //! and each invocation is billed by the [`cost`](crate::cost) model.
 
-use crate::errors::{ErrorCategory, HlsDiagnostic, ToolchainError};
-use heterogen_faults::{Fault, FaultInjector, FaultSite};
+use crate::errors::{ErrorCategory, HlsDiagnostic};
 use minic::ast::*;
 use minic::types::Type;
 use minic::visit;
@@ -40,56 +39,6 @@ pub fn check_program(p: &Program) -> Vec<HlsDiagnostic> {
     }
     check_struct_instantiation(p, &mut out);
     out
-}
-
-/// Whether a program passes the full check.
-pub fn is_synthesizable(p: &Program) -> bool {
-    check_program(p).is_empty()
-}
-
-/// Runs the full check through a fault injector, as the resilient repair
-/// loop does.
-///
-/// `key` is the stable identity of the invocation (the candidate
-/// fingerprint) and `attempt` the zero-based retry count; together they make
-/// injected faults reproducible at any thread count. With
-/// [`heterogen_faults::NoFaults`] this compiles down to a plain
-/// [`check_program`] call.
-///
-/// # Errors
-///
-/// Returns a [`ToolchainError`] when the injector decides this invocation
-/// fails; a poison fault panics instead (the caller's isolation boundary is
-/// expected to catch it).
-pub fn check_program_resilient<I>(
-    p: &Program,
-    injector: &I,
-    key: u64,
-    attempt: u32,
-) -> Result<Vec<HlsDiagnostic>, ToolchainError>
-where
-    I: FaultInjector + ?Sized,
-{
-    if injector.enabled() {
-        match injector.fault(FaultSite::HlsCheck, key, attempt) {
-            Some(Fault::Poison) => heterogen_faults::poison(FaultSite::HlsCheck, key),
-            Some(Fault::Permanent) => {
-                return Err(ToolchainError::permanent(
-                    "hls_check",
-                    "synthesis front-end rejected the invocation",
-                ));
-            }
-            Some(Fault::Transient) | Some(Fault::FuelSpike { .. }) => {
-                return Err(ToolchainError::transient(
-                    "hls_check",
-                    attempt,
-                    "synthesis front-end crashed; the invocation may be retried",
-                ));
-            }
-            None => {}
-        }
-    }
-    Ok(check_program(p))
 }
 
 fn check_top_config(p: &Program, out: &mut Vec<HlsDiagnostic>) {
@@ -270,11 +219,20 @@ fn check_function(p: &Program, f: &Function, is_top: bool, out: &mut Vec<HlsDiag
     let Some(body) = &f.body else { return };
 
     // Locals: long double, pointers, unknown-size arrays. malloc/free calls.
-    let mut local_decl_issues = Vec::new();
     for s in &body.stmts {
-        collect_stmt_issues(p, s, &f.name, &mut local_decl_issues);
+        visit::walk_stmt(s, &mut |s| {
+            let StmtKind::Decl(d) = &s.kind else { return };
+            if contains_long_double(&d.ty) {
+                out.push(unsupported_type_diag(&d.name, Some(&f.name)).at(s.id));
+            }
+            if is_raw_pointer(&d.ty) {
+                out.push(pointer_diag(&d.name, Some(&f.name)).at(s.id));
+            }
+            if unknown_extent(p, &d.ty) {
+                out.push(unknown_size_diag(&d.name, Some(&f.name)).at(s.id));
+            }
+        });
     }
-    out.extend(local_decl_issues);
 
     visit::visit_function_exprs(f, &mut |e| {
         if let ExprKind::Call(name, _) = &e.kind {
@@ -302,51 +260,6 @@ fn check_function(p: &Program, f: &Function, is_top: bool, out: &mut Vec<HlsDiag
     });
 
     check_pragmas(p, f, out);
-}
-
-fn collect_stmt_issues(p: &Program, s: &Stmt, fname: &str, out: &mut Vec<HlsDiagnostic>) {
-    match &s.kind {
-        StmtKind::Decl(d) => {
-            if contains_long_double(&d.ty) {
-                out.push(unsupported_type_diag(&d.name, Some(fname)).at(s.id));
-            }
-            if is_raw_pointer(&d.ty) {
-                out.push(pointer_diag(&d.name, Some(fname)).at(s.id));
-            }
-            if unknown_extent(p, &d.ty) {
-                out.push(unknown_size_diag(&d.name, Some(fname)).at(s.id));
-            }
-        }
-        StmtKind::If(_, t, e) => {
-            for st in &t.stmts {
-                collect_stmt_issues(p, st, fname, out);
-            }
-            if let Some(e) = e {
-                for st in &e.stmts {
-                    collect_stmt_issues(p, st, fname, out);
-                }
-            }
-        }
-        StmtKind::While(_, b) | StmtKind::DoWhile(b, _) => {
-            for st in &b.stmts {
-                collect_stmt_issues(p, st, fname, out);
-            }
-        }
-        StmtKind::For(init, _, _, b) => {
-            if let Some(i) = init {
-                collect_stmt_issues(p, i, fname, out);
-            }
-            for st in &b.stmts {
-                collect_stmt_issues(p, st, fname, out);
-            }
-        }
-        StmtKind::Block(b) => {
-            for st in &b.stmts {
-                collect_stmt_issues(p, st, fname, out);
-            }
-        }
-        _ => {}
-    }
 }
 
 /// A loop in a function body together with its directly attached pragmas
@@ -921,46 +834,6 @@ mod tests {
         assert_eq!(loops[0].static_trip, Some(8));
         assert_eq!(loops[1].static_trip, Some(4));
         assert_eq!(loops[0].arrays_accessed, vec!["a".to_string()]);
-    }
-
-    #[test]
-    fn resilient_check_with_no_faults_matches_plain_check() {
-        let p = minic::parse("void kernel(int n) { int buf[n]; buf[0] = 1; }").unwrap();
-        let plain = check_program(&p);
-        let resilient = check_program_resilient(&p, &heterogen_faults::NoFaults, 42, 0).unwrap();
-        assert_eq!(plain, resilient);
-    }
-
-    #[test]
-    fn resilient_check_surfaces_injected_faults() {
-        let p = minic::parse("void kernel(int a[4]) { a[0] = 1; }").unwrap();
-        let plan = heterogen_faults::FaultPlan::builder(1)
-            .with_transient_rate(1.0)
-            .with_transient_len(1)
-            .build();
-        let err = check_program_resilient(&p, &plan, 5, 0).unwrap_err();
-        assert!(err.is_transient());
-        assert_eq!(err.site(), "hls_check");
-        // The transient run length is 1, so attempt 1 succeeds.
-        assert!(check_program_resilient(&p, &plan, 5, 1).unwrap().is_empty());
-
-        let permanent = heterogen_faults::FaultPlan::builder(1)
-            .with_permanent_key(5)
-            .build();
-        let err = check_program_resilient(&p, &permanent, 5, 0).unwrap_err();
-        assert!(!err.is_transient());
-        // Other keys are untouched.
-        assert!(check_program_resilient(&p, &permanent, 6, 0).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "injected poison fault")]
-    fn resilient_check_poison_panics() {
-        let p = minic::parse("void kernel(int a[4]) { a[0] = 1; }").unwrap();
-        let plan = heterogen_faults::FaultPlan::builder(1)
-            .with_poison_key(9)
-            .build();
-        let _ = check_program_resilient(&p, &plan, 9, 0);
     }
 
     #[test]

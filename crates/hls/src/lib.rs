@@ -30,9 +30,9 @@ pub mod schedule;
 pub mod sim;
 pub mod style;
 
-pub use check::{check_program, check_program_resilient, is_synthesizable};
+pub use check::check_program;
 pub use cost::{CompileCostModel, SimClock};
 pub use errors::{ErrorCategory, HlsDiagnostic, ToolchainError};
 pub use schedule::{resource_estimate, FpgaEstimate, ScheduleModel, SchedulePlan};
 pub use sim::{FpgaSimulator, SimResult};
-pub use style::{check_style, conforms, StyleViolation};
+pub use style::{check_style, StyleViolation};

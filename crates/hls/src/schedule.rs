@@ -157,7 +157,18 @@ fn expr_weight(p: &Program, e: &Expr) -> f64 {
 /// the benefit estimate performance exploration uses to rank candidate
 /// pragma insertions (heavier × hotter loops first).
 pub fn loop_weight(p: &Program, f: &Function, id: NodeId) -> Option<f64> {
-    find_loop_body(f, id).map(|b| body_weight(p, b))
+    let mut body = None;
+    visit::Code::Function(f).walk(&mut |n| {
+        if let visit::Node::Stmt(s) = n {
+            if let StmtKind::While(_, b) | StmtKind::DoWhile(b, _) | StmtKind::For(.., b) = &s.kind
+            {
+                if s.id == id {
+                    body = Some(b);
+                }
+            }
+        }
+    });
+    body.map(|b| body_weight(p, b))
 }
 
 /// Computes the effective per-iteration speedup of a loop from its pragmas.
@@ -237,10 +248,10 @@ impl SchedulePlan {
         for f in units {
             let parts = partition_factors(f);
             for l in collect_loops(program, f) {
-                let Some(body) = find_loop_body(f, l.id) else {
+                let Some(body_w) = loop_weight(program, f, l.id) else {
                     continue;
                 };
-                let w = body_weight(program, body) + model.loop_control_ops;
+                let w = body_w + model.loop_control_ops;
                 let s = loop_speedup(model, w, &l.pragmas, &l.arrays_accessed, &parts);
                 if s > 1.0 {
                     loops.push(PlannedLoop {
@@ -329,36 +340,6 @@ fn dataflow_overlap(program: &Program) -> Option<f64> {
         })
         .count();
     (tasks >= 2).then(|| (1.0 + 0.6 * (tasks as f64 - 1.0)).min(3.0))
-}
-
-fn find_loop_body(f: &Function, id: NodeId) -> Option<&Block> {
-    fn in_block(b: &Block, id: NodeId) -> Option<&Block> {
-        for s in &b.stmts {
-            if s.id == id {
-                match &s.kind {
-                    StmtKind::While(_, body)
-                    | StmtKind::DoWhile(body, _)
-                    | StmtKind::For(_, _, _, body) => return Some(body),
-                    _ => return None,
-                }
-            }
-            let nested = match &s.kind {
-                StmtKind::If(_, t, e) => {
-                    in_block(t, id).or_else(|| e.as_ref().and_then(|e| in_block(e, id)))
-                }
-                StmtKind::While(_, body)
-                | StmtKind::DoWhile(body, _)
-                | StmtKind::For(_, _, _, body)
-                | StmtKind::Block(body) => in_block(body, id),
-                _ => None,
-            };
-            if nested.is_some() {
-                return nested;
-            }
-        }
-        None
-    }
-    f.body.as_ref().and_then(|b| in_block(b, id))
 }
 
 /// A crude LUT/FF resource estimate: the sum of declared integer bit widths

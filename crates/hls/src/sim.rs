@@ -7,7 +7,6 @@
 
 use crate::errors::ToolchainError;
 use crate::schedule::{FpgaEstimate, ScheduleModel, SchedulePlan};
-use heterogen_faults::{Fault, FaultInjector, FaultSite};
 use minic::Program;
 use minic_exec::{ArgValue, ExecEngine, ExecError, MachineConfig, Outcome, Prepared, Trap};
 
@@ -81,52 +80,6 @@ impl<'p> FpgaSimulator<'p> {
         self.run_with_config(args, MachineConfig::fpga())
     }
 
-    /// Simulates one test input through a fault injector, as the resilient
-    /// repair loop does.
-    ///
-    /// `key` identifies the invocation (candidate fingerprint mixed with the
-    /// test index) and `attempt` is the zero-based retry count. A fuel-spike
-    /// fault reruns the test under a slashed fuel allowance: if the kernel
-    /// still finishes, the result is identical to the unspiked run (fuel only
-    /// bounds, never alters, deterministic execution); if the allowance is
-    /// exhausted the invocation is classified transient so the caller retries
-    /// it unspiked. With [`heterogen_faults::NoFaults`] this compiles down to
-    /// a plain [`FpgaSimulator::run`] call.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ToolchainError`] when the injector fails this invocation;
-    /// a poison fault panics instead (caught at the caller's isolation
-    /// boundary).
-    pub fn run_resilient<I>(
-        &self,
-        args: &[ArgValue],
-        injector: &I,
-        key: u64,
-        attempt: u32,
-    ) -> Result<SimResult, ToolchainError>
-    where
-        I: FaultInjector + ?Sized,
-    {
-        if !injector.enabled() {
-            return Ok(self.run(args));
-        }
-        match injector.fault(FaultSite::HlsSim, key, attempt) {
-            Some(Fault::Poison) => heterogen_faults::poison(FaultSite::HlsSim, key),
-            Some(Fault::Permanent) => Err(ToolchainError::permanent(
-                "hls_sim",
-                "co-simulation backend rejected the invocation",
-            )),
-            Some(Fault::Transient) => Err(ToolchainError::transient(
-                "hls_sim",
-                attempt,
-                "co-simulation crashed; the invocation may be retried",
-            )),
-            Some(Fault::FuelSpike { factor }) => self.run_spiked(args, factor, attempt),
-            None => Ok(self.run(args)),
-        }
-    }
-
     /// Simulates one test input under a fuel allowance slashed by `factor`,
     /// as an injected fuel-spike fault does. If the kernel still finishes,
     /// the result is identical to the unspiked run (fuel only bounds, never
@@ -181,18 +134,6 @@ impl<'p> FpgaSimulator<'p> {
             .plan
             .estimate(runner.ops(), &runner.loop_stats(), self.clock_mhz);
         SimResult { outcome, estimate }
-    }
-
-    /// Simulates a batch of inputs and returns the mean latency (ms) and
-    /// the per-test results.
-    pub fn run_all(&self, tests: &[Vec<ArgValue>]) -> (f64, Vec<SimResult>) {
-        let results: Vec<SimResult> = tests.iter().map(|t| self.run(t)).collect();
-        let mean = if results.is_empty() {
-            0.0
-        } else {
-            results.iter().map(|r| r.estimate.latency_ms).sum::<f64>() / results.len() as f64
-        };
-        (mean, results)
     }
 }
 
@@ -252,31 +193,9 @@ mod tests {
     }
 
     #[test]
-    fn run_all_averages_latency() {
-        let p = minic::parse("int kernel(int x) { return x * 2; }").unwrap();
-        let sim = FpgaSimulator::new(&p).unwrap();
-        let tests = vec![vec![ArgValue::Int(1)], vec![ArgValue::Int(2)]];
-        let (mean, results) = sim.run_all(&tests);
-        assert_eq!(results.len(), 2);
-        assert!(mean > 0.0);
-    }
-
-    #[test]
     fn missing_top_is_a_setup_error() {
         let p = minic::parse("void helper(int x) { }").unwrap();
         assert!(FpgaSimulator::new(&p).is_err());
-    }
-
-    #[test]
-    fn run_resilient_with_no_faults_matches_run() {
-        let p = minic::parse("int kernel(int x) { return x * 2; }").unwrap();
-        let sim = FpgaSimulator::new(&p).unwrap();
-        let args = vec![ArgValue::Int(21)];
-        let plain = sim.run(&args);
-        let resilient = sim
-            .run_resilient(&args, &heterogen_faults::NoFaults, 7, 0)
-            .unwrap();
-        assert_eq!(plain, resilient);
     }
 
     #[test]
@@ -284,13 +203,8 @@ mod tests {
         let p = minic::parse("int kernel(int x) { return x + 1; }").unwrap();
         let sim = FpgaSimulator::new(&p).unwrap();
         let args = vec![ArgValue::Int(5)];
-        // Rate 1.0 fires a fault on every draw; make it a mild spike that a
-        // one-expression kernel survives.
-        let plan = heterogen_faults::FaultPlan::builder(3)
-            .with_fuel_spike_rate(1.0)
-            .with_spike_factor(4)
-            .build();
-        let spiked = sim.run_resilient(&args, &plan, 11, 0).unwrap();
+        // A mild spike that a one-expression kernel survives.
+        let spiked = sim.run_spiked(&args, 4, 0).unwrap();
         assert_eq!(spiked, sim.run(&args));
     }
 
@@ -302,16 +216,10 @@ mod tests {
         .unwrap();
         let sim = FpgaSimulator::new(&p).unwrap();
         let args = vec![ArgValue::Int(1)];
-        let plan = heterogen_faults::FaultPlan::builder(3)
-            .with_fuel_spike_rate(1.0)
-            .with_spike_factor(1_000_000)
-            .build();
-        let err = sim.run_resilient(&args, &plan, 11, 0).unwrap_err();
+        let err = sim.run_spiked(&args, 1_000_000, 0).unwrap_err();
         assert!(err.is_transient(), "{err}");
         assert_eq!(err.site(), "hls_sim");
-        // The unspiked rerun (next attempt: the plan only spikes attempt 0)
-        // completes normally.
-        let retried = sim.run_resilient(&args, &plan, 11, 1).unwrap();
-        assert!(!retried.outcome.trapped);
+        // The unspiked rerun completes normally.
+        assert!(!sim.run(&args).outcome.trapped);
     }
 }

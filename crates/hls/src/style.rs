@@ -9,7 +9,6 @@
 //! coverage, which is what makes the paper's Figure 9 ablation meaningful.
 
 use minic::ast::*;
-use minic::visit;
 use std::fmt;
 
 /// A coding-style violation found by the cheap pass.
@@ -60,11 +59,6 @@ pub fn check_style(p: &Program) -> Vec<StyleViolation> {
         }
     }
     out
-}
-
-/// Whether the program passes the cheap style check.
-pub fn conforms(p: &Program) -> bool {
-    check_style(p).is_empty()
 }
 
 fn check_function(p: &Program, f: &Function, out: &mut Vec<StyleViolation>) {
@@ -197,8 +191,6 @@ fn check_stmt(p: &Program, f: &Function, s: &Stmt, in_loop: bool, out: &mut Vec<
         }
         _ => {}
     }
-    // Statement-level: nothing else to check.
-    let _ = visit::walk_stmt_exprs;
 }
 
 #[cfg(test)]

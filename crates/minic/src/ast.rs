@@ -618,7 +618,8 @@ impl Program {
     }
 
     /// Assigns fresh ids to every synthesized node (id == [`NodeId::SYNTH`])
-    /// anywhere in the tree. Call after splicing synthesized subtrees.
+    /// anywhere in the tree, in the walk order of [`visit`]. Call after
+    /// splicing synthesized subtrees.
     ///
     /// Only items that hold a synthesized node are unshared; items are
     /// visited in source order either way, so the ids assigned do not depend
@@ -632,8 +633,10 @@ impl Program {
             }
         };
         for item in &mut self.items {
-            if item_has_synth(item) {
-                item_ids_mut(item, &mut fix);
+            let mut synth = false;
+            visit::item_node_ids(item, &mut |id| synth |= id == NodeId::SYNTH);
+            if synth {
+                visit::item_node_ids_mut(item, &mut fix);
             }
         }
         self.next_id = next;
@@ -643,152 +646,6 @@ impl Program {
 impl Default for Program {
     fn default() -> Self {
         Program::new()
-    }
-}
-
-/// Whether `item` holds a synthesized node: the read-only twin of
-/// [`item_ids_mut`], which visits the same ids.
-fn item_has_synth(item: &Item) -> bool {
-    match item {
-        Item::Function(f) => function_has_synth(f),
-        Item::Struct(s) => {
-            s.id == NodeId::SYNTH
-                || s.methods.iter().any(function_has_synth)
-                || s.ctor.as_ref().is_some_and(|c| {
-                    c.inits.iter().any(|(_, e)| expr_has_synth(e)) || block_has_synth(&c.body)
-                })
-        }
-        Item::Global(g) => g.init.as_ref().is_some_and(expr_has_synth),
-        _ => false,
-    }
-}
-
-fn function_has_synth(f: &Function) -> bool {
-    f.id == NodeId::SYNTH || f.body.as_ref().is_some_and(block_has_synth)
-}
-
-fn block_has_synth(b: &Block) -> bool {
-    let mut found = false;
-    for s in &b.stmts {
-        visit::walk_stmt(s, &mut |st| found |= st.id == NodeId::SYNTH);
-        visit::walk_stmt_exprs(s, &mut |e| found |= e.id == NodeId::SYNTH);
-    }
-    found
-}
-
-fn expr_has_synth(e: &Expr) -> bool {
-    let mut found = false;
-    visit::walk_expr(e, &mut |e| found |= e.id == NodeId::SYNTH);
-    found
-}
-
-/// Visits every node id in `item`, in source order, unsharing it.
-fn item_ids_mut(item: &mut Item, fix: &mut impl FnMut(&mut NodeId)) {
-    match item {
-        Item::Function(f) => renumber_function(Arc::make_mut(f), fix),
-        Item::Struct(s) => {
-            let s = Arc::make_mut(s);
-            fix(&mut s.id);
-            for m in &mut s.methods {
-                renumber_function(m, fix);
-            }
-            if let Some(ctor) = &mut s.ctor {
-                for (_, e) in &mut ctor.inits {
-                    renumber_expr(e, fix);
-                }
-                renumber_block(&mut ctor.body, fix);
-            }
-        }
-        Item::Global(g) => {
-            if let Some(e) = &mut g.init {
-                renumber_expr(e, fix);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn renumber_function(f: &mut Function, fix: &mut impl FnMut(&mut NodeId)) {
-    fix(&mut f.id);
-    if let Some(b) = &mut f.body {
-        renumber_block(b, fix);
-    }
-}
-
-fn renumber_block(b: &mut Block, fix: &mut impl FnMut(&mut NodeId)) {
-    for s in &mut b.stmts {
-        renumber_stmt(s, fix);
-    }
-}
-
-fn renumber_stmt(s: &mut Stmt, fix: &mut impl FnMut(&mut NodeId)) {
-    fix(&mut s.id);
-    match &mut s.kind {
-        StmtKind::Decl(d) => {
-            if let Some(e) = &mut d.init {
-                renumber_expr(e, fix);
-            }
-        }
-        StmtKind::Expr(e) => renumber_expr(e, fix),
-        StmtKind::If(c, t, e) => {
-            renumber_expr(c, fix);
-            renumber_block(t, fix);
-            if let Some(e) = e {
-                renumber_block(e, fix);
-            }
-        }
-        StmtKind::While(c, b) => {
-            renumber_expr(c, fix);
-            renumber_block(b, fix);
-        }
-        StmtKind::DoWhile(b, c) => {
-            renumber_block(b, fix);
-            renumber_expr(c, fix);
-        }
-        StmtKind::For(init, cond, step, b) => {
-            if let Some(i) = init {
-                renumber_stmt(i, fix);
-            }
-            if let Some(c) = cond {
-                renumber_expr(c, fix);
-            }
-            if let Some(st) = step {
-                renumber_expr(st, fix);
-            }
-            renumber_block(b, fix);
-        }
-        StmtKind::Return(Some(e)) => renumber_expr(e, fix),
-        StmtKind::Block(b) => renumber_block(b, fix),
-        _ => {}
-    }
-}
-
-fn renumber_expr(e: &mut Expr, fix: &mut impl FnMut(&mut NodeId)) {
-    fix(&mut e.id);
-    match &mut e.kind {
-        ExprKind::Unary(_, a) => renumber_expr(a, fix),
-        ExprKind::Binary(_, a, b) | ExprKind::Assign(_, a, b) | ExprKind::Index(a, b) => {
-            renumber_expr(a, fix);
-            renumber_expr(b, fix);
-        }
-        ExprKind::Call(_, args) | ExprKind::InitList(args) | ExprKind::StructLit(_, args) => {
-            for a in args {
-                renumber_expr(a, fix);
-            }
-        }
-        ExprKind::MethodCall(recv, _, args) => {
-            renumber_expr(recv, fix);
-            for a in args {
-                renumber_expr(a, fix);
-            }
-        }
-        ExprKind::Member(a, _, _) | ExprKind::Cast(_, a) => renumber_expr(a, fix),
-        ExprKind::Ternary(a, b, c) => {
-            renumber_expr(a, fix);
-            renumber_expr(b, fix);
-            renumber_expr(c, fix);
-        }
-        _ => {}
     }
 }
 
@@ -823,8 +680,9 @@ mod tests {
         assert_ne!(ret.id, NodeId::SYNTH);
     }
 
-    /// Every id position [`item_ids_mut`] renumbers is one the read-only
-    /// [`item_has_synth`] check sees: a synthesized node anywhere gets an id.
+    /// Every id position [`visit::item_node_ids_mut`] renumbers is one the
+    /// read-only [`visit::item_node_ids`] check sees: a synthesized node
+    /// anywhere gets an id.
     #[test]
     fn renumbering_reaches_a_synthesized_node_in_every_position() {
         let p = crate::parse(
@@ -848,7 +706,7 @@ mod tests {
         let synth_left = |p: &mut Program| {
             let mut left = 0;
             for item in &mut p.items {
-                item_ids_mut(item, &mut |id| left += usize::from(*id == NodeId::SYNTH));
+                visit::item_node_ids_mut(item, &mut |id| left += usize::from(*id == NodeId::SYNTH));
             }
             left
         };
@@ -858,7 +716,7 @@ mod tests {
             loop {
                 let mut q = p.clone();
                 let mut seen = 0;
-                item_ids_mut(&mut q.items[i], &mut |id| {
+                visit::item_node_ids_mut(&mut q.items[i], &mut |id| {
                     if seen == k {
                         *id = NodeId::SYNTH;
                     }

@@ -548,6 +548,20 @@ mod tests {
     }
 
     #[test]
+    fn node_id_fingerprint_covers_constructor_body_statements() {
+        let p = parse("struct S { int x; S(int a) : x(a) { x = 1; } };").unwrap();
+        let mut relabeled = p.clone();
+        let ctor = relabeled
+            .struct_def_mut("S")
+            .unwrap()
+            .ctor
+            .as_mut()
+            .unwrap();
+        ctor.body.stmts[0].id = crate::ast::NodeId(999);
+        assert_ne!(fingerprint_node_ids(&p), fingerprint_node_ids(&relabeled));
+    }
+
+    #[test]
     fn sensitive_to_structure_config_and_pragmas() {
         let base = parse(SRC).unwrap();
         let variant = parse(&SRC.replace("acc + a[i]", "acc - a[i]")).unwrap();

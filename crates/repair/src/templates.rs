@@ -795,49 +795,20 @@ fn pragma_kind_name(k: &PragmaKind) -> &'static str {
 }
 
 fn delete_pragma(p: &Program, function: &str, kind: &str) -> Option<Program> {
-    p.function(function)?;
     let mut out = p.clone();
     let mut removed = false;
     // Only inside the requested function.
-    for item in &mut out.items {
-        if let Item::Function(f) = item {
-            if f.name != function {
-                continue;
-            }
-            if let Some(body) = &mut Arc::make_mut(f).body {
-                remove_pragmas_in_block(body, kind, &mut removed);
-            }
-        }
-    }
-    removed.then_some(out)
-}
-
-fn remove_pragmas_in_block(b: &mut Block, kind: &str, removed: &mut bool) {
-    b.stmts.retain(|s| {
-        let is_match = matches!(
-            &s.kind,
-            StmtKind::Pragma(pr) if pragma_kind_name(&pr.kind) == kind
-        );
-        if is_match {
-            *removed = true;
-        }
-        !is_match
+    visit::visit_function_blocks_mut(out.function_mut(function)?, &mut |b| {
+        b.stmts.retain(|s| {
+            let is_match = matches!(
+                &s.kind,
+                StmtKind::Pragma(pr) if pragma_kind_name(&pr.kind) == kind
+            );
+            removed |= is_match;
+            !is_match
+        });
     });
-    for s in &mut b.stmts {
-        match &mut s.kind {
-            StmtKind::If(_, t, e) => {
-                remove_pragmas_in_block(t, kind, removed);
-                if let Some(e) = e {
-                    remove_pragmas_in_block(e, kind, removed);
-                }
-            }
-            StmtKind::While(_, body)
-            | StmtKind::DoWhile(body, _)
-            | StmtKind::For(_, _, _, body)
-            | StmtKind::Block(body) => remove_pragmas_in_block(body, kind, removed),
-            _ => {}
-        }
-    }
+    removed.then_some(out)
 }
 
 fn replace_pragma_factor(
@@ -847,39 +818,21 @@ fn replace_pragma_factor(
     var: Option<&str>,
     value: u32,
 ) -> Option<Program> {
-    p.function(function)?;
     let mut out = p.clone();
     let mut changed = false;
-    for item in &mut out.items {
-        if let Item::Function(f) = item {
-            if f.name != function {
+    visit::visit_function_blocks_mut(out.function_mut(function)?, &mut |b| {
+        for s in &mut b.stmts {
+            let StmtKind::Pragma(pr) = &mut s.kind else {
                 continue;
-            }
-            if let Some(body) = &mut Arc::make_mut(f).body {
-                replace_factor_in_block(body, kind, var, value, &mut changed);
-            }
-        }
-    }
-    changed.then_some(out)
-}
-
-fn replace_factor_in_block(
-    b: &mut Block,
-    kind: &str,
-    var: Option<&str>,
-    value: u32,
-    changed: &mut bool,
-) {
-    for s in &mut b.stmts {
-        match &mut s.kind {
-            StmtKind::Pragma(pr) => match (&mut pr.kind, kind) {
+            };
+            match (&mut pr.kind, kind) {
                 (PragmaKind::Unroll { factor }, "unroll") if *factor != Some(value) => {
                     *factor = Some(value);
-                    *changed = true;
+                    changed = true;
                 }
                 (PragmaKind::Pipeline { ii }, "pipeline") if *ii != Some(value) => {
                     *ii = Some(value);
-                    *changed = true;
+                    changed = true;
                 }
                 (
                     PragmaKind::ArrayPartition {
@@ -888,23 +841,13 @@ fn replace_factor_in_block(
                     "array_partition",
                 ) if var.map(|v| v == pvar).unwrap_or(true) && *factor != value => {
                     *factor = value;
-                    *changed = true;
+                    changed = true;
                 }
                 _ => {}
-            },
-            StmtKind::If(_, t, e) => {
-                replace_factor_in_block(t, kind, var, value, changed);
-                if let Some(e) = e {
-                    replace_factor_in_block(e, kind, var, value, changed);
-                }
             }
-            StmtKind::While(_, body)
-            | StmtKind::DoWhile(body, _)
-            | StmtKind::For(_, _, _, body)
-            | StmtKind::Block(body) => replace_factor_in_block(body, kind, var, value, changed),
-            _ => {}
         }
-    }
+    });
+    changed.then_some(out)
 }
 
 /// Gives each subsequent task reading `var` its own copy: declares

@@ -126,62 +126,6 @@ fn rewrite_sibling_calls(b: &mut Block, def: &StructDef) {
     }
 }
 
-/// Mutable statement-expression walker (local helper; `visit` exports the
-/// immutable one only).
-fn visit_walk(s: &mut Stmt, f: &mut dyn FnMut(&mut Expr)) {
-    match &mut s.kind {
-        StmtKind::Decl(d) => {
-            if let Some(e) = &mut d.init {
-                visit::walk_expr_mut(e, f);
-            }
-        }
-        StmtKind::Expr(e) | StmtKind::Return(Some(e)) => visit::walk_expr_mut(e, f),
-        StmtKind::If(c, t, els) => {
-            visit::walk_expr_mut(c, f);
-            for st in &mut t.stmts {
-                visit_walk(st, f);
-            }
-            if let Some(b) = els {
-                for st in &mut b.stmts {
-                    visit_walk(st, f);
-                }
-            }
-        }
-        StmtKind::While(c, b) => {
-            visit::walk_expr_mut(c, f);
-            for st in &mut b.stmts {
-                visit_walk(st, f);
-            }
-        }
-        StmtKind::DoWhile(b, c) => {
-            for st in &mut b.stmts {
-                visit_walk(st, f);
-            }
-            visit::walk_expr_mut(c, f);
-        }
-        StmtKind::For(init, cond, step, b) => {
-            if let Some(i) = init {
-                visit_walk(i, f);
-            }
-            if let Some(c) = cond {
-                visit::walk_expr_mut(c, f);
-            }
-            if let Some(st) = step {
-                visit::walk_expr_mut(st, f);
-            }
-            for st in &mut b.stmts {
-                visit_walk(st, f);
-            }
-        }
-        StmtKind::Block(b) => {
-            for st in &mut b.stmts {
-                visit_walk(st, f);
-            }
-        }
-        _ => {}
-    }
-}
-
 mod sibling {
     use super::*;
 
@@ -189,7 +133,7 @@ mod sibling {
     /// body being flattened into calls of the flattened free function with
     /// the field values forwarded (`S_doRead(in, out)`).
     pub fn rewrite(s: &mut Stmt, struct_name: &str, methods: &[String], fields: &[String]) {
-        super::visit_walk(s, &mut |e| {
+        visit::walk_stmt_exprs_mut(s, &mut |e| {
             let is_sibling = matches!(&e.kind, ExprKind::Call(n, _) if methods.contains(n));
             if is_sibling {
                 let kind = std::mem::replace(&mut e.kind, ExprKind::IntLit(0, false));
