@@ -1,8 +1,10 @@
 //! Guards for the copy-on-write AST: a repair edit must leave its parent
 //! untouched, a pragma edit must copy only the function or struct it
-//! rewrites, and no statement or expression id may live in two functions.
+//! rewrites and, inside it, only the blocks on the path to what it rewrites,
+//! no statement or expression id may live in two functions, and the
+//! memoized block digests must never go stale.
 //!
-//! The last property is what lets an edit that addresses a loop by id walk
+//! The id property is what lets an edit that addresses a loop by id walk
 //! only the function it names: a whole-program walk would find the same
 //! loop first.
 
@@ -11,8 +13,8 @@ use heterogen_toolchain::{
     BackendInfo, CompileCostModel, Compiled, SimBackend, SimResult, Simulated, StyleViolation,
     Toolchain, ToolchainError,
 };
-use minic::ast::{Function, Item, NodeId, Program, Stmt};
-use minic::visit;
+use minic::ast::{Block, Function, Item, NodeId, Program, Stmt};
+use minic::visit::{self, Child};
 use minic_exec::{ArgValue, Profile};
 use repair::localize::resize_edits;
 use repair::{candidate_edits, performance_edits, RepairEdit};
@@ -75,11 +77,51 @@ fn check_edits(what: &str, p: &Program, profile: &Profile) -> usize {
                     parent_item != child_item,
                     "{what}: {edit:?} copied an item it left unchanged"
                 );
+                // Inside the copied item, a block is copied only if it
+                // changed: it is on the path to what the edit rewrote.
+                let (before, after) = (item_blocks(parent_item), item_blocks(child_item));
+                assert_eq!(before.len(), after.len(), "{what}: {edit:?}");
+                for (a, b) in before.iter().zip(&after) {
+                    assert!(
+                        a.shares_stmts_with(b) || a != b,
+                        "{what}: {edit:?} copied a block off its path"
+                    );
+                }
             }
         }
         assert_eq!(unshared, 1, "{what}: {edit:?} must copy exactly one item");
     }
     confined
+}
+
+/// Every block of a function or struct item, in walk order.
+fn item_blocks(item: &Item) -> Vec<&Block> {
+    fn walk<'a>(b: &'a Block, out: &mut Vec<&'a Block>) {
+        out.push(b);
+        for s in b.stmts() {
+            stmt(s, out);
+        }
+    }
+    fn stmt<'a>(s: &'a Stmt, out: &mut Vec<&'a Block>) {
+        visit::stmt_children(s, &mut |c| match c {
+            Child::Block(b) => walk(b, out),
+            Child::Stmt(i) => stmt(i, out),
+            Child::Expr(_) => {}
+        });
+    }
+    let mut out = Vec::new();
+    for code in visit::item_code(item) {
+        match code {
+            visit::Code::Function(f) => {
+                if let Some(b) = &f.body {
+                    walk(b, &mut out);
+                }
+            }
+            visit::Code::Block(b) => walk(b, &mut out),
+            visit::Code::Expr(_) => {}
+        }
+    }
+    out
 }
 
 #[test]
@@ -123,7 +165,7 @@ fn id_in_two_functions(p: &Program) -> Option<String> {
                     for (_, e) in &c.inits {
                         visit::walk_expr(e, &mut |e| claim(e.id, &unit));
                     }
-                    claim_stmts(&c.body.stmts, &unit, &mut claim);
+                    claim_stmts(c.body.stmts(), &unit, &mut claim);
                 }
             }
             Item::Global(g) => {
@@ -139,7 +181,7 @@ fn id_in_two_functions(p: &Program) -> Option<String> {
 
 fn claim_function(f: &Function, unit: &str, claim: &mut dyn FnMut(NodeId, &str)) {
     if let Some(b) = &f.body {
-        claim_stmts(&b.stmts, unit, claim);
+        claim_stmts(b.stmts(), unit, claim);
     }
 }
 
@@ -154,10 +196,11 @@ fn claim_stmts(stmts: &[Stmt], unit: &str, claim: &mut dyn FnMut(NodeId, &str)) 
 struct AuditLog {
     programs: usize,
     clashes: Vec<String>,
+    stale: Vec<String>,
 }
 
 /// The default backend, checking every program the search style-checks or
-/// compiles for ids shared between functions.
+/// compiles for ids shared between functions and for stale digests.
 struct IdAudit {
     inner: SimBackend,
     log: Arc<Mutex<AuditLog>>,
@@ -165,12 +208,35 @@ struct IdAudit {
 
 impl IdAudit {
     fn audit(&self, p: &Program) {
+        let stale = stale_digests(p);
         let mut log = self.log.lock().unwrap();
         log.programs += 1;
         if let Some(clash) = id_in_two_functions(p) {
             log.clashes.push(clash);
         }
+        log.stale.extend(stale);
     }
+}
+
+/// The fingerprints and line count a program reports from its memoized
+/// block digests, against the same values computed from scratch: the
+/// fingerprints of a copy whose every block is rebuilt with an empty memo,
+/// and the line count of the printed program.
+fn stale_digests(p: &Program) -> Option<String> {
+    let memo = (
+        minic::fingerprint_program(p),
+        minic::fingerprint_node_ids(p),
+        minic::loc(p),
+    );
+    let mut fresh = p.clone();
+    visit::visit_blocks_mut(&mut fresh, &mut |b| *b = Block::new(b.stmts().to_vec()));
+    let printed = minic::print_program(p);
+    let scratch = (
+        minic::fingerprint_program(&fresh),
+        minic::fingerprint_node_ids(&fresh),
+        printed.lines().filter(|l| !l.trim().is_empty()).count(),
+    );
+    (memo != scratch).then(|| format!("memo {memo:?} != scratch {scratch:?} for:\n{printed}"))
 }
 
 impl Toolchain for IdAudit {
@@ -210,6 +276,9 @@ impl Toolchain for IdAudit {
     }
 }
 
+/// Every candidate the ten searches style-check or compile keeps each id in
+/// one function, and reports the same fingerprints and line count from its
+/// memoized digests as from scratch.
 #[test]
 fn no_search_candidate_has_an_id_in_two_functions() {
     let log = Arc::new(Mutex::new(AuditLog::default()));
@@ -231,6 +300,14 @@ fn no_search_candidate_has_an_id_in_two_functions() {
             s.id,
             clashes.len(),
             clashes[0]
+        );
+        let stale = std::mem::take(&mut log.lock().unwrap().stale);
+        assert!(
+            stale.is_empty(),
+            "{}: {} candidates have stale digests, the first: {}",
+            s.id,
+            stale.len(),
+            stale[0]
         );
     }
     let programs = log.lock().unwrap().programs;

@@ -1521,7 +1521,7 @@ mod tests {
                     ));
                 }
                 let body = &mut p.function_mut("kernel").unwrap().body.as_mut().unwrap();
-                body.stmts[0].kind = minic::StmtKind::Return(Some(e));
+                body.stmts_mut()[0].kind = minic::StmtKind::Return(Some(e));
                 p.renumber_synthesized();
                 let session = HeteroGen::builder().config(PipelineConfig::quick()).build();
                 let err = session.run(JobSpec::fuzz(p, "kernel", vec![])).unwrap_err();

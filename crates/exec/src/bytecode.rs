@@ -46,7 +46,9 @@
 //!   `base + offset` places after block scopes and before globals, exactly
 //!   as the walker's `lookup`. **Struct literals** allocate first, keep
 //!   their arguments on the operand stack, and store fields through
-//!   `Insn::StoreAgg`.
+//!   `Insn::StoreAgg`; a non-empty constructor body then runs like a
+//!   method of the new aggregate, compiled once per (struct,
+//!   bound-argument count).
 
 use crate::error::ExecError;
 use crate::semantics::{
@@ -468,6 +470,26 @@ impl Name {
     }
 }
 
+/// What a compiled function is made of: a function or method, or a
+/// constructor body (which runs as a method named after its struct).
+#[derive(Clone, Copy)]
+struct FnAst<'p> {
+    name: &'p str,
+    params: &'p [Param],
+    /// `None` for a prototype.
+    body: Option<&'p Block>,
+}
+
+impl<'p> FnAst<'p> {
+    fn of(f: &'p Function) -> FnAst<'p> {
+        FnAst {
+            name: &f.name,
+            params: &f.params,
+            body: f.body.as_ref(),
+        }
+    }
+}
+
 /// The receiver of the method body being compiled.
 struct SelfCtx<'p> {
     /// Struct name as resolved from the receiver's place type.
@@ -495,12 +517,14 @@ struct Compiler<'p> {
     expr_types: HashMap<NodeId, Type>,
     code: Vec<Insn>,
     funcs: Vec<FnSpec>,
-    fn_asts: Vec<&'p Function>,
+    fn_asts: Vec<FnAst<'p>>,
     /// Per function: `(receiver struct, bound-argument count)` for methods.
     fn_recv: Vec<Option<(&'p str, usize)>>,
     by_name: HashMap<String, u32>,
     /// Method variants by `(struct, method, bound-argument count)`.
     methods: HashMap<(&'p str, &'p str, usize), u32>,
+    /// Constructor-body variants by `(struct, bound-argument count)`.
+    ctors: HashMap<(&'p str, usize), u32>,
     names: Vec<String>,
     name_ids: HashMap<String, u32>,
     errors: Vec<ExecError>,
@@ -545,6 +569,7 @@ impl<'p> Compiler<'p> {
             fn_recv: Vec::new(),
             by_name: HashMap::new(),
             methods: HashMap::new(),
+            ctors: HashMap::new(),
             names: Vec::new(),
             name_ids: HashMap::new(),
             errors: Vec::new(),
@@ -578,7 +603,7 @@ impl<'p> Compiler<'p> {
         for item in &self.p.items {
             if let Item::Function(f) = item {
                 if f.body.is_some() && !self.by_name.contains_key(&f.name) {
-                    let idx = self.register_fn(f, None);
+                    let idx = self.register_fn(FnAst::of(f), None);
                     self.by_name.insert(f.name.clone(), idx);
                 }
             }
@@ -631,9 +656,9 @@ impl<'p> Compiler<'p> {
 
     /// Queues a function body (a method with its receiver struct and
     /// bound-argument count) for compilation; returns its index.
-    fn register_fn(&mut self, f: &'p Function, recv: Option<(&'p str, usize)>) -> u32 {
+    fn register_fn(&mut self, f: FnAst<'p>, recv: Option<(&'p str, usize)>) -> u32 {
         let idx = self.funcs.len() as u32;
-        let name = self.name_id(&f.name);
+        let name = self.name_id(f.name);
         self.fn_asts.push(f);
         self.fn_recv.push(recv);
         self.funcs.push(FnSpec {
@@ -954,7 +979,7 @@ impl<'p> Compiler<'p> {
             self.self_ctx = Some(SelfCtx { sname, sl });
         }
         let entry = self.here();
-        match &f.body {
+        match f.body {
             Some(body) => self.compile_body(body),
             // Only a method can name a prototype: the walker binds its
             // parameters, then fails.
@@ -978,12 +1003,12 @@ impl<'p> Compiler<'p> {
         self.body = Some(body);
         self.labels.clear();
         self.label_pcs.clear();
-        for (i, s) in body.stmts.iter().enumerate() {
+        for (i, s) in body.stmts().iter().enumerate() {
             if let StmtKind::Label(l) = &s.kind {
                 self.labels.entry(l.as_str()).or_insert(i);
             }
         }
-        for (i, s) in body.stmts.iter().enumerate() {
+        for (i, s) in body.stmts().iter().enumerate() {
             self.top = i;
             self.compile_stmt(s);
             if matches!(s.kind, StmtKind::Label(_)) {
@@ -1027,7 +1052,7 @@ impl<'p> Compiler<'p> {
 
     fn compile_block(&mut self, b: &Block) {
         self.locals.push(HashMap::new());
-        for s in &b.stmts {
+        for s in b.stmts() {
             self.compile_stmt(s);
         }
         self.locals.pop();
@@ -1753,6 +1778,31 @@ impl<'p> Compiler<'p> {
                     k,
                 });
             }
+            // Then the body, as a method call on the new aggregate with the
+            // bound arguments (every copy is `nargs` deep when picked). An
+            // empty body is not called.
+            if !ctor.body.stmts().is_empty() {
+                let nbound = args.len().min(ctor.params.len());
+                for _ in 0..=nbound {
+                    self.emit(Insn::Pick(nargs));
+                }
+                let key = (def.name.as_str(), nbound);
+                let f = match self.ctors.get(&key) {
+                    Some(&f) => f,
+                    None => {
+                        let body = FnAst {
+                            name: &def.name,
+                            params: &ctor.params,
+                            body: Some(&ctor.body),
+                        };
+                        let f = self.register_fn(body, Some((def.name.as_str(), nbound)));
+                        self.ctors.insert(key, f);
+                        f
+                    }
+                };
+                self.emit(Insn::CallMethod { f });
+                self.emit(Insn::Pop);
+            }
         } else {
             // Positional aggregate initialization.
             for (i, fd) in def.fields.iter().take(args.len()).enumerate() {
@@ -1885,7 +1935,7 @@ impl<'p> Compiler<'p> {
         let f = match self.methods.get(&key) {
             Some(&f) => f,
             None => {
-                let f = self.register_fn(m, Some((def.name.as_str(), nbound)));
+                let f = self.register_fn(FnAst::of(m), Some((def.name.as_str(), nbound)));
                 self.methods.insert(key, f);
                 f
             }

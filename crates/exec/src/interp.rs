@@ -437,13 +437,13 @@ impl<'p> Machine<'p> {
     fn exec_body(&mut self, body: &Block) -> Result<Flow, ExecError> {
         let mut idx = 0usize;
         loop {
-            if idx >= body.stmts.len() {
+            if idx >= body.stmts().len() {
                 return Ok(Flow::Normal);
             }
-            match self.exec_stmt(&body.stmts[idx])? {
+            match self.exec_stmt(&body.stmts()[idx])? {
                 Flow::Goto(label) => {
                     let t = body
-                        .stmts
+                        .stmts()
                         .iter()
                         .position(|s| matches!(&s.kind, StmtKind::Label(l) if *l == label))
                         .ok_or_else(|| unknown_label_error(&label))?;
@@ -465,7 +465,7 @@ impl<'p> Machine<'p> {
             frame.scopes.push(HashMap::new());
         }
         let mut out = Flow::Normal;
-        for s in &b.stmts {
+        for s in b.stmts() {
             match self.exec_stmt(s)? {
                 Flow::Normal => {}
                 flow => {
@@ -870,6 +870,19 @@ impl<'p> Machine<'p> {
                 } else {
                     self.store_typed(addr + off, &fty, v)?;
                 }
+            }
+            // Then the body, as a method of the new aggregate named after
+            // the struct. An empty body is not called.
+            if !ctor.body.stmts().is_empty() {
+                let body = Function {
+                    id: NodeId::SYNTH,
+                    name: def.name.clone(),
+                    ret: Type::Void,
+                    params: ctor.params.clone(),
+                    body: Some(ctor.body.clone()),
+                    is_static: false,
+                };
+                self.call_function(&body, arg_values, Some((addr, def.name.clone())))?;
             }
         } else {
             // Positional aggregate initialization.

@@ -190,7 +190,7 @@ pub(crate) fn goto_crossing<'b>(
         StmtKind::Decl(d) => Some(d.name.as_str()),
         _ => None,
     };
-    let stmts = &body.stmts;
+    let stmts = &body.stmts();
     if to > from {
         let used_after = names_used(p, &stmts[to + 1..]);
         return stmts[from + 1..to]

@@ -1009,6 +1009,69 @@ fn name_resolution_inside_methods() {
     }
 }
 
+/// A constructor body runs after the member initializers, as a method of
+/// the new aggregate: it sees the parameters and the fields, calls sibling
+/// methods, and may leave early. Both engines agree on every observable,
+/// and the body's effects show in the result.
+#[test]
+fn constructor_body_runs_after_the_initializers() {
+    let src = "
+        struct S {
+            int x;
+            int y;
+            S(int a, int b) : x(a) {
+                x = x + 1;
+                if (b > 0) { y = bump(b); return; }
+                for (int i = 0; i < a; i++) { y += i; }
+            }
+            int bump(int v) { return v * 10 + x; }
+        };
+        int kernel(int a, int b) {
+            S s = S{a, b};
+            return s.x * 1000 + s.y;
+        }
+    ";
+    for (a, b) in [(3, 0), (3, 2), (0, 0), (5, -1)] {
+        let o = parity(src, "kernel", &ints(&[a, b]));
+        let x = a + 1;
+        let y = if b > 0 {
+            b * 10 + x
+        } else {
+            (0..a.max(0)).sum()
+        };
+        assert_eq!(
+            o.ret,
+            Some(minic_exec::ScalarOut::Int(x * 1000 + y)),
+            "a={a} b={b}"
+        );
+    }
+    // A trap inside the body surfaces from the construction, and fuel runs
+    // out at the same point in both engines.
+    let trapping = "
+        struct T { int v; T(int a) : v(a) { int z[2]; z[a] = 1; v = z[0]; } };
+        int kernel(int a) { T t = T{a}; return t.v; }
+    ";
+    for a in [0, 1, 2, 7] {
+        parity(trapping, "kernel", &ints(&[a]));
+    }
+    let p = minic::parse(src).expect("parse");
+    let compiled = Arc::new(minic_exec::compile(&p));
+    for fuel in 1..120 {
+        let config = MachineConfig {
+            fuel,
+            ..MachineConfig::cpu()
+        };
+        let mut m = Machine::new(&p, config).expect("globals");
+        let mut v = Vm::new(Arc::clone(&compiled), config).expect("globals");
+        let args = ints(&[3, 0]);
+        assert_eq!(
+            m.run_kernel("kernel", &args),
+            v.run_kernel("kernel", &args),
+            "fuel {fuel}"
+        );
+    }
+}
+
 #[test]
 fn stream_reference_fields_through_constructor_and_positional() {
     let with_ctor = "
@@ -1365,13 +1428,13 @@ fn for_initializer_swallows_break_continue_and_goto() {
         "
         );
         let mut p = minic::parse(&src).expect("parse");
-        let body = &mut p
+        let body = p
             .function_mut("kernel")
             .unwrap()
             .body
             .as_mut()
             .unwrap()
-            .stmts;
+            .stmts_mut();
         let init = body.remove(2);
         let minic::StmtKind::For(slot, ..) = &mut body[1].kind else {
             panic!("second statement is the loop")

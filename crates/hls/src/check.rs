@@ -219,7 +219,7 @@ fn check_function(p: &Program, f: &Function, is_top: bool, out: &mut Vec<HlsDiag
     let Some(body) = &f.body else { return };
 
     // Locals: long double, pointers, unknown-size arrays. malloc/free calls.
-    for s in &body.stmts {
+    for s in body.stmts() {
         visit::walk_stmt(s, &mut |s| {
             let StmtKind::Decl(d) = &s.kind else { return };
             if contains_long_double(&d.ty) {
@@ -282,7 +282,7 @@ pub struct LoopInfo {
 pub fn collect_loops(p: &Program, f: &Function) -> Vec<LoopInfo> {
     let mut out = Vec::new();
     if let Some(body) = &f.body {
-        for s in &body.stmts {
+        for s in body.stmts() {
             collect_loops_stmt(p, s, 0, &mut out);
         }
     }
@@ -295,18 +295,18 @@ fn collect_loops_stmt(p: &Program, s: &Stmt, depth: usize, out: &mut Vec<LoopInf
         StmtKind::DoWhile(b, _) => (b, None),
         StmtKind::For(init, cond, _, b) => (b, static_trip_count(p, init, cond)),
         StmtKind::If(_, t, e) => {
-            for st in &t.stmts {
+            for st in t.stmts() {
                 collect_loops_stmt(p, st, depth, out);
             }
             if let Some(e) = e {
-                for st in &e.stmts {
+                for st in e.stmts() {
                     collect_loops_stmt(p, st, depth, out);
                 }
             }
             return;
         }
         StmtKind::Block(b) => {
-            for st in &b.stmts {
+            for st in b.stmts() {
                 collect_loops_stmt(p, st, depth, out);
             }
             return;
@@ -314,7 +314,7 @@ fn collect_loops_stmt(p: &Program, s: &Stmt, depth: usize, out: &mut Vec<LoopInf
         _ => return,
     };
     let mut pragmas = Vec::new();
-    for st in &body.stmts {
+    for st in body.stmts() {
         if let StmtKind::Pragma(pr) = &st.kind {
             pragmas.push(pr.kind.clone());
         } else {
@@ -322,7 +322,7 @@ fn collect_loops_stmt(p: &Program, s: &Stmt, depth: usize, out: &mut Vec<LoopInf
         }
     }
     let mut arrays = BTreeSet::new();
-    for st in &body.stmts {
+    for st in body.stmts() {
         visit::walk_stmt_exprs(st, &mut |e| {
             if let ExprKind::Index(base, _) = &e.kind {
                 if let ExprKind::Ident(n) = &base.kind {
@@ -338,7 +338,7 @@ fn collect_loops_stmt(p: &Program, s: &Stmt, depth: usize, out: &mut Vec<LoopInf
         arrays_accessed: arrays.into_iter().collect(),
         depth,
     });
-    for st in &body.stmts {
+    for st in body.stmts() {
         collect_loops_stmt(p, st, depth + 1, out);
     }
 }
@@ -386,7 +386,7 @@ pub fn static_trip_count(
 pub fn partition_factors(f: &Function) -> BTreeMap<String, u32> {
     let mut out = BTreeMap::new();
     let Some(body) = &f.body else { return out };
-    for s in &body.stmts {
+    for s in body.stmts() {
         visit::walk_stmt(s, &mut |s| {
             if let StmtKind::Pragma(pr) = &s.kind {
                 if let PragmaKind::ArrayPartition {
@@ -407,7 +407,7 @@ pub fn partition_factors(f: &Function) -> BTreeMap<String, u32> {
 fn check_pragmas(p: &Program, f: &Function, out: &mut Vec<HlsDiagnostic>) {
     let Some(body) = &f.body else { return };
     let has_dataflow = body
-        .stmts
+        .stmts()
         .iter()
         .any(|s| matches!(&s.kind, StmtKind::Pragma(pr) if pr.kind == PragmaKind::Dataflow));
 
@@ -447,7 +447,7 @@ fn check_pragmas(p: &Program, f: &Function, out: &mut Vec<HlsDiagnostic>) {
             }
         }
     };
-    for s in &body.stmts {
+    for s in body.stmts() {
         visit::walk_stmt(s, &mut check_partition);
     }
 
@@ -488,7 +488,7 @@ fn check_pragmas(p: &Program, f: &Function, out: &mut Vec<HlsDiagnostic>) {
     // case) — fails dataflow checking.
     if has_dataflow {
         let mut uses: BTreeMap<String, usize> = BTreeMap::new();
-        for s in &body.stmts {
+        for s in body.stmts() {
             if let StmtKind::Expr(e) = &s.kind {
                 if let ExprKind::Call(_, args) = &e.kind {
                     for a in args {
@@ -586,7 +586,7 @@ fn check_struct_instantiation(p: &Program, out: &mut Vec<HlsDiagnostic>) {
 }
 
 fn is_static_local(b: &Block, var: &str) -> bool {
-    for s in &b.stmts {
+    for s in b.stmts() {
         match &s.kind {
             StmtKind::Decl(d) if d.name == var => return d.is_static,
             StmtKind::Block(inner) if is_static_local(inner, var) => {

@@ -65,7 +65,7 @@ impl Default for ScheduleModel {
 /// small helpers into the pipelined caller loop.
 fn body_weight(p: &Program, b: &Block) -> f64 {
     let mut w = 0f64;
-    for s in &b.stmts {
+    for s in b.stmts() {
         w += stmt_weight(p, s);
     }
     w.max(1.0)
@@ -79,7 +79,7 @@ fn inlinable_weight(p: &Program, name: &str, depth: u8) -> Option<f64> {
     let body = f.body.as_ref()?;
     let mut has_loop = false;
     let mut nested_calls: Vec<String> = Vec::new();
-    for s in &body.stmts {
+    for s in body.stmts() {
         visit::walk_stmt(s, &mut |s| {
             if matches!(
                 s.kind,
@@ -113,7 +113,7 @@ fn inlinable_weight(p: &Program, name: &str, depth: u8) -> Option<f64> {
 /// avoid double counting the nested calls it adds explicitly).
 fn body_weight_flat(_p: &Program, b: &Block) -> f64 {
     let mut w = 0f64;
-    for s in &b.stmts {
+    for s in b.stmts() {
         visit::walk_stmt(s, &mut |_| w += 1.0);
         visit::walk_stmt_exprs(s, &mut |_| w += 1.0);
     }
@@ -320,14 +320,14 @@ fn dataflow_overlap(program: &Program) -> Option<f64> {
         .and_then(|n| program.function(n))?;
     let body = top.body.as_ref()?;
     let has_dataflow = body
-        .stmts
+        .stmts()
         .iter()
         .any(|s| matches!(&s.kind, StmtKind::Pragma(p) if p.kind == PragmaKind::Dataflow));
     if !has_dataflow {
         return None;
     }
     let tasks = body
-        .stmts
+        .stmts()
         .iter()
         .filter(|s| {
             matches!(
@@ -361,8 +361,7 @@ pub fn resource_estimate(p: &Program) -> u64 {
             bits += n * inner_bits;
         }
     };
-    let mut q = p.clone();
-    minic::visit::visit_types_mut(&mut q, &mut |t| add_type(t));
+    minic::visit::visit_types(p, &mut add_type);
     bits
 }
 

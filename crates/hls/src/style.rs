@@ -65,12 +65,12 @@ fn check_function(p: &Program, f: &Function, out: &mut Vec<StyleViolation>) {
     let Some(body) = &f.body else { return };
     // Function-level pragma placement: walk the statement tree, tracking
     // whether we are inside a loop body.
-    for s in &body.stmts {
+    for s in body.stmts() {
         check_stmt(p, f, s, false, out);
     }
     // `dataflow` must be at the top of the function body, not nested.
     let mut seen_non_pragma = false;
-    for s in &body.stmts {
+    for s in body.stmts() {
         match &s.kind {
             StmtKind::Pragma(pr) => {
                 if pr.kind == PragmaKind::Dataflow && seen_non_pragma {
@@ -170,22 +170,22 @@ fn check_stmt(p: &Program, f: &Function, s: &Stmt, in_loop: bool, out: &mut Vec<
             _ => {}
         },
         StmtKind::If(_, t, e) => {
-            for st in &t.stmts {
+            for st in t.stmts() {
                 check_stmt(p, f, st, in_loop, out);
             }
             if let Some(e) = e {
-                for st in &e.stmts {
+                for st in e.stmts() {
                     check_stmt(p, f, st, in_loop, out);
                 }
             }
         }
         StmtKind::While(_, b) | StmtKind::DoWhile(b, _) | StmtKind::For(_, _, _, b) => {
-            for st in &b.stmts {
+            for st in b.stmts() {
                 check_stmt(p, f, st, true, out);
             }
         }
         StmtKind::Block(b) => {
-            for st in &b.stmts {
+            for st in b.stmts() {
                 check_stmt(p, f, st, in_loop, out);
             }
         }

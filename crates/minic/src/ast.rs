@@ -4,11 +4,12 @@
 //! pretty-printing and is used by the repair engine to address edit sites.
 //! Fresh ids for synthesized nodes are allocated from [`Program::fresh_id`].
 
+use crate::fingerprint::Digest;
 use crate::token::Span;
 use crate::types::Type;
 use crate::visit;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A stable identifier for an AST node within one [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -313,16 +314,78 @@ impl fmt::Display for Pragma {
 }
 
 /// A `{ … }` block of statements.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// The statement list is shared copy-on-write, next to a memo of the
+/// block's digests (see [`fingerprint`](crate::fingerprint)): cloning a
+/// block copies neither. [`Block::stmts_mut`]
+/// is the only mutable access to the statements; it unshares the list (one
+/// level deep: nested blocks stay shared) and clears the memo. Every `&mut`
+/// to a nested node is reached through the `stmts_mut` of each enclosing
+/// block, so no memo can outlive a change below it.
+#[derive(Clone, Default)]
 pub struct Block {
-    /// The statements in order.
-    pub stmts: Vec<Stmt>,
+    stmts: Arc<Vec<Stmt>>,
+    memo: OnceLock<Digest>,
 }
 
 impl Block {
     /// Creates a block from statements.
     pub fn new(stmts: Vec<Stmt>) -> Block {
-        Block { stmts }
+        Block {
+            stmts: Arc::new(stmts),
+            memo: OnceLock::new(),
+        }
+    }
+
+    /// The statements in order.
+    pub fn stmts(&self) -> &[Stmt] {
+        &self.stmts
+    }
+
+    /// Mutable access to the statements. Unshares the statement list and
+    /// clears the memo.
+    pub fn stmts_mut(&mut self) -> &mut Vec<Stmt> {
+        self.memo.take();
+        Arc::make_mut(&mut self.stmts)
+    }
+
+    /// The statements, by value (copied only if shared).
+    pub fn into_stmts(self) -> Vec<Stmt> {
+        Arc::try_unwrap(self.stmts).unwrap_or_else(|shared| (*shared).clone())
+    }
+
+    /// Whether both blocks hold the same shared statement list (not merely
+    /// equal statements).
+    pub fn shares_stmts_with(&self, other: &Block) -> bool {
+        Arc::ptr_eq(&self.stmts, &other.stmts)
+    }
+
+    /// The block's digests, computed on first use after a change.
+    pub(crate) fn digest(&self) -> &Digest {
+        self.memo.get_or_init(|| Digest::of(self.stmts()))
+    }
+
+    /// Whether any statement or expression under the block has the id
+    /// [`NodeId::SYNTH`]. Reads the memo when it is filled, and does not
+    /// fill it: a block holding a synthesized node changes when it is
+    /// renumbered.
+    pub(crate) fn holds_synth(&self) -> bool {
+        match self.memo.get() {
+            Some(d) => d.synth,
+            None => Digest::holds_synth(self.stmts()),
+        }
+    }
+}
+
+impl PartialEq for Block {
+    fn eq(&self, other: &Block) -> bool {
+        self.stmts == other.stmts
+    }
+}
+
+impl fmt::Debug for Block {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Block").field("stmts", &self.stmts).finish()
     }
 }
 
@@ -464,9 +527,11 @@ impl StructDef {
 ///
 /// Functions and structs are shared copy-on-write: cloning a [`Program`]
 /// copies only the item list, and an edit copies an item the first time it
-/// writes to it, through [`Arc::make_mut`] (or [`Program::function_mut`] /
-/// [`Program::struct_def_mut`]). A chained repair edit therefore copies only
-/// the item it rewrites.
+/// writes to it, through [`Program::function_mut`] /
+/// [`Program::struct_def_mut`] (or the mutable walks of [`visit`]). Inside
+/// an item the blocks are shared too (see [`Block`]), so a chained repair
+/// edit copies only the item it rewrites and, inside it, the blocks on the
+/// path to what it rewrites.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Item {
     /// Function definition or prototype.
@@ -621,9 +686,10 @@ impl Program {
     /// anywhere in the tree, in the walk order of [`visit`]. Call after
     /// splicing synthesized subtrees.
     ///
-    /// Only items that hold a synthesized node are unshared; items are
-    /// visited in source order either way, so the ids assigned do not depend
-    /// on which items were shared.
+    /// Only the items and blocks that hold a synthesized node are unshared
+    /// (read from the blocks' memos where filled). Skipping the others skips
+    /// no `SYNTH` id, and the walk order is [`visit`]'s either way, so the
+    /// ids assigned do not depend on what was shared.
     pub fn renumber_synthesized(&mut self) {
         let mut next = self.next_id;
         let mut fix = |id: &mut NodeId| {
@@ -633,10 +699,8 @@ impl Program {
             }
         };
         for item in &mut self.items {
-            let mut synth = false;
-            visit::item_node_ids(item, &mut |id| synth |= id == NodeId::SYNTH);
-            if synth {
-                visit::item_node_ids_mut(item, &mut fix);
+            if visit::item_holds_synth(item) {
+                visit::item_node_ids_mut(item, &mut Block::holds_synth, &mut fix);
             }
         }
         self.next_id = next;
@@ -676,7 +740,7 @@ mod tests {
         p.renumber_synthesized();
         let f = p.function("f").unwrap();
         assert_ne!(f.id, NodeId::SYNTH);
-        let ret = &f.body.as_ref().unwrap().stmts[0];
+        let ret = &f.body.as_ref().unwrap().stmts()[0];
         assert_ne!(ret.id, NodeId::SYNTH);
     }
 
@@ -706,7 +770,9 @@ mod tests {
         let synth_left = |p: &mut Program| {
             let mut left = 0;
             for item in &mut p.items {
-                visit::item_node_ids_mut(item, &mut |id| left += usize::from(*id == NodeId::SYNTH));
+                visit::item_node_ids_mut(item, &mut |_| true, &mut |id| {
+                    left += usize::from(*id == NodeId::SYNTH)
+                });
             }
             left
         };
@@ -716,7 +782,7 @@ mod tests {
             loop {
                 let mut q = p.clone();
                 let mut seen = 0;
-                visit::item_node_ids_mut(&mut q.items[i], &mut |id| {
+                visit::item_node_ids_mut(&mut q.items[i], &mut |_| true, &mut |id| {
                     if seen == k {
                         *id = NodeId::SYNTH;
                     }

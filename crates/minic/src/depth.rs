@@ -131,7 +131,7 @@ fn block<'a>(
     stack: &mut Vec<(Node<'a>, usize)>,
 ) {
     for b in blocks {
-        stack.extend(b.stmts.iter().map(|s| (Node::Stmt(s), d)));
+        stack.extend(b.stmts().iter().map(|s| (Node::Stmt(s), d)));
     }
 }
 
@@ -159,7 +159,13 @@ mod tests {
             e = Expr::bin(crate::ast::BinOp::Add, e, Expr::ident("x"));
         }
         let mut p = crate::parse("int k(int x) { return x; }").unwrap();
-        let body = &mut p.function_mut("k").unwrap().body.as_mut().unwrap().stmts;
+        let body = p
+            .function_mut("k")
+            .unwrap()
+            .body
+            .as_mut()
+            .unwrap()
+            .stmts_mut();
         body[0].kind = StmtKind::Return(Some(e));
         assert_eq!(ast_depth(&p), 100_002);
         // Dropping a deep `Box` chain recurses too; keep it off this stack.

@@ -42,6 +42,7 @@ pub fn rewrite_decl_type(
             }
         }
     }
+    let declared_here = |n: Node<'_>| is_decl_of(n, var);
     for item in &mut p.items {
         if let Item::Function(f) = item {
             if in_function.is_some_and(|target| f.name != target) || !declares(f, var) {
@@ -54,7 +55,9 @@ pub fn rewrite_decl_type(
                     changed = true;
                 }
             }
-            visit::CodeMut::Function(f).walk(&mut |n| {
+            // Only the blocks on the paths to a declaration are copied.
+            let mut enter = |b: &Block| visit::block_holds(b, &declared_here);
+            visit::CodeMut::Function(f).walk_where(&mut enter, &mut |n| {
                 if let NodeMut::Stmt(Stmt {
                     kind: StmtKind::Decl(d),
                     ..
@@ -69,6 +72,11 @@ pub fn rewrite_decl_type(
         }
     }
     changed
+}
+
+/// Whether `n` is a declaration of `var`.
+fn is_decl_of(n: Node<'_>, var: &str) -> bool {
+    matches!(n, Node::Stmt(Stmt { kind: StmtKind::Decl(d), .. }) if d.name == var)
 }
 
 /// Whether `f` declares `var` as a parameter or a local.
@@ -95,31 +103,24 @@ fn local_decl<'a>(f: &'a Function, var: &str) -> Option<&'a VarDecl> {
 
 /// Inserts, replaces, or removes statements at the statement with the given
 /// id, anywhere in the program. Returns `true` when the target was found.
+/// Copies only the blocks on the path to the target.
 pub fn splice_at(p: &mut Program, target: NodeId, anchor: Anchor, new: Vec<Stmt>) -> bool {
     let mut done = false;
-    visit::visit_blocks_mut(p, &mut |b| {
+    let is_target = |n: Node<'_>| matches!(n, Node::Stmt(s) if s.id == target);
+    visit::visit_blocks_mut_where(p, &is_target, &mut |b| {
         if done {
             return;
         }
-        if let Some(idx) = b.stmts.iter().position(|s| s.id == target) {
-            match anchor {
-                Anchor::Before => {
-                    for (k, s) in new.iter().cloned().enumerate() {
-                        b.stmts.insert(idx + k, s);
-                    }
-                }
-                Anchor::After => {
-                    for (k, s) in new.iter().cloned().enumerate() {
-                        b.stmts.insert(idx + 1 + k, s);
-                    }
-                }
+        if let Some(idx) = b.stmts().iter().position(|s| s.id == target) {
+            let at = match anchor {
+                Anchor::Before => idx,
+                Anchor::After => idx + 1,
                 Anchor::Replace => {
-                    b.stmts.remove(idx);
-                    for (k, s) in new.iter().cloned().enumerate() {
-                        b.stmts.insert(idx + k, s);
-                    }
+                    b.stmts_mut().remove(idx);
+                    idx
                 }
-            }
+            };
+            b.stmts_mut().splice(at..at, new.iter().cloned());
             done = true;
         }
     });
@@ -178,11 +179,18 @@ pub fn rename_function(p: &mut Program, old: &str, new: &str) -> bool {
 /// Marks a local declaration `static` (the struct-and-union repair makes the
 /// connecting stream static). Returns `true` when found.
 pub fn make_local_static(p: &mut Program, function: &str, var: &str) -> bool {
+    if p.function(function)
+        .and_then(|f| local_decl(f, var))
+        .is_none()
+    {
+        return false;
+    }
     let Some(f) = p.function_mut(function) else {
         return false;
     };
     let mut found = false;
-    visit::CodeMut::Function(f).walk(&mut |n| {
+    let mut enter = |b: &Block| visit::block_holds(b, &|n| is_decl_of(n, var));
+    visit::CodeMut::Function(f).walk_where(&mut enter, &mut |n| {
         if let NodeMut::Stmt(Stmt {
             kind: StmtKind::Decl(d),
             ..
@@ -305,7 +313,7 @@ mod tests {
     #[test]
     fn splices_before_and_after() {
         let mut p = parse("void f() { int a = 1; }").unwrap();
-        let target = p.function("f").unwrap().body.as_ref().unwrap().stmts[0].id;
+        let target = p.function("f").unwrap().body.as_ref().unwrap().stmts()[0].id;
         assert!(splice_at(
             &mut p,
             target,
@@ -319,7 +327,7 @@ mod tests {
     #[test]
     fn replace_removes_target() {
         let mut p = parse("void f() { int a = 1; int b = 2; }").unwrap();
-        let target = p.function("f").unwrap().body.as_ref().unwrap().stmts[0].id;
+        let target = p.function("f").unwrap().body.as_ref().unwrap().stmts()[0].id;
         assert!(splice_at(&mut p, target, Anchor::Replace, Vec::new()));
         let s = crate::print_program(&p);
         assert!(!s.contains("int a"), "{s}");

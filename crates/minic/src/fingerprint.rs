@@ -1,12 +1,20 @@
-//! Structural 64-bit fingerprints of programs.
+//! Structural 64-bit fingerprints of programs, folded from memoized block
+//! digests.
 //!
 //! The repair search dedups candidate programs; keying that set by
 //! pretty-printed source means every candidate costs a full render plus a
 //! permanently retained `String`. A fingerprint is an FNV-1a hash over the
 //! AST *structure* — variant tags, names, literals, types, and the design
-//! config — while ignoring [`NodeId`](crate::ast::NodeId)s and
+//! config — while ignoring [`NodeId`]s and
 //! [`Span`](crate::token::Span)s, which differ between
 //! otherwise identical candidates derived along different edit paths.
+//!
+//! Each [`Block`] memoizes a digest of its statements (structural hash,
+//! node-id hash, printed line count, and whether a [`NodeId::SYNTH`] node
+//! is under it), in which a nested block counts by its own digest. A
+//! program's fingerprints and [`loc`](crate::loc) fold these digests with
+//! the item headers, so after an edit only the blocks on the path to the
+//! edit are hashed again.
 //!
 //! Invariant (checked by a property test): programs with equal
 //! pretty-printed source have equal fingerprints. The converse can fail
@@ -14,10 +22,94 @@
 //! the same way it tolerates re-deriving an already-seen candidate.
 
 use crate::ast::{
-    Block, Ctor, DesignConfig, Expr, ExprKind, Function, Item, Param, Pragma, PragmaKind, Program,
-    Stmt, StmtKind, StructDef, UnOp, VarDecl,
+    Block, Ctor, DesignConfig, Expr, ExprKind, Function, Item, NodeId, Param, Pragma, PragmaKind,
+    Program, Stmt, StmtKind, StructDef, UnOp, VarDecl,
 };
+use crate::printer;
 use crate::types::{ArraySize, Type};
+use crate::visit::{self, Child, Code};
+
+/// The memoized digests of a block's statements (see [`Block::digest`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Digest {
+    /// Structural hash, the block's share of [`fingerprint_program`].
+    pub hash: u64,
+    /// Hash of the statement and expression ids in walk order, the block's
+    /// share of [`fingerprint_node_ids`].
+    pub ids: u64,
+    /// Non-blank lines the printer writes for the statements, the block's
+    /// share of [`loc`](crate::loc).
+    pub lines: usize,
+    /// Whether a statement or expression under the block has the id
+    /// [`NodeId::SYNTH`].
+    pub synth: bool,
+}
+
+impl Digest {
+    /// Digests a statement list, reading (and filling) the memos of the
+    /// blocks nested in it.
+    pub(crate) fn of(stmts: &[Stmt]) -> Digest {
+        let mut hash = Fnv::new();
+        let mut ids = IdHasher {
+            h: Fnv::new(),
+            synth: false,
+        };
+        hash.u64(stmts.len() as u64);
+        for s in stmts {
+            hash_stmt(&mut hash, s);
+            ids.stmt(s);
+        }
+        Digest {
+            hash: hash.0,
+            ids: ids.h.0,
+            lines: stmts.iter().map(printer::stmt_lines).sum(),
+            synth: ids.synth,
+        }
+    }
+
+    /// The `synth` flag of [`Digest::of`], without filling any memo.
+    pub(crate) fn holds_synth(stmts: &[Stmt]) -> bool {
+        fn stmt(s: &Stmt) -> bool {
+            let mut synth = s.id == NodeId::SYNTH;
+            visit::stmt_children(s, &mut |c| {
+                synth = synth
+                    || match c {
+                        Child::Expr(e) => visit::expr_holds(e, &|e| e.id == NodeId::SYNTH),
+                        Child::Stmt(i) => stmt(i),
+                        Child::Block(b) => b.holds_synth(),
+                    }
+            });
+            synth
+        }
+        stmts.iter().any(stmt)
+    }
+}
+
+/// Hashes node ids in walk order; a nested block counts by its digest.
+struct IdHasher {
+    h: Fnv,
+    synth: bool,
+}
+
+impl IdHasher {
+    fn id(&mut self, id: NodeId) {
+        self.synth |= id == NodeId::SYNTH;
+        self.h.u64(id.0 as u64);
+    }
+
+    fn stmt(&mut self, s: &Stmt) {
+        self.id(s.id);
+        visit::stmt_children(s, &mut |c| match c {
+            Child::Expr(e) => visit::walk_expr(e, &mut |e| self.id(e.id)),
+            Child::Stmt(i) => self.stmt(i),
+            Child::Block(b) => {
+                let d = b.digest();
+                self.h.u64(d.ids);
+                self.synth |= d.synth;
+            }
+        });
+    }
+}
 
 /// Streaming FNV-1a over structural bytes.
 struct Fnv(u64);
@@ -90,21 +182,27 @@ pub fn fingerprint_program(p: &Program) -> u64 {
 }
 
 /// Fingerprint of a program's *node-id labeling*: an FNV-1a hash over every
-/// statement and expression [`NodeId`](crate::ast::NodeId) in deterministic
-/// traversal order. Programs with equal [`fingerprint_program`] can still
-/// differ here — reparses and print-identical candidates derived along
-/// different edit paths renumber their nodes from different counters.
+/// statement and expression [`NodeId`] in walk order (see [`visit`]).
+/// Programs with equal [`fingerprint_program`] can still differ here —
+/// reparses and print-identical candidates derived along different edit
+/// paths renumber their nodes from different counters.
 /// Consumers that bake `NodeId`s into derived artifacts (e.g. compiled
 /// bytecode whose coverage and loop sites address the source AST) must key
 /// caches by the *pair* of fingerprints, or a structural hit would hand
 /// back sites labeled with another AST's ids.
 pub fn fingerprint_node_ids(p: &Program) -> u64 {
     let mut h = Fnv::new();
-    crate::visit::visit_stmts(p, &mut |s| h.u64(s.id.0 as u64));
-    // Domain separator so a stmt-id suffix cannot collide with an
-    // expr-id prefix.
-    h.tag(0xEF);
-    crate::visit::visit_exprs(p, &mut |e| h.u64(e.id.0 as u64));
+    for code in p.items.iter().flat_map(visit::item_code) {
+        match code {
+            Code::Function(f) => {
+                if let Some(b) = &f.body {
+                    h.u64(b.digest().ids);
+                }
+            }
+            Code::Block(b) => h.u64(b.digest().ids),
+            Code::Expr(e) => visit::walk_expr(e, &mut |e| h.u64(e.id.0 as u64)),
+        }
+    }
     h.0
 }
 
@@ -205,10 +303,7 @@ fn hash_var_decl(h: &mut Fnv, d: &VarDecl) {
 }
 
 fn hash_block(h: &mut Fnv, b: &Block) {
-    h.u64(b.stmts.len() as u64);
-    for s in &b.stmts {
-        hash_stmt(h, s);
-    }
+    h.u64(b.digest().hash);
 }
 
 fn hash_stmt(h: &mut Fnv, s: &Stmt) {
@@ -515,6 +610,114 @@ mod tests {
         }
     "#;
 
+    /// A copy of `p` whose every block is rebuilt with an empty memo, so
+    /// its digests are computed from scratch.
+    fn fresh(p: &Program) -> Program {
+        let mut q = p.clone();
+        crate::visit::visit_blocks_mut(&mut q, &mut |b| *b = Block::new(b.stmts().to_vec()));
+        q
+    }
+
+    fn digests(p: &Program) -> (u64, u64, usize) {
+        (
+            fingerprint_program(p),
+            fingerprint_node_ids(p),
+            crate::loc(p),
+        )
+    }
+
+    /// The body block of the `for` loop that is `kernel`'s second
+    /// statement.
+    fn loop_body(p: &Program) -> &Block {
+        let body = p.function("kernel").unwrap().body.as_ref().unwrap();
+        match &body.stmts()[1].kind {
+            StmtKind::For(.., b) => b,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Mutating a nested block through [`Block::stmts_mut`] changes the
+    /// digests of the block and of every block above it, copies only those
+    /// blocks, and leaves the program it was cloned from alone.
+    #[test]
+    fn nested_edits_refresh_every_ancestor_and_spare_the_clone() {
+        let src = SRC.replace("return acc;", "if (n > 2) { acc = 1; }\n return acc;");
+        let p = parse(&src).unwrap();
+        let before = digests(&p);
+        let body_before = *p
+            .function("kernel")
+            .unwrap()
+            .body
+            .as_ref()
+            .unwrap()
+            .digest();
+        let loop_before = *loop_body(&p).digest();
+
+        let mut q = p.clone();
+        let body = q.function_mut("kernel").unwrap().body.as_mut().unwrap();
+        let StmtKind::For(.., b) = &mut body.stmts_mut()[1].kind else {
+            unreachable!()
+        };
+        b.stmts_mut().push(Stmt::synth(StmtKind::Break));
+        q.renumber_synthesized();
+
+        // The parent keeps its memoized digests, and they are still right.
+        assert_eq!(digests(&p), before);
+        assert_eq!(digests(&fresh(&p)), before);
+        assert_eq!(*loop_body(&p).digest(), loop_before);
+        // The child's digests moved, at the loop body and at the function
+        // body above it, and equal a computation from scratch.
+        let after = digests(&q);
+        assert_eq!(after, digests(&fresh(&q)));
+        assert_ne!(after.0, before.0);
+        assert_ne!(after.1, before.1);
+        assert_eq!(after.2, before.2 + 1);
+        let body_after = q
+            .function("kernel")
+            .unwrap()
+            .body
+            .as_ref()
+            .unwrap()
+            .digest();
+        assert_ne!(body_after.hash, body_before.hash);
+        assert_ne!(loop_body(&q).digest().hash, loop_before.hash);
+        // The `if` block, off the path, is still shared.
+        let if_block =
+            |p: &Program| match &p.function("kernel").unwrap().body.as_ref().unwrap().stmts()[2]
+                .kind
+            {
+                StmtKind::If(_, t, _) => t.clone(),
+                other => panic!("{other:?}"),
+            };
+        assert!(if_block(&p).shares_stmts_with(&if_block(&q)));
+        assert!(!loop_body(&p).shares_stmts_with(loop_body(&q)));
+    }
+
+    /// The memo's synthesized-node flag follows renumbering.
+    #[test]
+    fn digest_tracks_synthesized_nodes() {
+        let mut p = parse(SRC).unwrap();
+        assert!(!loop_body(&p).digest().synth);
+        let body = p.function_mut("kernel").unwrap().body.as_mut().unwrap();
+        let StmtKind::For(.., b) = &mut body.stmts_mut()[1].kind else {
+            unreachable!()
+        };
+        b.stmts_mut().push(Stmt::synth(StmtKind::Break));
+        assert!(loop_body(&p).digest().synth);
+        assert!(
+            p.function("kernel")
+                .unwrap()
+                .body
+                .as_ref()
+                .unwrap()
+                .digest()
+                .synth
+        );
+        p.renumber_synthesized();
+        assert!(!loop_body(&p).digest().synth);
+        assert_eq!(digests(&p), digests(&fresh(&p)));
+    }
+
     #[test]
     fn stable_across_reparse() {
         let p1 = parse(SRC).unwrap();
@@ -557,7 +760,7 @@ mod tests {
             .ctor
             .as_mut()
             .unwrap();
-        ctor.body.stmts[0].id = crate::ast::NodeId(999);
+        ctor.body.stmts_mut()[0].id = crate::ast::NodeId(999);
         assert_ne!(fingerprint_node_ids(&p), fingerprint_node_ids(&relabeled));
     }
 

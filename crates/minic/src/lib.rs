@@ -59,7 +59,9 @@ pub use parser::parse;
 pub use printer::print_program;
 pub use types::{ArraySize, IntWidth, Type};
 
-/// Counts the lines of code of a program as rendered by the pretty printer.
+/// Counts the non-blank lines of code of a program as rendered by the
+/// pretty printer, without rendering it: a fold over the items' line counts
+/// and the blocks' memoized digests (see [`fingerprint`]).
 ///
 /// The paper reports subject sizes and edit sizes in lines; this is the single
 /// LOC definition used across the reproduction so that ΔLOC numbers are
@@ -73,10 +75,7 @@ pub use types::{ArraySize, IntWidth, Type};
 /// assert!(minic::loc(&p) >= 1);
 /// ```
 pub fn loc(program: &ast::Program) -> usize {
-    printer::print_program(program)
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .count()
+    program.items.iter().map(printer::item_lines).sum()
 }
 
 /// A program serializes as its pretty-printed source: the JSON consumer's
@@ -85,5 +84,58 @@ pub fn loc(program: &ast::Program) -> usize {
 impl serde::Serialize for ast::Program {
     fn to_json_value(&self) -> serde::Value {
         serde::Value::Str(printer::print_program(self))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// The definition [`loc`](crate::loc) folds: the printed program's
+    /// non-blank lines.
+    fn loc_by_printing(p: &crate::Program) -> usize {
+        crate::print_program(p)
+            .lines()
+            .filter(|l| !l.trim().is_empty())
+            .count()
+    }
+
+    #[test]
+    fn loc_counts_the_printed_lines_without_printing() {
+        let src = r#"
+            #include <hls_stream.h>
+            #define N 4
+            #pragma HLS top name=f
+            typedef int word;
+            int g = 1 + 2;
+            int proto(int x);
+            struct S {
+                int v;
+                hls::stream<int> &s;
+                S(int a) : v(a * 2) { v = v + 1; if (a) { v--; } }
+                int get(int k) { for (int i = 0; i < k; i++) { v += i; } return v; }
+            };
+            union U { int i; float f; };
+            struct E { int e; };
+            int f(int n) {
+                int a[2] = {1, 2};
+                for (int i = 0; i < n; i++) {
+                #pragma HLS pipeline
+                    a[i % 2] += i;
+                }
+                for (;;) { break; }
+                do { int t = -n; n = t; } while (n < 0);
+                if (n > 0) { n--; } else { int e = (int)1.5; n = e ? sizeof(int) : 'c'; }
+                if (n) { } else { }
+                while (n > 10) { if (true) { break; } n = n - 1; continue; }
+                { puts("x\ny"); ; }
+                goto done;
+                done:
+                return a[0];
+            }
+            void empty() {}
+        "#;
+        let p = crate::parse(src).unwrap();
+        assert_eq!(crate::loc(&p), loc_by_printing(&p));
+        assert!(crate::loc(&p) > 40);
+        assert_eq!(crate::loc(&crate::Program::new()), 0);
     }
 }

@@ -1508,7 +1508,7 @@ mod tests {
         let f = p.function("top").unwrap();
         let body = f.body.as_ref().unwrap();
         assert!(matches!(
-            body.stmts[0].kind,
+            body.stmts()[0].kind,
             StmtKind::Pragma(Pragma {
                 kind: PragmaKind::Dataflow
             })
@@ -1533,7 +1533,7 @@ mod tests {
     fn unknown_size_array_parses_as_unknown() {
         let p = parse("void f(int n) { int a[n]; }").unwrap();
         let f = p.function("f").unwrap();
-        match &f.body.as_ref().unwrap().stmts[0].kind {
+        match &f.body.as_ref().unwrap().stmts()[0].kind {
             StmtKind::Decl(d) => {
                 assert_eq!(
                     d.ty,
@@ -1562,7 +1562,7 @@ mod tests {
             .body
             .as_ref()
             .unwrap()
-            .stmts
+            .stmts()
             .iter()
             .any(|s| matches!(&s.kind, StmtKind::Label(l) if l == "done"));
         assert!(has_label);
@@ -1580,7 +1580,7 @@ mod tests {
         )
         .unwrap();
         let f = p.function("top").unwrap();
-        match &f.body.as_ref().unwrap().stmts[0].kind {
+        match &f.body.as_ref().unwrap().stmts()[0].kind {
             StmtKind::Expr(e) => {
                 assert!(matches!(e.kind, ExprKind::MethodCall(..)));
             }
@@ -1685,7 +1685,7 @@ mod tests {
         )
         .unwrap();
         let f = p.function("top").unwrap();
-        let stmts = &f.body.as_ref().unwrap().stmts;
+        let stmts = &f.body.as_ref().unwrap().stmts();
         match (&stmts[0].kind, &stmts[1].kind) {
             (StmtKind::Decl(a), StmtKind::Decl(b)) => {
                 assert!(!a.is_static);

@@ -43,6 +43,55 @@ pub fn print_program(p: &Program) -> String {
     out
 }
 
+/// The number of lines [`print_program`] writes for an item. Every line it
+/// writes holds a token, and nothing it writes inside a line breaks it
+/// (string literals print escaped), so this is also the item's count of
+/// non-blank lines.
+pub(crate) fn item_lines(item: &Item) -> usize {
+    match item {
+        Item::Include(_)
+        | Item::Define(..)
+        | Item::Pragma(_)
+        | Item::Typedef(..)
+        | Item::Global(_) => 1,
+        Item::Struct(s) => {
+            let ctor = s.ctor.as_ref().map_or(0, |c| 2 + c.body.digest().lines);
+            2 + s.fields.len() + ctor + s.methods.iter().map(function_lines).sum::<usize>()
+        }
+        Item::Function(f) => function_lines(f),
+    }
+}
+
+fn function_lines(f: &Function) -> usize {
+    f.body.as_ref().map_or(1, |b| 2 + b.digest().lines)
+}
+
+/// The number of lines the printer writes for a statement (see
+/// [`item_lines`]); a nested block counts by its memoized digest.
+pub(crate) fn stmt_lines(s: &Stmt) -> usize {
+    match &s.kind {
+        StmtKind::If(_, t, e) => {
+            2 + t.digest().lines + e.as_ref().map_or(0, |e| 1 + e.digest().lines)
+        }
+        StmtKind::While(_, b) | StmtKind::DoWhile(b, _) | StmtKind::Block(b) => {
+            2 + b.digest().lines
+        }
+        // The initializer's last line is joined to the loop header.
+        StmtKind::For(init, _, _, b) => {
+            2 + b.digest().lines + init.as_ref().map_or(0, |i| stmt_lines(i) - 1)
+        }
+        StmtKind::Decl(_)
+        | StmtKind::Expr(_)
+        | StmtKind::Return(_)
+        | StmtKind::Break
+        | StmtKind::Continue
+        | StmtKind::Pragma(_)
+        | StmtKind::Label(_)
+        | StmtKind::Goto(_)
+        | StmtKind::Empty => 1,
+    }
+}
+
 /// Renders one statement at the given indent (used in diffs and tests).
 pub fn print_stmt(s: &Stmt) -> String {
     let mut out = String::new();
@@ -113,7 +162,7 @@ fn print_struct(out: &mut String, s: &StructDef) {
             out.push(')');
         }
         out.push_str(" {\n");
-        for st in &ctor.body.stmts {
+        for st in ctor.body.stmts() {
             stmt(out, 2, st);
         }
         indent(out, 1);
@@ -154,7 +203,7 @@ fn print_function(out: &mut String, level: usize, f: &Function) {
     match &f.body {
         Some(body) => {
             out.push_str(" {\n");
-            for st in &body.stmts {
+            for st in body.stmts() {
                 stmt(out, level + 1, st);
             }
             indent(out, level);
@@ -195,14 +244,14 @@ fn stmt(out: &mut String, level: usize, s: &Stmt) {
             out.push_str("if (");
             expr(out, c);
             out.push_str(") {\n");
-            for st in &t.stmts {
+            for st in t.stmts() {
                 stmt(out, level + 1, st);
             }
             indent(out, level);
             match e {
                 Some(els) => {
                     out.push_str("} else {\n");
-                    for st in &els.stmts {
+                    for st in els.stmts() {
                         stmt(out, level + 1, st);
                     }
                     indent(out, level);
@@ -216,7 +265,7 @@ fn stmt(out: &mut String, level: usize, s: &Stmt) {
             out.push_str("while (");
             expr(out, c);
             out.push_str(") {\n");
-            for st in &b.stmts {
+            for st in b.stmts() {
                 stmt(out, level + 1, st);
             }
             indent(out, level);
@@ -225,7 +274,7 @@ fn stmt(out: &mut String, level: usize, s: &Stmt) {
         StmtKind::DoWhile(b, c) => {
             indent(out, level);
             out.push_str("do {\n");
-            for st in &b.stmts {
+            for st in b.stmts() {
                 stmt(out, level + 1, st);
             }
             indent(out, level);
@@ -252,7 +301,7 @@ fn stmt(out: &mut String, level: usize, s: &Stmt) {
                 expr(out, st);
             }
             out.push_str(") {\n");
-            for st in &b.stmts {
+            for st in b.stmts() {
                 stmt(out, level + 1, st);
             }
             indent(out, level);
@@ -280,7 +329,7 @@ fn stmt(out: &mut String, level: usize, s: &Stmt) {
         StmtKind::Block(b) => {
             indent(out, level);
             out.push_str("{\n");
-            for st in &b.stmts {
+            for st in b.stmts() {
                 stmt(out, level + 1, st);
             }
             indent(out, level);

@@ -157,7 +157,7 @@ impl<'a> Checker<'a> {
 
     fn check_block(&mut self, b: &Block) {
         self.scopes.push(HashMap::new());
-        for s in &b.stmts {
+        for s in b.stmts() {
             self.check_stmt(s);
         }
         self.scopes.pop();

@@ -6,7 +6,8 @@
 //! - **The statement walk**, [`walk_block_nodes`] / [`walk_stmt_nodes`] and
 //!   their `_mut` forms, visits a statement subtree in pre-order. A
 //!   statement comes before its expressions and child statements, which
-//!   follow in source order:
+//!   follow in source order (the one definition of that order is
+//!   [`stmt_children`]):
 //!   - `Decl`, `Expr`, `Return`: the initializer or expression;
 //!   - `If`: condition, then-block, else-block;
 //!   - `While`: condition, body;
@@ -27,9 +28,11 @@
 //! The whole-program visitors ([`visit_exprs`], [`visit_stmts`],
 //! [`visit_blocks_mut`], …) walk every part the item iterator yields, so
 //! they all cover the same code, and [`Program::renumber_synthesized`]
-//! assigns ids in the same order. The mutable ones unshare every function
-//! and struct they visit (see [`Item`]); an edit confined to one item walks
-//! that item only, e.g. with [`visit_function_blocks_mut`].
+//! assigns ids in the same order. The mutable ones unshare every item and
+//! block they visit (see [`Item`] and [`Block`]). Edits use the `_where`
+//! forms ([`CodeMut::walk_where`], [`visit_function_blocks_mut_where`],
+//! [`visit_blocks_mut_where`], [`visit_exprs_mut_where`]), which enter and
+//! unshare only the items and blocks a read-only check accepts.
 //!
 //! Walkers that carry context or compute semantics (the printer, the
 //! parser, the type checker, fingerprint hashing, the bytecode compiler,
@@ -43,6 +46,106 @@ use crate::ast::*;
 use crate::types::Type;
 use std::iter::once;
 use std::sync::Arc;
+
+/// A direct child of a statement, as [`stmt_children`] yields it.
+#[derive(Debug, Clone, Copy)]
+pub enum Child<'a> {
+    /// The root of one of the statement's expressions.
+    Expr(&'a Expr),
+    /// A `for` initializer.
+    Stmt(&'a Stmt),
+    /// A nested block.
+    Block(&'a Block),
+}
+
+/// A direct child of a statement, as [`stmt_children_mut`] yields it.
+#[derive(Debug)]
+enum ChildMut<'a> {
+    /// The root of one of the statement's expressions.
+    Expr(&'a mut Expr),
+    /// A `for` initializer.
+    Stmt(&'a mut Stmt),
+    /// A nested block.
+    Block(&'a mut Block),
+}
+
+/// Yields the direct children of a statement in the order the module docs
+/// give. This is the one definition of that order: every walk below and
+/// the block digests are built on it.
+pub fn stmt_children<'a, F: FnMut(Child<'a>) + ?Sized>(s: &'a Stmt, f: &mut F) {
+    match &s.kind {
+        StmtKind::Decl(VarDecl { init: Some(e), .. })
+        | StmtKind::Expr(e)
+        | StmtKind::Return(Some(e)) => f(Child::Expr(e)),
+        StmtKind::If(c, t, e) => {
+            f(Child::Expr(c));
+            f(Child::Block(t));
+            if let Some(e) = e {
+                f(Child::Block(e));
+            }
+        }
+        StmtKind::While(c, b) => {
+            f(Child::Expr(c));
+            f(Child::Block(b));
+        }
+        StmtKind::DoWhile(b, c) => {
+            f(Child::Block(b));
+            f(Child::Expr(c));
+        }
+        StmtKind::For(init, cond, step, b) => {
+            if let Some(i) = init {
+                f(Child::Stmt(i));
+            }
+            if let Some(c) = cond {
+                f(Child::Expr(c));
+            }
+            if let Some(st) = step {
+                f(Child::Expr(st));
+            }
+            f(Child::Block(b));
+        }
+        StmtKind::Block(b) => f(Child::Block(b)),
+        _ => {}
+    }
+}
+
+/// Mutable form of [`stmt_children`].
+fn stmt_children_mut<'a, F: FnMut(ChildMut<'a>) + ?Sized>(s: &'a mut Stmt, f: &mut F) {
+    match &mut s.kind {
+        StmtKind::Decl(VarDecl { init: Some(e), .. })
+        | StmtKind::Expr(e)
+        | StmtKind::Return(Some(e)) => f(ChildMut::Expr(e)),
+        StmtKind::If(c, t, e) => {
+            f(ChildMut::Expr(c));
+            f(ChildMut::Block(t));
+            if let Some(e) = e {
+                f(ChildMut::Block(e));
+            }
+        }
+        StmtKind::While(c, b) => {
+            f(ChildMut::Expr(c));
+            f(ChildMut::Block(b));
+        }
+        StmtKind::DoWhile(b, c) => {
+            f(ChildMut::Block(b));
+            f(ChildMut::Expr(c));
+        }
+        StmtKind::For(init, cond, step, b) => {
+            if let Some(i) = init {
+                f(ChildMut::Stmt(i));
+            }
+            if let Some(c) = cond {
+                f(ChildMut::Expr(c));
+            }
+            if let Some(st) = step {
+                f(ChildMut::Expr(st));
+            }
+            f(ChildMut::Block(b));
+        }
+        StmtKind::Block(b) => f(ChildMut::Block(b)),
+        _ => {}
+    }
+}
 
 /// A node of a statement subtree, as [`walk_stmt_nodes`] yields it.
 #[derive(Debug, Clone, Copy)]
@@ -70,7 +173,7 @@ pub enum NodeMut<'a> {
 /// Walks a block's statements and everything under them, down to
 /// expression roots, in the order the module docs give.
 pub fn walk_block_nodes<'a, F: FnMut(Node<'a>) + ?Sized>(b: &'a Block, f: &mut F) {
-    for s in &b.stmts {
+    for s in b.stmts() {
         walk_stmt_nodes(s, f);
     }
 }
@@ -79,88 +182,68 @@ pub fn walk_block_nodes<'a, F: FnMut(Node<'a>) + ?Sized>(b: &'a Block, f: &mut F
 /// the order the module docs give.
 pub fn walk_stmt_nodes<'a, F: FnMut(Node<'a>) + ?Sized>(s: &'a Stmt, f: &mut F) {
     f(Node::Stmt(s));
-    match &s.kind {
-        StmtKind::Decl(VarDecl { init: Some(e), .. })
-        | StmtKind::Expr(e)
-        | StmtKind::Return(Some(e)) => f(Node::Expr(e)),
-        StmtKind::If(c, t, e) => {
-            f(Node::Expr(c));
-            walk_block_nodes(t, f);
-            if let Some(e) = e {
-                walk_block_nodes(e, f);
-            }
-        }
-        StmtKind::While(c, b) => {
-            f(Node::Expr(c));
-            walk_block_nodes(b, f);
-        }
-        StmtKind::DoWhile(b, c) => {
-            walk_block_nodes(b, f);
-            f(Node::Expr(c));
-        }
-        StmtKind::For(init, cond, step, b) => {
-            if let Some(i) = init {
-                walk_stmt_nodes(i, f);
-            }
-            if let Some(c) = cond {
-                f(Node::Expr(c));
-            }
-            if let Some(st) = step {
-                f(Node::Expr(st));
-            }
-            walk_block_nodes(b, f);
-        }
-        StmtKind::Block(b) => walk_block_nodes(b, f),
-        _ => {}
-    }
+    stmt_children(s, &mut |c| match c {
+        Child::Expr(e) => f(Node::Expr(e)),
+        Child::Stmt(i) => walk_stmt_nodes(i, f),
+        Child::Block(b) => walk_block_nodes(b, f),
+    });
 }
 
 /// Mutable form of [`walk_block_nodes`]; it also yields the block itself,
-/// before its statements.
+/// before its statements. Unshares every block it walks.
 pub fn walk_block_nodes_mut<F: FnMut(NodeMut<'_>) + ?Sized>(b: &mut Block, f: &mut F) {
-    f(NodeMut::Block(b));
-    for s in &mut b.stmts {
-        walk_stmt_nodes_mut(s, f);
-    }
+    walk_block_nodes_mut_where(b, &mut |_| true, f);
 }
 
 /// Mutable form of [`walk_stmt_nodes`].
 pub fn walk_stmt_nodes_mut<F: FnMut(NodeMut<'_>) + ?Sized>(s: &mut Stmt, f: &mut F) {
-    f(NodeMut::Stmt(s));
-    match &mut s.kind {
-        StmtKind::Decl(VarDecl { init: Some(e), .. })
-        | StmtKind::Expr(e)
-        | StmtKind::Return(Some(e)) => f(NodeMut::Expr(e)),
-        StmtKind::If(c, t, e) => {
-            f(NodeMut::Expr(c));
-            walk_block_nodes_mut(t, f);
-            if let Some(e) = e {
-                walk_block_nodes_mut(e, f);
-            }
-        }
-        StmtKind::While(c, b) => {
-            f(NodeMut::Expr(c));
-            walk_block_nodes_mut(b, f);
-        }
-        StmtKind::DoWhile(b, c) => {
-            walk_block_nodes_mut(b, f);
-            f(NodeMut::Expr(c));
-        }
-        StmtKind::For(init, cond, step, b) => {
-            if let Some(i) = init {
-                walk_stmt_nodes_mut(i, f);
-            }
-            if let Some(c) = cond {
-                f(NodeMut::Expr(c));
-            }
-            if let Some(st) = step {
-                f(NodeMut::Expr(st));
-            }
-            walk_block_nodes_mut(b, f);
-        }
-        StmtKind::Block(b) => walk_block_nodes_mut(b, f),
-        _ => {}
+    walk_stmt_nodes_mut_where(s, &mut |_| true, f);
+}
+
+/// [`walk_block_nodes_mut`] restricted to the blocks `enter` accepts (see
+/// [`CodeMut::walk_where`]).
+fn walk_block_nodes_mut_where<E, F>(b: &mut Block, enter: &mut E, f: &mut F)
+where
+    E: FnMut(&Block) -> bool + ?Sized,
+    F: FnMut(NodeMut<'_>) + ?Sized,
+{
+    if !enter(b) {
+        return;
     }
+    f(NodeMut::Block(b));
+    for s in b.stmts_mut() {
+        walk_stmt_nodes_mut_where(s, enter, f);
+    }
+}
+
+/// [`walk_stmt_nodes_mut`] restricted to the blocks `enter` accepts (see
+/// [`walk_block_nodes_mut_where`]).
+fn walk_stmt_nodes_mut_where<E, F>(s: &mut Stmt, enter: &mut E, f: &mut F)
+where
+    E: FnMut(&Block) -> bool + ?Sized,
+    F: FnMut(NodeMut<'_>) + ?Sized,
+{
+    f(NodeMut::Stmt(s));
+    stmt_children_mut(s, &mut |c| match c {
+        ChildMut::Expr(e) => f(NodeMut::Expr(e)),
+        ChildMut::Stmt(i) => walk_stmt_nodes_mut_where(i, enter, f),
+        ChildMut::Block(b) => walk_block_nodes_mut_where(b, enter, f),
+    });
+}
+
+/// Whether a node under `b` satisfies `hit`: a read-only walk that
+/// unshares nothing.
+pub fn block_holds(b: &Block, hit: &dyn Fn(Node<'_>) -> bool) -> bool {
+    let mut found = false;
+    walk_block_nodes(b, &mut |n| found = found || hit(n));
+    found
+}
+
+/// Whether an expression tree holds a node satisfying `hit`.
+pub(crate) fn expr_holds(e: &Expr, hit: &dyn Fn(&Expr) -> bool) -> bool {
+    let mut found = false;
+    walk_expr(e, &mut |e| found = found || hit(e));
+    found
 }
 
 /// Walks one statement's nested statements, outermost first.
@@ -293,13 +376,28 @@ pub enum CodeMut<'a> {
 impl CodeMut<'_> {
     /// Mutable form of [`Code::walk`].
     pub fn walk<F: FnMut(NodeMut<'_>) + ?Sized>(self, f: &mut F) {
+        self.walk_where(&mut |_| true, f);
+    }
+
+    /// [`CodeMut::walk`] restricted to the blocks `enter` accepts. A block
+    /// `enter` refuses (it sees the block before anything is unshared) is
+    /// neither yielded nor walked, and stays shared; an initializer is
+    /// always walked. This is the path rule for edits: a check like
+    /// `|b| block_holds(b, &hit)` copies only the blocks on the paths down
+    /// to the nodes an edit rewrites, and the walk still visits those nodes
+    /// in the order [`CodeMut::walk`] would.
+    pub fn walk_where<E, F>(self, enter: &mut E, f: &mut F)
+    where
+        E: FnMut(&Block) -> bool + ?Sized,
+        F: FnMut(NodeMut<'_>) + ?Sized,
+    {
         match self {
             CodeMut::Function(func) => {
                 if let Some(b) = &mut func.body {
-                    walk_block_nodes_mut(b, f);
+                    walk_block_nodes_mut_where(b, enter, f);
                 }
             }
-            CodeMut::Block(b) => walk_block_nodes_mut(b, f),
+            CodeMut::Block(b) => walk_block_nodes_mut_where(b, enter, f),
             CodeMut::Expr(e) => f(NodeMut::Expr(e)),
         }
     }
@@ -394,6 +492,46 @@ pub fn visit_exprs_mut(p: &mut Program, f: &mut dyn FnMut(&mut Expr)) {
     });
 }
 
+/// [`walk_program_mut`] over only the items and blocks that hold a node
+/// `hit` accepts, found by a read-only walk first: every other item and
+/// block stays shared. `f` sees every node of the blocks it enters, and an
+/// entered item's initializers.
+fn walk_program_mut_where(
+    p: &mut Program,
+    hit: &dyn Fn(Node<'_>) -> bool,
+    f: &mut dyn FnMut(NodeMut<'_>),
+) {
+    for item in &mut p.items {
+        let mut held = false;
+        for code in item_code(item) {
+            code.walk(&mut |n| held = held || hit(n));
+        }
+        if held {
+            for code in item_code_mut(item) {
+                code.walk_where(&mut |b| block_holds(b, hit), f);
+            }
+        }
+    }
+}
+
+/// [`visit_exprs_mut`] over only the items and blocks that hold an
+/// expression `hit` accepts (see [`CodeMut::walk_where`]).
+pub fn visit_exprs_mut_where(
+    p: &mut Program,
+    hit: &dyn Fn(&Expr) -> bool,
+    f: &mut dyn FnMut(&mut Expr),
+) {
+    walk_program_mut_where(
+        p,
+        &|n| matches!(n, Node::Expr(e) if expr_holds(e, hit)),
+        &mut |n| {
+            if let NodeMut::Expr(e) = n {
+                walk_expr_mut(e, f);
+            }
+        },
+    );
+}
+
 /// Visits every statement in the program (including struct methods and
 /// constructor bodies), outermost first.
 pub fn visit_stmts(p: &Program, f: &mut dyn FnMut(&Stmt)) {
@@ -415,14 +553,75 @@ pub fn visit_blocks_mut(p: &mut Program, f: &mut dyn FnMut(&mut Block)) {
     });
 }
 
-/// Visits every block of one function (its body and nested blocks), with
-/// mutation, in the order [`visit_blocks_mut`] would.
-pub fn visit_function_blocks_mut(func: &mut Function, f: &mut dyn FnMut(&mut Block)) {
-    CodeMut::Function(func).walk(&mut |n| {
+/// [`visit_blocks_mut`] over only the items and blocks that hold a node
+/// `hit` accepts (see [`CodeMut::walk_where`]).
+pub fn visit_blocks_mut_where(
+    p: &mut Program,
+    hit: &dyn Fn(Node<'_>) -> bool,
+    f: &mut dyn FnMut(&mut Block),
+) {
+    walk_program_mut_where(p, hit, &mut |n| {
         if let NodeMut::Block(b) = n {
             f(b);
         }
     });
+}
+
+/// Visits, with mutation and in the order [`visit_blocks_mut`] would, the
+/// blocks of one function that hold a node `hit` accepts (the body and
+/// nested blocks on the paths down to such nodes), and only those: every
+/// other block stays shared (see [`CodeMut::walk_where`]).
+pub fn visit_function_blocks_mut_where(
+    func: &mut Function,
+    hit: &dyn Fn(Node<'_>) -> bool,
+    f: &mut dyn FnMut(&mut Block),
+) {
+    CodeMut::Function(func).walk_where(&mut |b| block_holds(b, hit), &mut |n| {
+        if let NodeMut::Block(b) = n {
+            f(b);
+        }
+    });
+}
+
+/// Visits every declared type in the program: globals, locals, parameters,
+/// returns, fields, typedefs and cast targets, in the order
+/// [`visit_types_mut`] visits them.
+pub fn visit_types(p: &Program, f: &mut dyn FnMut(&Type)) {
+    for item in &p.items {
+        match item {
+            Item::Struct(s) => {
+                for fld in &s.fields {
+                    f(&fld.ty);
+                }
+                for par in s.ctor.iter().flat_map(|c| &c.params) {
+                    f(&par.ty);
+                }
+            }
+            Item::Global(g) => f(&g.ty),
+            Item::Typedef(_, t) => f(t),
+            _ => {}
+        }
+        for code in item_code(item) {
+            if let Code::Function(func) = code {
+                f(&func.ret);
+                for par in &func.params {
+                    f(&par.ty);
+                }
+            }
+            code.walk(&mut |n| match n {
+                Node::Stmt(Stmt {
+                    kind: StmtKind::Decl(d),
+                    ..
+                }) => f(&d.ty),
+                Node::Expr(e) => walk_expr(e, &mut |e| {
+                    if let ExprKind::Cast(t, _) | ExprKind::SizeOf(t) = &e.kind {
+                        f(t);
+                    }
+                }),
+                _ => {}
+            });
+        }
+    }
 }
 
 /// Visits every declared type in the program with mutation: globals, locals,
@@ -469,6 +668,7 @@ pub fn visit_types_mut(p: &mut Program, f: &mut dyn FnMut(&mut Type)) {
 /// Visits every node id of `item` in walk order: a struct's id, then for
 /// each part [`item_code`] yields, a function's id and then its statement
 /// and expression ids.
+#[cfg(test)]
 pub(crate) fn item_node_ids(item: &Item, f: &mut impl FnMut(NodeId)) {
     if let Item::Struct(s) = item {
         f(s.id);
@@ -484,8 +684,14 @@ pub(crate) fn item_node_ids(item: &Item, f: &mut impl FnMut(NodeId)) {
     }
 }
 
-/// Mutable form of [`item_node_ids`]. Unshares a function or struct item.
-pub(crate) fn item_node_ids_mut(item: &mut Item, f: &mut impl FnMut(&mut NodeId)) {
+/// Mutable form of [`item_node_ids`], restricted to the blocks `enter`
+/// accepts (see [`walk_block_nodes_mut_where`]). Unshares a function or
+/// struct item.
+pub(crate) fn item_node_ids_mut(
+    item: &mut Item,
+    enter: &mut impl FnMut(&Block) -> bool,
+    f: &mut impl FnMut(&mut NodeId),
+) {
     if let Item::Struct(s) = item {
         f(&mut Arc::make_mut(s).id);
     }
@@ -493,12 +699,27 @@ pub(crate) fn item_node_ids_mut(item: &mut Item, f: &mut impl FnMut(&mut NodeId)
         if let CodeMut::Function(func) = &mut code {
             f(&mut func.id);
         }
-        code.walk(&mut |n| match n {
+        code.walk_where(enter, &mut |n| match n {
             NodeMut::Block(_) => {}
             NodeMut::Stmt(s) => f(&mut s.id),
             NodeMut::Expr(e) => walk_expr_mut(e, &mut |e| f(&mut e.id)),
         });
     }
+}
+
+/// Whether `item` holds a node with the id [`NodeId::SYNTH`]. Reads the
+/// blocks' memos where they are filled (see [`Block::digest`]).
+pub(crate) fn item_holds_synth(item: &Item) -> bool {
+    let synth = |id: NodeId| id == NodeId::SYNTH;
+    let expr_synth = |e: &Expr| expr_holds(e, &|e| synth(e.id));
+    matches!(item, Item::Struct(s) if synth(s.id))
+        || item_code(item).any(|code| match code {
+            Code::Function(func) => {
+                synth(func.id) || func.body.as_ref().is_some_and(Block::holds_synth)
+            }
+            Code::Block(b) => b.holds_synth(),
+            Code::Expr(e) => expr_synth(e),
+        })
 }
 
 #[cfg(test)]
@@ -618,7 +839,7 @@ mod tests {
         };
         let mut blocks = Vec::new();
         visit_blocks_mut(&mut p.clone(), &mut |b| {
-            blocks.push(b.stmts.iter().map(|s| s.id.0).collect::<Vec<_>>());
+            blocks.push(b.stmts().iter().map(|s| s.id.0).collect::<Vec<_>>());
         });
         // `12` is the constructor body's statement.
         assert_eq!(
@@ -669,7 +890,7 @@ mod tests {
             }
         }
         visit_blocks_mut(&mut q, &mut |b| {
-            for s in &mut b.stmts {
+            for s in b.stmts_mut() {
                 s.id = NodeId::SYNTH;
                 if let StmtKind::For(Some(init), ..) = &mut s.kind {
                     init.id = NodeId::SYNTH;
@@ -696,6 +917,23 @@ mod tests {
             ]
         );
         assert_eq!(item_ids(&q), [106, 107, 121]);
+    }
+
+    /// [`visit_types`] reads the types [`visit_types_mut`] writes, in the
+    /// same order.
+    #[test]
+    fn visit_types_agrees_with_visit_types_mut() {
+        let src =
+            format!("typedef long word;\n{EVERY_KIND}\nlong double h(float x) {{ return x; }}");
+        let mut p = parse(&src).unwrap();
+        let mut read = Vec::new();
+        visit_types(&p, &mut |t| read.push(t.clone()));
+        let mut written = Vec::new();
+        visit_types_mut(&mut p, &mut |t| written.push(t.clone()));
+        assert_eq!(read, written);
+        assert!(read.len() > 15, "{}", read.len());
+        assert!(read.contains(&crate::Type::LongDouble));
+        assert!(read.contains(&crate::Type::Float));
     }
 
     /// The immutable and mutable forms of the walk, and of the id walk that
@@ -726,7 +964,7 @@ mod tests {
                     NodeMut::Expr(e) => written.push(('e', e.id.0)),
                 });
             }
-            item_node_ids_mut(item, &mut |id| ids_mut.push(id.0));
+            item_node_ids_mut(item, &mut |_| true, &mut |id| ids_mut.push(id.0));
         }
         assert_eq!(read, written);
         assert_eq!(ids, ids_mut);
@@ -740,7 +978,7 @@ mod tests {
     fn blocks_mut_can_insert_statements() {
         let mut p = parse("void f() { int a = 1; }").unwrap();
         visit_blocks_mut(&mut p, &mut |b| {
-            b.stmts.push(Stmt::synth(StmtKind::Return(None)));
+            b.stmts_mut().push(Stmt::synth(StmtKind::Return(None)));
         });
         p.renumber_synthesized();
         let s = crate::print_program(&p);

@@ -1630,11 +1630,11 @@ pub fn performance_edits(p: &Program) -> Vec<RepairEdit> {
     // highest leverage of all, so it goes first.
     if let Some(f) = p.function(&top) {
         if let Some(body) = &f.body {
-            let has_dataflow = body.stmts.iter().any(
+            let has_dataflow = body.stmts().iter().any(
                 |s| matches!(&s.kind, minic::ast::StmtKind::Pragma(pr) if pr.kind == PragmaKind::Dataflow),
             );
             let task_calls = body
-                .stmts
+                .stmts()
                 .iter()
                 .filter(|s| {
                     matches!(
@@ -1676,7 +1676,7 @@ fn random_noise_edits(p: &Program, rng: &mut SmallRng, n: usize) -> Vec<RepairEd
     for f in p.functions() {
         let fname = f.name.clone();
         if let Some(body) = &f.body {
-            for s in &body.stmts {
+            for s in body.stmts() {
                 minic::visit::walk_stmt(s, &mut |s| {
                     if let minic::ast::StmtKind::Decl(d) = &s.kind {
                         match &d.ty {

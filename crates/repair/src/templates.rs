@@ -10,7 +10,7 @@ use crate::script::{EditKind, ScriptEdit};
 use crate::{xform_pointer, xform_stack, xform_struct};
 use minic::ast::*;
 use minic::types::Type;
-use minic::visit;
+use minic::visit::{self, Node, NodeMut};
 use std::sync::Arc;
 
 /// What a `resize` edit scales.
@@ -578,34 +578,39 @@ fn type_casting(p: &Program, var: &str, function: Option<&str>) -> Option<Progra
     if !matches!(ty, Type::FpgaFloat { .. } | Type::FpgaInt { .. }) {
         return None;
     }
-    let mut out = p.clone();
-    let mut changed = false;
-    let target = var.to_string();
-    visit::visit_exprs_mut(&mut out, &mut |e| {
-        if let ExprKind::Binary(_, a, b) = &mut e.kind {
-            let a_is_var = matches!(&a.kind, ExprKind::Ident(n) if *n == target);
-            let b_is_var = matches!(&b.kind, ExprKind::Ident(n) if *n == target);
-            if a_is_var && matches!(b.kind, ExprKind::IntLit(..) | ExprKind::FloatLit(..)) {
-                if !matches!(b.kind, ExprKind::Cast(..)) {
-                    let inner = std::mem::replace(b.as_mut(), Expr::int(0));
-                    **b = Expr::synth(ExprKind::Cast(ty.clone(), Box::new(inner)));
-                    changed = true;
-                }
-            } else if b_is_var
-                && matches!(a.kind, ExprKind::IntLit(..) | ExprKind::FloatLit(..))
-                && !matches!(a.kind, ExprKind::Cast(..))
-            {
-                let inner = std::mem::replace(a.as_mut(), Expr::int(0));
-                **a = Expr::synth(ExprKind::Cast(ty.clone(), Box::new(inner)));
-                changed = true;
-            }
-        }
-    });
-    if !changed {
+    let is_var = |e: &Expr| matches!(&e.kind, ExprKind::Ident(n) if n == var);
+    let is_lit = |e: &Expr| matches!(e.kind, ExprKind::IntLit(..) | ExprKind::FloatLit(..));
+    // A literal operand of the variable, left or right.
+    let hit = |e: &Expr| match &e.kind {
+        ExprKind::Binary(_, a, b) => (is_var(a) && is_lit(b)) || (is_var(b) && is_lit(a)),
+        _ => false,
+    };
+    if !holds_expr(p, &hit) {
         return None;
     }
+    let mut out = p.clone();
+    visit::visit_exprs_mut_where(&mut out, &hit, &mut |e| {
+        if let ExprKind::Binary(_, a, b) = &mut e.kind {
+            let lit = if is_var(a) && is_lit(b) {
+                b
+            } else if is_var(b) && is_lit(a) {
+                a
+            } else {
+                return;
+            };
+            let inner = std::mem::replace(lit.as_mut(), Expr::int(0));
+            **lit = Expr::synth(ExprKind::Cast(ty.clone(), Box::new(inner)));
+        }
+    });
     out.renumber_synthesized();
     Some(out)
+}
+
+/// Whether an expression anywhere in `p` satisfies `hit` (read-only).
+fn holds_expr(p: &Program, hit: &dyn Fn(&Expr) -> bool) -> bool {
+    let mut found = false;
+    visit::visit_exprs(p, &mut |e| found = found || hit(e));
+    found
 }
 
 /// Routes `var + x` through an explicit overload function (Fig. 4 line 5's
@@ -619,27 +624,22 @@ fn op_overload(p: &Program, var: &str, function: Option<&str>) -> Option<Program
     if p.function(&fname).is_some() {
         return None;
     }
+    let is_add_on_var = |e: &Expr| {
+        matches!(&e.kind, ExprKind::Binary(BinOp::Add, a, _)
+            if matches!(&a.kind, ExprKind::Ident(n) if n == var))
+    };
+    if !holds_expr(p, &is_add_on_var) {
+        return None;
+    }
     let mut out = p.clone();
-    let mut changed = false;
-    let target = var.to_string();
-    visit::visit_exprs_mut(&mut out, &mut |e| {
-        let is_add_on_var = match &e.kind {
-            ExprKind::Binary(BinOp::Add, a, _) => {
-                matches!(&a.kind, ExprKind::Ident(n) if *n == target)
-            }
-            _ => false,
-        };
-        if is_add_on_var {
+    visit::visit_exprs_mut_where(&mut out, &is_add_on_var, &mut |e| {
+        if is_add_on_var(e) {
             let kind = std::mem::replace(&mut e.kind, ExprKind::IntLit(0, false));
             if let ExprKind::Binary(_, a, b) = kind {
                 e.kind = ExprKind::Call(fname.clone(), vec![*a, *b]);
-                changed = true;
             }
         }
     });
-    if !changed {
-        return None;
-    }
     let float_ty = Type::FpgaFloat { exp, mant };
     out.items.push(Item::Function(Arc::new(Function {
         id: NodeId::SYNTH,
@@ -687,28 +687,25 @@ fn insert_pragma(
     match loop_index {
         None => {
             // Function-body head. Refuse duplicates of the same kind.
-            let body = f.body.as_ref()?;
-            if body
-                .stmts
-                .iter()
-                .any(|s| matches!(&s.kind, StmtKind::Pragma(pr) if same_kind(&pr.kind, pragma)))
-            {
+            if holds_same_kind(f.body.as_ref()?, pragma) {
                 return None;
             }
             let mut out = p.clone();
             let g = out.function_mut(function)?;
-            g.body.as_mut()?.stmts.insert(0, pragma_stmt(pragma));
+            g.body.as_mut()?.stmts_mut().insert(0, pragma_stmt(pragma));
             out.renumber_synthesized();
             Some(out)
         }
         Some(idx) => {
             let loops = hls_sim::check::collect_loops(p, f);
             let target = loops.get(idx)?.id;
+            if !loop_takes(f, target, pragma) {
+                return None;
+            }
             let mut out = p.clone();
-            insert_at_loop_head(out.function_mut(function)?, target, pragma).then(|| {
-                out.renumber_synthesized();
-                out
-            })
+            insert_at_loop_head(out.function_mut(function)?, target, pragma);
+            out.renumber_synthesized();
+            Some(out)
         }
     }
 }
@@ -724,16 +721,18 @@ fn insert_pragma_in_method(
     let m = def.method(method)?;
     let loops = hls_sim::check::collect_loops(p, m);
     let target = loops.get(loop_index)?.id;
+    if !loop_takes(m, target, pragma) {
+        return None;
+    }
     let mut out = p.clone();
     let m = out
         .struct_def_mut(struct_name)?
         .methods
         .iter_mut()
         .find(|m| m.name == method)?;
-    insert_at_loop_head(m, target, pragma).then(|| {
-        out.renumber_synthesized();
-        out
-    })
+    insert_at_loop_head(m, target, pragma);
+    out.renumber_synthesized();
+    Some(out)
 }
 
 fn pragma_stmt(pragma: &PragmaKind) -> Stmt {
@@ -742,36 +741,58 @@ fn pragma_stmt(pragma: &PragmaKind) -> Stmt {
     }))
 }
 
-/// Inserts `pragma` at the head of the body of the loop `target` in `func`,
-/// unless that body already holds a pragma of the same kind. Walks `func`
-/// only: no loop id appears in two functions.
-fn insert_at_loop_head(func: &mut Function, target: NodeId, pragma: &PragmaKind) -> bool {
-    let mut done = false;
-    visit::visit_function_blocks_mut(func, &mut |b| {
-        if done {
-            return;
+/// Whether `b` holds, at its head level, a pragma of the same kind.
+fn holds_same_kind(b: &Block, pragma: &PragmaKind) -> bool {
+    b.stmts()
+        .iter()
+        .any(|s| matches!(&s.kind, StmtKind::Pragma(pr) if same_kind(&pr.kind, pragma)))
+}
+
+/// The body of a `while`, `do`/`while` or `for` loop.
+fn loop_body(s: &Stmt) -> Option<&Block> {
+    match &s.kind {
+        StmtKind::While(_, body) | StmtKind::DoWhile(body, _) | StmtKind::For(_, _, _, body) => {
+            Some(body)
         }
-        for s in &mut b.stmts {
-            if s.id != target {
-                continue;
-            }
-            if let StmtKind::While(_, body)
-            | StmtKind::DoWhile(body, _)
-            | StmtKind::For(_, _, _, body) = &mut s.kind
-            {
-                if body
-                    .stmts
-                    .iter()
-                    .any(|s| matches!(&s.kind, StmtKind::Pragma(pr) if same_kind(&pr.kind, pragma)))
-                {
-                    return;
-                }
-                body.stmts.insert(0, pragma_stmt(pragma));
-                done = true;
+        _ => None,
+    }
+}
+
+/// Whether `func` holds the loop `target` and that loop's body holds no
+/// pragma of the same kind: whether [`insert_at_loop_head`] applies.
+/// Read-only.
+fn loop_takes(func: &Function, target: NodeId, pragma: &PragmaKind) -> bool {
+    let mut takes = false;
+    visit::Code::Function(func).walk(&mut |n| {
+        if let Node::Stmt(s) = n {
+            if s.id == target {
+                takes = loop_body(s).is_some_and(|b| !holds_same_kind(b, pragma));
             }
         }
     });
-    done
+    takes
+}
+
+/// Inserts `pragma` at the head of the body of the loop `target` in `func`
+/// (check [`loop_takes`] first). Walks `func` only (no loop id appears in
+/// two functions), and copies only the blocks on the path to the loop and
+/// the loop's body.
+fn insert_at_loop_head(func: &mut Function, target: NodeId, pragma: &PragmaKind) {
+    let is_target = |n: Node<'_>| matches!(n, Node::Stmt(s) if s.id == target);
+    let mut on_path = |b: &Block| visit::block_holds(b, &is_target);
+    visit::CodeMut::Function(func).walk_where(&mut on_path, &mut |n| {
+        if let NodeMut::Stmt(Stmt {
+            id,
+            kind:
+                StmtKind::While(_, body) | StmtKind::DoWhile(body, _) | StmtKind::For(_, _, _, body),
+            ..
+        }) = n
+        {
+            if *id == target {
+                body.stmts_mut().insert(0, pragma_stmt(pragma));
+            }
+        }
+    });
 }
 
 /// Whether two pragmas belong to the same directive family.
@@ -795,20 +816,19 @@ fn pragma_kind_name(k: &PragmaKind) -> &'static str {
 }
 
 fn delete_pragma(p: &Program, function: &str, kind: &str) -> Option<Program> {
-    let mut out = p.clone();
-    let mut removed = false;
+    let is_match = |n: Node<'_>| {
+        matches!(n, Node::Stmt(Stmt { kind: StmtKind::Pragma(pr), .. })
+            if pragma_kind_name(&pr.kind) == kind)
+    };
     // Only inside the requested function.
-    visit::visit_function_blocks_mut(out.function_mut(function)?, &mut |b| {
-        b.stmts.retain(|s| {
-            let is_match = matches!(
-                &s.kind,
-                StmtKind::Pragma(pr) if pragma_kind_name(&pr.kind) == kind
-            );
-            removed |= is_match;
-            !is_match
-        });
+    if !visit::block_holds(p.function(function)?.body.as_ref()?, &is_match) {
+        return None;
+    }
+    let mut out = p.clone();
+    visit::visit_function_blocks_mut_where(out.function_mut(function)?, &is_match, &mut |b| {
+        b.stmts_mut().retain(|s| !is_match(Node::Stmt(s)));
     });
-    removed.then_some(out)
+    Some(out)
 }
 
 fn replace_pragma_factor(
@@ -818,36 +838,44 @@ fn replace_pragma_factor(
     var: Option<&str>,
     value: u32,
 ) -> Option<Program> {
+    // Sets the knob of a pragma of the requested kind to `value`; whether
+    // that changed it.
+    let set = |pk: &mut PragmaKind| match (pk, kind) {
+        (PragmaKind::Unroll { factor }, "unroll") if *factor != Some(value) => {
+            *factor = Some(value);
+            true
+        }
+        (PragmaKind::Pipeline { ii }, "pipeline") if *ii != Some(value) => {
+            *ii = Some(value);
+            true
+        }
+        (
+            PragmaKind::ArrayPartition {
+                var: pvar, factor, ..
+            },
+            "array_partition",
+        ) if var.map(|v| v == pvar).unwrap_or(true) && *factor != value => {
+            *factor = value;
+            true
+        }
+        _ => false,
+    };
+    let changes = |n: Node<'_>| {
+        matches!(n, Node::Stmt(Stmt { kind: StmtKind::Pragma(pr), .. })
+            if set(&mut pr.kind.clone()))
+    };
+    if !visit::block_holds(p.function(function)?.body.as_ref()?, &changes) {
+        return None;
+    }
     let mut out = p.clone();
-    let mut changed = false;
-    visit::visit_function_blocks_mut(out.function_mut(function)?, &mut |b| {
-        for s in &mut b.stmts {
-            let StmtKind::Pragma(pr) = &mut s.kind else {
-                continue;
-            };
-            match (&mut pr.kind, kind) {
-                (PragmaKind::Unroll { factor }, "unroll") if *factor != Some(value) => {
-                    *factor = Some(value);
-                    changed = true;
-                }
-                (PragmaKind::Pipeline { ii }, "pipeline") if *ii != Some(value) => {
-                    *ii = Some(value);
-                    changed = true;
-                }
-                (
-                    PragmaKind::ArrayPartition {
-                        var: pvar, factor, ..
-                    },
-                    "array_partition",
-                ) if var.map(|v| v == pvar).unwrap_or(true) && *factor != value => {
-                    *factor = value;
-                    changed = true;
-                }
-                _ => {}
+    visit::visit_function_blocks_mut_where(out.function_mut(function)?, &changes, &mut |b| {
+        for s in b.stmts_mut() {
+            if let StmtKind::Pragma(pr) = &mut s.kind {
+                set(&mut pr.kind);
             }
         }
     });
-    changed.then_some(out)
+    Some(out)
 }
 
 /// Gives each subsequent task reading `var` its own copy: declares
@@ -867,7 +895,7 @@ fn duplicate_array_arg(p: &Program, function: &str, var: &str) -> Option<Program
     let keep = if is_param { 1 } else { 2 };
     let mut seen = 0usize;
     let mut rewrites: Vec<(NodeId, usize)> = Vec::new(); // (stmt id, arg pos)
-    for s in &body.stmts {
+    for s in body.stmts() {
         if let StmtKind::Expr(e) = &s.kind {
             if let ExprKind::Call(_, args) = &e.kind {
                 for (k, a) in args.iter().enumerate() {
@@ -932,11 +960,12 @@ fn duplicate_array_arg(p: &Program, function: &str, var: &str) -> Option<Program
         );
         // Redirect the argument.
         let mut done = false;
-        visit::visit_blocks_mut(&mut out, &mut |b| {
+        let is_call = |n: Node<'_>| matches!(n, Node::Stmt(s) if s.id == *stmt_id);
+        visit::visit_blocks_mut_where(&mut out, &is_call, &mut |b| {
             if done {
                 return;
             }
-            for s in &mut b.stmts {
+            for s in b.stmts_mut() {
                 if s.id != *stmt_id {
                     continue;
                 }

@@ -19,12 +19,7 @@ pub fn pointer_to_index(p: &Program, struct_name: &str, capacity: u64) -> Option
     let ptr_ty = Type::ptr(Type::Struct(struct_name.to_string()));
     // Is there anything to do?
     let mut uses_ptr = false;
-    let mut probe = p.clone();
-    visit::visit_types_mut(&mut probe, &mut |t| {
-        if *t == ptr_ty {
-            uses_ptr = true;
-        }
-    });
+    visit::visit_types(p, &mut |t| uses_ptr |= *t == ptr_ty);
     if !uses_ptr {
         return None;
     }

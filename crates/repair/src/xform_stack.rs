@@ -32,7 +32,7 @@ pub fn stack_trans(p: &Program, function: &str, capacity: u64) -> Option<Program
         }
     }
     let body = f.body.clone()?;
-    let stmts = normalize_guard(function, body.stmts);
+    let stmts = normalize_guard(function, body.into_stmts());
 
     // Split into segments at top-level recursive calls; reject nested ones.
     let mut segments: Vec<Vec<Stmt>> = vec![Vec::new()];
@@ -279,9 +279,7 @@ pub fn stack_trans(p: &Program, function: &str, capacity: u64) -> Option<Program
         .insert(fpos, Item::Define(cap_def, capacity.max(4) as i128));
     out.items
         .insert(fpos + 1, Item::Struct(Arc::new(frame_def)));
-    if let Item::Function(g) = &mut out.items[fpos + 2] {
-        Arc::make_mut(g).body = Some(Block::new(driver));
-    }
+    out.function_mut(function)?.body = Some(Block::new(driver));
     out.renumber_synthesized();
     Some(out)
 }
@@ -297,7 +295,7 @@ fn normalize_guard(function: &str, stmts: Vec<Stmt>) -> Vec<Stmt> {
         let rewrite = match &last.kind {
             StmtKind::If(_, then, None) => {
                 let mut has_rec = false;
-                for s in &then.stmts {
+                for s in then.stmts() {
                     visit::walk_stmt_exprs(s, &mut |e| {
                         if matches!(&e.kind, ExprKind::Call(n, _) if n == function) {
                             has_rec = true;
@@ -320,7 +318,7 @@ fn normalize_guard(function: &str, stmts: Vec<Stmt>) -> Vec<Stmt> {
             Block::new(vec![Stmt::synth(StmtKind::Return(None))]),
             None,
         )));
-        stmts.extend(then.stmts);
+        stmts.extend(then.into_stmts());
     }
 }
 
@@ -446,7 +444,7 @@ fn rewrite_block(
     sp: &str,
 ) -> Block {
     Block::new(
-        b.stmts
+        b.into_stmts()
             .into_iter()
             .map(|s| rewrite_stmt(s, frame_vars, frame_access, sp))
             .collect(),

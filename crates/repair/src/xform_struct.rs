@@ -121,7 +121,7 @@ pub fn inst_update(p: &Program, struct_name: &str) -> Option<Program> {
 fn rewrite_sibling_calls(b: &mut Block, def: &StructDef) {
     let method_names: Vec<String> = def.methods.iter().map(|m| m.name.clone()).collect();
     let field_names: Vec<String> = def.fields.iter().map(|f| f.name.clone()).collect();
-    for s in &mut b.stmts {
+    for s in b.stmts_mut() {
         sibling::rewrite(s, &def.name, &method_names, &field_names);
     }
 }

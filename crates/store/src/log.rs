@@ -24,8 +24,9 @@ pub const MAGIC: [u8; 8] = *b"HGSTORE\0";
 
 /// File-format version. Bump on any layout change; [`replay`] refuses
 /// mismatches with a typed error rather than guessing. Version 2 dropped
-/// the execution engine from verdict keys.
-pub const SCHEMA_VERSION: u32 = 2;
+/// the execution engine from verdict keys; version 3 keys by the program
+/// fingerprints folded from block digests.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Bytes of file header (magic + version).
 pub const FILE_HEADER_LEN: usize = MAGIC.len() + 4;
