@@ -455,7 +455,7 @@ fn run_toolchain(opts: &CommonOpts) {
 /// without perturbing the outcome: same applied edits, same stats, same
 /// best program, bit-identical latency.
 fn run_chaos(opts: &CommonOpts) {
-    use heterogen_faults::FaultPlan;
+    use heterogen_faults::{FaultPlan, NoFaults};
 
     let id = opts.subject.as_deref().unwrap_or("P3");
     let s = load_subject(id);
@@ -476,7 +476,7 @@ fn run_chaos(opts: &CommonOpts) {
         .build();
 
     let base_sink = JsonlSink::new();
-    let base = repair::repair_traced(
+    let base = repair::repair_persistent(
         &p,
         broken.clone(),
         s.kernel,
@@ -484,6 +484,9 @@ fn run_chaos(opts: &CommonOpts) {
         &fr.profile,
         &sc,
         &base_sink,
+        &NoFaults,
+        &SimBackend::default_profile(),
+        None,
     )
     .unwrap_or_else(|e| {
         eprintln!("{id}: baseline repair failed: {e}");
@@ -519,7 +522,7 @@ fn run_chaos(opts: &CommonOpts) {
     // expected panic does not splat a backtrace over the report.
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let r = repair::repair_resilient(
+    let r = repair::repair_persistent(
         &p,
         broken,
         s.kernel,
@@ -528,6 +531,8 @@ fn run_chaos(opts: &CommonOpts) {
         &sc,
         &NullSink,
         &plan,
+        &SimBackend::default_profile(),
+        None,
     );
     std::panic::set_hook(hook);
     let r = r.unwrap_or_else(|e| {

@@ -17,7 +17,7 @@ use minic::ast::{Block, Function, Item, NodeId, Program, Stmt};
 use minic::visit::{self, Child};
 use minic_exec::{ArgValue, Profile};
 use repair::localize::resize_edits;
-use repair::{candidate_edits, performance_edits, RepairEdit};
+use repair::{candidate_edits, performance_edits, EditKind, RepairEdit};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -64,34 +64,84 @@ fn check_edits(what: &str, p: &Program, profile: &Profile) -> usize {
         }
         confined += 1;
         assert_eq!(child.items.len(), p.items.len(), "{what}: {edit:?}");
-        let mut unshared = 0;
-        for (parent_item, child_item) in p.items.iter().zip(&child.items) {
-            let shared = match (parent_item, child_item) {
-                (Item::Function(a), Item::Function(b)) => Arc::ptr_eq(a, b),
-                (Item::Struct(a), Item::Struct(b)) => Arc::ptr_eq(a, b),
-                _ => continue,
-            };
-            if !shared {
-                unshared += 1;
-                assert!(
-                    parent_item != child_item,
-                    "{what}: {edit:?} copied an item it left unchanged"
-                );
-                // Inside the copied item, a block is copied only if it
-                // changed: it is on the path to what the edit rewrote.
-                let (before, after) = (item_blocks(parent_item), item_blocks(child_item));
-                assert_eq!(before.len(), after.len(), "{what}: {edit:?}");
-                for (a, b) in before.iter().zip(&after) {
-                    assert!(
-                        a.shares_stmts_with(b) || a != b,
-                        "{what}: {edit:?} copied a block off its path"
-                    );
-                }
-            }
-        }
-        assert_eq!(unshared, 1, "{what}: {edit:?} must copy exactly one item");
+        let copied = copied_items(&format!("{what}: {edit:?}"), p, &child);
+        assert_eq!(copied, 1, "{what}: {edit:?} must copy exactly one item");
     }
     confined
+}
+
+/// Checks that `child` shares with `parent` every function or struct it
+/// left unchanged and, inside each one it copied, every block it left
+/// unchanged: a block is copied only on the path to what the edit
+/// rewrote. Items pair up by name; items the edit added are skipped.
+/// Returns how many items were copied.
+fn copied_items(what: &str, parent: &Program, child: &Program) -> usize {
+    let name = |item: &Item| match item {
+        Item::Function(f) => Some(f.name.clone()),
+        Item::Struct(s) => Some(s.name.clone()),
+        _ => None,
+    };
+    let mut copied = 0;
+    for child_item in &child.items {
+        let Some(parent_item) = name(child_item)
+            .and_then(|n| parent.items.iter().find(|i| name(i).as_ref() == Some(&n)))
+        else {
+            continue;
+        };
+        let shared = match (parent_item, child_item) {
+            (Item::Function(a), Item::Function(b)) => Arc::ptr_eq(a, b),
+            (Item::Struct(a), Item::Struct(b)) => Arc::ptr_eq(a, b),
+            _ => continue,
+        };
+        if shared {
+            continue;
+        }
+        copied += 1;
+        assert!(
+            parent_item != child_item,
+            "{what} copied an item it left unchanged"
+        );
+        let (before, after) = (item_blocks(parent_item), item_blocks(child_item));
+        assert_eq!(before.len(), after.len(), "{what}");
+        for (a, b) in before.iter().zip(&after) {
+            assert!(
+                a.shares_stmts_with(b) || a != b,
+                "{what} copied a block off its path"
+            );
+        }
+    }
+    copied
+}
+
+/// Checks the sharing rules on the whole-program expression rewrites where
+/// they apply to `p`: `pointer_to_index`, and `inst_update` on the program
+/// `flatten` leaves. Returns the kinds of the rewrites that applied.
+fn check_rewrites(what: &str, p: &Program, profile: &Profile) -> Vec<EditKind> {
+    let mut applied = Vec::new();
+    for edit in candidate_edits(p, &hls_sim::check_program(p), profile) {
+        let (parent, rewrite) = match &edit {
+            RepairEdit::PointerToIndex { .. } => (p.clone(), edit.clone()),
+            RepairEdit::Flatten { struct_name } => match edit.apply(p) {
+                Some(flat) => (
+                    flat,
+                    RepairEdit::InstUpdate {
+                        struct_name: struct_name.clone(),
+                    },
+                ),
+                None => continue,
+            },
+            _ => continue,
+        };
+        let before = observables(&parent);
+        let Some(child) = rewrite.apply(&parent) else {
+            continue;
+        };
+        let what = format!("{what}: {rewrite:?}");
+        assert!(observables(&parent) == before, "{what} changed its parent");
+        assert!(copied_items(&what, &parent, &child) >= 1, "{what}");
+        applied.push(rewrite.kind_enum());
+    }
+    applied
 }
 
 /// Every block of a function or struct item, in walk order.
@@ -128,9 +178,15 @@ fn item_blocks(item: &Item) -> Vec<&Block> {
 fn edits_leave_the_parent_alone_and_copy_only_what_they_rewrite() {
     let cfg = bench::standard_config();
     let mut confined = 0;
+    let mut rewrites = Vec::new();
     for s in benchsuite::subjects() {
         let (_, fuzz, initial) = bench::fuzz_subject(&s, &cfg.fuzz);
         confined += check_edits(&format!("{} initial", s.id), &initial, &fuzz.profile);
+        rewrites.extend(check_rewrites(
+            &format!("{} initial", s.id),
+            &initial,
+            &fuzz.profile,
+        ));
         let report = bench::run_subject(&s, &cfg);
         confined += check_edits(
             &format!("{} repaired", s.id),
@@ -139,6 +195,9 @@ fn edits_leave_the_parent_alone_and_copy_only_what_they_rewrite() {
         );
     }
     assert!(confined > 200, "only {confined} pragma edits applied");
+    for kind in [EditKind::PointerToIndex, EditKind::InstUpdate] {
+        assert!(rewrites.contains(&kind), "{kind:?} never applied");
+    }
 }
 
 /// A statement or expression id that appears in two functions (struct

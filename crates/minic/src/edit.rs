@@ -145,7 +145,8 @@ pub fn add_global(p: &mut Program, decl: VarDecl) {
 /// Renames every direct call of `old` to `new` (definitions untouched).
 pub fn rename_calls(p: &mut Program, old: &str, new: &str) -> usize {
     let mut count = 0;
-    visit::visit_exprs_mut(p, &mut |e| {
+    let calls_old = |e: &Expr| matches!(&e.kind, ExprKind::Call(name, _) if name == old);
+    visit::visit_exprs_mut_where(p, &calls_old, &mut |e| {
         if let ExprKind::Call(name, _) = &mut e.kind {
             if name == old {
                 *name = new.to_string();

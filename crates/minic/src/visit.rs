@@ -483,15 +483,6 @@ pub fn visit_function_exprs(func: &Function, f: &mut dyn FnMut(&Expr)) {
     });
 }
 
-/// Mutable variant of [`visit_exprs`].
-pub fn visit_exprs_mut(p: &mut Program, f: &mut dyn FnMut(&mut Expr)) {
-    walk_program_mut(p, &mut |n| {
-        if let NodeMut::Expr(e) = n {
-            walk_expr_mut(e, f);
-        }
-    });
-}
-
 /// [`walk_program_mut`] over only the items and blocks that hold a node
 /// `hit` accepts, found by a read-only walk first: every other item and
 /// block stays shared. `f` sees every node of the blocks it enters, and an
@@ -514,8 +505,10 @@ fn walk_program_mut_where(
     }
 }
 
-/// [`visit_exprs_mut`] over only the items and blocks that hold an
-/// expression `hit` accepts (see [`CodeMut::walk_where`]).
+/// Mutable form of [`visit_exprs`], over only the items and blocks that
+/// hold an expression `hit` accepts (see [`CodeMut::walk_where`]): `f` sees
+/// every expression of the blocks it enters, and an entered item's
+/// initializers, outermost first.
 pub fn visit_exprs_mut_where(
     p: &mut Program,
     hit: &dyn Fn(&Expr) -> bool,
@@ -588,46 +581,73 @@ pub fn visit_function_blocks_mut_where(
 /// [`visit_types_mut`] visits them.
 pub fn visit_types(p: &Program, f: &mut dyn FnMut(&Type)) {
     for item in &p.items {
-        match item {
-            Item::Struct(s) => {
-                for fld in &s.fields {
-                    f(&fld.ty);
-                }
-                for par in s.ctor.iter().flat_map(|c| &c.params) {
-                    f(&par.ty);
-                }
-            }
-            Item::Global(g) => f(&g.ty),
-            Item::Typedef(_, t) => f(t),
-            _ => {}
-        }
-        for code in item_code(item) {
-            if let Code::Function(func) = code {
-                f(&func.ret);
-                for par in &func.params {
-                    f(&par.ty);
-                }
-            }
-            code.walk(&mut |n| match n {
-                Node::Stmt(Stmt {
-                    kind: StmtKind::Decl(d),
-                    ..
-                }) => f(&d.ty),
-                Node::Expr(e) => walk_expr(e, &mut |e| {
-                    if let ExprKind::Cast(t, _) | ExprKind::SizeOf(t) = &e.kind {
-                        f(t);
-                    }
-                }),
-                _ => {}
-            });
-        }
+        item_types(item, f);
     }
 }
 
-/// Visits every declared type in the program with mutation: globals, locals,
-/// parameters, returns, fields, typedefs and cast targets.
-pub fn visit_types_mut(p: &mut Program, f: &mut dyn FnMut(&mut Type)) {
+/// Visits every declared type of one item (see [`visit_types`]).
+fn item_types(item: &Item, f: &mut dyn FnMut(&Type)) {
+    match item {
+        Item::Struct(s) => {
+            for fld in &s.fields {
+                f(&fld.ty);
+            }
+            for par in s.ctor.iter().flat_map(|c| &c.params) {
+                f(&par.ty);
+            }
+        }
+        Item::Global(g) => f(&g.ty),
+        Item::Typedef(_, t) => f(t),
+        _ => {}
+    }
+    for code in item_code(item) {
+        if let Code::Function(func) = code {
+            f(&func.ret);
+            for par in &func.params {
+                f(&par.ty);
+            }
+        }
+        code.walk(&mut |n| node_types(n, f));
+    }
+}
+
+/// Visits the types one statement-walk node declares or casts to: a
+/// declaration's type, and the cast and `sizeof` targets in an expression.
+fn node_types(n: Node<'_>, f: &mut dyn FnMut(&Type)) {
+    match n {
+        Node::Stmt(Stmt {
+            kind: StmtKind::Decl(d),
+            ..
+        }) => f(&d.ty),
+        Node::Expr(e) => walk_expr(e, &mut |e| {
+            if let ExprKind::Cast(t, _) | ExprKind::SizeOf(t) = &e.kind {
+                f(t);
+            }
+        }),
+        _ => {}
+    }
+}
+
+/// Visits with mutation, in the order [`visit_types`] reads them, the
+/// declared types `hit` accepts, copying only the items and blocks that
+/// hold one: every other item and block stays shared.
+pub fn visit_types_mut(p: &mut Program, hit: &dyn Fn(&Type) -> bool, f: &mut dyn FnMut(&mut Type)) {
+    let mut f = |t: &mut Type| {
+        if hit(t) {
+            f(t);
+        }
+    };
+    let declares = |n: Node<'_>| {
+        let mut held = false;
+        node_types(n, &mut |t| held = held || hit(t));
+        held
+    };
     for item in &mut p.items {
+        let mut held = false;
+        item_types(item, &mut |t| held = held || hit(t));
+        if !held {
+            continue;
+        }
         match item {
             Item::Struct(s) => {
                 let s = Arc::make_mut(s);
@@ -649,7 +669,7 @@ pub fn visit_types_mut(p: &mut Program, f: &mut dyn FnMut(&mut Type)) {
                     f(&mut par.ty);
                 }
             }
-            code.walk(&mut |n| match n {
+            code.walk_where(&mut |b| block_holds(b, &declares), &mut |n| match n {
                 NodeMut::Stmt(Stmt {
                     kind: StmtKind::Decl(d),
                     ..
@@ -743,7 +763,8 @@ mod tests {
     #[test]
     fn rewrites_identifiers() {
         let mut p = parse("int f(int a) { return a + a; }").unwrap();
-        visit_exprs_mut(&mut p, &mut |e| {
+        let is_a = |e: &Expr| matches!(&e.kind, ExprKind::Ident(n) if n == "a");
+        visit_exprs_mut_where(&mut p, &is_a, &mut |e| {
             if let ExprKind::Ident(n) = &mut e.kind {
                 if n == "a" {
                     *n = "b".to_string();
@@ -759,10 +780,8 @@ mod tests {
         let mut p =
             parse("long double g; long double f(long double a) { long double b = a; return b; }")
                 .unwrap();
-        visit_types_mut(&mut p, &mut |t| {
-            if *t == crate::Type::LongDouble {
-                *t = crate::Type::Double;
-            }
+        visit_types_mut(&mut p, &|t| *t == crate::Type::LongDouble, &mut |t| {
+            *t = crate::Type::Double;
         });
         let s = crate::print_program(&p);
         assert!(!s.contains("long double"), "{s}");
@@ -897,7 +916,7 @@ mod tests {
                 }
             }
         });
-        visit_exprs_mut(&mut q, &mut |e| e.id = NodeId::SYNTH);
+        visit_exprs_mut_where(&mut q, &|_| true, &mut |e| e.id = NodeId::SYNTH);
         q.renumber_synthesized();
         assert_eq!(
             stmts(&q),
@@ -929,7 +948,7 @@ mod tests {
         let mut read = Vec::new();
         visit_types(&p, &mut |t| read.push(t.clone()));
         let mut written = Vec::new();
-        visit_types_mut(&mut p, &mut |t| written.push(t.clone()));
+        visit_types_mut(&mut p, &|_| true, &mut |t| written.push(t.clone()));
         assert_eq!(read, written);
         assert!(read.len() > 15, "{}", read.len());
         assert!(read.contains(&crate::Type::LongDouble));

@@ -5,8 +5,8 @@
 //! compared. "HeteroGen computes the ratio of tests that have identical
 //! behavior, and compares the simulation latency … between CPU and FPGA."
 
-use heterogen_faults::{FaultInjector, ResilienceStats, RetryPolicy};
-use heterogen_toolchain::{Resilient, SimBackend, Toolchain};
+use heterogen_faults::{FaultInjector, NoFaults, ResilienceStats, RetryPolicy};
+use heterogen_toolchain::{Resilient, SimBackend, Simulated, Toolchain, ToolchainError};
 use heterogen_trace::{Event, NullSink, TraceSink};
 use minic::Program;
 use minic_exec::{CpuCostModel, ExecEngine, MachineConfig, Outcome, Prepared};
@@ -136,101 +136,42 @@ impl DifferentialTester {
     }
 
     /// Simulates a candidate on the FPGA side and compares against the
-    /// reference. Tests run on the tester's worker pool; the pass count
-    /// and latency sum are folded in test order, so the report does not
-    /// depend on the thread count.
+    /// reference: [`DifferentialTester::evaluate_with`] on the default
+    /// backend (simulating on the tester's engine), with no faults and no
+    /// trace.
     pub fn evaluate(&self, candidate: &Program) -> DiffReport {
-        self.evaluate_traced(candidate, &NullSink)
+        let backend = SimBackend::default_profile().with_engine(self.engine);
+        let retry = RetryPolicy::default();
+        self.evaluate_with(&backend, candidate, &NullSink, &NoFaults, &retry, 0, 0.0)
+            .0
     }
 
-    /// Like [`DifferentialTester::evaluate`], additionally emitting one
-    /// [`Event::DiffEvaluated`] on `sink` once the in-order fold finishes.
-    /// The event is emitted from the calling thread after the merge, so the
-    /// stream is identical for every thread count. Generic over the sink so
-    /// the `NullSink` instantiation behind [`DifferentialTester::evaluate`]
-    /// compiles the emission away.
-    pub fn evaluate_traced<S: TraceSink + ?Sized>(
-        &self,
-        candidate: &Program,
-        sink: &S,
-    ) -> DiffReport {
-        self.evaluate_with(
-            &SimBackend::default_profile().with_engine(self.engine),
-            candidate,
-            sink,
-        )
-    }
-
-    /// Like [`DifferentialTester::evaluate_traced`], simulating on an
-    /// arbitrary [`Toolchain`] backend. The candidate is prepared once
-    /// through [`Toolchain::co_simulator`] and every test runs against that
-    /// preparation. A backend that cannot simulate the candidate at all (or
-    /// fails a test's invocation) scores that test as failing, exactly as
-    /// the default backend does for an unsimulatable design.
-    pub fn evaluate_with<B, S>(&self, backend: &B, candidate: &Program, sink: &S) -> DiffReport
-    where
-        B: Toolchain + ?Sized,
-        S: TraceSink + ?Sized,
-    {
-        let report = self.evaluate_inner(backend, candidate);
-        if sink.enabled() {
-            sink.emit(&Event::DiffEvaluated {
-                tests: self.tests.len() as u64,
-                pass_ratio: report.pass_ratio,
-                fpga_latency_ms: report.fpga_latency_ms,
-            });
-        }
-        report
-    }
-
-    /// Like [`DifferentialTester::evaluate_traced`], but runs every test
-    /// through a fault injector: transient simulator faults (including fuel
-    /// spikes) are retried on the worker under `retry`'s schedule, and a
-    /// test whose faults persist — a permanent fault, or a transient that
-    /// outlives the retry budget — degrades to a failing test instead of
-    /// aborting the evaluation.
+    /// Differentially tests `candidate` on `backend`, through the
+    /// [`Resilient`] middleware: the candidate is prepared once through
+    /// [`Toolchain::co_simulator`], every test runs against that
+    /// preparation on the tester's worker pool, and the results are merged
+    /// in test order, so the report does not depend on the thread count. A
+    /// candidate the backend cannot simulate, or a test whose simulation
+    /// fails, scores as failing. One [`Event::DiffEvaluated`] is emitted on
+    /// `sink` after the merge.
     ///
     /// Each test's injector key is `mix_key(key, test_index)`, so fault
-    /// decisions depend only on the candidate fingerprint and the test's
-    /// position, never on scheduling. Workers return their absorbed fault
-    /// counts; the calling thread replays them — resilience counters,
-    /// backoff ledger, and trace events — during the in-order merge, so the
-    /// trace stream and the returned [`ResilienceStats`] are identical for
-    /// every thread count. `at_min` timestamps the replayed events with the
-    /// caller's simulated clock; backoff delays are billed to
-    /// [`ResilienceStats::backoff_min`], not to that clock, so a
-    /// transient-recovered run keeps the fault-free clock trajectory.
-    pub fn evaluate_resilient<S, I>(
-        &self,
-        candidate: &Program,
-        sink: &S,
-        injector: &I,
-        retry: &RetryPolicy,
-        key: u64,
-        at_min: f64,
-    ) -> (DiffReport, ResilienceStats)
-    where
-        S: TraceSink + ?Sized,
-        I: FaultInjector + ?Sized,
-    {
-        self.evaluate_resilient_with(
-            &SimBackend::default_profile().with_engine(self.engine),
-            candidate,
-            sink,
-            injector,
-            retry,
-            key,
-            at_min,
-        )
-    }
-
-    /// Like [`DifferentialTester::evaluate_resilient`], simulating on an
-    /// arbitrary [`Toolchain`] backend. Workers evaluate through the
-    /// [`Resilient`] middleware (injector consultation + transient retry);
-    /// the calling thread replays the absorbed faults during the in-order
-    /// merge exactly as the default-backend path does.
+    /// decisions depend only on `key` (the candidate fingerprint) and the
+    /// test's position, never on scheduling. Transient simulator faults
+    /// (including fuel spikes) are retried on the worker under `retry`'s
+    /// schedule; a test whose faults persist — a permanent fault, or a
+    /// transient that outlives the retry budget — degrades to a failing
+    /// test instead of aborting the evaluation. Workers return their
+    /// absorbed fault counts, and the calling thread replays them —
+    /// resilience counters, backoff ledger and trace events — during the
+    /// merge, so the trace stream and the returned [`ResilienceStats`] are
+    /// identical for every thread count. `at_min` timestamps the replayed
+    /// events with the caller's simulated clock; backoff delays are billed
+    /// to [`ResilienceStats::backoff_min`], not to that clock. Faults are
+    /// replayed only when `injector` is enabled: without one, a failed
+    /// simulation (a drained backend, say) is a failing test, not a fault.
     #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_resilient_with<B, S, I>(
+    pub fn evaluate_with<B, S, I>(
         &self,
         backend: &B,
         candidate: &Program,
@@ -245,156 +186,152 @@ impl DifferentialTester {
         S: TraceSink + ?Sized,
         I: FaultInjector + ?Sized,
     {
-        if !injector.enabled() {
-            return (
-                self.evaluate_with(backend, candidate, sink),
-                ResilienceStats::default(),
-            );
-        }
-        if !backend.can_simulate(candidate) {
-            let report = DiffReport {
+        let mut stats = ResilienceStats::default();
+        let report = if backend.can_simulate(candidate) {
+            let resilient = Resilient::new(backend, injector, *retry);
+            let runs: Vec<TestRun> = match resilient.co_simulator(candidate) {
+                Ok(cosim) => parallel::parallel_map(self.threads, &self.tests, |i, t| {
+                    let test_key = heterogen_faults::mix_key(key, i as u64);
+                    self.test_run(i, cosim.run(t, test_key))
+                }),
+                // Only a disabled injector hands the inner preparation's
+                // error back here; every test fails as its run would.
+                Err(e) => (0..self.tests.len())
+                    .map(|i| self.test_run(i, Err(e.clone())))
+                    .collect(),
+            };
+            let mut passed = 0usize;
+            let mut latency = 0.0;
+            for (i, run) in runs.iter().enumerate() {
+                if injector.enabled() {
+                    let test_key = heterogen_faults::mix_key(key, i as u64);
+                    replay_faults(sink, retry, &mut stats, run, test_key, at_min);
+                }
+                if let Some((ok, ms)) = run.measured {
+                    if ok {
+                        passed += 1;
+                    }
+                    latency += ms;
+                }
+            }
+            DiffReport {
+                pass_ratio: passed as f64 / self.tests.len() as f64,
+                fpga_latency_ms: latency / self.tests.len() as f64,
+            }
+        } else {
+            DiffReport {
                 pass_ratio: 0.0,
                 fpga_latency_ms: f64::INFINITY,
-            };
-            if sink.enabled() {
-                sink.emit(&Event::DiffEvaluated {
-                    tests: self.tests.len() as u64,
-                    pass_ratio: report.pass_ratio,
-                    fpga_latency_ms: report.fpga_latency_ms,
-                });
             }
-            return (report, ResilienceStats::default());
-        }
-        let resilient = Resilient::new(backend, injector, *retry);
-
-        // End states a worker can reach: success, transient faults that
-        // outlived the retry budget, or a permanent fault.
-        const OK: u8 = 0;
-        const EXHAUSTED: u8 = 1;
-        const PERMANENT: u8 = 2;
-        /// One worker's result: the measured `(behaviour_eq, latency_ms)`
-        /// on success, the transients absorbed, and the end state.
-        type TestRun = (Option<(bool, f64)>, u32, u8);
-        let runs: Vec<TestRun> = parallel::parallel_map(self.threads, &self.tests, |i, t| {
-            let test_key = heterogen_faults::mix_key(key, i as u64);
-            match resilient.simulate(candidate, t, test_key) {
-                Ok(sim) => (
-                    Some((
-                        self.reference[i].behaviour_eq(&sim.result.outcome),
-                        sim.result.estimate.latency_ms,
-                    )),
-                    sim.transients,
-                    OK,
-                ),
-                Err(e) if e.is_exhausted() => (None, e.absorbed_transients(), EXHAUSTED),
-                Err(e) => (None, e.absorbed_transients(), PERMANENT),
-            }
-        });
-
-        let mut stats = ResilienceStats::default();
-        let mut passed = 0usize;
-        let mut latency = 0.0;
-        for (i, (result, transients, end)) in runs.iter().enumerate() {
-            let test_key = heterogen_faults::mix_key(key, i as u64);
-            for a in 0..*transients {
-                stats.transient_faults += 1;
-                if sink.enabled() {
-                    sink.emit(&Event::FaultInjected {
-                        site: "hls_sim".to_string(),
-                        fault: "transient".to_string(),
-                        fingerprint: test_key,
-                        attempt: u64::from(a),
-                        at_min,
-                    });
-                }
-                // The worker only kept retrying while the schedule granted a
-                // delay; replaying `delay_before` here reproduces exactly the
-                // retries it took (the final transient of an EXHAUSTED test
-                // gets none).
-                if let Some(delay) = retry.delay_before(a + 1) {
-                    stats.retries += 1;
-                    stats.backoff_min += delay;
-                    if sink.enabled() {
-                        sink.emit(&Event::RetryScheduled {
-                            site: "hls_sim".to_string(),
-                            fingerprint: test_key,
-                            attempt: u64::from(a + 1),
-                            delay_min: delay,
-                            at_min,
-                        });
-                    }
-                }
-            }
-            if *end != OK {
-                stats.permanent_faults += 1;
-                if *end == PERMANENT && sink.enabled() {
-                    sink.emit(&Event::FaultInjected {
-                        site: "hls_sim".to_string(),
-                        fault: "permanent".to_string(),
-                        fingerprint: test_key,
-                        attempt: u64::from(*transients),
-                        at_min,
-                    });
-                }
-            }
-            if let Some((ok, ms)) = result {
-                if *ok {
-                    passed += 1;
-                }
-                latency += ms;
-            }
-        }
-        let report = DiffReport {
-            pass_ratio: passed as f64 / self.tests.len() as f64,
-            fpga_latency_ms: latency / self.tests.len() as f64,
         };
-        if sink.enabled() {
-            sink.emit(&Event::DiffEvaluated {
-                tests: self.tests.len() as u64,
-                pass_ratio: report.pass_ratio,
-                fpga_latency_ms: report.fpga_latency_ms,
-            });
-        }
+        emit_diff(sink, self.tests.len(), &report);
         (report, stats)
     }
 
-    fn evaluate_inner<B: Toolchain + ?Sized>(
-        &self,
-        backend: &B,
-        candidate: &Program,
-    ) -> DiffReport {
-        if !backend.can_simulate(candidate) {
-            return DiffReport {
-                pass_ratio: 0.0,
-                fpga_latency_ms: f64::INFINITY,
-            };
+    /// Scores test `i`'s simulation against its reference outcome.
+    fn test_run(&self, i: usize, sim: Result<Simulated, ToolchainError>) -> TestRun {
+        match sim {
+            Ok(sim) => TestRun {
+                measured: Some((
+                    self.reference[i].behaviour_eq(&sim.result.outcome),
+                    sim.result.estimate.latency_ms,
+                )),
+                transients: sim.transients,
+                end: End::Ok,
+            },
+            Err(e) => TestRun {
+                measured: None,
+                transients: e.absorbed_transients(),
+                end: if e.is_exhausted() {
+                    End::Exhausted
+                } else {
+                    End::Permanent
+                },
+            },
         }
-        // Prepared once per candidate; a candidate that cannot be prepared
-        // fails every test, as a per-test failure would.
-        let runs: Vec<(bool, f64)> = match backend.co_simulator(candidate) {
-            Ok(cosim) => parallel::parallel_map(self.threads, &self.tests, |i, t| {
-                match cosim.run(t, i as u64) {
-                    Ok(sim) => (
-                        self.reference[i].behaviour_eq(&sim.result.outcome),
-                        sim.result.estimate.latency_ms,
-                    ),
-                    Err(_) => (false, 0.0),
-                }
-            }),
-            Err(_) => vec![(false, 0.0); self.tests.len()],
-        };
-        let mut passed = 0usize;
-        let mut latency = 0.0;
-        for (ok, ms) in runs {
-            if ok {
-                passed += 1;
+    }
+}
+
+/// One test's co-simulation, as a worker hands it to the merge.
+struct TestRun {
+    /// `(behaviour_eq, latency_ms)` when the simulation succeeded.
+    measured: Option<(bool, f64)>,
+    /// Transient faults absorbed on the way.
+    transients: u32,
+    end: End,
+}
+
+/// The end state a test's co-simulation reached.
+#[derive(PartialEq)]
+enum End {
+    Ok,
+    /// Transient faults outlived the retry budget.
+    Exhausted,
+    Permanent,
+}
+
+/// Replays one test's absorbed faults into `stats` and onto `sink`.
+fn replay_faults<S: TraceSink + ?Sized>(
+    sink: &S,
+    retry: &RetryPolicy,
+    stats: &mut ResilienceStats,
+    run: &TestRun,
+    test_key: u64,
+    at_min: f64,
+) {
+    for a in 0..run.transients {
+        stats.transient_faults += 1;
+        if sink.enabled() {
+            sink.emit(&Event::FaultInjected {
+                site: "hls_sim".to_string(),
+                fault: "transient".to_string(),
+                fingerprint: test_key,
+                attempt: u64::from(a),
+                at_min,
+            });
+        }
+        // The worker only kept retrying while the schedule granted a
+        // delay; replaying `delay_before` here reproduces exactly the
+        // retries it took (the final transient of an exhausted test gets
+        // none).
+        if let Some(delay) = retry.delay_before(a + 1) {
+            stats.retries += 1;
+            stats.backoff_min += delay;
+            if sink.enabled() {
+                sink.emit(&Event::RetryScheduled {
+                    site: "hls_sim".to_string(),
+                    fingerprint: test_key,
+                    attempt: u64::from(a + 1),
+                    delay_min: delay,
+                    at_min,
+                });
             }
-            latency += ms;
         }
-        DiffReport {
-            pass_ratio: passed as f64 / self.tests.len() as f64,
-            fpga_latency_ms: latency / self.tests.len() as f64,
+    }
+    if run.end != End::Ok {
+        stats.permanent_faults += 1;
+        if run.end == End::Permanent && sink.enabled() {
+            sink.emit(&Event::FaultInjected {
+                site: "hls_sim".to_string(),
+                fault: "permanent".to_string(),
+                fingerprint: test_key,
+                attempt: u64::from(run.transients),
+                at_min,
+            });
         }
+    }
+}
+
+/// Emits the one [`Event::DiffEvaluated`] of a differential report over
+/// `tests` tests: after a live evaluation's merge, or when the repair
+/// search replays a stored or tested-ahead report.
+pub(crate) fn emit_diff<S: TraceSink + ?Sized>(sink: &S, tests: usize, report: &DiffReport) {
+    if sink.enabled() {
+        sink.emit(&Event::DiffEvaluated {
+            tests: tests as u64,
+            pass_ratio: report.pass_ratio,
+            fpga_latency_ms: report.fpga_latency_ms,
+        });
     }
 }
 

@@ -35,7 +35,7 @@ pub use diff::{DiffReport, DifferentialTester};
 pub use localize::candidate_edits;
 pub use script::{EditKind, EditScript, FixPattern, PatternEdit, ScriptEdit};
 pub use search::{
-    performance_edits, repair, repair_persistent, repair_resilient, repair_traced,
-    repair_with_backend, RepairOutcome, SearchConfig, SearchConfigBuilder, SearchStats, SearchStop,
+    performance_edits, repair, repair_persistent, RepairOutcome, SearchConfig, SearchConfigBuilder,
+    SearchStats, SearchStop,
 };
 pub use templates::{RepairEdit, ResizeTarget};

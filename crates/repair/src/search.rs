@@ -49,7 +49,7 @@
 //!    reached — and persists that verdict too.
 
 use crate::deps;
-use crate::diff::{DiffReport, DifferentialTester};
+use crate::diff::{emit_diff, DiffReport, DifferentialTester};
 use crate::localize::{candidate_edits, resize_edits};
 use crate::script::{EditKind, EditScript, FixPattern, ScriptEdit};
 use crate::templates::{RepairEdit, ResizeTarget};
@@ -399,7 +399,9 @@ enum Planned {
     },
 }
 
-/// Runs the repair search.
+/// Runs the repair search on the default backend, with no trace, no
+/// faults and no store: [`repair_persistent`] with [`NullSink`],
+/// [`NoFaults`], [`SimBackend::default_profile`] and `None`.
 ///
 /// `original` is the reference for differential testing; `broken` is the
 /// initial HLS version (estimated types); `kernel` the kernel function
@@ -417,44 +419,37 @@ pub fn repair(
     profile: &Profile,
     cfg: &SearchConfig,
 ) -> Result<RepairOutcome, String> {
-    repair_traced(original, broken, kernel, tests, profile, cfg, &NullSink)
-}
-
-/// Like [`repair`], additionally reporting structured [`Event`]s on `sink`.
-///
-/// Events are emitted exclusively from the merge phase (the caller thread's
-/// sequential accounting) — never from worker threads — so for a fixed
-/// input the stream is byte-identical at every `cfg.threads` setting. Every
-/// attempted edit yields exactly one [`Event::CandidateEvaluated`] in merge
-/// order; billed toolchain invocations additionally yield
-/// [`Event::FullCompile`] / [`Event::StyleReject`], and edits joining a
-/// live search path yield [`Event::EditApplied`].
-///
-/// The sink is a generic parameter (not `&dyn`) so that [`repair`]'s
-/// `NullSink` instantiation compiles every emission site away; dynamic
-/// callers pass `S = dyn TraceSink`.
-///
-/// # Errors
-///
-/// Fails when the reference itself cannot be executed.
-pub fn repair_traced<S: TraceSink + ?Sized>(
-    original: &Program,
-    broken: Program,
-    kernel: &str,
-    tests: &[TestCase],
-    profile: &Profile,
-    cfg: &SearchConfig,
-    sink: &S,
-) -> Result<RepairOutcome, String> {
-    repair_resilient(
-        original, broken, kernel, tests, profile, cfg, sink, &NoFaults,
+    repair_persistent(
+        original,
+        broken,
+        kernel,
+        tests,
+        profile,
+        cfg,
+        &NullSink,
+        &NoFaults,
+        &SimBackend::default_profile(),
+        None,
     )
 }
 
-/// Like [`repair_traced`], additionally threading every toolchain invocation
-/// through a [`FaultInjector`].
+/// Runs the repair search (see [`repair`] for the first six parameters),
+/// reporting structured [`Event`]s on `sink`, threading every toolchain
+/// invocation through `injector`, evaluating on `backend`, and checking
+/// (and populating) a durable [`VerdictStore`] before the retry layer.
 ///
-/// Resilience semantics:
+/// **Tracing.** Events are emitted exclusively from the merge phase (the
+/// caller thread's sequential accounting) — never from worker threads — so
+/// for a fixed input the stream is byte-identical at every `cfg.threads`
+/// setting. Every attempted edit yields exactly one
+/// [`Event::CandidateEvaluated`] in merge order; billed toolchain
+/// invocations additionally yield [`Event::FullCompile`] /
+/// [`Event::StyleReject`], and edits joining a live search path yield
+/// [`Event::EditApplied`]. The sink is a generic parameter (not `&dyn`) so
+/// that a `NullSink` instantiation compiles every emission site away;
+/// dynamic callers pass `S = dyn TraceSink`.
+///
+/// **Resilience.**
 ///
 /// * a **poisoned** (panicking) candidate is isolated with `catch_unwind`,
 ///   billed exactly what its fault-free evaluation would have cost, recorded
@@ -472,86 +467,22 @@ pub fn repair_traced<S: TraceSink + ?Sized>(
 /// fingerprint merges exactly once, so the injected schedule is reproducible
 /// at any `cfg.threads` setting.
 ///
-/// # Errors
+/// **Backend.** Every style check, full compile, and co-simulation goes
+/// through `backend`, wrapped in the middleware stack
+/// `Persisted(Resilient(backend))`. The stack emits nothing; all events come
+/// from the merge phase's sequential accounting, so the observable
+/// behaviour on [`SimBackend::default_profile`] is byte-identical to the
+/// pre-backend direct-call pipeline. Billing constants come from
+/// [`Toolchain::cost_model`], so a slower backend consumes the simulated
+/// budget faster.
 ///
-/// Fails when the reference itself cannot be executed.
-#[allow(clippy::too_many_arguments)]
-pub fn repair_resilient<S, I>(
-    original: &Program,
-    broken: Program,
-    kernel: &str,
-    tests: &[TestCase],
-    profile: &Profile,
-    cfg: &SearchConfig,
-    sink: &S,
-    injector: &I,
-) -> Result<RepairOutcome, String>
-where
-    S: TraceSink + ?Sized,
-    I: FaultInjector + ?Sized,
-{
-    repair_with_backend(
-        original,
-        broken,
-        kernel,
-        tests,
-        profile,
-        cfg,
-        sink,
-        injector,
-        &SimBackend::default_profile(),
-    )
-}
-
-/// Like [`repair_resilient`], generic over the [`Toolchain`] backend the
-/// search drives.
-///
-/// Every style check, full compile, and co-simulation goes through
-/// `backend`. Candidate evaluations are wrapped in the middleware stack
-/// `Persisted(Resilient(backend))` — here with no store attached, so only
-/// fault consultation + transient retry are live. The stack emits nothing;
-/// all events come from the merge phase's sequential accounting, so the
-/// observable behaviour is byte-identical to the pre-backend direct-call
-/// pipeline when `backend` is [`SimBackend::default_profile`]. Billing
-/// constants come from [`Toolchain::cost_model`], so a slower backend
-/// consumes the simulated budget faster.
-///
-/// # Errors
-///
-/// Fails when the reference itself cannot be executed.
-#[allow(clippy::too_many_arguments)]
-pub fn repair_with_backend<B, S, I>(
-    original: &Program,
-    broken: Program,
-    kernel: &str,
-    tests: &[TestCase],
-    profile: &Profile,
-    cfg: &SearchConfig,
-    sink: &S,
-    injector: &I,
-    backend: &B,
-) -> Result<RepairOutcome, String>
-where
-    B: Toolchain + ?Sized,
-    S: TraceSink + ?Sized,
-    I: FaultInjector + ?Sized,
-{
-    repair_persistent(
-        original, broken, kernel, tests, profile, cfg, sink, injector, backend, None,
-    )
-}
-
-/// Like [`repair_with_backend`], additionally checking (and populating) a
-/// durable [`VerdictStore`] before the retry layer.
-///
-/// The stack is `Persisted(Resilient(backend))`, and the store's
-/// [`VerdictKey`](heterogen_toolchain::VerdictKey) is its only cache key:
-/// the search's dedup set already drops every repeated fingerprint before
-/// it is evaluated. Because the merge phase bills clock cost and counts
-/// compiles independently of how `evaluate` was satisfied, a warm store
-/// changes wall-clock time only — the search trajectory, stats, report, and
-/// trace bytes are identical to a cold run. With `store` `None` this is
-/// exactly [`repair_with_backend`].
+/// **Store.** The store's [`VerdictKey`](heterogen_toolchain::VerdictKey)
+/// is the stack's only cache key: the search's dedup set already drops
+/// every repeated fingerprint before it is evaluated. Because the merge
+/// phase bills clock cost and counts compiles independently of how
+/// `evaluate` was satisfied, a warm store changes wall-clock time only —
+/// the search trajectory, stats, report, and trace bytes are identical to
+/// a cold run. `store` `None` disables the layer.
 ///
 /// # Errors
 ///
@@ -735,7 +666,7 @@ where
                         emit_diff(sink, tester.test_count(), &report);
                         (report, ResilienceStats::default())
                     }
-                    None => tester.evaluate_resilient_with(
+                    None => tester.evaluate_with(
                         backend,
                         &cand.program,
                         sink,
@@ -797,7 +728,13 @@ where
             None => expand_cand(),
             Some((fp, program)) => {
                 let (flow, report) = parallel::join(cfg.threads, expand_cand, || {
-                    parallel::isolate(|| tester.evaluate_with(backend, &program, &NullSink))
+                    parallel::isolate(|| {
+                        tester
+                            .evaluate_with(
+                                backend, &program, &NullSink, &NoFaults, &cfg.retry, fp, 0.0,
+                            )
+                            .0
+                    })
                 });
                 // A panicking test ahead is simply redone at pop time.
                 tested_ahead = report.ok().map(|r| (fp, r));
@@ -1216,19 +1153,6 @@ where
     ControlFlow::Continue(())
 }
 
-/// Emits the `DiffEvaluated` event of a differential report obtained
-/// without running the tester on this thread (a store hit or a test run
-/// ahead of its pop).
-fn emit_diff<S: TraceSink + ?Sized>(sink: &S, tests: usize, report: &DiffReport) {
-    if sink.enabled() {
-        sink.emit(&Event::DiffEvaluated {
-            tests: tests as u64,
-            pass_ratio: report.pass_ratio,
-            fpga_latency_ms: report.fpga_latency_ms,
-        });
-    }
-}
-
 /// Static-precedence edits kept past the pattern-predicted prefix when the
 /// mined tier narrows a beam: enough to recover from a wrong prediction
 /// without re-spending the whole static budget.
@@ -1425,7 +1349,7 @@ fn bill_crashed<S: TraceSink + ?Sized>(
 /// Replays the transient faults a worker absorbed while evaluating one
 /// candidate into the caller-thread accounting: resilience counters, the
 /// backoff ledger, and (merge-phase-only) trace events. The search clock is
-/// deliberately untouched — see [`repair_resilient`].
+/// deliberately untouched — see [`repair_persistent`].
 fn replay_transients<S: TraceSink + ?Sized>(
     sink: &S,
     retry: &RetryPolicy,

@@ -35,24 +35,25 @@ pub fn pointer_to_index(p: &Program, struct_name: &str, capacity: u64) -> Option
 
     // 1. Rewrite `(S*)malloc(...)` into `S_malloc()` and `free(p)` into
     //    `S_free(p)` where `p : S*`, using the *original* inferred types.
-    visit::visit_exprs_mut(&mut out, &mut |e| {
-        let replace_with_malloc = match &e.kind {
-            ExprKind::Cast(t, inner) => {
-                *t == ptr_ty && matches!(&inner.kind, ExprKind::Call(n, _) if n == "malloc")
-            }
-            _ => false,
-        };
-        if replace_with_malloc {
+    let is_malloc = |e: &Expr| match &e.kind {
+        ExprKind::Cast(t, inner) => {
+            *t == ptr_ty && matches!(&inner.kind, ExprKind::Call(n, _) if n == "malloc")
+        }
+        _ => false,
+    };
+    let is_free = |e: &Expr| match &e.kind {
+        ExprKind::Call(n, args) if n == "free" && args.len() == 1 => {
+            info.expr_types.get(&args[0].id) == Some(&ptr_ty)
+        }
+        _ => false,
+    };
+    let is_alloc_call = |e: &Expr| is_malloc(e) || is_free(e);
+    visit::visit_exprs_mut_where(&mut out, &is_alloc_call, &mut |e| {
+        if is_malloc(e) {
             e.kind = ExprKind::Call(malloc_name.clone(), vec![]);
             return;
         }
-        let free_arg_is_s = match &e.kind {
-            ExprKind::Call(n, args) if n == "free" && args.len() == 1 => {
-                info.expr_types.get(&args[0].id) == Some(&ptr_ty)
-            }
-            _ => false,
-        };
-        if free_arg_is_s {
+        if is_free(e) {
             if let ExprKind::Call(n, _) = &mut e.kind {
                 *n = free_name.clone();
             }
@@ -60,12 +61,12 @@ pub fn pointer_to_index(p: &Program, struct_name: &str, capacity: u64) -> Option
     });
 
     // 2. Rewrite `base->field` where `base : S*` into `S_arr[base].field`.
-    visit::visit_exprs_mut(&mut out, &mut |e| {
-        let is_arrow_on_s = match &e.kind {
-            ExprKind::Member(base, _, true) => info.expr_types.get(&base.id) == Some(&ptr_ty),
-            _ => false,
-        };
-        if is_arrow_on_s {
+    let is_arrow_on_s = |e: &Expr| match &e.kind {
+        ExprKind::Member(base, _, true) => info.expr_types.get(&base.id) == Some(&ptr_ty),
+        _ => false,
+    };
+    visit::visit_exprs_mut_where(&mut out, &is_arrow_on_s, &mut |e| {
+        if is_arrow_on_s(e) {
             if let ExprKind::Member(base, field, arrow) = &mut e.kind {
                 let inner =
                     std::mem::replace(base.as_mut(), Expr::synth(ExprKind::Ident(String::new())));
@@ -80,10 +81,8 @@ pub fn pointer_to_index(p: &Program, struct_name: &str, capacity: u64) -> Option
     });
 
     // 3. Rewrite the types: `S*` becomes the index typedef.
-    visit::visit_types_mut(&mut out, &mut |t| {
-        if *t == ptr_ty {
-            *t = Type::Named(ptr_name.clone());
-        }
+    visit::visit_types_mut(&mut out, &|t| *t == ptr_ty, &mut |t| {
+        *t = Type::Named(ptr_name.clone());
     });
 
     // 4. Declare the backing storage and allocator, after the struct def.

@@ -92,14 +92,14 @@ pub fn inst_update(p: &Program, struct_name: &str) -> Option<Program> {
     let mut any = false;
     let mut out = p.clone();
     let sname = struct_name.to_string();
-    visit::visit_exprs_mut(&mut out, &mut |e| {
-        let matches_lit = match &e.kind {
-            ExprKind::MethodCall(recv, _, _) => {
-                matches!(&recv.kind, ExprKind::StructLit(n, _) if *n == sname)
-            }
-            _ => false,
-        };
-        if matches_lit {
+    let on_literal = |e: &Expr| match &e.kind {
+        ExprKind::MethodCall(recv, _, _) => {
+            matches!(&recv.kind, ExprKind::StructLit(n, _) if *n == sname)
+        }
+        _ => false,
+    };
+    visit::visit_exprs_mut_where(&mut out, &on_literal, &mut |e| {
+        if on_literal(e) {
             let kind = std::mem::replace(&mut e.kind, ExprKind::IntLit(0, false));
             if let ExprKind::MethodCall(recv, method, margs) = kind {
                 if let ExprKind::StructLit(_, ctor_args) = recv.kind {

@@ -188,7 +188,9 @@ pub trait Toolchain: Send + Sync {
 
     /// Prepares `p` for co-simulating many test inputs, paying the
     /// per-program setup once. Each [`CoSim::run`] is equivalent to one
-    /// [`Toolchain::simulate`] call with the same arguments.
+    /// [`Toolchain::simulate`] call with the same arguments. This is how
+    /// differential testing co-simulates; [`Resilient`] makes its per-test
+    /// fault decisions inside the runs it returns.
     ///
     /// The default returns an adapter that calls [`Toolchain::simulate`]
     /// for every test, so a layer that overrides only `simulate` still
@@ -774,11 +776,17 @@ impl<T: Toolchain> Toolchain for Persisted<T> {
 /// poison fault panics for the caller's isolation boundary to catch.
 ///
 /// With a disabled injector ([`heterogen_faults::NoFaults`]) every method
-/// delegates straight to the inner layer.
+/// delegates straight to the inner layer, and [`Toolchain::co_simulator`]
+/// returns the inner layer's preparation unwrapped.
 ///
-/// `Resilient` does not forward [`Toolchain::co_simulator`]: the trait
-/// default's adapter sends every test through [`Resilient`]'s own
-/// `simulate`, so each test keeps its own fault decision and retries.
+/// Under an enabled injector, [`Toolchain::co_simulator`] prepares the
+/// inner layer once and wraps that preparation: every [`CoSim::run`] makes
+/// its own fault decision (poison, permanent, transient retry, or a fuel
+/// spike replayed through the inner [`Toolchain::simulate_spiked`]) keyed
+/// by `(hls_sim, key, attempt)`, and only a clean attempt reaches the
+/// preparation. A preparation that failed surfaces there, after the fault
+/// decision, as a per-test simulation error would. `simulate` is one
+/// `co_simulator(p)?.run(..)`, so there is one fault loop for both.
 #[derive(Debug, Clone)]
 pub struct Resilient<T, I> {
     inner: T,
@@ -840,12 +848,43 @@ impl<T: Toolchain, I: FaultInjector> Toolchain for Resilient<T, I> {
         args: &[ArgValue],
         key: u64,
     ) -> Result<Simulated, ToolchainError> {
+        self.co_simulator(p)?.run(args, key)
+    }
+
+    fn co_simulator<'a>(&'a self, p: &'a Program) -> Result<Box<dyn CoSim + 'a>, ToolchainError> {
         if !self.injector.enabled() {
-            return self.inner.simulate(p, args, key);
+            return self.inner.co_simulator(p);
         }
+        Ok(Box::new(ResilientCoSim {
+            layer: self,
+            program: p,
+            prepared: self.inner.co_simulator(p),
+        }))
+    }
+}
+
+/// A [`Resilient`] layer's prepared co-simulation under an enabled
+/// injector: each run makes its own fault decision before it reaches the
+/// inner preparation.
+struct ResilientCoSim<'a, T, I> {
+    layer: &'a Resilient<T, I>,
+    program: &'a Program,
+    /// The inner layer's preparation. A failed one surfaces only when a run
+    /// gets past its fault decision, where a per-test simulation would have
+    /// failed.
+    prepared: Result<Box<dyn CoSim + 'a>, ToolchainError>,
+}
+
+impl<T: Toolchain, I: FaultInjector> CoSim for ResilientCoSim<'_, T, I> {
+    fn run(&self, args: &[ArgValue], key: u64) -> Result<Simulated, ToolchainError> {
+        let Resilient {
+            inner,
+            injector,
+            retry,
+        } = self.layer;
         let mut attempt: u32 = 0;
         loop {
-            match self.injector.fault(FaultSite::HlsSim, key, attempt) {
+            match injector.fault(FaultSite::HlsSim, key, attempt) {
                 Some(Fault::Poison) => heterogen_faults::poison(FaultSite::HlsSim, key),
                 Some(Fault::Permanent) => {
                     return Err(ToolchainError::permanent(
@@ -855,7 +894,7 @@ impl<T: Toolchain, I: FaultInjector> Toolchain for Resilient<T, I> {
                 }
                 Some(Fault::Transient) => {
                     attempt += 1;
-                    if self.retry.delay_before(attempt).is_none() {
+                    if retry.delay_before(attempt).is_none() {
                         return Err(ToolchainError::exhausted(
                             "hls_sim",
                             attempt,
@@ -864,7 +903,7 @@ impl<T: Toolchain, I: FaultInjector> Toolchain for Resilient<T, I> {
                     }
                 }
                 Some(Fault::FuelSpike { factor }) => {
-                    match self.inner.simulate_spiked(p, args, factor, attempt) {
+                    match inner.simulate_spiked(self.program, args, factor, attempt) {
                         Ok(result) => {
                             return Ok(Simulated {
                                 result,
@@ -873,7 +912,7 @@ impl<T: Toolchain, I: FaultInjector> Toolchain for Resilient<T, I> {
                         }
                         Err(e) if e.is_transient() => {
                             attempt += 1;
-                            if self.retry.delay_before(attempt).is_none() {
+                            if retry.delay_before(attempt).is_none() {
                                 let msg = e.message().to_string();
                                 return Err(ToolchainError::exhausted("hls_sim", attempt, msg));
                             }
@@ -882,7 +921,8 @@ impl<T: Toolchain, I: FaultInjector> Toolchain for Resilient<T, I> {
                     }
                 }
                 None => {
-                    let mut s = self.inner.simulate(p, args, key)?;
+                    let prepared = self.prepared.as_ref().map_err(Clone::clone)?;
+                    let mut s = prepared.run(args, key)?;
                     s.transients += attempt;
                     return Ok(s);
                 }
@@ -1452,6 +1492,37 @@ mod tests {
             1,
             "only the absorbed run reached the backend"
         );
+    }
+
+    #[test]
+    fn resilient_co_simulator_decides_faults_before_the_inner_preparation() {
+        let mock = MockToolchain::clean();
+        let p = prog();
+        let retry = RetryPolicy::default();
+        let signal = DrainSignal::new();
+        signal.drain();
+        let gate = DrainGate::new(&mock, signal);
+        // Without faults the inner layer's preparation comes back as is, so
+        // the drained gate refuses it outright.
+        let plain = Resilient::new(&gate, NoFaults, retry);
+        assert_eq!(plain.co_simulator(&p).err().unwrap().site(), "drain");
+        // Under an injector the refusal surfaces in each run, after that
+        // run's fault decision, where a per-test simulation would fail.
+        let injector = CountingNone::default();
+        let resilient = Resilient::new(&gate, &injector, retry);
+        let cosim = resilient.co_simulator(&p).unwrap();
+        assert_eq!(injector.calls(), 0, "preparing decides no fault");
+        for key in [1, 2] {
+            assert_eq!(cosim.run(&[], key).unwrap_err().site(), "drain");
+        }
+        assert_eq!(injector.calls(), 2, "one decision per run");
+        let err = Resilient::new(&gate, TransientFor(2), retry)
+            .co_simulator(&p)
+            .unwrap()
+            .run(&[], 3)
+            .unwrap_err();
+        assert_eq!(err.site(), "drain");
+        assert_eq!(mock.simulate_calls(), 0);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! bit-identical to the sequential (`threads = 1`) baseline. These tests
 //! pin that contract on real benchmark subjects.
 
+use heterogen_faults::NoFaults;
+use heterogen_toolchain::SimBackend;
 use repair::{DifferentialTester, SearchConfig};
 use testgen::FuzzConfig;
 
@@ -181,8 +183,6 @@ fn random_ablation_is_thread_count_invariant() {
 /// winning program, bit-identical latency at any worker count.
 #[test]
 fn alternative_backend_search_is_thread_count_invariant() {
-    use heterogen_faults::NoFaults;
-    use heterogen_toolchain::SimBackend;
     use heterogen_trace::NullSink;
 
     let s = benchsuite::subject("P6").unwrap();
@@ -192,7 +192,7 @@ fn alternative_backend_search_is_thread_count_invariant() {
     let backend = SimBackend::embedded_profile();
 
     let run_at = |threads: usize| {
-        repair::repair_with_backend(
+        repair::repair_persistent(
             &p,
             broken.clone(),
             s.kernel,
@@ -202,6 +202,7 @@ fn alternative_backend_search_is_thread_count_invariant() {
             &NullSink,
             &NoFaults,
             &backend,
+            None,
         )
         .unwrap()
     };
@@ -309,7 +310,7 @@ fn chaos_transient_faults_leave_the_search_byte_identical() {
     let broken = heterogen_core::initial_version(&p, &fr.profile);
 
     let base_sink = JsonlSink::new();
-    let base = repair::repair_traced(
+    let base = repair::repair_persistent(
         &p,
         broken.clone(),
         s.kernel,
@@ -317,6 +318,9 @@ fn chaos_transient_faults_leave_the_search_byte_identical() {
         &fr.profile,
         &search_cfg(1),
         &base_sink,
+        &NoFaults,
+        &SimBackend::default_profile(),
+        None,
     )
     .unwrap();
     let base_trace = base_sink.contents();
@@ -330,7 +334,7 @@ fn chaos_transient_faults_leave_the_search_byte_identical() {
         .build();
     for threads in [1usize, 2, 4] {
         let sink = JsonlSink::new();
-        let r = repair::repair_resilient(
+        let r = repair::repair_persistent(
             &p,
             broken.clone(),
             s.kernel,
@@ -339,6 +343,8 @@ fn chaos_transient_faults_leave_the_search_byte_identical() {
             &search_cfg(threads),
             &sink,
             &plan,
+            &SimBackend::default_profile(),
+            None,
         )
         .unwrap();
         assert_eq!(base.applied, r.applied, "applied @ {threads} threads");
@@ -413,7 +419,7 @@ fn chaos_poisoned_candidate_is_isolated_and_the_repair_still_lands() {
     let broken = heterogen_core::initial_version(&p, &fr.profile);
 
     let base_sink = JsonlSink::new();
-    let base = repair::repair_traced(
+    let base = repair::repair_persistent(
         &p,
         broken.clone(),
         s.kernel,
@@ -421,6 +427,9 @@ fn chaos_poisoned_candidate_is_isolated_and_the_repair_still_lands() {
         &fr.profile,
         &search_cfg(1),
         &base_sink,
+        &NoFaults,
+        &SimBackend::default_profile(),
+        None,
     )
     .unwrap();
     assert!(base.success, "baseline repair failed: {:?}", base.applied);
@@ -443,7 +452,7 @@ fn chaos_poisoned_candidate_is_isolated_and_the_repair_still_lands() {
 
     for threads in [1usize, 4] {
         let sink = JsonlSink::new();
-        let r = repair::repair_resilient(
+        let r = repair::repair_persistent(
             &p,
             broken.clone(),
             s.kernel,
@@ -452,6 +461,8 @@ fn chaos_poisoned_candidate_is_isolated_and_the_repair_still_lands() {
             &search_cfg(threads),
             &sink,
             &plan,
+            &SimBackend::default_profile(),
+            None,
         )
         .unwrap();
         assert!(r.success, "chaos run failed @ {threads} threads");
@@ -685,7 +696,7 @@ fn trace_metrics_agree_with_search_stats() {
     let broken = heterogen_core::initial_version(&p, &fr.profile);
 
     let metrics = MetricsSink::new();
-    let out = repair::repair_traced(
+    let out = repair::repair_persistent(
         &p,
         broken,
         s.kernel,
@@ -693,6 +704,9 @@ fn trace_metrics_agree_with_search_stats() {
         &fr.profile,
         &search_cfg(2),
         &metrics,
+        &NoFaults,
+        &SimBackend::default_profile(),
+        None,
     )
     .unwrap();
 
