@@ -18,7 +18,7 @@ use bench::*;
 use heterogen_core::{HeteroGen, JobSpec, PipelineConfig};
 use heterogen_server::{Server, ServerConfig};
 use heterogen_store::Store;
-use heterogen_toolchain::{SimBackend, Toolchain};
+use heterogen_toolchain::{Bypass, SimBackend, Toolchain};
 use heterogen_trace::{JsonlSink, MetricsSink, NullSink, TeeSink, TraceSink};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -302,13 +302,30 @@ fn run_trace(opts: &CommonOpts) {
         metrics.clone() as Arc<dyn TraceSink>,
         jsonl.clone() as Arc<dyn TraceSink>,
     ]));
-    let mut builder = HeteroGen::builder().config(opts.config()).sink(tee);
+    // The session runs on a backend this function keeps, so the trace memo's
+    // counters can be printed afterwards.
+    let mut spec = opts.spec_for(&s);
+    let name = spec.backend.take();
+    let backend = Arc::new(match name.as_deref() {
+        Some(name) => SimBackend::by_name(name).unwrap_or_else(|| {
+            eprintln!(
+                "unknown backend `{name}`; expected one of: {}",
+                SimBackend::names().join(" ")
+            );
+            std::process::exit(2);
+        }),
+        None => SimBackend::default_profile(),
+    });
+    let mut builder = HeteroGen::builder()
+        .config(opts.config())
+        .sink(tee)
+        .backend(backend.clone());
     if let Some(store) = opts.open_store() {
         builder = builder.store(store);
     }
     let report = builder
         .build()
-        .run(opts.spec_for(&s))
+        .run(spec)
         .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", s.id));
 
     println!("== trace: {} ({}) ==", s.id, s.name);
@@ -351,6 +368,20 @@ fn run_trace(opts: &CommonOpts) {
             })
             .collect::<Vec<_>>(),
     );
+    let memo = backend.memo_stats();
+    println!("\n-- co-simulation trace memo --");
+    let mut rows = vec![
+        vec!["hits".to_string(), memo.hits.to_string()],
+        vec!["misses".to_string(), memo.misses.to_string()],
+        vec!["evictions".to_string(), memo.evictions.to_string()],
+    ];
+    rows.extend(Bypass::ALL.iter().map(|&why| {
+        vec![
+            format!("bypass.{}", why.name()),
+            memo.bypassed(why).to_string(),
+        ]
+    }));
+    print_table(&["Memo", "Count"], &rows);
     println!(
         "\n{} events captured; repair success = {}",
         jsonl.events(),

@@ -9,6 +9,7 @@
 //! and the benchmark's output oracle check the VM against.
 
 use crate::bytecode::{compile, CompiledProgram};
+use crate::cache::SecondChanceCache;
 use crate::error::ExecError;
 use crate::interp::Machine;
 use crate::value::{ArgValue, Outcome, Value};
@@ -16,8 +17,6 @@ use crate::vm::Vm;
 use crate::{CoverageMap, MachineConfig, Profile};
 use minic::ast::{NodeId, Program};
 use std::collections::BTreeMap;
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Which interpreter executes a program.
@@ -54,73 +53,6 @@ static COMPILE_CACHE: OnceLock<Mutex<SecondChanceCache<CompileKey, Arc<CompiledP
 /// entries survive arbitrarily many inserts, so a scan of one-shot
 /// candidates cannot flush the working set and trigger a recompile storm.
 const COMPILE_CACHE_CAP: usize = 4096;
-
-/// A second-chance (clock) cache: a `HashMap` for lookups plus an
-/// insertion-order ring of keys with one referenced bit each. A hit sets
-/// the entry's bit; eviction sweeps from the ring's front, granting each
-/// referenced entry a second chance (bit cleared, re-queued at the back)
-/// and removing the first unreferenced one. This approximates LRU with
-/// O(1) hits and amortized O(1) eviction, and — unlike evicting an
-/// arbitrary `HashMap` key — never discards an entry that was touched
-/// since the last sweep while cold entries remain.
-#[derive(Debug)]
-struct SecondChanceCache<K, V> {
-    map: HashMap<K, (V, bool)>,
-    ring: VecDeque<K>,
-    cap: usize,
-}
-
-impl<K: Eq + Hash + Copy, V: Clone> SecondChanceCache<K, V> {
-    fn new(cap: usize) -> SecondChanceCache<K, V> {
-        assert!(cap > 0, "cache capacity must be positive");
-        SecondChanceCache {
-            map: HashMap::with_capacity(cap.min(1024)),
-            ring: VecDeque::with_capacity(cap.min(1024)),
-            cap,
-        }
-    }
-
-    /// Looks up `k`, marking the entry referenced on a hit.
-    fn get(&mut self, k: &K) -> Option<V> {
-        let (v, referenced) = self.map.get_mut(k)?;
-        *referenced = true;
-        Some(v.clone())
-    }
-
-    /// Inserts `k → v` unless `k` is already present (first writer wins,
-    /// mirroring `entry().or_insert`), evicting the coldest entry when at
-    /// capacity. Returns the value now cached under `k`.
-    fn insert(&mut self, k: K, v: V) -> V {
-        if let Some((existing, referenced)) = self.map.get_mut(&k) {
-            *referenced = true;
-            return existing.clone();
-        }
-        while self.map.len() >= self.cap {
-            let victim = self
-                .ring
-                .pop_front()
-                .expect("ring and map hold the same keys");
-            match self.map.get_mut(&victim) {
-                Some((_, referenced)) if *referenced => {
-                    *referenced = false;
-                    self.ring.push_back(victim);
-                }
-                _ => {
-                    self.map.remove(&victim);
-                    break;
-                }
-            }
-        }
-        self.ring.push_back(k);
-        self.map.insert(k, (v.clone(), false));
-        v
-    }
-
-    #[cfg(test)]
-    fn contains(&self, k: &K) -> bool {
-        self.map.contains_key(k)
-    }
-}
 
 /// Returns the shared compiled form of `p`, compiling on first sight.
 pub fn compiled_for(p: &Program) -> Arc<CompiledProgram> {
@@ -254,7 +186,7 @@ impl Runner<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::SecondChanceCache;
+    use crate::cache::SecondChanceCache;
 
     #[test]
     fn second_chance_pins_eviction_order_under_repeated_hits() {
@@ -307,5 +239,6 @@ mod tests {
         c.insert(4, "d");
         assert!(!c.contains(&2));
         assert!(c.contains(&3) && c.contains(&4));
+        assert_eq!(c.evictions(), 2);
     }
 }

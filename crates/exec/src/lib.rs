@@ -19,6 +19,7 @@
 //! ```
 
 pub mod bytecode;
+pub mod cache;
 pub mod cost;
 pub mod coverage;
 pub mod engine;
@@ -31,6 +32,7 @@ pub mod value;
 pub mod vm;
 
 pub use bytecode::{compile, CompiledProgram};
+pub use cache::SecondChanceCache;
 pub use cost::CpuCostModel;
 pub use coverage::CoverageMap;
 pub use engine::{compiled_for, ExecEngine, Prepared, Runner};

@@ -34,5 +34,5 @@ pub use check::check_program;
 pub use cost::{CompileCostModel, SimClock};
 pub use errors::{ErrorCategory, HlsDiagnostic, ToolchainError};
 pub use schedule::{resource_estimate, FpgaEstimate, ScheduleModel, SchedulePlan};
-pub use sim::{FpgaSimulator, SimResult};
+pub use sim::{FpgaSimulator, SimResult, SimTrace, Untraced};
 pub use style::{check_style, StyleViolation};

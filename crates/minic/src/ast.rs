@@ -360,6 +360,12 @@ impl Block {
         Arc::ptr_eq(&self.stmts, &other.stmts)
     }
 
+    /// Whether a statement pragma ([`StmtKind::Pragma`]) is anywhere under
+    /// the block. Reads (and fills) the memo.
+    pub fn holds_pragma(&self) -> bool {
+        self.digest().pragma
+    }
+
     /// The block's digests, computed on first use after a change.
     pub(crate) fn digest(&self) -> &Digest {
         self.memo.get_or_init(|| Digest::of(self.stmts()))

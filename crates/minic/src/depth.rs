@@ -7,6 +7,7 @@
 //! pipeline refuses deeper hand-built programs.
 
 use crate::ast::{Block, Expr, ExprKind, Function, Item, Program, Stmt, StmtKind};
+use crate::token::Span;
 use crate::types::Type;
 
 /// Deepest AST [`ast_depth`] admits. The deepest paper subject, manual
@@ -21,7 +22,8 @@ pub const MAX_AST_DEPTH: usize = 64;
 enum Node<'a> {
     Stmt(&'a Stmt),
     Expr(&'a Expr),
-    Type(&'a Type),
+    /// A type, with the span of the statement or expression it sits in.
+    Type(&'a Type, Span),
 }
 
 /// Nesting depth of a program's statements, expressions and types: one
@@ -29,37 +31,63 @@ enum Node<'a> {
 /// path, counted from each function, method, constructor, global or
 /// typedef. Iterative, so it cannot overflow the stack it protects.
 pub fn ast_depth(p: &Program) -> usize {
+    deepest(p).0
+}
+
+/// [`ast_depth`], with the span of a deepest node (a type counts by the
+/// statement or expression it sits in; one in a signature, field or global
+/// declaration has no span).
+pub(crate) fn deepest(p: &Program) -> (usize, Span) {
+    let none = Span::default();
     let mut stack: Vec<(Node<'_>, usize)> = Vec::new();
     for item in &p.items {
         match item {
             Item::Function(f) => function(f, &mut stack),
             Item::Struct(s) => {
-                stack.extend(s.fields.iter().map(|f| (Node::Type(&f.ty), 1)));
+                stack.extend(s.fields.iter().map(|f| (Node::Type(&f.ty, none), 1)));
                 for m in &s.methods {
                     function(m, &mut stack);
                 }
                 if let Some(c) = &s.ctor {
-                    stack.extend(c.params.iter().map(|prm| (Node::Type(&prm.ty), 1)));
+                    stack.extend(c.params.iter().map(|prm| (Node::Type(&prm.ty, none), 1)));
                     stack.extend(c.inits.iter().map(|(_, e)| (Node::Expr(e), 1)));
                     block(std::iter::once(&c.body), 1, &mut stack);
                 }
             }
             Item::Global(g) => {
-                stack.push((Node::Type(&g.ty), 1));
+                stack.push((Node::Type(&g.ty, none), 1));
                 stack.extend(g.init.iter().map(|e| (Node::Expr(e), 1)));
             }
-            Item::Typedef(_, ty) => stack.push((Node::Type(ty), 1)),
+            Item::Typedef(_, ty) => stack.push((Node::Type(ty, none), 1)),
             Item::Include(_) | Item::Define(..) | Item::Pragma(_) => {}
         }
     }
-    let mut max = 0;
+    walk(stack)
+}
+
+/// The depth of `e` alone: 1 for a leaf.
+pub(crate) fn expr_depth(e: &Expr) -> usize {
+    walk(vec![(Node::Expr(e), 1)]).0
+}
+
+/// Pops `stack` to empty, pushing each node's children one level down, and
+/// returns the deepest level reached with its span.
+fn walk(mut stack: Vec<(Node<'_>, usize)>) -> (usize, Span) {
+    let (mut max, mut at) = (0, Span::default());
     while let Some((node, d)) = stack.pop() {
-        max = max.max(d);
+        let span = match node {
+            Node::Stmt(s) => s.span,
+            Node::Expr(e) => e.span,
+            Node::Type(_, span) => span,
+        };
+        if d > max {
+            (max, at) = (d, span);
+        }
         let next = d + 1;
         match node {
             Node::Stmt(s) => match &s.kind {
                 StmtKind::Decl(v) => {
-                    stack.push((Node::Type(&v.ty), next));
+                    stack.push((Node::Type(&v.ty, span), next));
                     stack.extend(v.init.iter().map(|e| (Node::Expr(e), next)));
                 }
                 StmtKind::Expr(e) | StmtKind::Return(Some(e)) => stack.push((Node::Expr(e), next)),
@@ -97,30 +125,34 @@ pub fn ast_depth(p: &Program) -> usize {
                     stack.extend(args.iter().map(|a| (Node::Expr(a), next)));
                 }
                 ExprKind::Cast(ty, a) => {
-                    stack.push((Node::Type(ty), next));
+                    stack.push((Node::Type(ty, span), next));
                     stack.push((Node::Expr(a), next));
                 }
-                ExprKind::SizeOf(ty) => stack.push((Node::Type(ty), next)),
+                ExprKind::SizeOf(ty) => stack.push((Node::Type(ty, span), next)),
                 ExprKind::Ternary(a, b, c) => {
                     stack.extend([a, b, c].map(|x| (Node::Expr(x), next)))
                 }
                 _ => {}
             },
-            Node::Type(t) => match t {
+            Node::Type(t, span) => match t {
                 Type::Pointer(inner) | Type::Array(inner, _) | Type::Stream(inner) => {
-                    stack.push((Node::Type(inner), next))
+                    stack.push((Node::Type(inner, span), next))
                 }
                 _ => {}
             },
         }
     }
-    max
+    (max, at)
 }
 
 /// Pushes a function's signature types and body statements at depth 1.
 fn function<'a>(f: &'a Function, stack: &mut Vec<(Node<'a>, usize)>) {
-    stack.push((Node::Type(&f.ret), 1));
-    stack.extend(f.params.iter().map(|prm| (Node::Type(&prm.ty), 1)));
+    stack.push((Node::Type(&f.ret, Span::default()), 1));
+    stack.extend(
+        f.params
+            .iter()
+            .map(|prm| (Node::Type(&prm.ty, Span::default()), 1)),
+    );
     block(f.body.iter(), 1, stack);
 }
 

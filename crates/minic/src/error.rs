@@ -49,18 +49,18 @@ impl ParseError {
         }
     }
 
-    /// The error for a parsed program deeper than
-    /// [`MAX_AST_DEPTH`](crate::MAX_AST_DEPTH) (left-nested binary
-    /// operators parse without recursion, so only the finished AST shows
-    /// their depth).
-    pub fn too_deep(depth: usize) -> Self {
+    /// The error for a program `depth` levels deep, past
+    /// [`MAX_AST_DEPTH`](crate::MAX_AST_DEPTH), at the deepest node's
+    /// `span`, or at the start of an operator chain the parser refused to
+    /// build that deep.
+    pub fn too_deep(depth: usize, span: Span) -> Self {
         ParseError {
             kind: ParseErrorKind::RecursionLimitExceeded,
             message: format!(
                 "AST depth {depth} exceeds the limit of {} levels",
                 crate::MAX_AST_DEPTH
             ),
-            span: Span::default(),
+            span,
         }
     }
 

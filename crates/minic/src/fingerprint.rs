@@ -28,6 +28,7 @@ use crate::ast::{
 use crate::printer;
 use crate::types::{ArraySize, Type};
 use crate::visit::{self, Child, Code};
+use std::sync::Arc;
 
 /// The memoized digests of a block's statements (see [`Block::digest`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +44,9 @@ pub(crate) struct Digest {
     /// Whether a statement or expression under the block has the id
     /// [`NodeId::SYNTH`].
     pub synth: bool,
+    /// Whether a statement pragma ([`StmtKind::Pragma`]) is under the
+    /// block.
+    pub pragma: bool,
 }
 
 impl Digest {
@@ -53,6 +57,7 @@ impl Digest {
         let mut ids = IdHasher {
             h: Fnv::new(),
             synth: false,
+            pragma: false,
         };
         hash.u64(stmts.len() as u64);
         for s in stmts {
@@ -60,10 +65,11 @@ impl Digest {
             ids.stmt(s);
         }
         Digest {
-            hash: hash.0,
-            ids: ids.h.0,
+            hash: hash.h,
+            ids: ids.h.h,
             lines: stmts.iter().map(printer::stmt_lines).sum(),
             synth: ids.synth,
+            pragma: ids.pragma,
         }
     }
 
@@ -86,9 +92,12 @@ impl Digest {
 }
 
 /// Hashes node ids in walk order; a nested block counts by its digest.
+/// Notes on the way whether it passed a synthesized id or a statement
+/// pragma.
 struct IdHasher {
     h: Fnv,
     synth: bool,
+    pragma: bool,
 }
 
 impl IdHasher {
@@ -99,6 +108,7 @@ impl IdHasher {
 
     fn stmt(&mut self, s: &Stmt) {
         self.id(s.id);
+        self.pragma |= matches!(s.kind, StmtKind::Pragma(_));
         visit::stmt_children(s, &mut |c| match c {
             Child::Expr(e) => visit::walk_expr(e, &mut |e| self.id(e.id)),
             Child::Stmt(i) => self.stmt(i),
@@ -106,26 +116,42 @@ impl IdHasher {
                 let d = b.digest();
                 self.h.u64(d.ids);
                 self.synth |= d.synth;
+                self.pragma |= d.pragma;
             }
         });
     }
 }
 
 /// Streaming FNV-1a over structural bytes.
-struct Fnv(u64);
+struct Fnv {
+    h: u64,
+    /// Hash every block as if its statement pragmas were removed (see
+    /// [`behaviour_digest`]).
+    strip: bool,
+}
 
 impl Fnv {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
     fn new() -> Fnv {
-        Fnv(Self::OFFSET)
+        Fnv {
+            h: Self::OFFSET,
+            strip: false,
+        }
+    }
+
+    fn stripping() -> Fnv {
+        Fnv {
+            h: Self::OFFSET,
+            strip: true,
+        }
     }
 
     fn bytes(&mut self, bs: &[u8]) {
         for &b in bs {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+            self.h ^= b as u64;
+            self.h = self.h.wrapping_mul(Self::PRIME);
         }
     }
 
@@ -172,13 +198,16 @@ impl Fnv {
 /// [`DesignConfig`]. `NodeId`s, spans, and the internal id counter do not
 /// participate, so candidates that print identically hash identically.
 pub fn fingerprint_program(p: &Program) -> u64 {
-    let mut h = Fnv::new();
+    hash_program(Fnv::new(), p)
+}
+
+fn hash_program(mut h: Fnv, p: &Program) -> u64 {
     hash_config(&mut h, &p.config);
     h.u64(p.items.len() as u64);
     for item in &p.items {
         hash_item(&mut h, item);
     }
-    h.0
+    h.h
 }
 
 /// Fingerprint of a program's *node-id labeling*: an FNV-1a hash over every
@@ -203,7 +232,134 @@ pub fn fingerprint_node_ids(p: &Program) -> u64 {
             Code::Expr(e) => visit::walk_expr(e, &mut |e| h.u64(e.id.0 as u64)),
         }
     }
-    h.0
+    h.h
+}
+
+/// Structural fingerprint of a program's behaviour: the
+/// [`fingerprint_program`] of the same program with every statement pragma
+/// ([`StmtKind::Pragma`]) removed, computed without removing them. A
+/// statement pragma steers the schedule, not the computation: both
+/// execution engines charge it one unit of fuel and do nothing else. So
+/// programs with equal behaviour digests run alike up to those charges.
+///
+/// A block that holds no statement pragma counts by its memoized digest;
+/// only the blocks that hold one are hashed again. Node ids do not take
+/// part; [`same_behaviour`] confirms a match, ids included.
+pub fn behaviour_digest(p: &Program) -> u64 {
+    hash_program(Fnv::stripping(), p)
+}
+
+/// Whether `a` and `b` are the same program once every statement pragma is
+/// removed from both: the same design config and items, node ids and spans
+/// included. Items and blocks the two programs share are equal without a
+/// walk. Programs this accepts have equal [`behaviour_digest`]s.
+pub fn same_behaviour(a: &Program, b: &Program) -> bool {
+    a.config == b.config
+        && a.items.len() == b.items.len()
+        && a.items.iter().zip(&b.items).all(|(x, y)| match (x, y) {
+            (Item::Function(f), Item::Function(g)) => Arc::ptr_eq(f, g) || same_function(f, g),
+            (Item::Struct(s), Item::Struct(t)) => Arc::ptr_eq(s, t) || same_struct(s, t),
+            _ => x == y,
+        })
+}
+
+/// The statements of `b` that are not statement pragmas: the one view of a
+/// block that both [`behaviour_digest`] and [`same_behaviour`] take.
+fn kept(b: &Block) -> impl Iterator<Item = &Stmt> {
+    b.stmts()
+        .iter()
+        .filter(|s| !matches!(s.kind, StmtKind::Pragma(_)))
+}
+
+/// [`Digest::of`]'s structural hash over the [`kept`] statements of `b`,
+/// nested blocks stripped too. A block that holds no statement pragma
+/// hashes to its memoized digest.
+fn stripped_hash(b: &Block) -> u64 {
+    let mut h = Fnv::stripping();
+    h.u64(kept(b).count() as u64);
+    for s in kept(b) {
+        hash_stmt(&mut h, s);
+    }
+    h.h
+}
+
+fn same_block(a: &Block, b: &Block) -> bool {
+    if a.shares_stmts_with(b) {
+        return true;
+    }
+    let (mut x, mut y) = (kept(a), kept(b));
+    loop {
+        match (x.next(), y.next()) {
+            (None, None) => return true,
+            (Some(s), Some(t)) if same_stmt(s, t) => {}
+            _ => return false,
+        }
+    }
+}
+
+fn same_stmt(s: &Stmt, t: &Stmt) -> bool {
+    s.id == t.id
+        && s.span == t.span
+        && match (&s.kind, &t.kind) {
+            (StmtKind::If(c, x, e), StmtKind::If(d, y, f)) => {
+                c == d && same_block(x, y) && same_opt(e, f, same_block)
+            }
+            (StmtKind::While(c, x), StmtKind::While(d, y))
+            | (StmtKind::DoWhile(x, c), StmtKind::DoWhile(y, d)) => c == d && same_block(x, y),
+            (StmtKind::For(i, c, st, x), StmtKind::For(j, d, su, y)) => {
+                same_opt(i, j, |a, b| same_stmt(a, b)) && c == d && st == su && same_block(x, y)
+            }
+            (StmtKind::Block(x), StmtKind::Block(y)) => same_block(x, y),
+            (k, l) => k == l,
+        }
+}
+
+fn same_function(f: &Function, g: &Function) -> bool {
+    let Function {
+        id,
+        name,
+        ret,
+        params,
+        body,
+        is_static,
+    } = f;
+    *id == g.id
+        && *name == g.name
+        && *ret == g.ret
+        && *params == g.params
+        && *is_static == g.is_static
+        && same_opt(body, &g.body, same_block)
+}
+
+fn same_struct(s: &StructDef, t: &StructDef) -> bool {
+    let StructDef {
+        id,
+        name,
+        is_union,
+        fields,
+        methods,
+        ctor,
+    } = s;
+    *id == t.id
+        && *name == t.name
+        && *is_union == t.is_union
+        && *fields == t.fields
+        && methods.len() == t.methods.len()
+        && methods
+            .iter()
+            .zip(&t.methods)
+            .all(|(m, n)| same_function(m, n))
+        && same_opt(ctor, &t.ctor, |c, d| {
+            c.params == d.params && c.inits == d.inits && same_block(&c.body, &d.body)
+        })
+}
+
+fn same_opt<T>(a: &Option<T>, b: &Option<T>, same: impl Fn(&T, &T) -> bool) -> bool {
+    match (a, b) {
+        (Some(x), Some(y)) => same(x, y),
+        (None, None) => true,
+        _ => false,
+    }
 }
 
 fn hash_config(h: &mut Fnv, c: &DesignConfig) {
@@ -303,7 +459,12 @@ fn hash_var_decl(h: &mut Fnv, d: &VarDecl) {
 }
 
 fn hash_block(h: &mut Fnv, b: &Block) {
-    h.u64(b.digest().hash);
+    let d = b.digest();
+    if h.strip && d.pragma {
+        h.u64(stripped_hash(b));
+    } else {
+        h.u64(d.hash);
+    }
 }
 
 fn hash_stmt(h: &mut Fnv, s: &Stmt) {
@@ -779,5 +940,111 @@ mod tests {
 
         let define = parse(&SRC.replace("#define N 8", "#define N 9")).unwrap();
         assert_ne!(fingerprint_program(&base), fingerprint_program(&define));
+    }
+
+    const PRAGMAS: &str = r#"
+        struct Acc { int v; int add(int n) { for (int i = 0; i < n; i++) {
+#pragma HLS unroll factor=2
+            v = v + i; } return v; } };
+        int kernel(int a[8], int n) {
+#pragma HLS array_partition variable=a factor=2 dim=1
+            int acc = 0;
+            for (int i = 0; i < n; i = i + 1) {
+#pragma HLS pipeline II=1
+                if (a[i] > 0) {
+#pragma HLS inline
+                    acc = acc + a[i];
+                }
+                for (int j = 0; j < 2; j++) { acc = acc + j; }
+            }
+            return acc;
+        }
+    "#;
+
+    /// `p` with every statement pragma removed.
+    fn stripped(p: &Program) -> Program {
+        let mut q = p.clone();
+        crate::visit::visit_blocks_mut(&mut q, &mut |b| {
+            b.stmts_mut()
+                .retain(|s| !matches!(s.kind, StmtKind::Pragma(_)))
+        });
+        q
+    }
+
+    #[test]
+    fn behaviour_digest_is_the_fingerprint_of_the_stripped_program() {
+        let p = parse(PRAGMAS).unwrap();
+        let q = stripped(&p);
+        assert_ne!(fingerprint_program(&p), fingerprint_program(&q));
+        assert_eq!(behaviour_digest(&p), fingerprint_program(&q));
+        assert_eq!(behaviour_digest(&q), fingerprint_program(&q));
+        assert_eq!(behaviour_digest(&fresh(&p)), behaviour_digest(&p));
+        assert!(same_behaviour(&p, &q) && same_behaviour(&q, &p));
+        let body = p.function("kernel").unwrap().body.as_ref().unwrap();
+        assert!(body.holds_pragma());
+        assert!(!q
+            .function("kernel")
+            .unwrap()
+            .body
+            .as_ref()
+            .unwrap()
+            .holds_pragma());
+        // The inner `for` holds no pragma; its stripped hash is its memo.
+        let StmtKind::For(.., outer) = &body.stmts()[2].kind else {
+            panic!()
+        };
+        let StmtKind::For(.., inner) = &outer.stmts()[2].kind else {
+            panic!()
+        };
+        assert!(outer.holds_pragma() && !inner.holds_pragma());
+        assert_eq!(stripped_hash(inner), inner.digest().hash);
+    }
+
+    #[test]
+    fn same_behaviour_skips_only_statement_pragmas() {
+        let base = parse(SRC).unwrap();
+        assert!(same_behaviour(
+            &base,
+            &parse(&SRC.replace("II=1", "II=2")).unwrap()
+        ));
+        let mut more = base.clone();
+        more.function_mut("kernel")
+            .unwrap()
+            .body
+            .as_mut()
+            .unwrap()
+            .stmts_mut()
+            .insert(
+                0,
+                Stmt::synth(StmtKind::Pragma(Pragma {
+                    kind: PragmaKind::Dataflow,
+                })),
+            );
+        more.renumber_synthesized();
+        assert!(same_behaviour(&base, &more));
+        assert_eq!(behaviour_digest(&base), behaviour_digest(&more));
+
+        let variant = parse(&SRC.replace("acc + a[i]", "acc - a[i]")).unwrap();
+        assert!(!same_behaviour(&base, &variant));
+        assert_ne!(behaviour_digest(&base), behaviour_digest(&variant));
+        let mut config = base.clone();
+        config.config.clock_mhz = 100.0;
+        assert!(!same_behaviour(&base, &config));
+        // A relabeling keeps the digest but is not the same program: a
+        // trace is keyed to its program's loop ids.
+        let mut relabeled = base.clone();
+        relabeled
+            .function_mut("kernel")
+            .unwrap()
+            .body
+            .as_mut()
+            .unwrap()
+            .stmts_mut()[1]
+            .id = crate::ast::NodeId(999);
+        assert_eq!(behaviour_digest(&base), behaviour_digest(&relabeled));
+        assert!(!same_behaviour(&base, &relabeled));
+        // An item-level pragma is not a statement pragma.
+        let item = parse(&format!("#pragma HLS top name=kernel\n{SRC}")).unwrap();
+        assert!(!same_behaviour(&base, &item));
     }
 }

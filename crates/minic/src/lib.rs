@@ -54,7 +54,9 @@ pub use ast::{
 };
 pub use depth::{ast_depth, MAX_AST_DEPTH};
 pub use error::{ParseError, ParseErrorKind, TypeError};
-pub use fingerprint::{fingerprint_node_ids, fingerprint_program};
+pub use fingerprint::{
+    behaviour_digest, fingerprint_node_ids, fingerprint_program, same_behaviour,
+};
 pub use parser::parse;
 pub use printer::print_program;
 pub use types::{ArraySize, IntWidth, Type};

@@ -1,6 +1,7 @@
 //! Recursive-descent parser for the minic dialect.
 
 use crate::ast::*;
+use crate::depth::{expr_depth, MAX_AST_DEPTH};
 use crate::error::ParseError;
 use crate::token::{Keyword, Span, Token, TokenKind};
 use crate::types::{ArraySize, IntWidth, Type};
@@ -24,9 +25,9 @@ use std::sync::Arc;
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let tokens = crate::lexer::lex(src)?;
     let program = Parser::new(tokens).parse_program()?;
-    let depth = crate::depth::ast_depth(&program);
-    if depth > crate::depth::MAX_AST_DEPTH {
-        return Err(ParseError::too_deep(depth));
+    let (depth, at) = crate::depth::deepest(&program);
+    if depth > MAX_AST_DEPTH {
+        return Err(ParseError::too_deep(depth, at));
     }
     Ok(program)
 }
@@ -57,6 +58,9 @@ struct Parser {
     defines: HashMap<String, i128>,
     /// Current nesting depth (see [`MAX_NESTING`]).
     depth: u32,
+    /// How many of those levels add no AST level: parentheses, and
+    /// initializers that are a plain expression.
+    hollow: u32,
 }
 
 impl Parser {
@@ -69,6 +73,7 @@ impl Parser {
             struct_names: HashSet::new(),
             defines: HashMap::new(),
             depth: 0,
+            hollow: 0,
         }
     }
 
@@ -863,7 +868,10 @@ impl Parser {
                 kind: ExprKind::InitList(elems),
             })
         } else {
-            self.parse_expr()
+            self.hollow += 1;
+            let e = self.parse_expr();
+            self.hollow -= 1;
+            e
         }
     }
 
@@ -924,9 +932,20 @@ impl Parser {
     }
 
     /// Precedence-climbing binary expression parser.
+    ///
+    /// Operators of one precedence chain in a loop into a left-nested tree,
+    /// so nothing in the parser bounds a chain's depth. Once a chain alone
+    /// is deeper than [`MAX_AST_DEPTH`], the program is refused whatever
+    /// its context: the rest of the chain is parsed and measured but not
+    /// linked, and the error reports the depth of the whole chain. So no
+    /// tree much deeper than the bound is built; dropping one recurses once
+    /// per level.
     fn parse_bin(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
         let span = self.span();
         let mut lhs = self.parse_unary()?;
+        let mut links = 0;
+        // The chain's depth, once it passes the bound.
+        let mut refused: Option<usize> = None;
         loop {
             let (op, prec) = match self.peek() {
                 TokenKind::PipePipe => (BinOp::Or, 1),
@@ -954,9 +973,26 @@ impl Parser {
             }
             self.bump();
             let rhs = self.parse_bin(prec + 1)?;
-            lhs = self.expr(span, ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)));
+            match &mut refused {
+                Some(depth) => *depth = 1 + (*depth).max(expr_depth(&rhs)),
+                None => {
+                    lhs = self.expr(span, ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)));
+                    links += 1;
+                    if links >= MAX_AST_DEPTH {
+                        refused = Some(expr_depth(&lhs));
+                    }
+                }
+            }
         }
-        Ok(lhs)
+        match refused {
+            // The chain's root sits one level below this nesting depth,
+            // less the levels that add none to the AST.
+            Some(depth) => Err(ParseError::too_deep(
+                (self.depth - self.hollow) as usize + depth,
+                span,
+            )),
+            None => Ok(lhs),
+        }
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
@@ -1224,7 +1260,10 @@ impl Parser {
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.parse_expr()?;
+                self.hollow += 1;
+                let e = self.parse_expr();
+                self.hollow -= 1;
+                let e = e?;
                 self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
@@ -1400,6 +1439,51 @@ mod tests {
             .unwrap()
             .join()
             .unwrap();
+    }
+
+    #[test]
+    fn a_hundred_thousand_term_chain_is_refused_on_a_small_stack() {
+        // The chain is refused before its tree is built: dropping a
+        // 100 000-level tree would overflow this stack in a debug build.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let terms = 100_000;
+                let chain = format!("{}x", "x + ".repeat(terms - 1));
+                let src = format!("int k(int x) {{\n    int y = 0;\n    return {chain};\n}}");
+                let err = parse(&src).unwrap_err();
+                assert_eq!(err.kind(), ParseErrorKind::RecursionLimitExceeded, "{err}");
+                assert!(err.message().contains("AST depth 100001"), "{err}");
+                assert_eq!(err.span().line, 3, "{err}");
+                // Parentheses, initializers and operands deeper than a
+                // leaf count as they do in the tree.
+                let src = format!("int g = ((x * x) + {chain});");
+                let err = parse(&src).unwrap_err();
+                assert!(err.message().contains("AST depth 100002"), "{err}");
+                assert_eq!(err.span().line, 1, "{err}");
+                let src = format!("void k(int x) {{ int a[2] = {{1, -({chain})}}; }}");
+                let err = parse(&src).unwrap_err();
+                // decl, list, `-`, then the chain
+                assert!(err.message().contains("AST depth 100003"), "{err}");
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn the_depth_error_reports_the_line_of_the_deepest_node() {
+        // 50 operators under 20 negations: neither the nesting bound nor
+        // the chain bound trips, the tree is too deep.
+        let inner = format!("{}x", "x + ".repeat(50));
+        let src = format!(
+            "int k(int x) {{\n    int y = 0;\n\n    return {}{inner}{};\n}}",
+            "-(".repeat(20),
+            ")".repeat(20)
+        );
+        let err = parse(&src).unwrap_err();
+        assert!(err.message().contains("AST depth 72"), "{err}");
+        assert_eq!(err.span().line, 4, "{err}");
     }
 
     #[test]

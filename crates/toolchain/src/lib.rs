@@ -13,7 +13,9 @@
 //! * [`SimBackend`] — the default backend, wrapping the `hls_sim` simulated
 //!   toolchain in a named device profile (and an alternative
 //!   [`SimBackend::embedded_profile`] with different resource finitization
-//!   and cost scaling, proving the seam is real);
+//!   and cost scaling, proving the seam is real), with a memo that answers
+//!   a candidate differing from an already simulated one only in statement
+//!   pragmas from the stored trace ([`SimBackend::memo_stats`]);
 //! * composable middleware decorators, each forwarding what it does not
 //!   change to the layer inside it:
 //!   [`Persisted`] (the durable verdict cache, keyed by [`VerdictKey`]),
@@ -58,12 +60,15 @@
 //! ```
 
 use heterogen_faults::{Fault, FaultInjector, FaultSite, RetryPolicy};
-use hls_sim::{check_program, check_style, ErrorCategory, FpgaSimulator, HlsDiagnostic};
+use hls_sim::{
+    check_program, check_style, ErrorCategory, FpgaSimulator, HlsDiagnostic, SimTrace, Untraced,
+};
 pub use hls_sim::{CompileCostModel, ScheduleModel, SimResult, StyleViolation, ToolchainError};
 use minic::Program;
-use minic_exec::{ArgValue, ExecEngine};
+use minic_exec::{ArgValue, ExecEngine, SecondChanceCache};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Descriptor of one toolchain backend: identity plus the device-profile
 /// constants that shape its schedules and billing.
@@ -313,15 +318,6 @@ impl<T: Toolchain + ?Sized> CoSim for PerTest<'_, T> {
     }
 }
 
-impl CoSim for FpgaSimulator<'_> {
-    fn run(&self, args: &[ArgValue], _key: u64) -> Result<Simulated, ToolchainError> {
-        Ok(Simulated {
-            result: FpgaSimulator::run(self, args),
-            transients: 0,
-        })
-    }
-}
-
 /// Implements the named [`Toolchain`] methods by forwarding them to a
 /// target: `*` forwards through a reference (`(**self)`, for `&T` and
 /// `Arc<T>`), a field name forwards to that field (`self.inner`). Every
@@ -427,6 +423,9 @@ impl<T: Toolchain + ?Sized> Toolchain for Arc<T> {
 /// small embedded part with single-port BRAM, a lower speedup ceiling and a
 /// slower compile farm, so the same repair loop produces visibly different
 /// reports — the proof that the [`Toolchain`] seam is real.
+///
+/// Each backend keeps a bounded memo of co-simulation traces (see
+/// [`SimBackend::memo_stats`]); clones share it.
 #[derive(Debug, Clone)]
 pub struct SimBackend {
     name: &'static str,
@@ -435,6 +434,7 @@ pub struct SimBackend {
     schedule: ScheduleModel,
     costs: CompileCostModel,
     engine: ExecEngine,
+    memo: Arc<TraceMemo>,
 }
 
 impl SimBackend {
@@ -449,6 +449,7 @@ impl SimBackend {
             schedule: ScheduleModel::default(),
             costs: CompileCostModel::default(),
             engine: ExecEngine::default(),
+            memo: Arc::default(),
         }
     }
 
@@ -476,6 +477,7 @@ impl SimBackend {
                 cpu_per_test_min: 0.0002,
             },
             engine: ExecEngine::default(),
+            memo: Arc::default(),
         }
     }
 
@@ -501,6 +503,20 @@ impl SimBackend {
     /// The canonical CLI names of the shipped profiles.
     pub fn names() -> &'static [&'static str] {
         &["default", "embedded"]
+    }
+
+    /// The counters of this backend's co-simulation trace memo.
+    ///
+    /// [`Toolchain::co_simulator`] answers a run from a stored trace when
+    /// the candidate equals an already simulated program modulo statement
+    /// pragmas ([`minic::same_behaviour`]) and the input equals the stored
+    /// one: the trace's outcome and loop and call counts, plus one unit of
+    /// fuel per pragma execution, estimated under the candidate's own
+    /// schedule — bit for bit a fresh run's result. Every other run goes to
+    /// the VM (see [`Bypass`]). The memo holds at most 1024 runs and is
+    /// shared by clones of this backend.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo.stats()
     }
 
     fn simulator<'p>(&self, p: &'p Program) -> Result<FpgaSimulator<'p>, ToolchainError> {
@@ -548,7 +564,14 @@ impl Toolchain for SimBackend {
     }
 
     fn co_simulator<'a>(&'a self, p: &'a Program) -> Result<Box<dyn CoSim + 'a>, ToolchainError> {
-        Ok(Box::new(self.simulator(p)?))
+        Ok(Box::new(MemoCoSim {
+            sim: self.simulator(p)?,
+            program: p,
+            memo: &self.memo,
+            tree_walk: self.engine == ExecEngine::TreeWalk,
+            digest: OnceLock::new(),
+            known: OnceLock::new(),
+        }))
     }
 
     fn simulate_spiked(
@@ -558,8 +581,258 @@ impl Toolchain for SimBackend {
         factor: u32,
         attempt: u32,
     ) -> Result<SimResult, ToolchainError> {
+        self.memo.bypass(Bypass::Spiked);
         self.simulator(p)?.run_spiked(args, factor, attempt)
     }
+}
+
+/// Entries a [`SimBackend`]'s trace memo holds at most. A repair job
+/// stores a few dozen; the bound only matters to a server whose jobs all
+/// share one backend.
+const TRACE_MEMO_CAP: usize = 1024;
+
+/// Why a co-simulated run ran for real and stored nothing in the trace
+/// memo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bypass {
+    /// A statement pragma outside the leading run of a loop body or of a
+    /// free function's body.
+    PragmaSite,
+    /// A function-head pragma on a name that another function, a method or
+    /// a constructor also uses.
+    SharedName,
+    /// The run trapped.
+    Trapped,
+    /// A confirmed trace's derived op count exceeds the fuel allowance.
+    FuelLimit,
+    /// The stored entry under the key is for another program or input.
+    Unconfirmed,
+    /// A fuel-spiked run.
+    Spiked,
+    /// The backend simulates on the reference tree-walker.
+    TreeWalk,
+}
+
+impl Bypass {
+    /// Every reason, in [`MemoStats::bypasses`] order.
+    pub const ALL: [Bypass; 7] = [
+        Bypass::PragmaSite,
+        Bypass::SharedName,
+        Bypass::Trapped,
+        Bypass::FuelLimit,
+        Bypass::Unconfirmed,
+        Bypass::Spiked,
+        Bypass::TreeWalk,
+    ];
+
+    /// Stable lowercase name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Bypass::PragmaSite => "pragma_site",
+            Bypass::SharedName => "shared_name",
+            Bypass::Trapped => "trapped",
+            Bypass::FuelLimit => "fuel_limit",
+            Bypass::Unconfirmed => "unconfirmed",
+            Bypass::Spiked => "spiked",
+            Bypass::TreeWalk => "tree_walk",
+        }
+    }
+}
+
+impl From<Untraced> for Bypass {
+    fn from(why: Untraced) -> Bypass {
+        match why {
+            Untraced::PragmaSite => Bypass::PragmaSite,
+            Untraced::SharedName => Bypass::SharedName,
+            Untraced::Trapped => Bypass::Trapped,
+            Untraced::FuelLimit => Bypass::FuelLimit,
+        }
+    }
+}
+
+/// Counters of a [`SimBackend`]'s trace memo. Every co-simulated run
+/// counts once: as a hit (answered from a confirmed trace), a miss (run,
+/// and its trace stored) or a bypass (run, nothing stored).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Runs answered from a confirmed trace.
+    pub hits: u64,
+    /// Runs whose trace was stored.
+    pub misses: u64,
+    /// Entries the bound evicted.
+    pub evictions: u64,
+    /// Bypassed runs per reason, in [`Bypass::ALL`] order.
+    pub bypasses: [u64; 7],
+}
+
+impl MemoStats {
+    /// Runs bypassed for `why`.
+    pub fn bypassed(&self, why: Bypass) -> u64 {
+        self.bypasses[why as usize]
+    }
+}
+
+/// A bounded, confirmed memo of co-simulation traces, keyed by the
+/// program's [behaviour digest](minic::behaviour_digest) and the input's
+/// fingerprint.
+#[derive(Default)]
+struct TraceMemo {
+    /// Allocated on the first store.
+    entries: Mutex<Option<Entries>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    bypasses: [AtomicU64; 7],
+}
+
+/// (behaviour digest, input fingerprint) to the run stored under it.
+type Entries = SecondChanceCache<(u64, u64), Arc<MemoEntry>>;
+
+/// One stored run: the program and input it came from, which a hit
+/// compares, and its trace.
+struct MemoEntry {
+    program: Arc<Program>,
+    args: Vec<ArgValue>,
+    trace: SimTrace,
+}
+
+impl TraceMemo {
+    fn get(&self, key: &(u64, u64)) -> Option<Arc<MemoEntry>> {
+        self.entries
+            .lock()
+            .expect("trace memo poisoned")
+            .as_mut()?
+            .get(key)
+    }
+
+    fn insert(&self, key: (u64, u64), entry: MemoEntry) {
+        self.entries
+            .lock()
+            .expect("trace memo poisoned")
+            .get_or_insert_with(|| SecondChanceCache::new(TRACE_MEMO_CAP))
+            .insert(key, Arc::new(entry));
+        self.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn bypass(&self, why: Bypass) {
+        self.bypasses[why as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn stats(&self) -> MemoStats {
+        let entries = self.entries.lock().expect("trace memo poisoned");
+        MemoStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: entries.as_ref().map_or(0, SecondChanceCache::evictions),
+            bypasses: std::array::from_fn(|i| self.bypasses[i].load(Ordering::Relaxed)),
+        }
+    }
+}
+
+impl fmt::Debug for TraceMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceMemo")
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+/// A [`SimBackend`]'s prepared co-simulation: answers a run from a stored
+/// trace when the candidate differs from the traced program only in
+/// statement pragmas, and runs for real otherwise.
+struct MemoCoSim<'a> {
+    sim: FpgaSimulator<'a>,
+    program: &'a Program,
+    memo: &'a TraceMemo,
+    tree_walk: bool,
+    /// The candidate's behaviour digest, on the first lookup.
+    digest: OnceLock<u64>,
+    /// A program that behaves as the candidate: the first one confirmed
+    /// from the memo, or else a copy of the candidate, made to store it.
+    known: OnceLock<Arc<Program>>,
+}
+
+impl MemoCoSim<'_> {
+    fn simulate(&self, args: &[ArgValue]) -> SimResult {
+        let traceable = if self.tree_walk {
+            Err(Bypass::TreeWalk)
+        } else {
+            self.sim.traceable().map_err(Bypass::from)
+        };
+        if let Err(why) = traceable {
+            self.memo.bypass(why);
+            return self.sim.run(args);
+        }
+        let digest = *self
+            .digest
+            .get_or_init(|| minic::behaviour_digest(self.program));
+        let key = (digest, args_fingerprint(args));
+        if let Some(entry) = self.memo.get(&key) {
+            if !same_args(&entry.args, args) || !self.confirm(&entry.program) {
+                self.memo.bypass(Bypass::Unconfirmed);
+                return self.sim.run(args);
+            }
+            return match self.sim.replay(&entry.trace) {
+                Ok(result) => {
+                    self.memo.hits.fetch_add(1, Ordering::Relaxed);
+                    result
+                }
+                Err(why) => {
+                    self.memo.bypass(why.into());
+                    self.sim.run(args)
+                }
+            };
+        }
+        let (result, trace) = self.sim.run_traced(args);
+        match trace {
+            Ok(trace) => {
+                let program = self.known.get_or_init(|| Arc::new(self.program.clone()));
+                self.memo.insert(
+                    key,
+                    MemoEntry {
+                        program: Arc::clone(program),
+                        args: args.to_vec(),
+                        trace,
+                    },
+                );
+            }
+            Err(why) => self.memo.bypass(why.into()),
+        }
+        result
+    }
+
+    /// Whether `stored` is the candidate modulo statement pragmas.
+    fn confirm(&self, stored: &Arc<Program>) -> bool {
+        if self.known.get().is_some_and(|p| Arc::ptr_eq(p, stored)) {
+            return true;
+        }
+        let same = minic::same_behaviour(stored, self.program);
+        if same {
+            let _ = self.known.set(Arc::clone(stored));
+        }
+        same
+    }
+}
+
+impl CoSim for MemoCoSim<'_> {
+    fn run(&self, args: &[ArgValue], _key: u64) -> Result<Simulated, ToolchainError> {
+        Ok(Simulated {
+            result: self.simulate(args),
+            transients: 0,
+        })
+    }
+}
+
+/// Whether two inputs are the same, floats compared by bit pattern.
+fn same_args(a: &[ArgValue], b: &[ArgValue]) -> bool {
+    let same_floats = |x: &[f64], y: &[f64]| {
+        x.len() == y.len() && x.iter().zip(y).all(|(f, g)| f.to_bits() == g.to_bits())
+    };
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| match (x, y) {
+            (ArgValue::Float(f), ArgValue::Float(g)) => f.to_bits() == g.to_bits(),
+            (ArgValue::FloatArray(f), ArgValue::FloatArray(g)) => same_floats(f, g),
+            _ => x == y,
+        })
 }
 
 /// Key identifying one persisted evaluation verdict across processes: the
@@ -620,50 +893,65 @@ pub struct DiffVerdict {
 /// over a tagged little-endian byte encoding; floats hash by bit pattern,
 /// so two suites differing by one ULP get different keys).
 pub fn diff_tests_fingerprint(tests: &[Vec<ArgValue>]) -> u64 {
-    fn eat(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    let mut h = FNV_OFFSET;
+    eat(&mut h, &(tests.len() as u64).to_le_bytes());
+    for case in tests {
+        eat_case(&mut h, case);
     }
+    h
+}
+
+/// The fingerprint of one test input, in [`diff_tests_fingerprint`]'s
+/// encoding.
+fn args_fingerprint(args: &[ArgValue]) -> u64 {
+    let mut h = FNV_OFFSET;
+    eat_case(&mut h, args);
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn eat(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn eat_case(h: &mut u64, case: &[ArgValue]) {
     fn eat_ints(h: &mut u64, xs: &[i128]) {
         eat(h, &(xs.len() as u64).to_le_bytes());
         for x in xs {
             eat(h, &x.to_le_bytes());
         }
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    eat(&mut h, &(tests.len() as u64).to_le_bytes());
-    for case in tests {
-        eat(&mut h, &(case.len() as u64).to_le_bytes());
-        for arg in case {
-            match arg {
-                ArgValue::Int(v) => {
-                    eat(&mut h, &[1]);
-                    eat(&mut h, &v.to_le_bytes());
+    eat(h, &(case.len() as u64).to_le_bytes());
+    for arg in case {
+        match arg {
+            ArgValue::Int(v) => {
+                eat(h, &[1]);
+                eat(h, &v.to_le_bytes());
+            }
+            ArgValue::Float(f) => {
+                eat(h, &[2]);
+                eat(h, &f.to_bits().to_le_bytes());
+            }
+            ArgValue::IntArray(xs) => {
+                eat(h, &[3]);
+                eat_ints(h, xs);
+            }
+            ArgValue::FloatArray(xs) => {
+                eat(h, &[4]);
+                eat(h, &(xs.len() as u64).to_le_bytes());
+                for f in xs {
+                    eat(h, &f.to_bits().to_le_bytes());
                 }
-                ArgValue::Float(f) => {
-                    eat(&mut h, &[2]);
-                    eat(&mut h, &f.to_bits().to_le_bytes());
-                }
-                ArgValue::IntArray(xs) => {
-                    eat(&mut h, &[3]);
-                    eat_ints(&mut h, xs);
-                }
-                ArgValue::FloatArray(xs) => {
-                    eat(&mut h, &[4]);
-                    eat(&mut h, &(xs.len() as u64).to_le_bytes());
-                    for f in xs {
-                        eat(&mut h, &f.to_bits().to_le_bytes());
-                    }
-                }
-                ArgValue::IntStream(xs) => {
-                    eat(&mut h, &[5]);
-                    eat_ints(&mut h, xs);
-                }
+            }
+            ArgValue::IntStream(xs) => {
+                eat(h, &[5]);
+                eat_ints(h, xs);
             }
         }
     }
-    h
 }
 
 /// A durable verdict memo — the seam [`Persisted`] stores through.
@@ -1583,5 +1871,139 @@ mod tests {
         let compiles = mock.compile_calls();
         assert_eq!(gate.diagnose(&p), mock.diags);
         assert_eq!(mock.compile_calls(), compiles + 1);
+    }
+
+    /// `p` with every statement pragma removed: the same node ids on
+    /// everything else.
+    fn without_pragmas(p: &Program) -> Program {
+        let mut q = p.clone();
+        minic::visit::visit_blocks_mut(&mut q, &mut |b| {
+            b.stmts_mut()
+                .retain(|s| !matches!(s.kind, minic::StmtKind::Pragma(_)))
+        });
+        q
+    }
+
+    /// Co-simulates `src` with its statement pragmas removed, then `src`
+    /// itself, on one backend. Asserts the second run equals a fresh run
+    /// bit for bit, and returns it with the memo counters it moved.
+    fn pragma_variant(
+        backend: &SimBackend,
+        src: &str,
+        args: &[ArgValue],
+    ) -> (SimResult, MemoStats) {
+        let variant = minic::parse(src).unwrap();
+        let base = without_pragmas(&variant);
+        backend.co_simulator(&base).unwrap().run(args, 0).unwrap();
+        let before = backend.memo_stats();
+        let got = backend
+            .co_simulator(&variant)
+            .unwrap()
+            .run(args, 0)
+            .unwrap()
+            .result;
+        let fresh = FpgaSimulator::new(&variant).unwrap().run(args);
+        assert_eq!(
+            format!("{:?}", got.outcome),
+            format!("{:?}", fresh.outcome),
+            "{src}"
+        );
+        assert_eq!(
+            got.estimate.cycles.to_bits(),
+            fresh.estimate.cycles.to_bits(),
+            "{src}"
+        );
+        assert_eq!(
+            got.estimate.latency_ms.to_bits(),
+            fresh.estimate.latency_ms.to_bits(),
+            "{src}"
+        );
+        let after = backend.memo_stats();
+        let moved = MemoStats {
+            hits: after.hits - before.hits,
+            misses: after.misses - before.misses,
+            evictions: after.evictions - before.evictions,
+            bypasses: std::array::from_fn(|i| after.bypasses[i] - before.bypasses[i]),
+        };
+        (got, moved)
+    }
+
+    fn only(why: Bypass) -> MemoStats {
+        let mut stats = MemoStats::default();
+        stats.bypasses[why as usize] = 1;
+        stats
+    }
+
+    const HIT: MemoStats = MemoStats {
+        hits: 1,
+        misses: 0,
+        evictions: 0,
+        bypasses: [0; 7],
+    };
+
+    #[test]
+    fn pragma_variants_replay_exactly_from_the_memo() {
+        let backend = SimBackend::default_profile();
+        let loops = "void kernel(int a[8], int n) {\n#pragma HLS array_partition variable=a factor=2 dim=1\n\
+            for (int i = 0; i < 8; i++) {\n#pragma HLS pipeline II=1\n#pragma HLS unroll factor=2\n\
+            int j = 0; do {\n#pragma HLS loop_tripcount min=1 max=4\n a[i] = a[i] + j; j++; } while (j < n); } }";
+        let args = [
+            ArgValue::IntArray(vec![1, 2, 3, 4, 5, 6, 7, 8]),
+            ArgValue::Int(3),
+        ];
+        assert_eq!(pragma_variant(&backend, loops, &args).1, HIT);
+        // A recursive function's head pragma runs once per call, the
+        // recursive ones included.
+        let recursive = "int fact(int n) {\n#pragma HLS inline\n if (n <= 1) { return 1; } return n * fact(n - 1); }\n\
+            int kernel(int n) { return fact(n) + fact(2); }";
+        let (r, moved) = pragma_variant(&backend, recursive, &[ArgValue::Int(6)]);
+        assert_eq!(moved, HIT);
+        assert!(!r.outcome.trapped);
+        assert_eq!(backend.memo_stats().misses, 2);
+    }
+
+    #[test]
+    fn runs_the_memo_cannot_answer_exactly_run_for_real() {
+        let backend = SimBackend::default_profile();
+        // A method shares the free function's name; the VM counts their
+        // calls together.
+        let shared = "struct Acc { int v; int add(int n) { v = v + n; return v; } };\n\
+            int add(int x) {\n#pragma HLS inline\n return x + 1; }\n\
+            int kernel(int n) { struct Acc a = {0}; a.add(n); a.add(n); return add(n) + a.v; }";
+        let (_, moved) = pragma_variant(&backend, shared, &[ArgValue::Int(4)]);
+        assert_eq!(moved, only(Bypass::SharedName));
+        // A pragma off a loop body's or free function's head.
+        let stray = "int kernel(int n) { int s = 0; for (int i = 0; i < n; i++) { s = s + i;\n#pragma HLS pipeline\n } \n\
+            if (s > 3) {\n#pragma HLS inline\n s = 1; } return s; }";
+        let (_, moved) = pragma_variant(&backend, stray, &[ArgValue::Int(5)]);
+        assert_eq!(moved, only(Bypass::PragmaSite));
+        // A trapping input stores nothing.
+        let trapping = "int kernel(int n) {\n#pragma HLS inline\n return 10 / n; }";
+        let (r, moved) = pragma_variant(&backend, trapping, &[ArgValue::Int(0)]);
+        assert!(r.outcome.trapped);
+        assert_eq!(moved, only(Bypass::Trapped));
+        assert_eq!(backend.memo_stats().bypassed(Bypass::Trapped), 2);
+        // 1000 pragmas at the head of a 50 000-iteration loop charge
+        // 50M units: past the fuel limit, where the real run traps.
+        let heavy = format!(
+            "int kernel(int n) {{ int s = 0; for (int i = 0; i < n; i++) {{\n{}\n s = s + i; }} return s; }}",
+            "#pragma HLS loop_tripcount min=1 max=2\n".repeat(1000)
+        );
+        let (r, moved) = pragma_variant(&backend, &heavy, &[ArgValue::Int(50_000)]);
+        assert_eq!(moved, only(Bypass::FuelLimit));
+        assert!(r.outcome.trapped, "{:?}", r.outcome);
+        // A spiked run never consults the memo.
+        let p = minic::parse(&heavy).unwrap();
+        let _ = backend.simulate_spiked(&p, &[ArgValue::Int(3)], 2, 0);
+        assert_eq!(backend.memo_stats().bypassed(Bypass::Spiked), 1);
+    }
+
+    #[test]
+    fn the_tree_walker_never_sees_a_trace() {
+        let backend = SimBackend::default_profile().with_engine(ExecEngine::TreeWalk);
+        let src = "int kernel(int n) { int s = 0; for (int i = 0; i < n; i++) {\n#pragma HLS pipeline\n s = s + i; } return s; }";
+        let (_, moved) = pragma_variant(&backend, src, &[ArgValue::Int(5)]);
+        assert_eq!(moved, only(Bypass::TreeWalk));
+        assert_eq!(backend.memo_stats().misses, 0);
     }
 }

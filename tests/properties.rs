@@ -2,6 +2,8 @@
 //! program transforms.
 
 use common::{assert_engines_agree, assert_engines_agree_with_fuel};
+use heterogen_toolchain::{SimBackend, Toolchain};
+use hls_sim::FpgaSimulator;
 use minic::ast::{BinOp, Expr};
 use minic::types::Type;
 use minic_exec::{compiled_for, ArgValue, MachineConfig, Vm};
@@ -195,6 +197,71 @@ proptest! {
         let args = [ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(c)];
         assert_engines_agree(&p, "kernel", &args);
         assert_engines_agree_with_fuel(&p, "kernel", &args, fuel);
+    }
+}
+
+/// A generated kernel's pragma lines at one site: none, one directive or
+/// two.
+fn arb_pragmas() -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        Just(""),
+        Just("#pragma HLS pipeline II=1\n"),
+        Just("#pragma HLS unroll factor=2\n#pragma HLS inline\n"),
+    ]
+}
+
+/// `p` with every statement pragma removed; every other node keeps its id.
+fn without_pragmas(p: &minic::Program) -> minic::Program {
+    let mut q = p.clone();
+    minic::visit::visit_blocks_mut(&mut q, &mut |b| {
+        b.stmts_mut()
+            .retain(|s| !matches!(s.kind, minic::StmtKind::Pragma(_)))
+    });
+    q
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The co-simulation trace memo answers a generated control-flow
+    /// kernel with pragmas at its loop head, at the heads of the kernel
+    /// and of a recursive helper, and elsewhere, exactly as a fresh run
+    /// does, after simulating the kernel without them. Pragmas only at
+    /// heads are answered from the memo unless the kernel traps; any
+    /// other pragma runs the kernel for real.
+    #[test]
+    fn memo_replays_generated_kernels_with_pragmas_exactly(
+        e1 in arb_expr(),
+        e2 in arb_expr(),
+        n in 0i128..24,
+        a in -100i128..100,
+        b in -100i128..100,
+        c in -8i128..8,
+        heads in (arb_pragmas(), arb_pragmas(), arb_pragmas()),
+        stray in (arb_pragmas(), arb_pragmas()),
+    ) {
+        let (loop_head, kernel_head, helper_head) = heads;
+        let (in_branch, after_decl) = stray;
+        let src = format!(
+            "int step(int x, int i) {{\n{helper_head}    if (x > i) {{ return step(x - 1, i); }}\n    return x + i;\n}}\nint kernel(int a, int b, int c) {{\n{kernel_head}    int s = 0;\n{after_decl}    for (int i = 0; i < {n}; i++) {{\n{loop_head}        if (({}) < s) {{\n{in_branch}            s += ({}) / (c - i);\n        }} else {{ s -= step(c, i); }}\n    }}\n    return s;\n}}",
+            minic::printer::print_expr(&e1),
+            minic::printer::print_expr(&e2),
+        );
+        let variant = minic::parse(&src).unwrap();
+        let base = without_pragmas(&variant);
+        let args = [ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(c)];
+        let backend = SimBackend::default_profile();
+        backend.co_simulator(&base).unwrap().run(&args, 0).unwrap();
+        let got = backend.co_simulator(&variant).unwrap().run(&args, 0).unwrap().result;
+        let fresh = FpgaSimulator::new(&variant).unwrap().run(&args);
+        prop_assert_eq!(format!("{:?}", got.outcome), format!("{:?}", fresh.outcome));
+        prop_assert_eq!(got.estimate.cycles.to_bits(), fresh.estimate.cycles.to_bits());
+        prop_assert_eq!(got.estimate.latency_ms.to_bits(), fresh.estimate.latency_ms.to_bits());
+        let at_heads_only = in_branch.is_empty() && after_decl.is_empty();
+        prop_assert_eq!(
+            backend.memo_stats().hits,
+            u64::from(at_heads_only && !fresh.outcome.trapped)
+        );
     }
 }
 
