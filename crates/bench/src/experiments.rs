@@ -589,7 +589,12 @@ pub fn mined_holdout(threads: usize) -> MinedHoldout {
     let patterns = repair::mine::mine_patterns(&scripts);
     let top_support = patterns.first().map(|p| p.support).unwrap_or(0);
 
-    let mined_cfg = cfg.search.clone().with_mined_patterns(patterns.clone());
+    let mined_cfg = cfg
+        .search
+        .clone()
+        .to_builder()
+        .with_mined_patterns(patterns.clone())
+        .build();
     let rows: Vec<MinedRow> = parallel::parallel_map(threads, holdout, |_, s| {
         let (p, fr, broken) = fuzz_subject(s, &cfg.fuzz);
         let base = repair::repair(
