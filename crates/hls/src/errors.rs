@@ -149,6 +149,9 @@ pub enum ToolchainError {
         site: &'static str,
         /// Human-readable failure description.
         message: String,
+        /// Transient attempts a retry loop absorbed before this fault
+        /// struck.
+        absorbed: u32,
     },
     /// A transient failure that persisted through every retry the policy
     /// allowed. Behaves like a permanent fault (same `Display` form), but
@@ -179,6 +182,7 @@ impl ToolchainError {
         ToolchainError::Permanent {
             site,
             message: message.into(),
+            absorbed: 0,
         }
     }
 
@@ -203,12 +207,43 @@ impl ToolchainError {
         matches!(self, ToolchainError::Exhausted { .. })
     }
 
-    /// Transient attempts absorbed before this error was produced (0 except
-    /// for [`ToolchainError::Exhausted`]).
+    /// Transient attempts absorbed before this error was produced: every
+    /// attempt of an [`ToolchainError::Exhausted`] fault, and those a retry
+    /// loop absorbed before a permanent one (see
+    /// [`ToolchainError::after_transients`]).
     pub fn absorbed_transients(&self) -> u32 {
         match self {
             ToolchainError::Exhausted { attempts, .. } => *attempts,
-            _ => 0,
+            ToolchainError::Permanent { absorbed, .. } => *absorbed,
+            ToolchainError::Transient { .. } => 0,
+        }
+    }
+
+    /// This error, reached after a retry loop absorbed `transients`
+    /// transient attempts: the count travels on the error, so the caller
+    /// can replay those attempts into its resilience accounting. A
+    /// transient error keeps no count; the loop that meets one retries it.
+    pub fn after_transients(self, transients: u32) -> Self {
+        match self {
+            ToolchainError::Permanent {
+                site,
+                message,
+                absorbed,
+            } => ToolchainError::Permanent {
+                site,
+                message,
+                absorbed: absorbed + transients,
+            },
+            ToolchainError::Exhausted {
+                site,
+                attempts,
+                message,
+            } => ToolchainError::Exhausted {
+                site,
+                attempts: attempts + transients,
+                message,
+            },
+            transient @ ToolchainError::Transient { .. } => transient,
         }
     }
 
@@ -242,7 +277,7 @@ impl fmt::Display for ToolchainError {
                 f,
                 "transient toolchain fault at {site} (attempt {attempt}): {message}"
             ),
-            ToolchainError::Permanent { site, message }
+            ToolchainError::Permanent { site, message, .. }
             | ToolchainError::Exhausted { site, message, .. } => {
                 write!(f, "permanent toolchain fault at {site}: {message}")
             }
@@ -365,6 +400,21 @@ mod tests {
             ToolchainError::permanent("exec", "x").absorbed_transients(),
             0
         );
+    }
+
+    #[test]
+    fn transients_absorbed_before_a_failure_travel_on_it() {
+        let p = ToolchainError::permanent("hls_sim", "x").after_transients(2);
+        assert_eq!(p.absorbed_transients(), 2);
+        assert!(!p.is_transient() && !p.is_exhausted());
+        assert_eq!(
+            p.to_string(),
+            ToolchainError::permanent("hls_sim", "x").to_string()
+        );
+        let e = ToolchainError::exhausted("hls_sim", 4, "x").after_transients(1);
+        assert_eq!(e.absorbed_transients(), 5);
+        let t = ToolchainError::transient("hls_sim", 0, "x").after_transients(3);
+        assert_eq!(t.absorbed_transients(), 0);
     }
 
     #[test]
