@@ -70,6 +70,11 @@ pub(crate) fn expr_depth(e: &Expr) -> usize {
     walk(vec![(Node::Expr(e), 1)]).0
 }
 
+/// The depth of `ty` alone: 1 for a scalar.
+pub(crate) fn type_depth(ty: &Type) -> usize {
+    walk(vec![(Node::Type(ty, Span::default()), 1)]).0
+}
+
 /// Pops `stack` to empty, pushing each node's children one level down, and
 /// returns the deepest level reached with its span.
 fn walk(mut stack: Vec<(Node<'_>, usize)>) -> (usize, Span) {

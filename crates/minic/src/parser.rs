@@ -1,7 +1,7 @@
 //! Recursive-descent parser for the minic dialect.
 
 use crate::ast::*;
-use crate::depth::{expr_depth, MAX_AST_DEPTH};
+use crate::depth::{expr_depth, type_depth, MAX_AST_DEPTH};
 use crate::error::ParseError;
 use crate::token::{Keyword, Span, Token, TokenKind};
 use crate::types::{ArraySize, IntWidth, Type};
@@ -45,6 +45,16 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
 /// about 26 KiB of stack per nested parenthesis, so 48 levels stay well
 /// inside a default 2 MiB thread stack.
 pub const MAX_NESTING: u32 = 48;
+
+/// One postfix suffix, parsed before it is linked onto its operand.
+enum Suffix {
+    Call(Vec<Expr>),
+    Index(Expr),
+    /// Field name, and whether it was reached through `->`.
+    Member(String, bool),
+    /// Postfix `++` or `--`.
+    Step(UnOp),
+}
 
 struct Parser {
     tokens: Vec<Token>,
@@ -190,7 +200,7 @@ impl Parser {
                 TokenKind::Keyword(Keyword::Typedef) => {
                     self.bump();
                     let ty = self.parse_type()?;
-                    let ty = self.parse_pointer_suffix(ty);
+                    let ty = self.parse_pointer_suffix(ty)?;
                     let name = self.expect_ident()?;
                     self.expect(TokenKind::Semi)?;
                     self.type_names.insert(name.clone());
@@ -240,7 +250,7 @@ impl Parser {
             let is_static = self.eat_kw(Keyword::Static);
             let is_const0 = self.eat_kw(Keyword::Const);
             let ty = self.parse_type()?;
-            let ty = self.parse_pointer_suffix(ty);
+            let ty = self.parse_pointer_suffix(ty)?;
             let by_ref = self.eat(&TokenKind::Amp);
             let fname = self.expect_ident()?;
             if self.peek() == &TokenKind::LParen {
@@ -303,7 +313,7 @@ impl Parser {
         let is_static = self.eat_kw(Keyword::Static);
         let is_const = self.eat_kw(Keyword::Const);
         let ty = self.parse_type()?;
-        let ty = self.parse_pointer_suffix(ty);
+        let ty = self.parse_pointer_suffix(ty)?;
         let name = self.expect_ident()?;
         if self.peek() == &TokenKind::LParen {
             let mut f = self.parse_function_rest(ty, name)?;
@@ -361,7 +371,7 @@ impl Parser {
         loop {
             self.eat_kw(Keyword::Const);
             let ty = self.parse_type()?;
-            let ty = self.parse_pointer_suffix(ty);
+            let ty = self.parse_pointer_suffix(ty)?;
             let by_ref = self.eat(&TokenKind::Amp);
             let pname = self.expect_ident()?;
             let ty = self.parse_array_suffix(ty)?;
@@ -420,7 +430,7 @@ impl Parser {
                     }
                     self.expect(TokenKind::Lt)?;
                     let inner = self.nested(Self::parse_type)?;
-                    let inner = self.parse_pointer_suffix(inner);
+                    let inner = self.parse_pointer_suffix(inner)?;
                     self.expect(TokenKind::Gt)?;
                     return Ok(Type::Stream(Box::new(inner)));
                 }
@@ -518,16 +528,36 @@ impl Parser {
         }
     }
 
-    fn parse_pointer_suffix(&mut self, mut ty: Type) -> Type {
+    /// Parses the `*`s of a declarator. Like an operator chain, a run of
+    /// stars is a loop that nothing bounds, so once it alone is deeper than
+    /// [`MAX_AST_DEPTH`] the rest is counted but not linked and the program
+    /// is refused.
+    fn parse_pointer_suffix(&mut self, mut ty: Type) -> Result<Type, ParseError> {
+        let span = self.span();
+        let mut stars = 0;
         while self.eat(&TokenKind::Star) {
-            ty = Type::Pointer(Box::new(ty));
+            if stars < MAX_AST_DEPTH {
+                ty = Type::Pointer(Box::new(ty));
+            }
+            stars += 1;
         }
-        ty
+        if stars >= MAX_AST_DEPTH {
+            return Err(self.too_deep(type_depth(&ty) + stars - MAX_AST_DEPTH, span));
+        }
+        Ok(ty)
+    }
+
+    /// The depth error for a chain of `depth` levels rooted one level
+    /// below the current nesting depth, less the levels that add none to
+    /// the AST.
+    fn too_deep(&self, depth: usize, span: Span) -> ParseError {
+        ParseError::too_deep((self.depth - self.hollow) as usize + depth, span)
     }
 
     /// Parses `[N][M]…` after a declarator name, folding into nested arrays
     /// (outermost dimension first).
     fn parse_array_suffix(&mut self, base: Type) -> Result<Type, ParseError> {
+        let span = self.span();
         let mut dims = Vec::new();
         while self.eat(&TokenKind::LBracket) {
             if self.eat(&TokenKind::RBracket) {
@@ -554,6 +584,11 @@ impl Parser {
             };
             self.expect(TokenKind::RBracket)?;
             dims.push(size);
+        }
+        // The dimensions nest like a chain: refuse a run deeper than the
+        // bound before building it.
+        if dims.len() >= MAX_AST_DEPTH {
+            return Err(self.too_deep(type_depth(&base) + dims.len(), span));
         }
         let mut ty = base;
         for d in dims.into_iter().rev() {
@@ -726,7 +761,7 @@ impl Parser {
                 self.eat_kw(Keyword::Const);
             }
             let ty = self.parse_type()?;
-            let ty = self.parse_pointer_suffix(ty);
+            let ty = self.parse_pointer_suffix(ty)?;
             let name = self.expect_ident()?;
             let ty = self.parse_array_suffix(ty)?;
             let init = if self.eat(&TokenKind::Eq) {
@@ -985,12 +1020,7 @@ impl Parser {
             }
         }
         match refused {
-            // The chain's root sits one level below this nesting depth,
-            // less the levels that add none to the AST.
-            Some(depth) => Err(ParseError::too_deep(
-                (self.depth - self.hollow) as usize + depth,
-                span,
-            )),
+            Some(depth) => Err(self.too_deep(depth, span)),
             None => Ok(lhs),
         }
     }
@@ -1041,14 +1071,14 @@ impl Parser {
                 self.bump();
                 self.expect(TokenKind::LParen)?;
                 let ty = self.parse_type()?;
-                let ty = self.parse_pointer_suffix(ty);
+                let ty = self.parse_pointer_suffix(ty)?;
                 self.expect(TokenKind::RParen)?;
                 Ok(self.expr(span, ExprKind::SizeOf(ty)))
             }
             TokenKind::LParen if self.cast_ahead() => {
                 self.bump();
                 let ty = self.parse_type()?;
-                let ty = self.parse_pointer_suffix(ty);
+                let ty = self.parse_pointer_suffix(ty)?;
                 self.expect(TokenKind::RParen)?;
                 let e = self.parse_unary()?;
                 Ok(self.expr(span, ExprKind::Cast(ty, Box::new(e))))
@@ -1150,51 +1180,87 @@ impl Parser {
         self.peek_at(i) == &TokenKind::RParen
     }
 
+    /// Parses a primary expression and its postfix chain (calls, indexing,
+    /// member access, `++`/`--`). Like an operator chain, the suffixes link
+    /// in a loop that nothing bounds, so once a chain is `MAX_AST_DEPTH`
+    /// links long the rest is parsed and measured but not linked, and the
+    /// program is refused with the depth of the whole chain.
     fn parse_postfix(&mut self) -> Result<Expr, ParseError> {
         let span = self.span();
         let mut e = self.parse_primary()?;
+        let mut links = 0;
+        // The chain's depth, and whether its last link is a member access
+        // (the only callable link), once it reaches the bound.
+        let mut refused: Option<(usize, bool)> = None;
         loop {
-            match self.peek().clone() {
+            let suffix = match self.peek() {
                 TokenKind::LParen => {
-                    // Only identifiers and members are callable in the subset.
                     self.bump();
-                    let args = self.parse_args()?;
-                    e = match e.kind {
-                        ExprKind::Ident(name) => self.expr(span, ExprKind::Call(name, args)),
-                        ExprKind::Member(recv, name, _arrow) => {
-                            self.expr(span, ExprKind::MethodCall(recv, name, args))
-                        }
-                        _ => return Err(self.err("unsupported call target")),
-                    };
+                    Suffix::Call(self.parse_args()?)
                 }
                 TokenKind::LBracket => {
                     self.bump();
                     let idx = self.parse_expr()?;
                     self.expect(TokenKind::RBracket)?;
-                    e = self.expr(span, ExprKind::Index(Box::new(e), Box::new(idx)));
+                    Suffix::Index(idx)
                 }
-                TokenKind::Dot => {
-                    self.bump();
-                    let field = self.expect_ident()?;
-                    e = self.expr(span, ExprKind::Member(Box::new(e), field, false));
-                }
-                TokenKind::Arrow => {
-                    self.bump();
-                    let field = self.expect_ident()?;
-                    e = self.expr(span, ExprKind::Member(Box::new(e), field, true));
+                TokenKind::Dot | TokenKind::Arrow => {
+                    let arrow = self.bump().kind == TokenKind::Arrow;
+                    Suffix::Member(self.expect_ident()?, arrow)
                 }
                 TokenKind::PlusPlus => {
                     self.bump();
-                    e = self.expr(span, ExprKind::Unary(UnOp::Inc(false), Box::new(e)));
+                    Suffix::Step(UnOp::Inc(false))
                 }
                 TokenKind::MinusMinus => {
                     self.bump();
-                    e = self.expr(span, ExprKind::Unary(UnOp::Dec(false), Box::new(e)));
+                    Suffix::Step(UnOp::Dec(false))
                 }
                 _ => break,
-            }
+            };
+            let Some((depth, callable)) = &mut refused else {
+                e = self.link_postfix(e, suffix, span)?;
+                links += 1;
+                if links >= MAX_AST_DEPTH {
+                    let callable = matches!(e.kind, ExprKind::Member(..));
+                    refused = Some((expr_depth(&e), callable));
+                }
+                continue;
+            };
+            // A method call replaces the member access it calls.
+            *depth = match &suffix {
+                Suffix::Call(_) if !*callable => return Err(self.err("unsupported call target")),
+                Suffix::Call(args) => args
+                    .iter()
+                    .map(|a| 1 + expr_depth(a))
+                    .fold(*depth, usize::max),
+                Suffix::Index(idx) => 1 + (*depth).max(expr_depth(idx)),
+                Suffix::Member(..) | Suffix::Step(_) => 1 + *depth,
+            };
+            *callable = matches!(suffix, Suffix::Member(..));
         }
-        Ok(e)
+        match refused {
+            // The chain's root is the operand one level below this nesting
+            // depth.
+            Some((depth, _)) => Err(self.too_deep(depth - 1, span)),
+            None => Ok(e),
+        }
+    }
+
+    /// Links one postfix `suffix` onto `e`.
+    fn link_postfix(&mut self, e: Expr, suffix: Suffix, span: Span) -> Result<Expr, ParseError> {
+        let kind = match suffix {
+            // Only identifiers and members are callable in the subset.
+            Suffix::Call(args) => match e.kind {
+                ExprKind::Ident(name) => ExprKind::Call(name, args),
+                ExprKind::Member(recv, name, _arrow) => ExprKind::MethodCall(recv, name, args),
+                _ => return Err(self.err("unsupported call target")),
+            },
+            Suffix::Index(idx) => ExprKind::Index(Box::new(e), Box::new(idx)),
+            Suffix::Member(field, arrow) => ExprKind::Member(Box::new(e), field, arrow),
+            Suffix::Step(op) => ExprKind::Unary(op, Box::new(e)),
+        };
+        Ok(self.expr(span, kind))
     }
 
     fn parse_args(&mut self) -> Result<Vec<Expr>, ParseError> {
@@ -1469,6 +1535,84 @@ mod tests {
             .unwrap()
             .join()
             .unwrap();
+    }
+
+    #[test]
+    fn a_hundred_thousand_link_postfix_or_type_chain_is_refused_on_a_small_stack() {
+        // Postfix suffixes, stars and array dimensions also chain in loops;
+        // each is refused before a tree this deep is built.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let n = 100_000;
+                for (src, depth, line) in [
+                    // `return`, then the chain over the innermost `x`
+                    (
+                        format!("int k(int x) {{\n    return x{};\n}}", "[0]".repeat(n)),
+                        n + 2,
+                        2,
+                    ),
+                    (
+                        format!("int k(int x) {{ return x{}; }}", ".a".repeat(n)),
+                        n + 2,
+                        1,
+                    ),
+                    (
+                        format!("int k(int x) {{ return -(x{}++); }}", "[0]".repeat(n)),
+                        n + 4,
+                        1,
+                    ),
+                    // the type's `int` is one level and each star another
+                    (format!("int {}g;", "*".repeat(n)), n + 1, 1),
+                    (
+                        format!("void k() {{\n\n    int {}g;\n}}", "*".repeat(n)),
+                        n + 2,
+                        3,
+                    ),
+                    (
+                        format!("int k() {{ return sizeof(int {}); }}", "*".repeat(n)),
+                        n + 3,
+                        1,
+                    ),
+                    (format!("int g{};", "[1]".repeat(n)), n + 1, 1),
+                ] {
+                    let err = parse(&src).unwrap_err();
+                    assert_eq!(err.kind(), ParseErrorKind::RecursionLimitExceeded, "{err}");
+                    assert!(
+                        err.message().contains(&format!("AST depth {depth} ")),
+                        "{err}"
+                    );
+                    assert_eq!(err.span().line, line, "{err}");
+                }
+                // A method call on a refused chain is measured; a call on
+                // anything but a member is still refused as a call.
+                let src = format!("int k(int x) {{ return x{}.f(-x); }}", "[0]".repeat(n));
+                let err = parse(&src).unwrap_err();
+                assert!(
+                    err.message().contains(&format!("AST depth {} ", n + 3)),
+                    "{err}"
+                );
+                let src = format!("int k(int x) {{ return x{}(x); }}", "[0]".repeat(n));
+                let err = parse(&src).unwrap_err();
+                assert!(err.message().contains("unsupported call target"), "{err}");
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn postfix_and_type_chains_up_to_the_bound_parse() {
+        // `return` and the innermost operand are one level each, as are
+        // the scalar base type and each pointer.
+        let index = |n: usize| format!("int k(int x) {{ return x{}; }}", "[0]".repeat(n));
+        let p = parse(&index(crate::MAX_AST_DEPTH - 2)).unwrap();
+        assert_eq!(crate::ast_depth(&p), crate::MAX_AST_DEPTH);
+        assert!(parse(&index(crate::MAX_AST_DEPTH - 1)).is_err());
+        let stars = |n: usize| format!("int {}g;", "*".repeat(n));
+        let p = parse(&stars(crate::MAX_AST_DEPTH - 1)).unwrap();
+        assert_eq!(crate::ast_depth(&p), crate::MAX_AST_DEPTH);
+        assert!(parse(&stars(crate::MAX_AST_DEPTH)).is_err());
     }
 
     #[test]
