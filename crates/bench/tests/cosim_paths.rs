@@ -127,13 +127,6 @@ fn chaos_plan() -> FaultPlan {
         .build()
 }
 
-/// 64-bit FNV-1a of a trace.
-fn digest(trace: &str) -> u64 {
-    trace.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 #[test]
 fn prepared_and_per_test_cosimulation_agree_on_every_subject() {
     let cfg = standard_config();
@@ -274,10 +267,10 @@ fn chaos_repair_fault_stream_is_pinned() {
         );
         assert_eq!(r.resilience, resilience, "{id}");
         assert_eq!(
-            digest(&trace),
+            minic::fnv1a(trace.as_bytes()),
             trace_digest,
             "{id}: trace digest {:#018x}",
-            digest(&trace)
+            minic::fnv1a(trace.as_bytes())
         );
     }
 }

@@ -122,6 +122,23 @@ impl IdHasher {
     }
 }
 
+/// 64-bit FNV-1a's offset basis: the hash of no bytes.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues the 64-bit FNV-1a hash `h` over `bytes`. This is the one
+/// FNV-1a in the workspace: fingerprints, the store's checksums and keys,
+/// and test-suite fingerprints and trace digests all hash through it.
+pub fn fnv1a_extend(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// 64-bit FNV-1a of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV1A_OFFSET, bytes)
+}
+
 /// Streaming FNV-1a over structural bytes.
 struct Fnv {
     h: u64,
@@ -131,28 +148,22 @@ struct Fnv {
 }
 
 impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
     fn new() -> Fnv {
         Fnv {
-            h: Self::OFFSET,
+            h: FNV1A_OFFSET,
             strip: false,
         }
     }
 
     fn stripping() -> Fnv {
         Fnv {
-            h: Self::OFFSET,
+            h: FNV1A_OFFSET,
             strip: true,
         }
     }
 
     fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.h ^= b as u64;
-            self.h = self.h.wrapping_mul(Self::PRIME);
-        }
+        self.h = fnv1a_extend(self.h, bs);
     }
 
     /// Variant / position tag. Each call site uses a distinct constant so

@@ -55,7 +55,8 @@ pub use ast::{
 pub use depth::{ast_depth, MAX_AST_DEPTH};
 pub use error::{ParseError, ParseErrorKind, TypeError};
 pub use fingerprint::{
-    behaviour_digest, fingerprint_node_ids, fingerprint_program, same_behaviour,
+    behaviour_digest, fingerprint_node_ids, fingerprint_program, fnv1a, fnv1a_extend,
+    same_behaviour, FNV1A_OFFSET,
 };
 pub use parser::parse;
 pub use printer::print_program;

@@ -359,7 +359,7 @@ fn decode_eval(v: &Value) -> Option<EvalResult> {
 /// Stable fingerprint of a set of test cases (seed inputs), computed over
 /// their canonical JSON rendering so it is bit-exact for floats.
 pub fn cases_fingerprint(cases: &[Vec<ArgValue>]) -> u64 {
-    crate::log::fnv1a(render(encode_cases(cases)).as_bytes())
+    minic::fnv1a(render(encode_cases(cases)).as_bytes())
 }
 
 // ---- Records ----

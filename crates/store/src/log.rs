@@ -39,16 +39,6 @@ pub const RECORD_HEADER_LEN: usize = 4 + 8;
 /// to allocate gigabytes).
 pub const MAX_RECORD_LEN: usize = 1 << 26;
 
-/// FNV-1a over `bytes` — the checksum guarding each record's payload.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The file header for a fresh log.
 pub fn file_header() -> Vec<u8> {
     let mut out = Vec::with_capacity(FILE_HEADER_LEN);
@@ -62,7 +52,7 @@ pub fn encode_record(payload: &[u8]) -> Vec<u8> {
     debug_assert!(payload.len() <= MAX_RECORD_LEN);
     let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&minic::fnv1a(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -216,7 +206,7 @@ pub fn replay(bytes: &[u8]) -> Result<Replayed, HeaderError> {
             });
         }
         let payload = &bytes[body_start..body_start + len];
-        let computed = fnv1a(payload);
+        let computed = minic::fnv1a(payload);
         if computed != stored {
             break Some(Corruption::ChecksumMismatch { stored, computed });
         }
