@@ -338,7 +338,44 @@ pub(crate) fn emit_diff<S: TraceSink + ?Sized>(sink: &S, tests: usize, report: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heterogen_faults::{Fault, FaultSite};
+    use heterogen_trace::JsonlSink;
     use minic_exec::ArgValue;
+
+    /// Every co-simulation faults transiently `transients` times, then
+    /// permanently; `None` keeps it transient forever.
+    struct TransientsThen(Option<u32>);
+
+    impl FaultInjector for TransientsThen {
+        fn fault(&self, _site: FaultSite, _key: u64, attempt: u32) -> Option<Fault> {
+            match self.0 {
+                Some(n) if attempt >= n => Some(Fault::Permanent),
+                _ => Some(Fault::Transient),
+            }
+        }
+    }
+
+    /// `evaluate_with` over two tests under `injector`: its stats and its
+    /// JSONL trace without the schema header.
+    fn faulted_evaluation(injector: &TransientsThen) -> (DiffReport, ResilienceStats, String) {
+        let p = minic::parse("int kernel(int x) { return x + 1; }").unwrap();
+        let tests: Vec<TestCase> = (0..2).map(|i| vec![ArgValue::Int(i)]).collect();
+        let d = DifferentialTester::new(&p, "kernel", &tests, 10).unwrap();
+        let sink = JsonlSink::new();
+        let backend = SimBackend::default_profile();
+        let (report, stats) = d.evaluate_with(
+            &backend,
+            &p,
+            &sink,
+            injector,
+            &RetryPolicy::default(),
+            0xfeed,
+            1.5,
+        );
+        let trace = sink.contents();
+        let events = trace.split_once('\n').unwrap().1.to_string();
+        (report, stats, events)
+    }
 
     #[test]
     fn identical_program_passes_all() {
@@ -378,5 +415,78 @@ mod tests {
         let tests: Vec<TestCase> = vec![vec![ArgValue::Int(1)]];
         let d = DifferentialTester::new(&p, "kernel", &tests, 10).unwrap();
         assert_eq!(d.evaluate(&broken).pass_ratio, 0.0);
+    }
+
+    /// The two tests' injector keys, `mix_key(0xfeed, i)`.
+    const TEST_KEYS: [&str; 2] = ["a98eb7d8692da252", "d34b9bc5c5474bc3"];
+
+    fn fault_line(key: &str, fault: &str, attempt: u32) -> String {
+        format!(
+            "{{\"event\":\"fault_injected\",\"site\":\"hls_sim\",\"fault\":\"{fault}\",\
+             \"fingerprint\":\"{key}\",\"attempt\":{attempt},\"at_min\":1.5}}\n"
+        )
+    }
+
+    fn retry_line(key: &str, attempt: u32, delay: &str) -> String {
+        format!(
+            "{{\"event\":\"retry_scheduled\",\"site\":\"hls_sim\",\"fingerprint\":\"{key}\",\
+             \"attempt\":{attempt},\"delay_min\":{delay},\"at_min\":1.5}}\n"
+        )
+    }
+
+    const DIFF_LINE: &str =
+        "{\"event\":\"diff_evaluated\",\"tests\":2,\"pass_ratio\":0.0,\"fpga_latency_ms\":0.0}\n";
+
+    #[test]
+    fn a_permanent_fault_after_absorbed_transients_replays_both() {
+        let (report, stats, events) = faulted_evaluation(&TransientsThen(Some(2)));
+        assert_eq!(report.pass_ratio, 0.0);
+        let expected = ResilienceStats {
+            transient_faults: 4,
+            retries: 4,
+            backoff_min: 1.5,
+            crashes: 0,
+            permanent_faults: 2,
+        };
+        assert_eq!(stats, expected);
+        // Both transients are retried; the permanent fault carries the
+        // absorbed count as its attempt.
+        let mut want = String::new();
+        for key in TEST_KEYS {
+            want += &fault_line(key, "transient", 0);
+            want += &retry_line(key, 1, "0.25");
+            want += &fault_line(key, "transient", 1);
+            want += &retry_line(key, 2, "0.5");
+            want += &fault_line(key, "permanent", 2);
+        }
+        want += DIFF_LINE;
+        assert_eq!(events, want);
+    }
+
+    #[test]
+    fn a_fault_that_stays_transient_replays_its_retries_and_exhausts() {
+        let (report, stats, events) = faulted_evaluation(&TransientsThen(None));
+        assert_eq!(report.pass_ratio, 0.0);
+        let expected = ResilienceStats {
+            transient_faults: 8,
+            retries: 6,
+            backoff_min: 3.5,
+            crashes: 0,
+            permanent_faults: 2,
+        };
+        assert_eq!(stats, expected);
+        // The default policy grants three retries: the fourth transient
+        // gets none, and the exhausted test counts as a permanent fault
+        // without an event of its own.
+        let mut want = String::new();
+        for key in TEST_KEYS {
+            for (attempt, delay) in [(0, "0.25"), (1, "0.5"), (2, "1.0")] {
+                want += &fault_line(key, "transient", attempt);
+                want += &retry_line(key, attempt + 1, delay);
+            }
+            want += &fault_line(key, "transient", 3);
+        }
+        want += DIFF_LINE;
+        assert_eq!(events, want);
     }
 }

@@ -627,6 +627,13 @@ mod tests {
             }],
         };
         let text = encode_corpus(&key, &rec);
+        // The payload's bytes are the schema: a change here is a store
+        // format change.
+        assert_eq!(
+            minic::fnv1a(text.as_bytes()),
+            0x230f_eed2_4c30_d8ad,
+            "{text}"
+        );
         let Some(Entry::Corpus(k2, r2)) = decode_entry(&text) else {
             panic!("decode failed: {text}")
         };
@@ -668,6 +675,11 @@ mod tests {
             fpga_latency_ms: f64::INFINITY,
         };
         let text = encode_diff(&key, &val);
+        assert_eq!(
+            minic::fnv1a(text.as_bytes()),
+            0xd82b_759c_3ff3_35f8,
+            "{text}"
+        );
         let Some(Entry::Diff(k2, v2)) = decode_entry(&text) else {
             panic!("decode failed: {text}")
         };

@@ -1053,6 +1053,15 @@ mod tests {
     fn campaign_key_ignores_threads_and_engine_but_not_results_knobs() {
         let seeds = vec![vec![ArgValue::Int(1)]];
         let base = FuzzConfig::default();
+        // The key's bytes are part of the store format: pin the default
+        // configuration's and the benchmark suite's (`bench::standard_config`).
+        let standard = FuzzConfig::builder()
+            .with_idle_stop_min(1.0)
+            .with_max_execs(800)
+            .build();
+        let config_fp = |cfg: &FuzzConfig| fuzz_campaign_key(1, "k", &seeds, cfg).config_fp;
+        assert_eq!(config_fp(&base), 0x0758_0141_c241_e090);
+        assert_eq!(config_fp(&standard), 0x2e79_fe3d_3b8f_c808);
         let mut threaded = base;
         threaded.threads = 8;
         assert_eq!(
