@@ -24,7 +24,7 @@
 //! ```
 
 use heterogen_faults::{FaultInjector, NoFaults};
-use heterogen_store::{CorpusRecord, FuzzRound, ScriptKey, Store};
+use heterogen_store::{ScriptKey, Store};
 use heterogen_toolchain::{SimBackend, Toolchain, VerdictStore};
 use heterogen_trace::{Event, NullSink, TraceSink};
 use minic::types::Type;
@@ -33,7 +33,7 @@ use minic_exec::{ExecEngine, Profile};
 use repair::{EditScript, RepairOutcome, SearchConfig, SearchStop};
 use serde::Serialize;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use testgen::{FuzzConfig, FuzzReport, TestCase};
 
 /// Pipeline configuration.
@@ -749,39 +749,6 @@ impl SessionBuilder {
     }
 }
 
-/// [`TraceSink`] shim that captures `FuzzRoundEnd` tuples for the
-/// persistent store while forwarding everything to the real sink. Always
-/// enabled so the generator constructs the events; forwarding still honors
-/// the inner sink's gate, so the observable trace is unchanged.
-struct RoundRecorder<'a> {
-    inner: &'a dyn TraceSink,
-    rounds: Mutex<Vec<FuzzRound>>,
-}
-
-impl TraceSink for RoundRecorder<'_> {
-    fn emit(&self, event: &Event) {
-        if let Event::FuzzRoundEnd {
-            round,
-            executed,
-            corpus,
-            new_coverage,
-            at_min,
-        } = event
-        {
-            self.rounds.lock().unwrap().push(FuzzRound {
-                round: *round,
-                executed: *executed,
-                corpus: *corpus,
-                new_coverage: *new_coverage,
-                at_min: *at_min,
-            });
-        }
-        if self.inner.enabled() {
-            self.inner.emit(event);
-        }
-    }
-}
-
 impl Session {
     /// The active configuration.
     pub fn config(&self) -> &PipelineConfig {
@@ -812,47 +779,17 @@ impl Session {
             &seeds,
             fuzz_cfg,
         );
-        if let Some(rec) = store.get_corpus(&key) {
+        if let Some(report) = store.get_corpus(&key) {
             if sink.enabled() {
-                for r in &rec.rounds {
-                    sink.emit(&Event::FuzzRoundEnd {
-                        round: r.round,
-                        executed: r.executed,
-                        corpus: r.corpus,
-                        new_coverage: r.new_coverage,
-                        at_min: r.at_min,
-                    });
+                for round in &report.rounds {
+                    sink.emit(&round.event());
                 }
             }
-            return Ok(FuzzReport {
-                corpus: rec.corpus,
-                executed: rec.executed,
-                sim_minutes: rec.sim_minutes,
-                coverage: rec.coverage,
-                profile: rec.profile,
-                peak_heap_cells: rec.peak_heap_cells,
-                failing: rec.failing,
-            });
+            return Ok(report);
         }
-        let recorder = RoundRecorder {
-            inner: sink,
-            rounds: Mutex::new(Vec::new()),
-        };
-        let report = testgen::fuzz_traced(original, kernel, seeds, fuzz_cfg, &recorder)
+        let report = testgen::fuzz_traced(original, kernel, seeds, fuzz_cfg, sink)
             .map_err(PipelineError::TestGen)?;
-        store.put_corpus(
-            &key,
-            &CorpusRecord {
-                corpus: report.corpus.clone(),
-                executed: report.executed,
-                sim_minutes: report.sim_minutes,
-                coverage: report.coverage,
-                profile: report.profile.clone(),
-                peak_heap_cells: report.peak_heap_cells,
-                failing: report.failing.clone(),
-                rounds: recorder.rounds.into_inner().unwrap(),
-            },
-        );
+        store.put_corpus(&key, &report);
         Ok(report)
     }
 

@@ -6,20 +6,12 @@
 //! behavior, and compares the simulation latency … between CPU and FPGA."
 
 use heterogen_faults::{FaultInjector, NoFaults, ResilienceStats, RetryPolicy};
+pub use heterogen_toolchain::DiffReport;
 use heterogen_toolchain::{Resilient, SimBackend, Simulated, Toolchain, ToolchainError};
 use heterogen_trace::{Event, NullSink, TraceSink};
 use minic::Program;
 use minic_exec::{CpuCostModel, ExecEngine, MachineConfig, Outcome, Prepared};
 use testgen::TestCase;
-
-/// Result of differentially testing one candidate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiffReport {
-    /// Fraction of tests with identical observable behaviour.
-    pub pass_ratio: f64,
-    /// Mean FPGA latency over the tests (ms).
-    pub fpga_latency_ms: f64,
-}
 
 /// Precomputed CPU reference outcomes for a test suite.
 #[derive(Debug)]
@@ -205,7 +197,24 @@ impl DifferentialTester {
             for (i, run) in runs.iter().enumerate() {
                 if injector.enabled() {
                     let test_key = heterogen_faults::mix_key(key, i as u64);
-                    replay_faults(sink, retry, &mut stats, run, test_key, at_min);
+                    let absorbed = run.transients;
+                    replay_transients(
+                        sink, retry, at_min, &mut stats, "hls_sim", test_key, absorbed,
+                    );
+                    // An exhausted test is a permanent fault without an
+                    // event of its own.
+                    if run.end != End::Ok {
+                        stats.permanent_faults += 1;
+                    }
+                    if run.end == End::Permanent && sink.enabled() {
+                        sink.emit(&Event::FaultInjected {
+                            site: "hls_sim".to_string(),
+                            fault: "permanent".to_string(),
+                            fingerprint: test_key,
+                            attempt: u64::from(absorbed),
+                            at_min,
+                        });
+                    }
                 }
                 if let Some((ok, ms)) = run.measured {
                     if ok {
@@ -270,52 +279,45 @@ enum End {
     Permanent,
 }
 
-/// Replays one test's absorbed faults into `stats` and onto `sink`.
-fn replay_faults<S: TraceSink + ?Sized>(
+/// The one replay of the transient faults a worker absorbed at `site`
+/// while evaluating `fingerprint`: each counts in `stats` and emits a
+/// [`Event::FaultInjected`] on `sink`, and each retry the policy granted
+/// counts its backoff and emits a [`Event::RetryScheduled`], all stamped
+/// `at_min`. The worker retried only while `retry`'s schedule granted a
+/// delay, so replaying `delay_before` reproduces exactly the retries it
+/// took (the last transient of an exhausted run gets none). The backoff is
+/// billed to [`ResilienceStats::backoff_min`], never a search clock.
+pub(crate) fn replay_transients<S: TraceSink + ?Sized>(
     sink: &S,
     retry: &RetryPolicy,
-    stats: &mut ResilienceStats,
-    run: &TestRun,
-    test_key: u64,
     at_min: f64,
+    stats: &mut ResilienceStats,
+    site: &str,
+    fingerprint: u64,
+    transients: u32,
 ) {
-    for a in 0..run.transients {
+    for a in 0..transients {
         stats.transient_faults += 1;
         if sink.enabled() {
             sink.emit(&Event::FaultInjected {
-                site: "hls_sim".to_string(),
+                site: site.to_string(),
                 fault: "transient".to_string(),
-                fingerprint: test_key,
+                fingerprint,
                 attempt: u64::from(a),
                 at_min,
             });
         }
-        // The worker only kept retrying while the schedule granted a
-        // delay; replaying `delay_before` here reproduces exactly the
-        // retries it took (the final transient of an exhausted test gets
-        // none).
-        if let Some(delay) = retry.delay_before(a + 1) {
-            stats.retries += 1;
-            stats.backoff_min += delay;
-            if sink.enabled() {
-                sink.emit(&Event::RetryScheduled {
-                    site: "hls_sim".to_string(),
-                    fingerprint: test_key,
-                    attempt: u64::from(a + 1),
-                    delay_min: delay,
-                    at_min,
-                });
-            }
-        }
-    }
-    if run.end != End::Ok {
-        stats.permanent_faults += 1;
-        if run.end == End::Permanent && sink.enabled() {
-            sink.emit(&Event::FaultInjected {
-                site: "hls_sim".to_string(),
-                fault: "permanent".to_string(),
-                fingerprint: test_key,
-                attempt: u64::from(run.transients),
+        let Some(delay_min) = retry.delay_before(a + 1) else {
+            continue;
+        };
+        stats.retries += 1;
+        stats.backoff_min += delay_min;
+        if sink.enabled() {
+            sink.emit(&Event::RetryScheduled {
+                site: site.to_string(),
+                fingerprint,
+                attempt: u64::from(a + 1),
+                delay_min,
                 at_min,
             });
         }

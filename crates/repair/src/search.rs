@@ -51,14 +51,14 @@
 //!    reached — and persists that verdict too.
 
 use crate::deps;
-use crate::diff::{emit_diff, DiffReport, DifferentialTester};
+use crate::diff::{self, emit_diff, DiffReport, DifferentialTester};
 use crate::localize::{candidate_edits, resize_edits};
 use crate::script::{EditKind, EditScript, FixPattern, ScriptEdit};
 use crate::templates::{RepairEdit, ResizeTarget};
 use heterogen_faults::{FaultInjector, NoFaults, ResilienceStats, RetryPolicy};
 use heterogen_toolchain::{
-    diff_tests_fingerprint, DiffKey, DiffVerdict, EvalResult, Persisted, Resilient, SimBackend,
-    Toolchain, VerdictStore,
+    diff_tests_fingerprint, DiffKey, EvalResult, Persisted, Resilient, SimBackend, Toolchain,
+    VerdictStore,
 };
 use heterogen_trace::{Event, NullSink, TraceSink, Verdict};
 use hls_sim::{CompileCostModel, HlsDiagnostic, SimClock, ToolchainError};
@@ -740,29 +740,21 @@ where
 struct StoredDiffs(Option<(Arc<dyn VerdictStore>, DiffKey)>);
 
 impl StoredDiffs {
-    fn get(&self, fp: u64) -> Option<DiffReport> {
-        let (store, template) = self.0.as_ref()?;
-        let v = store.get_diff(&DiffKey {
+    fn key(template: &DiffKey, fp: u64) -> DiffKey {
+        DiffKey {
             program_fp: fp,
             ..template.clone()
-        })?;
-        Some(DiffReport {
-            pass_ratio: v.pass_ratio,
-            fpga_latency_ms: v.fpga_latency_ms,
-        })
+        }
+    }
+
+    fn get(&self, fp: u64) -> Option<DiffReport> {
+        let (store, template) = self.0.as_ref()?;
+        store.get_diff(&Self::key(template, fp))
     }
 
     fn put(&self, fp: u64, report: &DiffReport) {
         if let Some((store, template)) = &self.0 {
-            let verdict = DiffVerdict {
-                pass_ratio: report.pass_ratio,
-                fpga_latency_ms: report.fpga_latency_ms,
-            };
-            let key = DiffKey {
-                program_fp: fp,
-                ..template.clone()
-            };
-            store.put_diff(&key, &verdict);
+            store.put_diff(&Self::key(template, fp), report);
         }
     }
 }
@@ -1003,7 +995,7 @@ impl<S: TraceSink + ?Sized> Ledger<'_, S> {
                 }
                 Ok(Err(e)) => {
                     let absorbed = e.absorbed_transients();
-                    self.replay_transients("hls_check", fingerprint, absorbed);
+                    self.replay_transients(fingerprint, absorbed);
                     self.resilience.permanent_faults += 1;
                     self.emit(|at_min| Event::FaultInjected {
                         site: e.site().to_string(),
@@ -1056,7 +1048,7 @@ impl<S: TraceSink + ?Sized> Ledger<'_, S> {
             self.emit_candidate(kind, fingerprint, Verdict::StyleRejected, attempt_cost);
             return None;
         }
-        self.replay_transients("hls_check", fingerprint, eval.transients);
+        self.replay_transients(fingerprint, eval.transients);
         let compile_cost = self.costs.full_compile_loc(eval.loc);
         self.clock.advance(compile_cost);
         attempt_cost += compile_cost;
@@ -1115,35 +1107,22 @@ impl<S: TraceSink + ?Sized> Ledger<'_, S> {
         self.emit_candidate(kind, fingerprint, Verdict::Crashed, attempt_cost);
     }
 
-    /// Replays the transient faults a worker absorbed while evaluating one
-    /// candidate into the caller-thread accounting: resilience counters, the
-    /// backoff ledger, and (merge-phase-only) trace events. The search clock
-    /// is deliberately untouched — see [`repair_persistent`].
-    fn replay_transients(&mut self, site: &str, fingerprint: u64, transients: u32) {
-        for a in 0..transients {
-            self.resilience.transient_faults += 1;
-            self.emit(|at_min| Event::FaultInjected {
-                site: site.to_string(),
-                fault: "transient".to_string(),
-                fingerprint,
-                attempt: u64::from(a),
-                at_min,
-            });
-            // The worker retried while the schedule granted a delay, so
-            // the last transient of an exhausted run was never retried.
-            let Some(delay) = self.retry.delay_before(a + 1) else {
-                continue;
-            };
-            self.resilience.retries += 1;
-            self.resilience.backoff_min += delay;
-            self.emit(|at_min| Event::RetryScheduled {
-                site: site.to_string(),
-                fingerprint,
-                attempt: u64::from(a + 1),
-                delay_min: delay,
-                at_min,
-            });
-        }
+    /// Replays the transient faults a worker absorbed while compiling one
+    /// candidate into the caller-thread accounting (see
+    /// [`diff::replay_transients`]). The search clock is deliberately
+    /// untouched — see [`repair_persistent`].
+    fn replay_transients(&mut self, fingerprint: u64, transients: u32) {
+        let at_min = self.clock.elapsed_min();
+        let stats = &mut self.resilience;
+        diff::replay_transients(
+            self.sink,
+            &self.retry,
+            at_min,
+            stats,
+            "hls_check",
+            fingerprint,
+            transients,
+        );
     }
 
     /// Emits one [`Event::CandidateEvaluated`] for a merged attempt.

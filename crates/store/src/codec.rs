@@ -11,8 +11,8 @@
 //! store treats that record and everything after it as corrupt, exactly
 //! like a failed checksum.
 
-use crate::{CorpusKey, CorpusRecord, FuzzRound, ScriptKey};
-use heterogen_toolchain::{DiffKey, DiffVerdict, EvalResult, VerdictKey};
+use crate::{CorpusKey, ScriptKey};
+use heterogen_toolchain::{DiffKey, DiffReport, EvalResult, VerdictKey};
 use hls_sim::{ErrorCategory, HlsDiagnostic};
 use minic::ast::NodeId;
 use minic_exec::{ArgValue, Profile, Range};
@@ -20,6 +20,7 @@ use repair::{EditScript, FixPattern};
 use serde::Serialize;
 use serde::Value;
 use std::sync::Arc;
+use testgen::{FuzzReport, FuzzRound};
 
 /// Per-record schema version, checked on decode on top of the file-level
 /// version in the log header.
@@ -31,9 +32,9 @@ pub enum Entry {
     /// A persisted evaluation verdict.
     Verdict(VerdictKey, EvalResult),
     /// A persisted fuzz campaign.
-    Corpus(CorpusKey, CorpusRecord),
+    Corpus(CorpusKey, FuzzReport),
     /// A persisted fault-free differential-test verdict.
-    Diff(DiffKey, DiffVerdict),
+    Diff(DiffKey, DiffReport),
     /// A persisted winning repair script.
     Script(ScriptKey, EditScript),
     /// A persisted mined fix pattern.
@@ -378,7 +379,7 @@ pub fn encode_verdict(key: &VerdictKey, val: &EvalResult) -> String {
 }
 
 /// Renders one fuzz-campaign entry as a record payload.
-pub fn encode_corpus(key: &CorpusKey, rec: &CorpusRecord) -> String {
+pub fn encode_corpus(key: &CorpusKey, rec: &FuzzReport) -> String {
     render(obj(vec![
         ("kind", Value::Str("corpus".to_string())),
         ("v", Value::Int(RECORD_VERSION)),
@@ -419,7 +420,7 @@ pub fn encode_corpus(key: &CorpusKey, rec: &CorpusRecord) -> String {
 }
 
 /// Renders one differential-verdict entry as a record payload.
-pub fn encode_diff(key: &DiffKey, val: &DiffVerdict) -> String {
+pub fn encode_diff(key: &DiffKey, val: &DiffReport) -> String {
     render(obj(vec![
         ("kind", Value::Str("diff".to_string())),
         ("v", Value::Int(RECORD_VERSION)),
@@ -503,7 +504,7 @@ pub fn decode_entry(text: &str) -> Option<Entry> {
                     })
                 })
                 .collect::<Option<Vec<_>>>()?;
-            let rec = CorpusRecord {
+            let rec = FuzzReport {
                 corpus: decode_cases(val.get("corpus")?)?,
                 executed: as_usize(val.get("executed")?)?,
                 sim_minutes: as_f64_bits(val.get("sim_minutes")?)?,
@@ -524,7 +525,7 @@ pub fn decode_entry(text: &str) -> Option<Entry> {
                 backend: as_str(v.get("backend")?)?.to_string(),
             };
             let val = v.get("val")?;
-            let rec = DiffVerdict {
+            let rec = DiffReport {
                 pass_ratio: as_f64_bits(val.get("pass_ratio")?)?,
                 fpga_latency_ms: as_f64_bits(val.get("fpga_latency_ms")?)?,
             };
@@ -603,7 +604,7 @@ mod tests {
         let mut profile = Profile::new();
         profile.record_int("kernel", "x", -5);
         profile.record_int("kernel", "x", 999);
-        let rec = CorpusRecord {
+        let rec = FuzzReport {
             corpus: vec![
                 vec![ArgValue::Int(-3), ArgValue::Float(0.1 + 0.2)],
                 vec![
@@ -670,7 +671,7 @@ mod tests {
         };
         // An unsimulatable candidate persists `(0.0, inf)` — the infinity
         // must survive the trip (it would become JSON null as a float).
-        let val = DiffVerdict {
+        let val = DiffReport {
             pass_ratio: 0.1 + 0.2,
             fpga_latency_ms: f64::INFINITY,
         };

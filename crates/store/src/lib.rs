@@ -47,14 +47,13 @@ pub mod log;
 pub use codec::Entry;
 pub use io::{FaultyIo, MemIo, RealIo, StoreIo};
 
-use heterogen_toolchain::{DiffKey, DiffVerdict, EvalResult, VerdictKey, VerdictStore};
-use minic_exec::Profile;
+use heterogen_toolchain::{DiffKey, DiffReport, EvalResult, VerdictKey, VerdictStore};
 use repair::{EditScript, FixPattern, PatternEdit};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use testgen::{FuzzConfig, TestCase};
+use testgen::{FuzzConfig, FuzzReport, TestCase};
 
 /// Log file name inside the store directory.
 pub const LOG_FILE: &str = "store.log";
@@ -211,44 +210,6 @@ pub struct CorpusKey {
     pub config_fp: u64,
 }
 
-/// One `FuzzRoundEnd` trace tuple, persisted so a warm start can re-emit
-/// the exact event stream of the original campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FuzzRound {
-    /// Round index.
-    pub round: u64,
-    /// Cumulative inputs executed at round end.
-    pub executed: u64,
-    /// Corpus size at round end.
-    pub corpus: u64,
-    /// Whether this round found new coverage.
-    pub new_coverage: bool,
-    /// Simulated clock (minutes) at round end.
-    pub at_min: f64,
-}
-
-/// Everything a warm start needs to reproduce a campaign's observable
-/// behavior without executing a single input.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CorpusRecord {
-    /// The coverage-increasing corpus, in discovery order.
-    pub corpus: Vec<TestCase>,
-    /// Total inputs executed.
-    pub executed: usize,
-    /// Simulated campaign minutes.
-    pub sim_minutes: f64,
-    /// Final branch coverage.
-    pub coverage: f64,
-    /// Accumulated value profile.
-    pub profile: Profile,
-    /// Peak heap cells observed.
-    pub peak_heap_cells: usize,
-    /// Minimized failing (trapping) inputs, if any were found.
-    pub failing: Vec<TestCase>,
-    /// Per-round trace tuples for byte-identical event replay.
-    pub rounds: Vec<FuzzRound>,
-}
-
 /// Builds the [`CorpusKey`] for a campaign over `seeds` with `cfg`.
 ///
 /// The config fingerprint covers exactly the knobs that influence campaign
@@ -279,8 +240,8 @@ pub fn fuzz_campaign_key(
 #[derive(Default)]
 struct State {
     verdicts: HashMap<VerdictKey, EvalResult>,
-    corpora: HashMap<CorpusKey, CorpusRecord>,
-    diffs: HashMap<DiffKey, DiffVerdict>,
+    corpora: HashMap<CorpusKey, FuzzReport>,
+    diffs: HashMap<DiffKey, DiffReport>,
     scripts: HashMap<ScriptKey, EditScript>,
     patterns: HashMap<Vec<PatternEdit>, u64>,
     /// Known-good log length: every byte below this verified on open or
@@ -458,13 +419,13 @@ impl Store {
     }
 
     /// Looks up a persisted fuzz campaign.
-    pub fn get_corpus(&self, key: &CorpusKey) -> Option<CorpusRecord> {
+    pub fn get_corpus(&self, key: &CorpusKey) -> Option<FuzzReport> {
         self.state.lock().unwrap().corpora.get(key).cloned()
     }
 
     /// Durably records one fuzz campaign. First writer wins; re-recording
     /// an existing key is a no-op (warm runs must not grow the log).
-    pub fn put_corpus(&self, key: &CorpusKey, rec: &CorpusRecord) {
+    pub fn put_corpus(&self, key: &CorpusKey, rec: &FuzzReport) {
         let mut st = self.state.lock().unwrap();
         if st.corpora.contains_key(key) {
             return;
@@ -670,11 +631,11 @@ impl VerdictStore for Store {
         self.append_payload(&mut st, &payload);
     }
 
-    fn get_diff(&self, key: &DiffKey) -> Option<DiffVerdict> {
+    fn get_diff(&self, key: &DiffKey) -> Option<DiffReport> {
         self.state.lock().unwrap().diffs.get(key).copied()
     }
 
-    fn put_diff(&self, key: &DiffKey, v: &DiffVerdict) {
+    fn put_diff(&self, key: &DiffKey, v: &DiffReport) {
         let mut st = self.state.lock().unwrap();
         if st.diffs.contains_key(key) {
             return;
@@ -689,7 +650,8 @@ impl VerdictStore for Store {
 mod tests {
     use super::*;
     use heterogen_faults::IoFaultPlan;
-    use minic_exec::ArgValue;
+    use minic_exec::{ArgValue, Profile};
+    use testgen::FuzzRound;
 
     fn dir() -> PathBuf {
         PathBuf::from("/store")
@@ -723,8 +685,8 @@ mod tests {
         }
     }
 
-    fn corpus_record() -> CorpusRecord {
-        CorpusRecord {
+    fn corpus_record() -> FuzzReport {
+        FuzzReport {
             corpus: vec![vec![ArgValue::Int(1)], vec![ArgValue::Float(2.5)]],
             executed: 120,
             sim_minutes: 1.44,
@@ -759,7 +721,7 @@ mod tests {
             s.put_corpus(&ckey, &corpus_record());
             s.put_diff(
                 &dkey(5),
-                &DiffVerdict {
+                &DiffReport {
                     pass_ratio: 1.0,
                     fpga_latency_ms: 3.25,
                 },
@@ -941,7 +903,7 @@ mod tests {
             for i in 0..3 {
                 s.put_diff(
                     &dkey(i),
-                    &DiffVerdict {
+                    &DiffReport {
                         pass_ratio: 0.5,
                         fpga_latency_ms: i as f64,
                     },

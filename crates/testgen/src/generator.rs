@@ -151,8 +151,41 @@ impl FuzzConfigBuilder {
     }
 }
 
-/// The result of a fuzzing campaign.
-#[derive(Debug, Clone)]
+/// One round's [`Event::FuzzRoundEnd`] tuple. A campaign records each
+/// round's tuple in [`FuzzReport::rounds`], so a report replayed from a
+/// persistent store re-emits the exact event stream of the original
+/// campaign.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FuzzRound {
+    /// Round index.
+    pub round: u64,
+    /// Cumulative inputs executed at round end.
+    pub executed: u64,
+    /// Corpus size at round end.
+    pub corpus: u64,
+    /// Whether this round found new coverage.
+    pub new_coverage: bool,
+    /// Simulated clock (minutes) at round end.
+    pub at_min: f64,
+}
+
+impl FuzzRound {
+    /// The round's trace event.
+    pub fn event(&self) -> Event {
+        Event::FuzzRoundEnd {
+            round: self.round,
+            executed: self.executed,
+            corpus: self.corpus,
+            new_coverage: self.new_coverage,
+            at_min: self.at_min,
+        }
+    }
+}
+
+/// The result of a fuzzing campaign: everything a warm start needs to
+/// reproduce the campaign's observable behaviour without executing a
+/// single input.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FuzzReport {
     /// Coverage-increasing inputs (the corpus / AFL queue). This is the
     /// test suite used for differential testing.
@@ -173,6 +206,8 @@ pub struct FuzzReport {
     /// program and is deterministic; its executions are not billed to
     /// [`FuzzReport::executed`] or [`FuzzReport::sim_minutes`].
     pub failing: Vec<TestCase>,
+    /// Every round's trace tuple, in order.
+    pub rounds: Vec<FuzzRound>,
 }
 
 /// Cap on trapping inputs captured (and minimized) per campaign.
@@ -212,7 +247,8 @@ pub fn fuzz(
 }
 
 /// Like [`fuzz`], emitting one [`Event::FuzzRoundEnd`] per completed round
-/// into `sink`.
+/// into `sink` (the report's [`FuzzReport::rounds`] records the same
+/// tuples).
 ///
 /// Events are emitted from the caller thread only, after each round's
 /// results are merged in draw order, so the event stream is bit-identical
@@ -302,15 +338,18 @@ pub fn fuzz_traced<S: TraceSink + ?Sized>(
             queue.push_back(case);
         }
     }
-    if sink.enabled() {
-        sink.emit(&Event::FuzzRoundEnd {
+    let mut rounds = Vec::new();
+    end_round(
+        sink,
+        &mut rounds,
+        FuzzRound {
             round,
             executed: executed as u64,
             corpus: corpus.len() as u64,
             new_coverage: corpus.len() > corpus_at_round_start,
             at_min: sim_minutes,
-        });
-    }
+        },
+    );
 
     // Havoc rounds.
     while executed < config.max_execs && since_new_cov < config.idle_stop_min {
@@ -362,15 +401,17 @@ pub fn fuzz_traced<S: TraceSink + ?Sized>(
         }
         // Re-enqueue the parent for future rounds (AFL-style cycling).
         queue.push_back(parent);
-        if sink.enabled() {
-            sink.emit(&Event::FuzzRoundEnd {
+        end_round(
+            sink,
+            &mut rounds,
+            FuzzRound {
                 round,
                 executed: executed as u64,
                 corpus: corpus.len() as u64,
                 new_coverage: corpus.len() > corpus_at_round_start,
                 at_min: sim_minutes,
-            });
-        }
+            },
+        );
     }
     // The idle tail counts toward the reported wall-clock (the paper stops
     // AFL 30 minutes after the last new path).
@@ -384,7 +425,16 @@ pub fn fuzz_traced<S: TraceSink + ?Sized>(
         profile,
         peak_heap_cells: peak_heap,
         failing: minimize_failing(&prepared, kernel, failing),
+        rounds,
     })
+}
+
+/// Emits a finished round's event and records its tuple.
+fn end_round<S: TraceSink + ?Sized>(sink: &S, rounds: &mut Vec<FuzzRound>, round: FuzzRound) {
+    if sink.enabled() {
+        sink.emit(&round.event());
+    }
+    rounds.push(round);
 }
 
 /// Deterministically shrinks each trapping input while it keeps trapping:

@@ -25,8 +25,8 @@ pub mod mutate;
 pub mod spec;
 
 pub use generator::{
-    fuzz, fuzz_traced, kernel_seeds_from_host, FuzzConfig, FuzzConfigBuilder, FuzzReport, TestCase,
-    MAX_FAILING,
+    fuzz, fuzz_traced, kernel_seeds_from_host, FuzzConfig, FuzzConfigBuilder, FuzzReport,
+    FuzzRound, TestCase, MAX_FAILING,
 };
 pub use mutate::{mutate_case, random_value, MAX_DYNAMIC_LEN};
 pub use spec::{kernel_specs, ArgSpec};

@@ -877,12 +877,13 @@ pub struct DiffKey {
     pub backend: String,
 }
 
-/// A persisted differential-test result. The two floats are the *only*
-/// observables of a fault-free differential evaluation (the one trace
-/// event it emits is derived from them), so replaying a `DiffVerdict`
-/// reproduces the evaluation bit-for-bit.
+/// The result of differentially testing one candidate, as the repair
+/// search scores it and the store persists it. The two floats are the
+/// *only* observables of a fault-free differential evaluation (the one
+/// trace event it emits is derived from them), so replaying a stored
+/// `DiffReport` reproduces the evaluation bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiffVerdict {
+pub struct DiffReport {
     /// Fraction of tests with identical observable behaviour.
     pub pass_ratio: f64,
     /// Mean FPGA latency over the tests (ms).
@@ -965,12 +966,12 @@ pub trait VerdictStore: Send + Sync {
     fn put_verdict(&self, key: &VerdictKey, r: &EvalResult);
 
     /// Looks up a persisted fault-free differential-test verdict.
-    fn get_diff(&self, _key: &DiffKey) -> Option<DiffVerdict> {
+    fn get_diff(&self, _key: &DiffKey) -> Option<DiffReport> {
         None
     }
 
     /// Durably records one fault-free differential-test verdict.
-    fn put_diff(&self, _key: &DiffKey, _v: &DiffVerdict) {}
+    fn put_diff(&self, _key: &DiffKey, _v: &DiffReport) {}
 }
 
 /// Middleware: checks a durable [`VerdictStore`] before the layers inside
@@ -1082,6 +1083,52 @@ impl<T: Toolchain, I: FaultInjector> Resilient<T, I> {
             retry,
         }
     }
+
+    /// The one fault loop, under both [`Toolchain::compile`] and every
+    /// prepared co-simulation run: consults the injector at `site` for
+    /// attempts 0, 1, … of invocation `key`. A poison fault panics; a
+    /// permanent fault fails with `rejected`, carrying the transients
+    /// absorbed so far; a transient fault is retried while the policy
+    /// grants a delay and otherwise fails exhausted with `crashed`. A fuel
+    /// spike is replayed through `spike(factor, attempt)`, whose transient
+    /// failure is retried like a transient fault (`None` retries the spike
+    /// itself as one). A clean attempt runs `clean`. A success comes back
+    /// with the number of transients it absorbed; any other failure carries
+    /// that number.
+    fn attempts<R>(
+        &self,
+        site: FaultSite,
+        key: u64,
+        (rejected, crashed): (&str, &str),
+        spike: Option<&dyn Fn(u32, u32) -> Result<R, ToolchainError>>,
+        clean: impl FnOnce() -> Result<R, ToolchainError>,
+    ) -> Result<(R, u32), ToolchainError> {
+        let mut attempt: u32 = 0;
+        loop {
+            let failure = match (self.injector.fault(site, key, attempt), spike) {
+                (Some(Fault::Poison), _) => heterogen_faults::poison(site, key),
+                (Some(Fault::Permanent), _) => {
+                    let e = ToolchainError::permanent(site.as_str(), rejected);
+                    return Err(e.after_transients(attempt));
+                }
+                (Some(Fault::FuelSpike { factor }), Some(spike)) => match spike(factor, attempt) {
+                    Ok(r) => return Ok((r, attempt)),
+                    Err(e) if e.is_transient() => e.message().to_string(),
+                    Err(e) => return Err(e.after_transients(attempt)),
+                },
+                (Some(Fault::Transient | Fault::FuelSpike { .. }), _) => crashed.to_string(),
+                (None, _) => {
+                    return clean()
+                        .map(|r| (r, attempt))
+                        .map_err(|e| e.after_transients(attempt));
+                }
+            };
+            attempt += 1;
+            if self.retry.delay_before(attempt).is_none() {
+                return Err(ToolchainError::exhausted(site.as_str(), attempt, failure));
+            }
+        }
+    }
 }
 
 impl<T: Toolchain, I: FaultInjector> Toolchain for Resilient<T, I> {
@@ -1092,37 +1139,15 @@ impl<T: Toolchain, I: FaultInjector> Toolchain for Resilient<T, I> {
         if !self.injector.enabled() {
             return self.inner.compile(p, key);
         }
-        let mut attempt: u32 = 0;
-        loop {
-            match self.injector.fault(FaultSite::HlsCheck, key, attempt) {
-                Some(Fault::Poison) => heterogen_faults::poison(FaultSite::HlsCheck, key),
-                Some(Fault::Permanent) => {
-                    return Err(ToolchainError::permanent(
-                        "hls_check",
-                        "synthesis front-end rejected the invocation",
-                    )
-                    .after_transients(attempt));
-                }
-                Some(Fault::Transient) | Some(Fault::FuelSpike { .. }) => {
-                    attempt += 1;
-                    if self.retry.delay_before(attempt).is_none() {
-                        return Err(ToolchainError::exhausted(
-                            "hls_check",
-                            attempt,
-                            "synthesis front-end crashed; the invocation may be retried",
-                        ));
-                    }
-                }
-                None => {
-                    let mut c = self
-                        .inner
-                        .compile(p, key)
-                        .map_err(|e| e.after_transients(attempt))?;
-                    c.transients += attempt;
-                    return Ok(c);
-                }
-            }
-        }
+        let messages = (
+            "synthesis front-end rejected the invocation",
+            "synthesis front-end crashed; the invocation may be retried",
+        );
+        let (mut c, absorbed) = self.attempts(FaultSite::HlsCheck, key, messages, None, || {
+            self.inner.compile(p, key)
+        })?;
+        c.transients += absorbed;
+        Ok(c)
     }
 
     fn simulate(
@@ -1160,61 +1185,32 @@ struct ResilientCoSim<'a, T, I> {
 
 impl<T: Toolchain, I: FaultInjector> CoSim for ResilientCoSim<'_, T, I> {
     fn run(&self, args: &[ArgValue], key: u64) -> Result<Simulated, ToolchainError> {
-        let Resilient {
-            inner,
-            injector,
-            retry,
-        } = self.layer;
-        let mut attempt: u32 = 0;
-        loop {
-            match injector.fault(FaultSite::HlsSim, key, attempt) {
-                Some(Fault::Poison) => heterogen_faults::poison(FaultSite::HlsSim, key),
-                Some(Fault::Permanent) => {
-                    return Err(ToolchainError::permanent(
-                        "hls_sim",
-                        "co-simulation backend rejected the invocation",
-                    )
-                    .after_transients(attempt));
-                }
-                Some(Fault::Transient) => {
-                    attempt += 1;
-                    if retry.delay_before(attempt).is_none() {
-                        return Err(ToolchainError::exhausted(
-                            "hls_sim",
-                            attempt,
-                            "co-simulation crashed; the invocation may be retried",
-                        ));
-                    }
-                }
-                Some(Fault::FuelSpike { factor }) => {
-                    match inner.simulate_spiked(self.program, args, factor, attempt) {
-                        Ok(result) => {
-                            return Ok(Simulated {
-                                result,
-                                transients: attempt,
-                            });
-                        }
-                        Err(e) if e.is_transient() => {
-                            attempt += 1;
-                            if retry.delay_before(attempt).is_none() {
-                                let msg = e.message().to_string();
-                                return Err(ToolchainError::exhausted("hls_sim", attempt, msg));
-                            }
-                        }
-                        Err(e) => return Err(e.after_transients(attempt)),
-                    }
-                }
-                None => {
-                    let run = match &self.prepared {
-                        Ok(prepared) => prepared.run(args, key),
-                        Err(e) => Err(e.clone()),
-                    };
-                    let mut s = run.map_err(|e| e.after_transients(attempt))?;
-                    s.transients += attempt;
-                    return Ok(s);
-                }
-            }
-        }
+        let messages = (
+            "co-simulation backend rejected the invocation",
+            "co-simulation crashed; the invocation may be retried",
+        );
+        let spike = |factor, attempt| {
+            let result = self
+                .layer
+                .inner
+                .simulate_spiked(self.program, args, factor, attempt)?;
+            Ok(Simulated {
+                result,
+                transients: 0,
+            })
+        };
+        let (mut s, absorbed) = self.layer.attempts(
+            FaultSite::HlsSim,
+            key,
+            messages,
+            Some(&spike),
+            || match &self.prepared {
+                Ok(prepared) => prepared.run(args, key),
+                Err(e) => Err(e.clone()),
+            },
+        )?;
+        s.transients += absorbed;
+        Ok(s)
     }
 }
 
