@@ -71,6 +71,9 @@ struct Parser {
     /// How many of those levels add no AST level: parentheses, and
     /// initializers that are a plain expression.
     hollow: u32,
+    /// How many binary operators the expression being parsed is a right
+    /// operand of: each is an AST level the nesting depth does not count.
+    right_operand: u32,
 }
 
 impl Parser {
@@ -84,6 +87,7 @@ impl Parser {
             defines: HashMap::new(),
             depth: 0,
             hollow: 0,
+            right_operand: 0,
         }
     }
 
@@ -549,9 +553,12 @@ impl Parser {
 
     /// The depth error for a chain of `depth` levels rooted one level
     /// below the current nesting depth, less the levels that add none to
-    /// the AST.
+    /// the AST, plus the binary operators the chain is a right operand of.
+    /// A chain on the left of an operator is refused before the operator
+    /// is read, so it reports the depth without that operator's level.
     fn too_deep(&self, depth: usize, span: Span) -> ParseError {
-        ParseError::too_deep((self.depth - self.hollow) as usize + depth, span)
+        let context = self.depth - self.hollow + self.right_operand;
+        ParseError::too_deep(context as usize + depth, span)
     }
 
     /// Parses `[N][M]…` after a declarator name, folding into nested arrays
@@ -1007,7 +1014,10 @@ impl Parser {
                 break;
             }
             self.bump();
-            let rhs = self.parse_bin(prec + 1)?;
+            self.right_operand += 1;
+            let rhs = self.parse_bin(prec + 1);
+            self.right_operand -= 1;
+            let rhs = rhs?;
             match &mut refused {
                 Some(depth) => *depth = 1 + (*depth).max(expr_depth(&rhs)),
                 None => {
@@ -1613,6 +1623,38 @@ mod tests {
         let p = parse(&stars(crate::MAX_AST_DEPTH - 1)).unwrap();
         assert_eq!(crate::ast_depth(&p), crate::MAX_AST_DEPTH);
         assert!(parse(&stars(crate::MAX_AST_DEPTH)).is_err());
+    }
+
+    #[test]
+    fn a_chain_right_of_an_operator_counts_the_operator() {
+        // Up to 63 links the post-parse check measures the tree; from 64
+        // the chain is refused while it is parsed. Both count the `+` and,
+        // in a call argument, the call.
+        for k in 62..=65 {
+            let suffixes = "[0]".repeat(k);
+            let terms = "x + ".repeat(k);
+            for (src, depth) in [
+                (
+                    format!("int k(int x, int y) {{ return y + x{suffixes}; }}"),
+                    k + 3,
+                ),
+                (
+                    format!("int k(int x, int y) {{ return y + f(x{suffixes}); }}"),
+                    k + 4,
+                ),
+                (
+                    format!("int k(int x, int y) {{ return y + f({terms}x); }}"),
+                    k + 4,
+                ),
+            ] {
+                let err = parse(&src).unwrap_err();
+                assert_eq!(err.kind(), ParseErrorKind::RecursionLimitExceeded, "{err}");
+                assert!(
+                    err.message().contains(&format!("AST depth {depth} ")),
+                    "{k}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
