@@ -32,7 +32,6 @@ use minic::Program;
 use minic_exec::{ExecEngine, Profile};
 use repair::{EditScript, RepairOutcome, SearchConfig, SearchStop};
 use serde::Serialize;
-use std::path::PathBuf;
 use std::sync::Arc;
 use testgen::{FuzzConfig, FuzzReport, TestCase};
 
@@ -525,11 +524,6 @@ pub struct JobSpec {
     /// Client identity for the server's fair-share admission. The library
     /// path ignores it.
     pub client: String,
-    /// Persistent-store directory override: the job opens (creating if
-    /// absent) a crash-safe [`Store`] there for verdict memos and fuzz
-    /// warm start. `None` inherits the session's store (usually none). A
-    /// warm store never changes the report or trace — only wall time.
-    pub store_dir: Option<PathBuf>,
     /// Enables the mined-pattern candidate tier: fix patterns persisted in
     /// (or mined on the fly from) the job's [`Store`] are tried ahead of
     /// the static precedence order, and the winning [`EditScript`] plus
@@ -572,7 +566,6 @@ impl JobSpec {
                 seed: None,
                 budgets: None,
                 client: ANONYMOUS_CLIENT.to_string(),
-                store_dir: None,
                 mined: false,
             },
         }
@@ -633,13 +626,6 @@ impl JobSpecBuilder {
     /// Names the submitting client (for the server's fair-share admission).
     pub fn client(mut self, client: impl Into<String>) -> Self {
         self.spec.client = client.into();
-        self
-    }
-
-    /// Points the job at a persistent-store directory (see
-    /// [`JobSpec::store_dir`]).
-    pub fn store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.spec.store_dir = Some(dir.into());
         self
     }
 
@@ -767,9 +753,8 @@ impl Session {
         seeds: Vec<TestCase>,
         fuzz_cfg: &FuzzConfig,
         sink: &dyn TraceSink,
-        store: &Option<Arc<Store>>,
     ) -> Result<FuzzReport, PipelineError> {
-        let Some(store) = store else {
+        let Some(store) = &self.store else {
             return testgen::fuzz_traced(original, kernel, seeds, fuzz_cfg, sink)
                 .map_err(PipelineError::TestGen);
         };
@@ -822,18 +807,11 @@ impl Session {
             seed,
             budgets,
             client: _,
-            store_dir,
             mined,
         } = job;
         let backend: Arc<dyn Toolchain> = match backend {
             None => self.backend.clone(),
             Some(name) => resolve_backend(&name)?,
-        };
-        let store: Option<Arc<Store>> = match store_dir {
-            Some(dir) => Some(Arc::new(Store::open(&dir).map_err(|e| {
-                PipelineError::Spec(format!("persistent store at {}: {e}", dir.display()))
-            })?)),
-            None => self.store.clone(),
         };
         let budgets = budgets.unwrap_or(self.config.budgets);
         if sink.enabled() {
@@ -856,7 +834,7 @@ impl Session {
         let (tests, profile, fuzz_report) = match tests {
             TestSource::Fuzz(seeds) => {
                 let fuzz_report =
-                    self.fuzz_with_warm_start(&original, &kernel, seeds, &fuzz_cfg, sink, &store)?;
+                    self.fuzz_with_warm_start(&original, &kernel, seeds, &fuzz_cfg, sink)?;
                 (
                     fuzz_report.corpus.clone(),
                     fuzz_report.profile.clone(),
@@ -932,7 +910,7 @@ impl Session {
         // `reproduce mine` pass recorded them, else patterns mined on the
         // fly from the winning scripts of earlier successful runs.
         if mined {
-            if let Some(store) = &store {
+            if let Some(store) = &self.store {
                 let mut patterns = store.patterns();
                 if patterns.is_empty() {
                     let scripts: Vec<EditScript> =
@@ -952,14 +930,14 @@ impl Session {
             sink,
             self.faults.as_ref(),
             backend.as_ref(),
-            store.clone().map(|s| s as Arc<dyn VerdictStore>),
+            self.store.clone().map(|s| s as Arc<dyn VerdictStore>),
         )
         .map_err(PipelineError::Repair)?;
         // Every successful repair banks its winning script — whether or not
         // the mined tier was active — so any store accumulates the raw
         // material `reproduce mine` and later mined runs learn from.
         if outcome.success {
-            if let Some(store) = &store {
+            if let Some(store) = &self.store {
                 store.put_script(
                     &ScriptKey {
                         program_fp: minic::fingerprint_program(&original),
@@ -1065,10 +1043,8 @@ impl Session {
 ///
 /// The pipeline is driven through a [`Session`] built with
 /// [`HeteroGen::builder`].
-#[derive(Debug, Clone, Default)]
-pub struct HeteroGen {
-    config: PipelineConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HeteroGen;
 
 impl HeteroGen {
     /// Starts a [`Session`] builder (tracing off, chaos off, and the default
@@ -1081,16 +1057,6 @@ impl HeteroGen {
             backend: Arc::new(SimBackend::default_profile()),
             store: None,
         }
-    }
-
-    /// Creates a pipeline with the given configuration.
-    pub fn new(config: PipelineConfig) -> HeteroGen {
-        HeteroGen { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
     }
 }
 
@@ -1627,27 +1593,22 @@ mod tests {
         let mut cfg = PipelineConfig::quick();
         cfg.fuzz.idle_stop_min = 0.2;
         cfg.fuzz.max_execs = 100;
-        let session = HeteroGen::builder().config(cfg).build();
+        let store = Arc::new(Store::open(&dir).unwrap());
+        let session = HeteroGen::builder()
+            .config(cfg)
+            .store(store.clone())
+            .build();
         // A plain store run banks the winning script but reports nothing new.
         let cold = session
-            .run(
-                JobSpec::builder(p.clone(), "kernel")
-                    .store_dir(&dir)
-                    .build(),
-            )
+            .run(JobSpec::fuzz(p.clone(), "kernel", vec![]))
             .unwrap();
         assert!(dump_on_failure(&cold));
         let cold_json = serde_json::to_string(&cold).unwrap();
         assert!(!cold_json.contains("\"script\":"), "{cold_json}");
-        assert_eq!(Store::open(&dir).unwrap().stats().scripts, 1);
+        assert_eq!(store.stats().scripts, 1);
         // A mined run feeds the banked script back and reports the IR.
         let mined = session
-            .run(
-                JobSpec::builder(p, "kernel")
-                    .store_dir(&dir)
-                    .mined(true)
-                    .build(),
-            )
+            .run(JobSpec::builder(p, "kernel").mined(true).build())
             .unwrap();
         assert!(dump_on_failure(&mined));
         assert!(mined.repair.mined);

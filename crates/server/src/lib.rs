@@ -520,8 +520,7 @@ impl Server {
     ///
     /// Every job session the workers build attaches the store, so verdict
     /// memos and fuzz corpora survive across jobs (and across server
-    /// restarts, since the store is crash-safe). A job whose spec carries
-    /// its own `store_dir` still opens that directory instead.
+    /// restarts, since the store is crash-safe).
     pub fn start_with_store(cfg: ServerConfig, store: Option<Arc<Store>>) -> Server {
         let worker_count = parallel::effective_threads(cfg.workers);
         let paused = cfg.paused;

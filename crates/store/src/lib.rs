@@ -213,10 +213,11 @@ pub struct CorpusKey {
 /// Builds the [`CorpusKey`] for a campaign over `seeds` with `cfg`.
 ///
 /// The config fingerprint covers exactly the knobs that influence campaign
-/// *results* (`rng_seed`, `exec_cost_min`, `idle_stop_min`, `max_execs`,
-/// `mutants_per_seed`); `threads` only influences wall-clock time and is
-/// excluded, so a campaign recorded at one thread count warms a run at any
-/// other.
+/// *results* (`rng_seed`, `idle_stop_min`, `max_execs`), interleaved with
+/// the fixed [`testgen::EXEC_COST_MIN`] and [`testgen::MUTANTS_PER_SEED`]
+/// so existing stores keep their keys; `threads` only influences
+/// wall-clock time and is excluded, so a campaign recorded at one thread
+/// count warms a run at any other.
 pub fn fuzz_campaign_key(
     program_fp: u64,
     kernel: &str,
@@ -225,10 +226,10 @@ pub fn fuzz_campaign_key(
 ) -> CorpusKey {
     let mut cfg_bytes = Vec::with_capacity(40);
     cfg_bytes.extend_from_slice(&cfg.rng_seed.to_le_bytes());
-    cfg_bytes.extend_from_slice(&cfg.exec_cost_min.to_bits().to_le_bytes());
+    cfg_bytes.extend_from_slice(&testgen::EXEC_COST_MIN.to_bits().to_le_bytes());
     cfg_bytes.extend_from_slice(&cfg.idle_stop_min.to_bits().to_le_bytes());
     cfg_bytes.extend_from_slice(&(cfg.max_execs as u64).to_le_bytes());
-    cfg_bytes.extend_from_slice(&(cfg.mutants_per_seed as u64).to_le_bytes());
+    cfg_bytes.extend_from_slice(&(testgen::MUTANTS_PER_SEED as u64).to_le_bytes());
     CorpusKey {
         program_fp,
         kernel: kernel.to_string(),

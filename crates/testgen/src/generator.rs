@@ -39,6 +39,12 @@ struct RunResult {
     trapped: bool,
 }
 
+/// Simulated minutes billed per executed input.
+pub const EXEC_COST_MIN: f64 = 0.012;
+
+/// Mutants derived from each corpus entry per round.
+pub const MUTANTS_PER_SEED: usize = 16;
+
 /// Fuzzing configuration.
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
@@ -49,14 +55,10 @@ struct RunResult {
 pub struct FuzzConfig {
     /// RNG seed (the whole process is deterministic per seed).
     pub rng_seed: u64,
-    /// Simulated minutes billed per executed input.
-    pub exec_cost_min: f64,
     /// Stop after this many simulated minutes without new coverage.
     pub idle_stop_min: f64,
     /// Hard cap on executed inputs (safety valve).
     pub max_execs: usize,
-    /// Mutants derived from each corpus entry per round.
-    pub mutants_per_seed: usize,
     /// Concurrent participants in mutant execution, *including the calling
     /// thread* (the rest are helpers from the shared `parallel` pool); `0`
     /// means "use available parallelism", `1` runs inline. Any value
@@ -69,10 +71,8 @@ impl Default for FuzzConfig {
     fn default() -> Self {
         FuzzConfig {
             rng_seed: 0xC0FFEE,
-            exec_cost_min: 0.012,
             idle_stop_min: 30.0,
             max_execs: 20_000,
-            mutants_per_seed: 16,
             threads: 0,
         }
     }
@@ -115,12 +115,6 @@ impl FuzzConfigBuilder {
         self
     }
 
-    /// Sets the simulated minutes billed per executed input.
-    pub fn with_exec_cost_min(mut self, v: f64) -> Self {
-        self.cfg.exec_cost_min = v;
-        self
-    }
-
     /// Sets the idle-stop threshold (simulated minutes without coverage).
     pub fn with_idle_stop_min(mut self, v: f64) -> Self {
         self.cfg.idle_stop_min = v;
@@ -130,12 +124,6 @@ impl FuzzConfigBuilder {
     /// Sets the hard cap on executed inputs.
     pub fn with_max_execs(mut self, v: usize) -> Self {
         self.cfg.max_execs = v;
-        self
-    }
-
-    /// Sets the number of mutants derived from each corpus entry per round.
-    pub fn with_mutants_per_seed(mut self, v: usize) -> Self {
-        self.cfg.mutants_per_seed = v;
         self
     }
 
@@ -324,7 +312,7 @@ pub fn fuzz_traced<S: TraceSink + ?Sized>(
     let mut corpus_at_round_start = 0usize;
     for (case, run) in initial.into_iter().zip(runs) {
         executed += 1;
-        sim_minutes += config.exec_cost_min;
+        sim_minutes += EXEC_COST_MIN;
         if run.as_ref().is_some_and(|r| r.trapped) && failing.len() < MAX_FAILING {
             failing.push(case.clone());
         }
@@ -359,7 +347,7 @@ pub fn fuzz_traced<S: TraceSink + ?Sized>(
             Some(c) => c,
             None => specs.iter().map(|sp| random_value(sp, &mut rng)).collect(),
         };
-        let mut remaining = config.mutants_per_seed;
+        let mut remaining = MUTANTS_PER_SEED;
         while remaining > 0 {
             // Children the sequential loop certainly generates from here:
             // walk the stop condition forward assuming no coverage reset
@@ -374,7 +362,7 @@ pub fn fuzz_traced<S: TraceSink + ?Sized>(
                     }
                     batch += 1;
                     e += 1;
-                    s += config.exec_cost_min;
+                    s += EXEC_COST_MIN;
                 }
             }
             if batch == 0 {
@@ -386,8 +374,8 @@ pub fn fuzz_traced<S: TraceSink + ?Sized>(
             let runs = parallel::parallel_map(config.threads, &children, |_, c| exec_case(c));
             for (child, run) in children.into_iter().zip(runs) {
                 executed += 1;
-                sim_minutes += config.exec_cost_min;
-                since_new_cov += config.exec_cost_min;
+                sim_minutes += EXEC_COST_MIN;
+                since_new_cov += EXEC_COST_MIN;
                 if run.as_ref().is_some_and(|r| r.trapped) && failing.len() < MAX_FAILING {
                     failing.push(child.clone());
                 }

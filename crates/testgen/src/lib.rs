@@ -26,7 +26,7 @@ pub mod spec;
 
 pub use generator::{
     fuzz, fuzz_traced, kernel_seeds_from_host, FuzzConfig, FuzzConfigBuilder, FuzzReport,
-    FuzzRound, TestCase, MAX_FAILING,
+    FuzzRound, TestCase, EXEC_COST_MIN, MAX_FAILING, MUTANTS_PER_SEED,
 };
 pub use mutate::{mutate_case, random_value, MAX_DYNAMIC_LEN};
 pub use spec::{kernel_specs, ArgSpec};
