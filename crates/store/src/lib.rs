@@ -7,13 +7,15 @@
 //!   backend, style gate) →` toolchain verdict, served through the
 //!   [`heterogen_toolchain::VerdictStore`] seam so the repair engine's
 //!   `Persisted` middleware can skip whole compiles across process runs;
-//! * **fuzz corpora** — per-subject campaign results (corpus, profile,
-//!   failing inputs, per-round trace tuples) keyed by
-//!   [`CorpusKey`], so `testgen` campaigns warm-start byte-identically;
+//! * **fuzz corpora** — per-subject campaign results, kept as the
+//!   [`testgen::FuzzReport`] itself (corpus, profile, failing inputs,
+//!   per-round trace tuples) keyed by [`CorpusKey`], so `testgen`
+//!   campaigns warm-start byte-identically;
 //! * **differential verdicts** — fault-free differential-test results
-//!   `(candidate, reference, kernel, tests, backend) → (pass ratio, FPGA
-//!   latency)`, so a warm repair search skips candidate simulation — the
-//!   dominant wall-clock cost on simulation-heavy subjects;
+//!   `(candidate, reference, kernel, tests, backend) →`
+//!   [`heterogen_toolchain::DiffReport`] (pass ratio, FPGA latency), so a
+//!   warm repair search skips candidate simulation — the dominant
+//!   wall-clock cost on simulation-heavy subjects;
 //! * **repair scripts** — `(program fingerprint, kernel, backend) →` the
 //!   winning [`repair::EditScript`] of a successful repair search, the raw
 //!   material `repair::mine` abstracts fix patterns from;

@@ -19,9 +19,14 @@
 //! * composable middleware decorators, each forwarding what it does not
 //!   change to the layer inside it:
 //!   [`Persisted`] (the durable verdict cache, keyed by [`VerdictKey`]),
-//!   [`Resilient`] (fault-injection consultation + transient retry) and
+//!   [`Resilient`] (fault-injection consultation + transient retry, in one
+//!   attempt loop that compile and co-simulation share) and
 //!   [`DrainGate`] (server-drain revocation). The repair search evaluates
-//!   every candidate through `Persisted(Resilient(backend))`.
+//!   every candidate through `Persisted(Resilient(backend))`;
+//! * the [`VerdictStore`] seam and the records it persists: [`EvalResult`]
+//!   under a [`VerdictKey`], and [`DiffReport`] under a [`DiffKey`].
+//!   `DiffReport` is the differential tester's own result type (`repair`
+//!   re-exports it), so a store keeps no copy of it.
 //!
 //! # Middleware stack semantics
 //!
@@ -1066,7 +1071,8 @@ impl<T: Toolchain> Toolchain for Persisted<T> {
 /// by `(hls_sim, key, attempt)`, and only a clean attempt reaches the
 /// preparation. A preparation that failed surfaces there, after the fault
 /// decision, as a per-test simulation error would. `simulate` is one
-/// `co_simulator(p)?.run(..)`, so there is one fault loop for both.
+/// `co_simulator(p)?.run(..)`, and `compile` and `CoSim::run` share one
+/// attempt loop, so every fault decision is made in one place.
 #[derive(Debug, Clone)]
 pub struct Resilient<T, I> {
     inner: T,
