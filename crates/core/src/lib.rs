@@ -188,12 +188,6 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Sets the per-phase work budgets.
-    pub fn with_budgets(mut self, v: PhaseBudgets) -> Self {
-        self.cfg.budgets = v;
-        self
-    }
-
     /// Finalizes the configuration.
     pub fn build(self) -> PipelineConfig {
         self.cfg

@@ -171,7 +171,7 @@ impl Runner<'_> {
     pub fn peak_heap_cells(&self) -> usize {
         match self {
             Runner::Tree(m) => m.mem.peak_cells(),
-            Runner::Vm(vm) => vm.mem.peak_cells(),
+            Runner::Vm(vm) => vm.mem().peak_cells(),
         }
     }
 

@@ -117,11 +117,6 @@ impl Memory {
     pub fn peak_cells(&self) -> usize {
         self.peak
     }
-
-    /// Total cells ever allocated (excluding the null sentinel).
-    pub fn total_cells(&self) -> usize {
-        self.cells.len() - 1
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@
 //! segment (like `Machine::new`), and the coverage/profile/statistics
 //! accumulate across `run_kernel` calls. The compiled program itself is
 //! shared — `Arc<CompiledProgram>` — across any number of `Vm`s and
-//! threads, which is what makes compile-once/run-many profitable.
+//! threads, which is what makes compile-once/run-many profitable. A run
+//! reads it through a borrow and writes only its own VM's state, so runs
+//! on different threads write no memory they share.
 
 use crate::bytecode::{Co, CompiledProgram, Insn, Math1Op, Math2Op, ParamSpec, StoreK, GLOBAL_BIT};
 use crate::coverage::CoverageMap;
@@ -38,14 +40,22 @@ struct VmFrame {
     prev_base: usize,
 }
 
-/// Bytecode interpreter state (the VM analogue of the walker's `Machine`).
+/// Bytecode interpreter (the VM analogue of the walker's `Machine`): a
+/// shared program and the state this VM's runs write.
 pub struct Vm {
     prog: Arc<CompiledProgram>,
+    st: State,
+}
+
+/// Everything a run writes. It sits beside the program, not around it, so
+/// a run can borrow the program while it writes here, without cloning the
+/// `Arc`.
+struct State {
     config: MachineConfig,
     /// Flat memory (same allocator as the tree-walker).
-    pub mem: Memory,
+    mem: Memory,
     /// Stream table.
-    pub streams: Vec<VecDeque<Value>>,
+    streams: Vec<VecDeque<Value>>,
     ops: u64,
     stack: Vec<Value>,
     /// Local variable slots, frame-stacked; each holds a cell address.
@@ -72,7 +82,7 @@ pub struct Vm {
     /// Interned name of the function whose entry arguments are captured.
     capture: Option<u32>,
     /// Entry arguments captured by [`Vm::capture_args_of`], in call order.
-    pub captured: Vec<Vec<ArgValue>>,
+    captured: Vec<Vec<ArgValue>>,
 }
 
 impl Vm {
@@ -84,7 +94,7 @@ impl Vm {
     /// resolved — the identical conditions, errors, and op charges as the
     /// tree-walker's constructor.
     pub fn new(prog: Arc<CompiledProgram>, config: MachineConfig) -> Result<Vm, ExecError> {
-        let mut vm = Vm {
+        let mut st = State {
             config,
             mem: Memory::new(),
             streams: Vec::new(),
@@ -104,18 +114,16 @@ impl Vm {
             peak_heap: 0,
             capture: None,
             captured: Vec::new(),
-            prog,
         };
-        let entry = vm.prog.globals_entry;
-        vm.exec_from(entry)?;
-        Ok(vm)
+        st.exec_from(&prog, prog.globals_entry)?;
+        Ok(Vm { prog, st })
     }
 
     /// Starts capturing the arguments of every call to `name` (paper Alg. 1
     /// `getKernelSeed`: snapshot the kernel's entry state during a host
     /// run). A name no function carries captures nothing.
     pub fn capture_args_of(&mut self, name: &str) {
-        self.capture = self
+        self.st.capture = self
             .prog
             .names
             .iter()
@@ -123,6 +131,130 @@ impl Vm {
             .map(|i| i as u32);
     }
 
+    /// The entry arguments captured since [`Vm::capture_args_of`], in call
+    /// order.
+    pub fn into_captured(self) -> Vec<Vec<ArgValue>> {
+        self.st.captured
+    }
+
+    /// The VM's memory.
+    pub fn mem(&self) -> &Memory {
+        &self.st.mem
+    }
+
+    /// Abstract operations executed so far.
+    pub fn ops(&self) -> u64 {
+        self.st.ops
+    }
+
+    /// Materializes branch coverage (identical to the walker's map).
+    pub fn coverage(&self) -> CoverageMap {
+        let mut map = CoverageMap::new();
+        for (i, flags) in self.st.cov.iter().enumerate() {
+            if flags[0] {
+                map.record(self.prog.branch_sites[i], false);
+            }
+            if flags[1] {
+                map.record(self.prog.branch_sites[i], true);
+            }
+        }
+        map
+    }
+
+    /// Materializes per-loop iteration counts.
+    pub fn loop_stats(&self) -> BTreeMap<NodeId, u64> {
+        let mut map = BTreeMap::new();
+        for (i, &n) in self.st.loops.iter().enumerate() {
+            if n > 0 {
+                *map.entry(self.prog.loop_sites[i]).or_insert(0) += n;
+            }
+        }
+        map
+    }
+
+    /// Materializes per-function call counts.
+    pub fn call_counts(&self) -> BTreeMap<String, u64> {
+        let mut map = BTreeMap::new();
+        for (i, &n) in self.st.calls.iter().enumerate() {
+            if n > 0 {
+                map.insert(self.prog.names[i].clone(), n);
+            }
+        }
+        map
+    }
+
+    /// Materializes the value-range/depth/heap profile.
+    pub fn profile(&self) -> Profile {
+        let mut p = Profile::new();
+        let st = &self.st;
+        if !st.config.profile {
+            return p;
+        }
+        // Sites are unique per (function, name): each key is inserted once.
+        let key = |(f, v): (u32, u32)| {
+            let names = &self.prog.names;
+            (names[f as usize].clone(), names[v as usize].clone())
+        };
+        for (i, acc) in st.int_acc.iter().enumerate() {
+            if let Some((min, max)) = *acc {
+                p.int_ranges
+                    .insert(key(self.prog.int_sites[i]), Range { min, max });
+            }
+        }
+        for (i, acc) in st.idx_acc.iter().enumerate() {
+            if let Some(mx) = *acc {
+                p.max_index.insert(key(self.prog.idx_sites[i]), mx);
+            }
+        }
+        for (i, &d) in st.depth_max.iter().enumerate() {
+            if d > 0 {
+                p.max_depth.insert(self.prog.names[i].clone(), d);
+            }
+        }
+        p.peak_heap_cells = st.peak_heap;
+        p
+    }
+
+    /// Runs a function with already-constructed values (mirrors
+    /// `Machine::run_function`).
+    ///
+    /// # Errors
+    ///
+    /// Returns traps and setup errors exactly as the walker, with one
+    /// documented approximation: the walker leaves missing trailing
+    /// parameters unbound and fails with "unknown variable" at first *use*;
+    /// the VM reports that error eagerly at call time (production callers
+    /// pass exact arity — `run_kernel` checks it).
+    pub fn run_function(&mut self, name: &str, args: Vec<Value>) -> Result<Value, ExecError> {
+        let prog = &*self.prog;
+        let fi = *prog
+            .by_name
+            .get(name)
+            .ok_or_else(|| ExecError::setup(format!("unknown function `{name}`")))?;
+        let spec = &prog.funcs[fi as usize];
+        if args.len() < spec.params.len() {
+            let missing = &prog.names[spec.params[args.len()].pname as usize];
+            return Err(ExecError::setup(format!("unknown variable `{missing}`")));
+        }
+        self.st.invoke(prog, fi, args)
+    }
+
+    /// Runs the kernel with fuzzer-level arguments and collects the full
+    /// observable outcome (mirrors `Machine::run_kernel`).
+    pub fn run_kernel(&mut self, name: &str, args: &[ArgValue]) -> Outcome {
+        match self.st.run_kernel(&self.prog, name, args) {
+            Ok(outcome) => outcome,
+            Err(e) => Outcome {
+                trapped: true,
+                trap_reason: Some(e.to_string()),
+                ops: self.st.ops,
+                ..Default::default()
+            },
+        }
+    }
+}
+
+impl State {
     /// Renders entry arguments into fuzzable [`ArgValue`]s: scalars
     /// directly, pointers as the rest of their allocation, streams as their
     /// queued contents. `None` when an argument has no such form (a unit
@@ -152,118 +284,12 @@ impl Vm {
         params.iter().zip(args).map(snap).collect()
     }
 
-    /// Abstract operations executed so far.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Materializes branch coverage (identical to the walker's map).
-    pub fn coverage(&self) -> CoverageMap {
-        let mut map = CoverageMap::new();
-        for (i, flags) in self.cov.iter().enumerate() {
-            if flags[0] {
-                map.record(self.prog.branch_sites[i], false);
-            }
-            if flags[1] {
-                map.record(self.prog.branch_sites[i], true);
-            }
-        }
-        map
-    }
-
-    /// Materializes per-loop iteration counts.
-    pub fn loop_stats(&self) -> BTreeMap<NodeId, u64> {
-        let mut map = BTreeMap::new();
-        for (i, &n) in self.loops.iter().enumerate() {
-            if n > 0 {
-                *map.entry(self.prog.loop_sites[i]).or_insert(0) += n;
-            }
-        }
-        map
-    }
-
-    /// Materializes per-function call counts.
-    pub fn call_counts(&self) -> BTreeMap<String, u64> {
-        let mut map = BTreeMap::new();
-        for (i, &n) in self.calls.iter().enumerate() {
-            if n > 0 {
-                map.insert(self.prog.names[i].clone(), n);
-            }
-        }
-        map
-    }
-
-    /// Materializes the value-range/depth/heap profile.
-    pub fn profile(&self) -> Profile {
-        let mut p = Profile::new();
-        if !self.config.profile {
-            return p;
-        }
-        // Sites are unique per (function, name): each key is inserted once.
-        let key = |(f, v): (u32, u32)| {
-            let names = &self.prog.names;
-            (names[f as usize].clone(), names[v as usize].clone())
-        };
-        for (i, acc) in self.int_acc.iter().enumerate() {
-            if let Some((min, max)) = *acc {
-                p.int_ranges
-                    .insert(key(self.prog.int_sites[i]), Range { min, max });
-            }
-        }
-        for (i, acc) in self.idx_acc.iter().enumerate() {
-            if let Some(mx) = *acc {
-                p.max_index.insert(key(self.prog.idx_sites[i]), mx);
-            }
-        }
-        for (i, &d) in self.depth_max.iter().enumerate() {
-            if d > 0 {
-                p.max_depth.insert(self.prog.names[i].clone(), d);
-            }
-        }
-        p.peak_heap_cells = self.peak_heap;
-        p
-    }
-
-    /// Runs a function with already-constructed values (mirrors
-    /// `Machine::run_function`).
-    ///
-    /// # Errors
-    ///
-    /// Returns traps and setup errors exactly as the walker, with one
-    /// documented approximation: the walker leaves missing trailing
-    /// parameters unbound and fails with "unknown variable" at first *use*;
-    /// the VM reports that error eagerly at call time (production callers
-    /// pass exact arity — `run_kernel` checks it).
-    pub fn run_function(&mut self, name: &str, args: Vec<Value>) -> Result<Value, ExecError> {
-        let prog = Arc::clone(&self.prog);
-        let fi = *prog
-            .by_name
-            .get(name)
-            .ok_or_else(|| ExecError::setup(format!("unknown function `{name}`")))?;
-        let spec = &prog.funcs[fi as usize];
-        if args.len() < spec.params.len() {
-            let missing = &prog.names[spec.params[args.len()].pname as usize];
-            return Err(ExecError::setup(format!("unknown variable `{missing}`")));
-        }
-        self.invoke(fi, args)
-    }
-
-    /// Runs the kernel with fuzzer-level arguments and collects the full
-    /// observable outcome (mirrors `Machine::run_kernel`).
-    pub fn run_kernel(&mut self, name: &str, args: &[ArgValue]) -> Outcome {
-        match self.run_kernel_inner(name, args) {
-            Ok(outcome) => outcome,
-            Err(e) => Outcome {
-                trapped: true,
-                trap_reason: Some(e.to_string()),
-                ops: self.ops,
-                ..Default::default()
-            },
-        }
-    }
-
-    fn run_kernel_inner(&mut self, name: &str, args: &[ArgValue]) -> Result<Outcome, ExecError> {
-        let prog = Arc::clone(&self.prog);
+    fn run_kernel(
+        &mut self,
+        prog: &CompiledProgram,
+        name: &str,
+        args: &[ArgValue],
+    ) -> Result<Outcome, ExecError> {
         let fi = *prog
             .by_name
             .get(name)
@@ -282,8 +308,8 @@ impl Vm {
         for (ps, arg) in spec.params.iter().zip(args) {
             match arg {
                 ArgValue::Int(v) if ps.kco != u32::MAX => {
-                    values.push(self.apply_co(
-                        ps.kco,
+                    values.push(apply_co(
+                        &prog.cos[ps.kco as usize],
                         Value::Int {
                             v: *v,
                             bits: 127,
@@ -304,7 +330,7 @@ impl Vm {
                     stream_views.push(None);
                 }
                 ArgValue::IntArray(vs) => {
-                    let (addr, elem_float) = self.alloc_arg_array(ps, vs.len())?;
+                    let (addr, elem_float) = self.alloc_arg_array(prog, ps, vs.len())?;
                     for (i, v) in vs.iter().enumerate() {
                         let val = if elem_float {
                             Value::double(*v as f64)
@@ -318,7 +344,7 @@ impl Vm {
                     stream_views.push(None);
                 }
                 ArgValue::FloatArray(vs) => {
-                    let (addr, _) = self.alloc_arg_array(ps, vs.len())?;
+                    let (addr, _) = self.alloc_arg_array(prog, ps, vs.len())?;
                     for (i, v) in vs.iter().enumerate() {
                         self.mem.store(addr + i, Value::double(*v))?;
                     }
@@ -343,7 +369,7 @@ impl Vm {
                 }
             }
         }
-        let ret = self.invoke(fi, values)?;
+        let ret = self.invoke(prog, fi, values)?;
         let mut outcome = Outcome {
             ops: self.ops,
             ..Default::default()
@@ -366,10 +392,15 @@ impl Vm {
         Ok(outcome)
     }
 
-    fn alloc_arg_array(&mut self, ps: &ParamSpec, len: usize) -> Result<(usize, bool), ExecError> {
+    fn alloc_arg_array(
+        &mut self,
+        prog: &CompiledProgram,
+        ps: &ParamSpec,
+        len: usize,
+    ) -> Result<(usize, bool), ExecError> {
         let elem_float = match ps.arr {
             Ok(ef) => ef,
-            Err(ei) => return Err(self.prog.errors[ei as usize].clone()),
+            Err(ei) => return Err(prog.errors[ei as usize].clone()),
         };
         let addr = self.mem.alloc(len)?;
         Ok((addr, elem_float))
@@ -432,27 +463,14 @@ impl Vm {
         }
     }
 
-    #[inline]
-    fn apply_co(&self, co: u32, v: Value) -> Result<Value, ExecError> {
-        match &self.prog.cos[co as usize] {
-            Co::Int { bits, signed } => Ok(coerce_int(&v, *bits, *signed)),
-            Co::Ty(t) => coerce(v, t, &|_| Ok(1usize)),
-            Co::PtrStride(stride) => Ok(match v {
-                Value::Ptr { addr, .. } => Value::Ptr {
-                    addr,
-                    stride: *stride,
-                },
-                other => Value::Ptr {
-                    addr: other.as_int().max(0) as usize,
-                    stride: *stride,
-                },
-            }),
-            Co::PtrErr(e) => Err(e.clone()),
-        }
-    }
-
     /// Mirror of `Machine::store_typed` through a precompiled site.
-    fn store_k(&mut self, addr: usize, k: StoreK, v: Value) -> Result<(), ExecError> {
+    fn store_k(
+        &mut self,
+        prog: &CompiledProgram,
+        addr: usize,
+        k: StoreK,
+        v: Value,
+    ) -> Result<(), ExecError> {
         match k {
             StoreK::Raw => self.mem.store(addr, v),
             StoreK::AggOk(n) => {
@@ -468,7 +486,7 @@ impl Vm {
             }
             StoreK::AggErr(ei) => {
                 if matches!(v, Value::Ptr { .. }) {
-                    Err(self.prog.errors[ei as usize].clone())
+                    Err(prog.errors[ei as usize].clone())
                 } else {
                     self.mem.store(addr, v)
                 }
@@ -476,9 +494,9 @@ impl Vm {
             StoreK::Co(ci) => {
                 // Integer stores, the hottest kind, wrap here directly
                 // rather than through `apply_co`'s `Result`.
-                let coerced = match &self.prog.cos[ci as usize] {
+                let coerced = match &prog.cos[ci as usize] {
                     Co::Int { bits, signed } => coerce_int(&v, *bits, *signed),
-                    _ => self.apply_co(ci, v)?,
+                    co => apply_co(co, v)?,
                 };
                 self.mem.store(addr, coerced)
             }
@@ -524,26 +542,29 @@ impl Vm {
 
     // ----- calls -----------------------------------------------------------
 
-    /// Enters a function frame; returns its entry pc. Mirrors the walker's
-    /// `call_function` prologue, including its bookkeeping order: counters
-    /// are bumped *before* parameter binding, so a binding error leaves the
-    /// callee's active count elevated exactly as the walker does. A method
-    /// gets its receiver's base address in the slot after its parameters.
+    /// Enters a function frame; returns its entry pc. The arguments are
+    /// the top `params.len()` operand-stack values, first parameter
+    /// deepest, and bind straight off the stack; a method's receiver lies
+    /// under them and takes the slot after its parameters. Mirrors the
+    /// walker's `call_function` prologue, including its bookkeeping order:
+    /// counters are bumped *before* parameter binding, so a binding error
+    /// leaves the callee's active count elevated exactly as the walker
+    /// does. What an error leaves on the stack, `invoke` truncates.
     fn enter(
         &mut self,
+        prog: &CompiledProgram,
         fi: u32,
-        args: Vec<Value>,
-        recv: Option<usize>,
+        method: bool,
         ret_pc: u32,
     ) -> Result<u32, ExecError> {
-        let prog = Arc::clone(&self.prog);
         let spec = &prog.funcs[fi as usize];
         if self.frames.len() as u64 >= self.config.max_depth {
             return Err(ExecError::trap(Trap::StackOverflow));
         }
         self.charge(5)?;
+        let at = self.stack.len() - spec.params.len();
         if self.capture == Some(spec.name) {
-            if let Some(snap) = self.snapshot_args(&spec.params, &args) {
+            if let Some(snap) = self.snapshot_args(&spec.params, &self.stack[at..]) {
                 self.captured.push(snap);
             }
         }
@@ -556,17 +577,18 @@ impl Vm {
             *e = (*e).max(d);
         }
         let base = self.slots.len();
-        for (ps, arg) in spec.params.iter().zip(args) {
+        for (ps, arg) in spec.params.iter().zip(self.stack.drain(at..)) {
             let addr = self.mem.alloc(1)?;
             let stored = if ps.is_stream {
                 arg
             } else {
-                self.apply_co(ps.bco, arg)?
+                apply_co(&prog.cos[ps.bco as usize], arg)?
             };
             self.mem.store(addr, stored)?;
             self.slots.push(addr);
         }
-        if let Some(base_addr) = recv {
+        if method {
+            let base_addr = self.pop_addr();
             self.slots.push(base_addr);
         }
         self.slots.resize(base + spec.n_slots as usize, usize::MAX);
@@ -594,16 +616,21 @@ impl Vm {
 
     /// Calls function `fi` with `args` (extras ignored, like the walker's
     /// `zip` binding) and runs to completion.
-    fn invoke(&mut self, fi: u32, mut args: Vec<Value>) -> Result<Value, ExecError> {
-        let nparams = self.prog.funcs[fi as usize].params.len();
-        args.truncate(nparams);
+    fn invoke(
+        &mut self,
+        prog: &CompiledProgram,
+        fi: u32,
+        args: Vec<Value>,
+    ) -> Result<Value, ExecError> {
+        let nparams = prog.funcs[fi as usize].params.len();
         let stack_len = self.stack.len();
         let slots_len = self.slots.len();
         let frames_len = self.frames.len();
         let base_save = self.cur_base;
+        self.stack.extend(args.into_iter().take(nparams));
         let result = self
-            .enter(fi, args, None, HALT_PC)
-            .and_then(|entry| self.exec_from(entry));
+            .enter(prog, fi, false, HALT_PC)
+            .and_then(|entry| self.exec_from(prog, entry));
         match result {
             Ok(()) => Ok(self.pop()),
             Err(e) => {
@@ -623,8 +650,7 @@ impl Vm {
     // ----- the dispatch loop -----------------------------------------------
 
     #[allow(clippy::too_many_lines)]
-    fn exec_from(&mut self, entry: u32) -> Result<(), ExecError> {
-        let prog = Arc::clone(&self.prog);
+    fn exec_from(&mut self, prog: &CompiledProgram, entry: u32) -> Result<(), ExecError> {
         let code = &prog.code;
         let mut pc = entry as usize;
         loop {
@@ -822,7 +848,7 @@ impl Vm {
                             binop_value(*o, cur, rv)?
                         }
                     };
-                    self.store_k(addr, *k, final_v)?;
+                    self.store_k(prog, addr, *k, final_v)?;
                     self.record_int_site(*prof, addr)?;
                     if *keep {
                         let out = self.mem.load(addr)?.clone();
@@ -840,7 +866,7 @@ impl Vm {
                             binop_value(*o, cur, rv)?
                         }
                     };
-                    self.store_k(addr, *k, final_v)?;
+                    self.store_k(prog, addr, *k, final_v)?;
                     self.record_int_site(*prof, addr)?;
                     if *keep {
                         let out = self.mem.load(addr)?.clone();
@@ -850,11 +876,11 @@ impl Vm {
                 Insn::StoreInit { sl, k } => {
                     let v = self.pop();
                     let addr = self.slot_addr(*sl);
-                    self.store_k(addr, *k, v)?;
+                    self.store_k(prog, addr, *k, v)?;
                 }
                 Insn::StoreCell { sl, off, co } => {
                     let v = self.pop();
-                    let v = self.apply_co(*co, v)?;
+                    let v = apply_co(&prog.cos[*co as usize], v)?;
                     let addr = self.slot_addr(*sl) + off;
                     self.mem.store(addr, v)?;
                 }
@@ -883,7 +909,7 @@ impl Vm {
                             signed: true,
                         },
                     };
-                    self.store_k(addr, *k, new)?;
+                    self.store_k(prog, addr, *k, new)?;
                     self.record_int_site(*prof, addr)?;
                     if *keep {
                         let out = if *prefix {
@@ -933,7 +959,7 @@ impl Vm {
                         Value::Ptr { addr, .. } => *addr,
                         other => unreachable!("vm aggregate base was {other:?}"),
                     };
-                    self.store_k(base + off, *k, v)?;
+                    self.store_k(prog, base + off, *k, v)?;
                 }
                 Insn::DropN(n) => {
                     let len = self.stack.len() - *n as usize;
@@ -989,22 +1015,11 @@ impl Vm {
                 }
                 Insn::CastTo(co) => {
                     let v = self.pop();
-                    let v = self.apply_co(*co, v)?;
+                    let v = apply_co(&prog.cos[*co as usize], v)?;
                     self.stack.push(v);
                 }
-                Insn::CallFn { f } => {
-                    let n = prog.funcs[*f as usize].params.len();
-                    let args = self.stack.split_off(self.stack.len() - n);
-                    let entry = self.enter(*f, args, None, pc as u32)?;
-                    pc = entry as usize;
-                }
-                Insn::CallMethod { f } => {
-                    let n = prog.funcs[*f as usize].params.len();
-                    let args = self.stack.split_off(self.stack.len() - n);
-                    let recv = self.pop_addr();
-                    let entry = self.enter(*f, args, Some(recv), pc as u32)?;
-                    pc = entry as usize;
-                }
+                Insn::CallFn { f } => pc = self.enter(prog, *f, false, pc as u32)? as usize,
+                Insn::CallMethod { f } => pc = self.enter(prog, *f, true, pc as u32)? as usize,
                 Insn::Ret => {
                     let v = self.pop();
                     pc = self.leave() as usize;
@@ -1157,6 +1172,27 @@ impl Vm {
     }
 }
 
+/// Applies a precompiled coercion (the walker's `coerce` for the type the
+/// site was compiled against).
+#[inline]
+fn apply_co(co: &Co, v: Value) -> Result<Value, ExecError> {
+    match co {
+        Co::Int { bits, signed } => Ok(coerce_int(&v, *bits, *signed)),
+        Co::Ty(t) => coerce(v, t, &|_| Ok(1usize)),
+        Co::PtrStride(stride) => Ok(match v {
+            Value::Ptr { addr, .. } => Value::Ptr {
+                addr,
+                stride: *stride,
+            },
+            other => Value::Ptr {
+                addr: other.as_int().max(0) as usize,
+                stride: *stride,
+            },
+        }),
+        Co::PtrErr(e) => Err(e.clone()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1254,7 +1290,7 @@ mod tests {
             let mut vm = Vm::new(compiled_for(&p), MachineConfig::cpu()).unwrap();
             vm.capture_args_of(kernel);
             let _ = vm.run_function(host, vec![]);
-            assert_eq!(vm.captured, want, "{host} -> {kernel} in {src}");
+            assert_eq!(vm.into_captured(), want, "{host} -> {kernel} in {src}");
         }
     }
 }

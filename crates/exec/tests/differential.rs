@@ -4,7 +4,7 @@
 //! loop / call statistics — under both the CPU and FPGA configurations.
 
 use minic_exec::{ArgValue, ExecEngine, ExecError, Machine, MachineConfig, Prepared, Trap, Vm};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// Runs `kernel(args)` under both engines with `config` and asserts every
 /// observable matches.
@@ -27,7 +27,7 @@ fn diff_with(src: &str, kernel: &str, args: &[ArgValue], config: MachineConfig) 
             assert_eq!(m.call_counts, v.call_counts(), "call counts for:\n{src}");
             assert_eq!(
                 m.mem.peak_cells(),
-                v.mem.peak_cells(),
+                v.mem().peak_cells(),
                 "peak heap cells for:\n{src}"
             );
         }
@@ -676,7 +676,7 @@ fn parity_with(
         let r2 = v.run_function(kernel, values);
         assert_eq!(r1, r2, "run_function value/error mismatch for:\n{src}");
         assert_eq!(m.ops(), v.ops(), "run_function ops for:\n{src}");
-        assert_eq!(m.mem.peak_cells(), v.mem.peak_cells());
+        assert_eq!(m.mem.peak_cells(), v.mem().peak_cells());
         m = Machine::new(&p, config).expect("globals");
     }
     m.run_kernel(kernel, args)
@@ -1563,4 +1563,141 @@ fn self_recursive_by_value_struct_has_no_size() {
         int kernel(int x) { struct Node *p = (struct Node*)malloc(4); p = p + x; return 0; }
     ";
     parity(stride, "kernel", &ints(&[1]));
+}
+
+// ----- one compiled program, many threads ---------------------------------
+
+/// Everything a kernel run on a fresh VM lets its caller observe, the
+/// memory peak and the captured kernel arguments included.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    outcome: minic_exec::Outcome,
+    ops: u64,
+    coverage: minic_exec::CoverageMap,
+    profile: minic_exec::Profile,
+    loops: std::collections::BTreeMap<minic::ast::NodeId, u64>,
+    calls: std::collections::BTreeMap<String, u64>,
+    peak_cells: usize,
+    captured: Vec<Vec<ArgValue>>,
+}
+
+fn observe(
+    prog: &Arc<minic_exec::CompiledProgram>,
+    kernel: &str,
+    args: &[ArgValue],
+    config: MachineConfig,
+) -> Result<Observed, ExecError> {
+    let mut v = Vm::new(Arc::clone(prog), config)?;
+    v.capture_args_of(kernel);
+    let outcome = v.run_kernel(kernel, args);
+    Ok(Observed {
+        outcome,
+        ops: v.ops(),
+        coverage: v.coverage(),
+        profile: v.profile(),
+        loops: v.loop_stats(),
+        calls: v.call_counts(),
+        peak_cells: v.mem().peak_cells(),
+        captured: v.into_captured(),
+    })
+}
+
+/// Runs of one compiled program on four threads at once observe exactly
+/// what the same runs observe one after another: the VMs share the
+/// program and nothing they write. Checked on every subject's original,
+/// manual and standard-pipeline repaired program over the corpus that
+/// pipeline fuzzed, under both configurations. The threads start together
+/// and each runs the whole corpus from its own case on, so they overlap
+/// even on a one-case corpus. The program's reference count is back where it
+/// started once the VMs are gone.
+#[test]
+fn concurrent_runs_of_one_program_observe_what_sequential_runs_do() {
+    const THREADS: usize = 4;
+    let cfg = bench::standard_config();
+    for s in benchsuite::subjects() {
+        let report = bench::run_subject(&s, &cfg);
+        let corpus = &report.tests;
+        assert!(!corpus.is_empty(), "{}: empty corpus", s.id);
+        let programs = [
+            ("original", s.parse()),
+            ("manual", s.parse_manual().expect("manual")),
+            ("repaired", report.program),
+        ];
+        for (title, p) in &programs {
+            let prog = Arc::new(minic_exec::compile(p));
+            let start = Arc::strong_count(&prog);
+            for config in [MachineConfig::cpu(), MachineConfig::fpga()] {
+                let run = |i: usize| observe(&prog, s.kernel, &corpus[i], config);
+                let sequential: Vec<_> = (0..corpus.len()).map(run).collect();
+                let start_line = Barrier::new(THREADS);
+                let concurrent: Vec<Vec<(usize, Result<Observed, ExecError>)>> =
+                    std::thread::scope(|scope| {
+                        let workers: Vec<_> = (0..THREADS)
+                            .map(|t| {
+                                let start_line = &start_line;
+                                scope.spawn(move || {
+                                    start_line.wait();
+                                    (0..corpus.len())
+                                        .map(|k| (t + k) % corpus.len())
+                                        .map(|i| (i, run(i)))
+                                        .collect()
+                                })
+                            })
+                            .collect();
+                        workers
+                            .into_iter()
+                            .map(|w| w.join().expect("worker"))
+                            .collect()
+                    });
+                for (t, runs) in concurrent.iter().enumerate() {
+                    for (i, observed) in runs {
+                        assert_eq!(
+                            &sequential[*i], observed,
+                            "{} {title}, thread {t}, case {i}, config {config:?}",
+                            s.id
+                        );
+                    }
+                }
+            }
+            assert_eq!(Arc::strong_count(&prog), start, "{} {title}", s.id);
+        }
+    }
+}
+
+/// Fuel runs out at every charge site of a kernel that recurses, calls a
+/// method and fails to bind a callee's pointer parameter (its pointee has
+/// no size) after binding the parameter before it: every trap point around
+/// argument binding meets the walker.
+#[test]
+fn fuel_exhaustion_around_argument_binding() {
+    let src = "
+        struct Node { int v; struct Node next; };
+        struct Acc {
+            int total;
+            int add(int x, int y) { total += x * y; return total; }
+        };
+        int rec(int n, int acc) { if (n <= 0) return acc; return rec(n - 1, acc + n); }
+        int bad(int a, struct Node *p) { return a; }
+        int kernel(int n) {
+            int s = rec(n, 0);
+            s += Acc{1}.add(s, n);
+            if (n > 3) s += bad(s, 0);
+            return s;
+        }
+    ";
+    let full = parity(src, "kernel", &ints(&[3]));
+    assert!(!full.trapped, "{:?}", full.trap_reason);
+    let failed = parity(src, "kernel", &ints(&[4]));
+    assert!(
+        trap_of(&failed).contains("nested deeper than 64 levels"),
+        "{:?}",
+        failed.trap_reason
+    );
+    for (n, o) in [(3, &full), (4, &failed)] {
+        for fuel in 0..=o.ops + 1 {
+            for base in [MachineConfig::cpu(), MachineConfig::fpga()] {
+                parity_with(src, "kernel", &ints(&[n]), MachineConfig { fuel, ..base });
+            }
+        }
+    }
 }

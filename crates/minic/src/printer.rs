@@ -92,13 +92,6 @@ pub(crate) fn stmt_lines(s: &Stmt) -> usize {
     }
 }
 
-/// Renders one statement at the given indent (used in diffs and tests).
-pub fn print_stmt(s: &Stmt) -> String {
-    let mut out = String::new();
-    stmt(&mut out, 1, s);
-    out
-}
-
 /// Renders one expression.
 pub fn print_expr(e: &Expr) -> String {
     let mut out = String::new();

@@ -21,11 +21,6 @@ pub struct TypeInfo {
 }
 
 impl TypeInfo {
-    /// Looks up the inferred type of an expression.
-    pub fn type_of(&self, e: &Expr) -> Option<&Type> {
-        self.expr_types.get(&e.id)
-    }
-
     /// Whether the program type checked without diagnostics.
     pub fn is_clean(&self) -> bool {
         self.errors.is_empty()

@@ -146,11 +146,6 @@ impl Type {
         )
     }
 
-    /// Whether this is arithmetic (integer or float).
-    pub fn is_arithmetic(&self) -> bool {
-        self.is_integer() || self.is_float()
-    }
-
     /// Whether this is a pointer.
     pub fn is_pointer(&self) -> bool {
         matches!(self, Type::Pointer(_))

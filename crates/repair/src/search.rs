@@ -204,12 +204,6 @@ impl SearchConfigBuilder {
         self
     }
 
-    /// Sets the cap on toolchain evaluations (`None` = unbounded).
-    pub fn with_max_evals(mut self, v: Option<u64>) -> Self {
-        self.cfg.max_evals = v;
-        self
-    }
-
     /// Installs mined fix patterns as a candidate tier ahead of the static
     /// precedence graph (empty = off, the byte-identical default).
     pub fn with_mined_patterns(mut self, v: Vec<FixPattern>) -> Self {

@@ -150,12 +150,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Sets the budgets forced onto jobs dequeued during shutdown.
-    pub fn with_drain_budgets(mut self, v: PhaseBudgets) -> Self {
-        self.cfg.drain_budgets = v;
-        self
-    }
-
     /// Starts the server paused (see [`ServerConfig::paused`]).
     pub fn with_paused(mut self, v: bool) -> Self {
         self.cfg.paused = v;

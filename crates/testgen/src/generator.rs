@@ -17,7 +17,7 @@
 //! any [`FuzzConfig::threads`] value.
 
 use crate::mutate::{mutate_case, random_value};
-use crate::spec::{kernel_specs, ArgSpec};
+use crate::spec::kernel_specs;
 use heterogen_trace::{Event, NullSink, TraceSink};
 use minic::Program;
 use minic_exec::{
@@ -217,7 +217,7 @@ pub fn kernel_seeds_from_host(
     };
     vm.capture_args_of(kernel);
     let _ = vm.run_function(host, host_args);
-    vm.captured
+    vm.into_captured()
 }
 
 /// Runs the fuzzing campaign of Algorithm 1.
@@ -492,12 +492,6 @@ fn shrink_arg(a: &ArgValue) -> Vec<ArgValue> {
             ArgValue::IntStream(xs.iter().map(|&x| x / 2).collect()),
         ],
     }
-}
-
-/// Convenience: specs for a kernel (re-exported for callers that need to
-/// synthesize inputs directly).
-pub fn specs_of(p: &Program, kernel: &str) -> Result<Vec<ArgSpec>, String> {
-    kernel_specs(p, kernel)
 }
 
 #[cfg(test)]

@@ -219,7 +219,7 @@ pub trait Toolchain: Send + Sync {
     /// The execution engine this backend simulates with. Nothing in the
     /// pipeline reads it and no middleware forwards it; it stays only
     /// because the benchmark's probe layer implements it, until ROADMAP
-    /// item 4 removes both.
+    /// item 6 removes both.
     fn engine(&self) -> ExecEngine {
         ExecEngine::default()
     }
